@@ -248,18 +248,23 @@ def _cmd_learn(args) -> int:
     if trace is not None and len(trace["iterations"]) != len(iterations):
         raise ValueError("trace and belief stream lengths differ")
 
+    def truth_at(idx: int):
+        """True state and combination matrix of the ``idx``-th step, or
+        ``None`` where the bundle does not hold them."""
+        if trace is None:
+            return None, matrices[0] if matrices else None
+        epoch = int(trace["graph_epochs"][idx])
+        combination = matrices[epoch] if epoch < len(matrices) else None
+        return int(trace["true_states"][idx]), combination
+
+    # Edge accuracy is scored against the graph in force at the end of
+    # the stream, as run_experiment does.
+    final_combination = truth_at(len(iterations) - 1)[1]
+
     def steps(current_mode: str):
         log_beliefs = np.log(beliefs)
         for idx, iteration in enumerate(iterations):
-            true_state = None
-            combination = None
-            if trace is not None:
-                true_state = int(trace["true_states"][idx])
-                epoch = int(trace["graph_epochs"][idx])
-                if epoch < len(matrices):
-                    combination = matrices[epoch]
-            elif matrices:
-                combination = matrices[0]
+            true_state, combination = truth_at(idx)
             if current_mode == "known" and true_state is None:
                 raise ConfigError("known mode needs a ground-truth trace")
             yield SimulationStep(
@@ -279,6 +284,7 @@ def _cmd_learn(args) -> int:
                              mode=current_mode, reference=reference)
         io.write_matrix(out / f"learned_matrix_{current_mode}.csv", result.estimate)
         classify_error = None
+        edge_accuracy = None
         try:
             classified = classify_edges(
                 result.estimate, classify_method, classify_threshold
@@ -286,6 +292,10 @@ def _cmd_learn(args) -> int:
             io.write_adjacency(
                 out / f"classified_adjacency_{current_mode}.csv", classified
             )
+            if final_combination is not None:
+                edge_accuracy = float(
+                    (classified == final_combination.adjacency).mean()
+                )
         except NoSeparationError as err:
             classify_error = str(err)
         has_truth = not np.isnan(result.msd).all()
@@ -295,11 +305,13 @@ def _cmd_learn(args) -> int:
         summary["modes"][current_mode] = {
             "steady_state_msd": steady,
             "diverged_at": result.diverged_at,
+            "edge_accuracy": edge_accuracy,
             "classify_error": classify_error,
         }
         diverged = diverged or result.diverged_at is not None
         shown = "n/a" if steady is None else f"{steady:.6g}"
-        print(f"{current_mode:9s} steady-state msd {shown}"
+        acc = "n/a" if edge_accuracy is None else f"{edge_accuracy:.4f}"
+        print(f"{current_mode:9s} steady-state msd {shown}  edge accuracy {acc}"
               f"{'  DIVERGED' if result.diverged_at else ''}")
     if deviations:
         io.write_msd_table(out / "msd.csv", iterations, deviations, {})

@@ -80,22 +80,32 @@ def read_adjacency(path) -> np.ndarray:
     return read_matrix(path).astype(bool)
 
 
-class BeliefStreamWriter:
-    """Streams shared beliefs to disk, one row per (iteration, agent,
-    state), in the probability domain."""
+class _BlockStreamWriter:
+    """CSV stream of one ``(rows, columns)`` block per iteration, written
+    as rows ``iteration,row,column,value``.
 
-    def __init__(self, path):
+    Each block is formatted by one ``%``-template, built once per block
+    shape, with ``%.17g`` for the value: the bytes are those of
+    formatting every row on its own with ``format(value, ".17g")``.
+    """
+
+    def __init__(self, path, header: str):
         self._file = open(path, "w")
-        self._file.write(BELIEF_HEADER + "\n")
+        self._file.write(header + "\n")
+        self._shape = None
+        self._template = ""
 
-    def append(self, iteration: int, shared_log_beliefs: np.ndarray) -> None:
-        probs = np.exp(np.asarray(shared_log_beliefs))
-        lines = [
-            f"{iteration},{agent},{state},{_fmt(probs[agent, state])}"
-            for agent in range(probs.shape[0])
-            for state in range(probs.shape[1])
-        ]
-        self._file.write("\n".join(lines) + "\n")
+    def _write_block(self, iteration: int, block: np.ndarray) -> None:
+        if block.shape != self._shape:
+            rows, cols = block.shape
+            self._template = "".join(
+                f"%d,{row},{col},%.17g\n" for row in range(rows) for col in range(cols)
+            )
+            self._shape = block.shape
+        values = block.ravel().tolist()
+        args = [iteration] * (2 * len(values))
+        args[1::2] = values
+        self._file.write(self._template % tuple(args))
 
     def close(self) -> None:
         self._file.close()
@@ -105,6 +115,17 @@ class BeliefStreamWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class BeliefStreamWriter(_BlockStreamWriter):
+    """Streams shared beliefs to disk, one row per (iteration, agent,
+    state), in the probability domain."""
+
+    def __init__(self, path):
+        super().__init__(path, BELIEF_HEADER)
+
+    def append(self, iteration: int, shared_log_beliefs: np.ndarray) -> None:
+        self._write_block(iteration, np.exp(np.asarray(shared_log_beliefs)))
 
 
 def read_belief_stream(path) -> tuple[np.ndarray, np.ndarray]:
@@ -136,30 +157,14 @@ def read_belief_stream(path) -> tuple[np.ndarray, np.ndarray]:
     return iterations, rows[:, :, 3].reshape(steps, num_agents, num_states)
 
 
-class RatioStreamWriter:
+class RatioStreamWriter(_BlockStreamWriter):
     """Streams private signal log-ratio matrices to disk."""
 
     def __init__(self, path):
-        self._file = open(path, "w")
-        self._file.write(RATIO_HEADER + "\n")
+        super().__init__(path, RATIO_HEADER)
 
     def append(self, iteration: int, ratios: np.ndarray) -> None:
-        ratios = np.asarray(ratios)
-        lines = [
-            f"{iteration},{agent},{col},{_fmt(ratios[agent, col])}"
-            for agent in range(ratios.shape[0])
-            for col in range(ratios.shape[1])
-        ]
-        self._file.write("\n".join(lines) + "\n")
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        self._write_block(iteration, np.asarray(ratios))
 
 
 def read_ratio_stream(path) -> tuple[np.ndarray, np.ndarray]:

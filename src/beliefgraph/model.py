@@ -13,8 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "GenerationError",
@@ -44,12 +42,32 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _reaches_all(adjacency: np.ndarray) -> bool:
+    """True if node 0 reaches every node along the arcs of a boolean
+    adjacency, found by expanding a breadth-first frontier."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def is_strongly_connected(adjacency: np.ndarray) -> bool:
-    """True if the directed graph of ``adjacency`` is strongly connected."""
-    n_components, _ = connected_components(
-        csr_matrix(adjacency), directed=True, connection="strong"
-    )
-    return int(n_components) == 1
+    """True if the directed graph of ``adjacency`` is strongly connected.
+
+    Every nonzero entry ``(l, k)`` is an arc from ``l`` to ``k``. The
+    graph is strongly connected iff node 0 reaches every node both
+    along the arcs and along the reversed arcs. A graph without nodes
+    is not connected.
+    """
+    adjacency = np.asarray(adjacency, dtype=bool)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    if adjacency.shape[0] == 0:
+        return False
+    return _reaches_all(adjacency) and _reaches_all(adjacency.T)
 
 
 def ratio_columns(num_states: int, reference: int) -> list[int]:
@@ -130,6 +148,7 @@ class LikelihoodModel:
         self._cdf_stack = None
         self._log_stack = None
         self._sizes = np.array([t.shape[0] for t in self.tables])
+        self._agents = np.arange(len(self.tables))
 
     @property
     def num_agents(self) -> int:
@@ -201,13 +220,14 @@ class LikelihoodModel:
         signals = np.asarray(signals, dtype=int)
         if signals.shape != (self.num_agents,):
             raise ValueError("one signal per agent is required")
-        if (signals < 0).any() or (signals >= self._sizes).any():
-            bad = int(np.argmax((signals < 0) | (signals >= self._sizes)))
+        outside = (signals < 0) | (signals >= self._sizes)
+        if outside.any():
+            bad = int(np.argmax(outside))
             raise ValueError(
                 f"signal {signals[bad]} outside the space of agent {bad}"
             )
         _, logs = self._stacks()
-        return logs[np.arange(self.num_agents), signals, :]
+        return logs[self._agents, signals]
 
     def identifiability_gap(self) -> np.ndarray:
         """Best across agents, for each ordered pair of distinct states,

@@ -8,7 +8,8 @@ beliefs are the public output of a run; signals stay private unless a
 run explicitly records them for validation.
 
 All belief arithmetic is carried out on log-probabilities with
-log-sum-exp normalization, so long runs neither underflow nor drift.
+max-shifted log-sum-exp normalization, so long runs neither underflow
+nor drift.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     CombinationMatrix,
@@ -108,12 +108,26 @@ class SimulationStep:
     signal_log_ratios: np.ndarray | None = field(default=None, repr=False)
 
 
+def _log_normalize(rows: np.ndarray) -> np.ndarray:
+    """Subtract from each row (the last axis) of an array its log-sum-exp.
+
+    The sum runs over ``exp(rows - row max)``, so it lies in
+    ``[1, num_columns]`` and neither overflows nor underflows, and the
+    result is formed as ``(rows - max) - log(sum)``: the shift is exact
+    for the entries that carry the mass, which keeps each output row
+    normalized to rounding even when the input sits far from zero.
+    """
+    shifted = rows - rows.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def check_log_beliefs(log_beliefs: np.ndarray, tol: float = ROW_SUM_TOL) -> None:
     """Raise if any row fails to be a finite normalized log-distribution."""
-    log_beliefs = np.asarray(log_beliefs)
+    log_beliefs = np.asarray(log_beliefs, dtype=float)
     if not np.isfinite(log_beliefs).all():
         raise ValueError("log-beliefs must be finite")
-    residual = np.abs(logsumexp(log_beliefs, axis=-1))
+    # Normalizing a row moves every entry by the row's log-sum-exp.
+    residual = np.abs(log_beliefs - _log_normalize(log_beliefs))
     if residual.max() > tol:
         raise ValueError(f"belief rows not normalized (residual {residual.max():.2e})")
 
@@ -148,8 +162,7 @@ def adapt_step(
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
     log_lik = model.signal_log_likelihoods(signals)
-    out = delta * log_lik + (1.0 - delta) * np.asarray(log_beliefs)
-    return out - logsumexp(out, axis=1, keepdims=True)
+    return _log_normalize(delta * log_lik + (1.0 - delta) * np.asarray(log_beliefs))
 
 
 def combine_step(
@@ -163,8 +176,7 @@ def combine_step(
     shared_log_beliefs = np.asarray(shared_log_beliefs)
     if shared_log_beliefs.shape[0] != combination.size:
         raise ValueError("belief rows do not match the combination matrix")
-    out = combination.weights.T @ shared_log_beliefs
-    return out - logsumexp(out, axis=1, keepdims=True)
+    return _log_normalize(combination.weights.T @ shared_log_beliefs)
 
 
 def state_estimates(log_beliefs: np.ndarray):

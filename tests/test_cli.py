@@ -128,6 +128,24 @@ class TestSimulateAndLearn:
         name = "classified_adjacency_known.csv"
         assert (inv_out / name).read_bytes() == (exp_out / name).read_bytes()
 
+    @pytest.mark.parametrize("events", [[], ["--regen-graph-at", "120:9"]])
+    def test_learn_reports_the_experiments_edge_accuracy(self, tmp_path, events):
+        """Offline learn scores its classification against the graph in
+        force at the end of the stream, as the experiment does."""
+        forward = tmp_path / "fwd"
+        assert run_cli("simulate", *BASE, *events, "--out", forward) == 0
+        exp_out = tmp_path / "e2e"
+        assert run_cli("experiment", *BASE, *events, "--mode", "both",
+                       "--out", exp_out) == 0
+        inv_out = tmp_path / "inv"
+        assert run_cli("learn", "--run", forward, "--mode", "both",
+                       "--out", inv_out) == 0
+        online = json.loads((exp_out / "summary.json").read_text())["modes"]
+        offline = json.loads((inv_out / "summary.json").read_text())["modes"]
+        for mode in ("known", "estimated"):
+            assert online[mode]["edge_accuracy"] is not None
+            assert offline[mode]["edge_accuracy"] == online[mode]["edge_accuracy"]
+
     def test_learn_without_inputs_exits_one(self, tmp_path):
         assert run_cli("learn", "--out", tmp_path / "nope") == 1
 
@@ -144,6 +162,8 @@ class TestSimulateAndLearn:
         assert run_cli("learn", "--run", forward_run, "--mode", "estimated",
                        "--out", out) == 0
         assert not (out / "msd.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["modes"]["estimated"]["edge_accuracy"] is None
 
 
 class TestSweepCommand:

@@ -4,6 +4,7 @@ and the steady-state diagnostics."""
 import numpy as np
 import pytest
 
+from beliefgraph import estimator
 from beliefgraph.estimator import (
     GraphLearner,
     NoSeparationError,
@@ -16,7 +17,11 @@ from beliefgraph.estimator import (
     steady_state_diagnostics,
     two_means_split,
 )
-from beliefgraph.model import erdos_renyi_adjacency, random_combination_matrix
+from beliefgraph.model import (
+    erdos_renyi_adjacency,
+    random_combination_matrix,
+    ratio_columns,
+)
 from beliefgraph.simulate import run_simulation
 
 LOG4 = 1.3862943611198906
@@ -70,6 +75,23 @@ class TestBeliefLogRatios:
         np.testing.assert_allclose(
             out, [[np.log(7.0), np.log(3.5)]], atol=1e-12
         )
+
+    def test_equals_column_selection_for_every_reference(self):
+        rng = np.random.default_rng(60)
+        for num_states in range(2, 7):
+            shared = np.log(rng.dirichlet(np.ones(num_states), size=9))
+            for reference in range(num_states):
+                cols = ratio_columns(num_states, reference)
+                np.testing.assert_array_equal(
+                    belief_log_ratios(shared, reference),
+                    shared[:, [reference]] - shared[:, cols],
+                )
+
+    def test_reference_out_of_range(self):
+        shared = np.full((2, 3), -np.log(3))
+        for reference in (-1, 3):
+            with pytest.raises(ValueError):
+                belief_log_ratios(shared, reference)
 
 
 class TestMajorityVote:
@@ -185,6 +207,30 @@ class TestGraphLearner:
         assert result.diverged_at is not None
         assert np.isfinite(result.estimate).all()
         assert result.msd[-1] == np.inf
+
+    @pytest.mark.parametrize("bad, diverges", [
+        (np.nan, True), (np.inf, True), (-np.inf, True), (2e6, True), (-2e6, True),
+        (0.5e6, False),
+    ])
+    def test_divergence_test_on_one_entry(self, small_setup, monkeypatch, bad, diverges):
+        """A single NaN, infinite or over-limit entry in an update trips
+        the divergence test; a large entry within the limit does not."""
+        model, _ = small_setup
+
+        def update(estimate, *args, **kwargs):
+            out = np.zeros_like(estimate)
+            out[2, 3] = bad
+            return out
+
+        monkeypatch.setattr(estimator, "gradient_step", update)
+        learner = GraphLearner(model, 0.05, 0.3, "known")
+        estimate = learner.step(np.full((6, 3), -np.log(3)), true_state=0)
+        if diverges:
+            assert learner.diverged_at == 1
+            np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
+        else:
+            assert learner.diverged_at is None
+            assert estimate[2, 3] == bad
 
     def test_learn_without_truth_reports_nan(self, small_setup):
         model, combination = small_setup

@@ -6,6 +6,31 @@ import pytest
 from beliefgraph import io
 from beliefgraph.model import random_likelihoods
 
+# Values whose shortest round-trip text is long or unusual: negatives,
+# subnormals, extremes of the exponent range and a signed zero.
+AWKWARD = [-1.2345678901234567, 5e-324, 2.5e-310, 1e300, -1e-300, -0.0,
+           0.1, 1.0 / 3.0, 123456789.125, -2.0**-1074]
+
+
+def per_row_layout(header, blocks):
+    """A stream file formatted one row at a time with
+    ``format(value, ".17g")``, the reference layout of both streams."""
+    lines = [header]
+    for iteration, block in blocks:
+        for row in range(block.shape[0]):
+            for col in range(block.shape[1]):
+                lines.append(
+                    f"{iteration},{row},{col},{format(float(block[row, col]), '.17g')}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def awkward_blocks(rng, count, shape):
+    return [
+        (t + 1, rng.choice(AWKWARD, size=shape) * rng.choice([1.0, 1.0, 7.0], size=shape))
+        for t in range(count)
+    ]
+
 
 class TestMatrixFiles:
     def test_matrix_round_trip_is_exact(self, tmp_path):
@@ -46,6 +71,21 @@ class TestBeliefStream:
             io.read_belief_stream(path)
 
 
+    def test_bytes_match_the_per_row_layout(self, tmp_path):
+        rng = np.random.default_rng(5)
+        # exp of these gives subnormal, tiny, ordinary and huge values
+        exponents = [-744.0, -709.5, -300.0, -1e-17, 0.0, -1.0 / 3.0, 2.5, 690.0]
+        logs = [(t + 1, rng.choice(exponents, size=(7, 3))) for t in range(6)]
+        path = tmp_path / "beliefs.csv"
+        with io.BeliefStreamWriter(path) as writer:
+            for iteration, block in logs:
+                writer.append(iteration, block)
+        expected = per_row_layout(
+            io.BELIEF_HEADER, [(t, np.exp(block)) for t, block in logs]
+        )
+        assert path.read_bytes() == expected.encode()
+
+
 class TestRatioStream:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -57,6 +97,15 @@ class TestRatioStream:
         iterations, loaded = io.read_ratio_stream(path)
         np.testing.assert_array_equal(iterations, np.arange(1, 7))
         np.testing.assert_array_equal(loaded, stack)
+
+    def test_bytes_match_the_per_row_layout(self, tmp_path):
+        blocks = awkward_blocks(np.random.default_rng(6), 8, (5, 3))
+        blocks.append((10_000_000, np.array([[-0.0, 5e-324, -1e300]])))
+        path = tmp_path / "ratios.csv"
+        with io.RatioStreamWriter(path) as writer:
+            for iteration, block in blocks:
+                writer.append(iteration, block)
+        assert path.read_bytes() == per_row_layout(io.RATIO_HEADER, blocks).encode()
 
 
 class TestTrace:

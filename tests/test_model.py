@@ -1,5 +1,7 @@
 """Domain types, random generation and the likelihood-side formulas."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,11 +69,41 @@ class TestErdosRenyiAdjacency:
         np.testing.assert_array_equal(a, b)
 
     def test_connectivity_check_matches_oracle(self):
+        """Sizes 1..60; half the densities straddle the connectivity
+        threshold near log(n)/n, where both answers are common."""
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
-            mask = rng.random((n, n)) < rng.uniform(0.05, 0.9)
-            assert is_strongly_connected(mask) == strongly_connected_oracle(mask)
+        answers = set()
+        for n in range(1, 61):
+            for draw in range(24):
+                if draw % 2:
+                    p = rng.uniform(0.5 / n, min(1.0, 4.0 * np.log(n + 1) / n))
+                else:
+                    p = rng.uniform(0.0, 0.9)
+                mask = rng.random((n, n)) < p
+                expected = strongly_connected_oracle(mask)
+                assert is_strongly_connected(mask) == expected, (n, p)
+                answers.add((n > 1, expected))
+        assert answers == {(False, True), (True, False), (True, True)}
+
+    def test_connectivity_check_input(self):
+        assert is_strongly_connected(np.array([[0.0, 2.0], [0.5, 0.0]]))
+        assert not is_strongly_connected(np.zeros((0, 0), dtype=bool))
+        with pytest.raises(ValueError):
+            is_strongly_connected(np.ones((2, 3), dtype=bool))
+
+    @pytest.mark.parametrize("edge_prob, attempts, arcs, digest", [
+        (0.2, 1, 200,
+         "eae293991c960708fcf45147ae2666af5844e81d8e9c5284e8f48444e38971b8"),
+        (0.08, 40, 109,
+         "88309d628336c1d101b3ecf5fc013bf52561ac3549dbf5ae6183ca55f8e24712"),
+    ])
+    def test_pinned_draws(self, edge_prob, attempts, arcs, digest):
+        """The reference-size draw for seed 0, and a sparse one that
+        rejects 39 disconnected masks first, stay exactly as pinned."""
+        mask, used = erdos_renyi_adjacency(30, edge_prob, seed=0)
+        assert used == attempts
+        assert int(mask.sum()) == arcs
+        assert hashlib.sha256(np.packbits(mask).tobytes()).hexdigest() == digest
 
     def test_gives_up_when_probability_too_small(self):
         with pytest.raises(GenerationError):

@@ -1,5 +1,7 @@
 """Forward protocol: adapt, combine, event handling and full runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from beliefgraph.model import LikelihoodModel, random_likelihoods
 from beliefgraph.simulate import (
     Event,
     EventSchedule,
+    _log_normalize,
     adapt_step,
     check_log_beliefs,
     combine_step,
@@ -20,6 +23,59 @@ from beliefgraph.model import random_combination_matrix
 
 def uniform_log(n, s):
     return np.full((n, s), -np.log(s))
+
+
+def fsum_log_sum_exp(row):
+    """Log-sum-exp of one row in scalar arithmetic, with the shifted
+    exponentials summed exactly rounded by ``math.fsum``."""
+    peak = max(row)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in row))
+
+
+def fsum_mass(row):
+    """Total probability of a log-probability row, exactly rounded."""
+    return math.fsum(math.exp(v) for v in row)
+
+
+def extreme_rows(rng, shape):
+    """Rows far below zero with entries spread over 1e3 within each row."""
+    return -1e5 - 1e3 * rng.random(shape)
+
+
+class TestLogNormalization:
+    @pytest.mark.parametrize("kind", ["random", "extreme"])
+    def test_matches_fsum_reference(self, kind):
+        rng = np.random.default_rng(50)
+        for num_states in range(2, 9):
+            shape = (40, num_states)
+            rows = (
+                10.0 * rng.standard_normal(shape) if kind == "random"
+                else extreme_rows(rng, shape)
+            )
+            out = _log_normalize(rows)
+            assert np.isfinite(out).all()
+            expected = [fsum_log_sum_exp(row) for row in rows.tolist()]
+            # Normalizing moves every entry of a row by its log-sum-exp.
+            np.testing.assert_allclose(
+                rows - out, np.repeat(np.array(expected)[:, None], num_states, 1),
+                rtol=1e-15, atol=1e-14,
+            )
+            for row in out.tolist():
+                assert abs(fsum_mass(row) - 1.0) <= 1e-12
+
+    def test_adapt_and_combine_normalize_extreme_rows(self, small_setup):
+        model, combination = small_setup
+        rng = np.random.default_rng(51)
+        log_beliefs = extreme_rows(rng, (model.num_agents, model.num_states))
+        signals = sample_observations(model, 0, rng)
+        for out in (
+            adapt_step(log_beliefs, signals, model, 0.5),
+            combine_step(log_beliefs, combination),
+        ):
+            assert np.isfinite(out).all()
+            for row in out.tolist():
+                assert abs(fsum_mass(row) - 1.0) <= 1e-12
+            check_log_beliefs(out)
 
 
 class TestSampleObservations:
@@ -258,6 +314,13 @@ class TestCheckLogBeliefs:
     def test_accepts_normalized_rows(self):
         rows = np.log([[0.2, 0.8], [0.5, 0.5]])
         check_log_beliefs(rows)
+
+    def test_normalizes_along_the_last_axis(self):
+        stack = np.log(np.random.default_rng(3).dirichlet(np.ones(4), size=(5, 3)))
+        check_log_beliefs(stack)
+        check_log_beliefs(stack[0, 0])
+        with pytest.raises(ValueError):
+            check_log_beliefs(stack + np.log(2.0))
 
     def test_rejects_unnormalized_or_infinite(self):
         with pytest.raises(ValueError):
