@@ -18,19 +18,20 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .estimator import NoSeparationError, classify_edges, learn_graph
+from .estimator import learn_graph
 from .harness import (
     MANIFEST_FORMAT,
     ConfigError,
     ExperimentConfig,
+    mode_result,
     run_experiment,
     run_forward,
-    steady_state_mean,
     sweep,
 )
 from .model import CombinationMatrix
@@ -87,11 +88,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--out", help="output directory")
 
 
-_CONFIG_FIELDS = (
-    "agents", "states", "signals", "edge_prob", "delta", "mu", "iterations",
-    "seed_graph", "seed_weights", "seed_likelihoods", "seed_signals", "mode",
-    "true_state", "reference", "test_mode", "likelihood_floor", "kl_floor",
-    "max_attempts", "classify_method", "classify_threshold",
+# The fields a flag of the same name sets; the schedule is built from
+# the timed-event flags and the output directory is taken separately.
+_CONFIG_FIELDS = tuple(
+    f.name for f in fields(ExperimentConfig) if f.name not in ("schedule", "out")
 )
 
 
@@ -147,9 +147,9 @@ def build_config(args, require_out: bool = True) -> ExperimentConfig:
         raise ConfigError(str(err)) from err
 
 
-def _print_mode_summary(result) -> None:
-    for mode in sorted(result.modes):
-        mres = result.modes[mode]
+def _print_mode_summary(modes) -> None:
+    for mode in sorted(modes):
+        mres = modes[mode]
         status = f"diverged at {mres.diverged_at}" if mres.diverged_at else "ok"
         acc = "n/a" if mres.edge_accuracy is None else f"{mres.edge_accuracy:.4f}"
         print(f"{mode:9s} steady-state msd {mres.steady_state_msd:.6g}  "
@@ -161,7 +161,7 @@ def _cmd_experiment(args) -> int:
     result = run_experiment(config)
     print(f"wrote {result.out_dir}")
     print(f"initial msd {result.initial_msd:.6g}")
-    _print_mode_summary(result)
+    _print_mode_summary(result.modes)
     return EXIT_DIVERGED if result.divergent else EXIT_OK
 
 
@@ -188,14 +188,18 @@ def _cmd_sweep(args) -> int:
     return EXIT_DIVERGED if any(r["divergent"] for r in rows) else EXIT_OK
 
 
-def _load_truth(run_dir: Path | None, trace_file: Path | None):
-    """Ground truth for deviation tracking, when available."""
+def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
+    """Ground truth of each step of a recorded stream: the true states
+    (``None`` without a trace) and the combination matrices (``None``
+    where the bundle does not hold them)."""
     trace = None
     if trace_file and trace_file.exists():
         trace = io.read_trace(trace_file)
-    matrices: list[CombinationMatrix] = []
+        if len(trace["iterations"]) != num_steps:
+            raise ValueError("trace and belief stream lengths differ")
+    matrices: dict[int, CombinationMatrix] = {}
     if run_dir is not None:
-        for path in sorted(run_dir.glob("true_matrix_*.csv")):
+        for path in run_dir.glob("true_matrix_*.csv"):
             tag = path.stem.split("_")[-1]
             adjacency_path = run_dir / f"true_adjacency_{tag}.csv"
             weights = io.read_matrix(path)
@@ -203,8 +207,12 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None):
                 adjacency = io.read_adjacency(adjacency_path)
             else:
                 adjacency = weights > 0
-            matrices.append(CombinationMatrix(weights, adjacency))
-    return trace, matrices
+            matrices[int(tag)] = CombinationMatrix(weights, adjacency)
+    if trace is None:
+        # The trace says which graph epoch each step belongs to; without
+        # it, only a single-epoch bundle pins the matrix of every step.
+        return None, [matrices.get(0) if len(matrices) == 1 else None] * num_steps
+    return trace["true_states"], [matrices.get(e) for e in trace["graph_epochs"]]
 
 
 def _cmd_learn(args) -> int:
@@ -242,81 +250,55 @@ def _cmd_learn(args) -> int:
 
     model = io.load_model(model_file)
     iterations, beliefs = io.read_belief_stream(stream)
-    if (beliefs <= 0).any():
-        raise ValueError("belief stream contains non-positive values")
-    trace, matrices = _load_truth(run_dir, trace_file)
-    if trace is not None and len(trace["iterations"]) != len(iterations):
-        raise ValueError("trace and belief stream lengths differ")
-
-    def truth_at(idx: int):
-        """True state and combination matrix of the ``idx``-th step, or
-        ``None`` where the bundle does not hold them."""
-        if trace is None:
-            return None, matrices[0] if matrices else None
-        epoch = int(trace["graph_epochs"][idx])
-        combination = matrices[epoch] if epoch < len(matrices) else None
-        return int(trace["true_states"][idx]), combination
-
-    # Edge accuracy is scored against the graph in force at the end of
-    # the stream, as run_experiment does.
-    final_combination = truth_at(len(iterations) - 1)[1]
-
-    def steps(current_mode: str):
+    if beliefs.shape[1:] != (model.num_agents, model.num_states):
+        raise ValueError(
+            f"the belief stream has {beliefs.shape[1]} agents and "
+            f"{beliefs.shape[2]} states, the model {model.num_agents} agents "
+            f"and {model.num_states} states"
+        )
+    # Zero, negative, NaN and infinite beliefs have no finite logarithm.
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_beliefs = np.log(beliefs)
-        for idx, iteration in enumerate(iterations):
-            true_state, combination = truth_at(idx)
-            if current_mode == "known" and true_state is None:
-                raise ConfigError("known mode needs a ground-truth trace")
-            yield SimulationStep(
-                iteration=int(iteration),
-                shared_log_beliefs=log_beliefs[idx],
-                true_state=true_state,
-                combination=combination,
-            )
+    if not np.isfinite(log_beliefs).all():
+        raise ValueError("the belief stream holds a non-positive or non-finite value")
+    true_states, combinations = _load_truth(run_dir, trace_file, len(iterations))
+    if "known" in modes and true_states is None:
+        raise ConfigError("known mode needs a ground-truth trace")
+    steps = [
+        SimulationStep(
+            iteration=int(iteration),
+            shared_log_beliefs=log_beliefs[idx],
+            true_state=None if true_states is None else int(true_states[idx]),
+            combination=combinations[idx],
+        )
+        for idx, iteration in enumerate(iterations)
+    ]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    diverged = False
-    summary: dict = {"modes": {}}
-    deviations = {}
-    for current_mode in modes:
-        result = learn_graph(steps(current_mode), model, mu, delta,
-                             mode=current_mode, reference=reference)
-        io.write_matrix(out / f"learned_matrix_{current_mode}.csv", result.estimate)
-        classify_error = None
-        edge_accuracy = None
-        try:
-            classified = classify_edges(
-                result.estimate, classify_method, classify_threshold
-            )
-            io.write_adjacency(
-                out / f"classified_adjacency_{current_mode}.csv", classified
-            )
-            if final_combination is not None:
-                edge_accuracy = float(
-                    (classified == final_combination.adjacency).mean()
-                )
-        except NoSeparationError as err:
-            classify_error = str(err)
-        has_truth = not np.isnan(result.msd).all()
-        if has_truth:
-            deviations[current_mode] = result.msd
-        steady = steady_state_mean(result.msd) if has_truth else None
-        summary["modes"][current_mode] = {
-            "steady_state_msd": steady,
-            "diverged_at": result.diverged_at,
-            "edge_accuracy": edge_accuracy,
-            "classify_error": classify_error,
-        }
-        diverged = diverged or result.diverged_at is not None
-        shown = "n/a" if steady is None else f"{steady:.6g}"
-        acc = "n/a" if edge_accuracy is None else f"{edge_accuracy:.4f}"
-        print(f"{current_mode:9s} steady-state msd {shown}  edge accuracy {acc}"
-              f"{'  DIVERGED' if result.diverged_at else ''}")
+    # Edge accuracy is scored against the graph in force at the end of
+    # the stream, as run_experiment does.
+    results = {
+        current_mode: mode_result(
+            learn_graph(steps, model, mu, delta, current_mode, reference),
+            combinations[-1],
+            classify_method,
+            classify_threshold,
+            out,
+        )
+        for current_mode in modes
+    }
+    deviations = {
+        m: mres.msd for m, mres in results.items() if not np.isnan(mres.msd).all()
+    }
     if deviations:
         io.write_msd_table(out / "msd.csv", iterations, deviations, {})
-    io.save_json(out / "summary.json", summary)
+    io.save_json(out / "summary.json", {
+        "modes": {m: mres.summary() for m, mres in results.items()}
+    })
+    _print_mode_summary(results)
     print(f"wrote {out}")
+    diverged = any(mres.diverged_at is not None for mres in results.values())
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "gradient_step",
     "GraphLearner",
     "LearnResult",
+    "LearnerRun",
     "learn_graph",
     "msd",
     "classify_edges",
@@ -185,7 +186,39 @@ class LearnResult:
     msd: np.ndarray
     votes: np.ndarray | None
     diverged_at: int | None
-    iterations: int
+
+
+@dataclass
+class LearnerRun:
+    """One learner's pass over a stream of simulation steps: the
+    learner plus its vote and squared deviation at every step."""
+
+    learner: GraphLearner
+    deviations: list[float] = field(default_factory=list)
+    votes: list[int | None] = field(default_factory=list)
+
+    def consume(self, step) -> None:
+        """Update the learner from one step and record the outcome."""
+        learner = self.learner
+        estimate = learner.step(step.shared_log_beliefs, step.true_state)
+        self.votes.append(learner.last_vote)
+        if learner.diverged_at is not None:
+            self.deviations.append(np.inf)
+        elif step.combination is not None:
+            self.deviations.append(msd(step.combination.weights, estimate))
+        else:
+            self.deviations.append(np.nan)
+
+    def result(self) -> LearnResult:
+        """The learner's final state and its per-step record."""
+        learner = self.learner
+        return LearnResult(
+            mode=learner.mode,
+            estimate=learner.estimate,
+            msd=np.asarray(self.deviations, dtype=float),
+            votes=np.asarray(self.votes) if learner.mode == ESTIMATED else None,
+            diverged_at=learner.diverged_at,
+        )
 
 
 def learn_graph(
@@ -203,27 +236,10 @@ def learn_graph(
     matrix the squared deviation from it is recorded, otherwise NaN.
     After a divergence the deviation is reported as ``inf``.
     """
-    learner = GraphLearner(model, mu, delta, mode, reference)
-    deviations = []
-    votes = [] if mode == ESTIMATED else None
+    run = LearnerRun(GraphLearner(model, mu, delta, mode, reference))
     for step in steps:
-        estimate = learner.step(step.shared_log_beliefs, step.true_state)
-        if votes is not None:
-            votes.append(learner.last_vote)
-        if learner.diverged_at is not None:
-            deviations.append(np.inf)
-        elif step.combination is not None:
-            deviations.append(msd(step.combination.weights, estimate))
-        else:
-            deviations.append(np.nan)
-    return LearnResult(
-        mode=mode,
-        estimate=learner.estimate,
-        msd=np.asarray(deviations),
-        votes=None if votes is None else np.asarray(votes),
-        diverged_at=learner.diverged_at,
-        iterations=learner.iterations,
-    )
+        run.consume(step)
+    return run.result()
 
 
 def msd(true_matrix: np.ndarray, estimate: np.ndarray) -> float:

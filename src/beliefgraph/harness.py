@@ -10,6 +10,7 @@ is not part of the manifest.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -20,11 +21,12 @@ from .estimator import (
     ESTIMATED,
     KNOWN,
     GraphLearner,
+    LearnerRun,
+    LearnResult,
     NoSeparationError,
     SteadyStateDiagnostics,
     belief_log_ratios,
     classify_edges,
-    msd,
     steady_state_diagnostics,
 )
 from .model import (
@@ -44,6 +46,7 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "run_forward",
+    "mode_result",
     "sweep",
     "steady_state_mean",
     "MANIFEST_FORMAT",
@@ -196,19 +199,26 @@ def steady_state_mean(values: np.ndarray) -> float:
 
 
 @dataclass
-class ModeResult:
-    """Estimator outcome for one variant."""
+class ModeResult(LearnResult):
+    """Estimator outcome for one variant: the learner's record plus its
+    summary and edge classification."""
 
-    mode: str
-    estimate: np.ndarray
-    msd: np.ndarray
-    votes: np.ndarray | None
-    diverged_at: int | None
     steady_state_msd: float
     final_msd: float
     classified: np.ndarray | None
     edge_accuracy: float | None
     classify_error: str | None
+
+    def summary(self) -> dict:
+        """The mode's entry in ``summary.json``; the steady-state
+        deviation is ``None`` when the stream carried no ground truth."""
+        blind = bool(np.isnan(self.msd).all())
+        return {
+            "steady_state_msd": None if blind else self.steady_state_msd,
+            "diverged_at": self.diverged_at,
+            "edge_accuracy": self.edge_accuracy,
+            "classify_error": self.classify_error,
+        }
 
 
 @dataclass
@@ -255,19 +265,9 @@ def _diagnostics_payload(diag: SteadyStateDiagnostics | None):
     }
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Generate, simulate, learn and persist one full experiment.
-
-    The observer variants see only the shared belief stream and the
-    likelihood model; private signals are recorded (to the ratio stream
-    file and for the steady-state diagnostics) only when
-    ``config.test_mode`` is set.
-    """
-    config.validate()
-    out = Path(config.out) if config.out else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
+def _generate(config: ExperimentConfig):
+    """The run's initial combination matrix, its likelihood model and
+    the number of graph draws it took, all from the named seeds."""
     adjacency, graph_attempts = erdos_renyi_adjacency(
         config.agents, config.edge_prob, config.seed_graph, config.max_attempts
     )
@@ -281,32 +281,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         kl_floor=config.kl_floor,
         max_attempts=config.max_attempts,
     )
-    initial_msd = float(np.sum(combination.weights**2))
+    return combination, model, graph_attempts
 
-    modes = config.modes()
-    learners = {m: GraphLearner(model, config.mu, config.delta, m, config.reference) for m in modes}
+
+def _simulate(
+    config: ExperimentConfig,
+    combination: CombinationMatrix,
+    model: LikelihoodModel,
+    out: Path | None,
+    consumers=(),
+):
+    """Run the forward protocol once, hand every step to each of
+    ``consumers`` and, with ``out`` set, write the forward bundle there.
+
+    Returns the true state and graph epoch of every iteration, the
+    events by iteration and the combination matrix in force at the end.
+    """
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     T = config.iterations
-    deviations = {m: np.empty(T) for m in modes}
-    votes = np.empty(T, dtype=int) if ESTIMATED in modes else None
     true_states = np.empty(T, dtype=int)
     graph_epochs = np.empty(T, dtype=int)
-    events_seen: dict[int, str] = {}
-
-    stationary_start = max(1, config.schedule.last_iteration())
-    collect_diag = config.test_mode
-    lam_samples: list[np.ndarray] = []
-    sig_samples: list[np.ndarray] = []
-
-    belief_writer = io.BeliefStreamWriter(out / "beliefs.csv") if out else None
-    ratio_writer = (
-        io.RatioStreamWriter(out / "private_ratios.csv")
-        if out and config.test_mode
-        else None
-    )
-    written_epochs: set[int] = set()
-    final_combination = combination
-
-    try:
+    events: dict[int, str] = {}
+    epochs: list[CombinationMatrix] = []
+    with ExitStack() as stack:
+        if out is not None:
+            beliefs = stack.enter_context(io.BeliefStreamWriter(out / "beliefs.csv"))
+            ratios = (
+                stack.enter_context(io.RatioStreamWriter(out / "private_ratios.csv"))
+                if config.test_mode
+                else None
+            )
         steps = run_simulation(
             model,
             combination,
@@ -323,44 +328,117 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for step in steps:
             i = step.iteration
             if step.event:
-                events_seen[i] = step.event
-            if out is not None and step.graph_epoch not in written_epochs:
-                tag = f"{step.graph_epoch:03d}"
-                io.write_matrix(out / f"true_matrix_{tag}.csv", step.combination.weights)
-                io.write_adjacency(
-                    out / f"true_adjacency_{tag}.csv", step.combination.adjacency
-                )
-                written_epochs.add(step.graph_epoch)
-            if belief_writer is not None:
-                belief_writer.append(i, step.shared_log_beliefs)
-            if ratio_writer is not None:
-                ratio_writer.append(i, step.signal_log_ratios)
+                events[i] = step.event
             true_states[i - 1] = step.true_state
             graph_epochs[i - 1] = step.graph_epoch
-            final_combination = step.combination
-            for mode in modes:
-                learner = learners[mode]
-                estimate = learner.step(step.shared_log_beliefs, step.true_state)
-                if learner.diverged_at is not None:
-                    deviations[mode][i - 1] = np.inf
-                else:
-                    deviations[mode][i - 1] = msd(step.combination.weights, estimate)
-                if mode == ESTIMATED:
-                    votes[i - 1] = learner.last_vote
-            if collect_diag and i >= stationary_start:
+            if step.graph_epoch == len(epochs):
+                epochs.append(step.combination)
+            if out is not None:
+                beliefs.append(i, step.shared_log_beliefs)
+                if ratios is not None:
+                    ratios.append(i, step.signal_log_ratios)
+            for consume in consumers:
+                consume(step)
+
+    if out is not None:
+        for epoch, truth in enumerate(epochs):
+            io.write_matrix(out / f"true_matrix_{epoch:03d}.csv", truth.weights)
+            io.write_adjacency(out / f"true_adjacency_{epoch:03d}.csv", truth.adjacency)
+        io.save_model(out / "model.json", model)
+        io.write_trace(
+            out / "trace.csv", np.arange(1, T + 1), true_states, graph_epochs, events
+        )
+        io.save_json(out / "manifest.json", {
+            "format": MANIFEST_FORMAT,
+            "config": config.to_dict(),
+        })
+    return true_states, graph_epochs, events, epochs[-1]
+
+
+def mode_result(
+    learned: LearnResult,
+    final_combination: CombinationMatrix | None,
+    classify_method: str,
+    classify_threshold: float | None,
+    out: Path | None,
+) -> ModeResult:
+    """Classify a learned estimate and score it.
+
+    Edge accuracy is taken against ``final_combination``, the graph in
+    force at the end of the stream, and is ``None`` without it or when
+    the classification finds no separation. With ``out`` set, the
+    learned matrix and its classification are written there.
+    """
+    classified = None
+    classify_error = None
+    edge_accuracy = None
+    try:
+        classified = classify_edges(
+            learned.estimate, classify_method, classify_threshold
+        )
+    except NoSeparationError as err:
+        classify_error = str(err)
+    else:
+        if final_combination is not None:
+            edge_accuracy = float((classified == final_combination.adjacency).mean())
+    if out is not None:
+        io.write_matrix(out / f"learned_matrix_{learned.mode}.csv", learned.estimate)
+        if classified is not None:
+            io.write_adjacency(
+                out / f"classified_adjacency_{learned.mode}.csv", classified
+            )
+    return ModeResult(
+        **vars(learned),
+        steady_state_msd=steady_state_mean(learned.msd),
+        final_msd=float(learned.msd[-1]),
+        classified=classified,
+        edge_accuracy=edge_accuracy,
+        classify_error=classify_error,
+    )
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Generate, simulate, learn and persist one full experiment.
+
+    The observer variants see only the shared belief stream and the
+    likelihood model; private signals are recorded (to the ratio stream
+    file and for the steady-state diagnostics) only when
+    ``config.test_mode`` is set.
+    """
+    config.validate()
+    out = Path(config.out) if config.out else None
+    combination, model, graph_attempts = _generate(config)
+    initial_msd = float(np.sum(combination.weights**2))
+
+    runs = {
+        mode: LearnerRun(
+            GraphLearner(model, config.mu, config.delta, mode, config.reference)
+        )
+        for mode in config.modes()
+    }
+    consumers = [run.consume for run in runs.values()]
+    lam_samples: list[np.ndarray] = []
+    sig_samples: list[np.ndarray] = []
+    if config.test_mode:
+        stationary_start = max(1, config.schedule.last_iteration())
+
+        def collect(step):
+            if step.iteration >= stationary_start:
                 lam_samples.append(
                     belief_log_ratios(step.shared_log_beliefs, config.reference)
                 )
                 sig_samples.append(step.signal_log_ratios)
-    finally:
-        if belief_writer is not None:
-            belief_writer.close()
-        if ratio_writer is not None:
-            ratio_writer.close()
+
+        consumers.append(collect)
+    true_states, graph_epochs, events, final_combination = _simulate(
+        config, combination, model, out, consumers
+    )
 
     diagnostics = None
-    if collect_diag and lam_samples:
-        expected = mean_likelihood_matrix(model, int(true_states[-1]), config.reference)
+    if lam_samples:
+        expected = mean_likelihood_matrix(
+            model, int(true_states[-1]), config.reference
+        )
         try:
             diagnostics = steady_state_diagnostics(
                 np.array(lam_samples),
@@ -372,34 +450,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except ValueError:
             diagnostics = None  # run too short for moment estimates
 
-    mode_results: dict[str, ModeResult] = {}
-    for mode in modes:
-        learner = learners[mode]
-        classified = None
-        classify_error = None
-        edge_accuracy = None
-        try:
-            classified = classify_edges(
-                learner.estimate, config.classify_method, config.classify_threshold
-            )
-            edge_accuracy = float(
-                (classified == final_combination.adjacency).mean()
-            )
-        except NoSeparationError as err:
-            classify_error = str(err)
-        mode_results[mode] = ModeResult(
-            mode=mode,
-            estimate=learner.estimate,
-            msd=deviations[mode],
-            votes=votes if mode == ESTIMATED else None,
-            diverged_at=learner.diverged_at,
-            steady_state_msd=steady_state_mean(deviations[mode]),
-            final_msd=float(deviations[mode][-1]),
-            classified=classified,
-            edge_accuracy=edge_accuracy,
-            classify_error=classify_error,
+    mode_results = {
+        mode: mode_result(
+            run.result(),
+            final_combination,
+            config.classify_method,
+            config.classify_threshold,
+            out,
         )
-
+        for mode, run in runs.items()
+    }
     result = ExperimentResult(
         config=config,
         model=model,
@@ -415,43 +475,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
     if out is not None:
-        io.save_model(out / "model.json", model)
-        io.write_trace(
-            out / "trace.csv",
-            np.arange(1, T + 1),
-            true_states,
-            graph_epochs,
-            events_seen,
-        )
         io.write_msd_table(
             out / "msd.csv",
-            np.arange(1, T + 1),
-            {m: deviations[m] for m in modes},
-            events_seen,
+            np.arange(1, config.iterations + 1),
+            {m: mres.msd for m, mres in mode_results.items()},
+            events,
         )
-        for mode, mres in mode_results.items():
-            io.write_matrix(out / f"learned_matrix_{mode}.csv", mres.estimate)
-            if mres.classified is not None:
-                io.write_adjacency(
-                    out / f"classified_adjacency_{mode}.csv", mres.classified
-                )
-        io.save_json(out / "manifest.json", {
-            "format": MANIFEST_FORMAT,
-            "config": config.to_dict(),
-        })
         summary = {
             "initial_msd": initial_msd,
             "graph_attempts": graph_attempts,
             "divergent": result.divergent,
             "vote_match_rate": result.vote_match_rate,
             "modes": {
-                mode: {
-                    "final_msd": mres.final_msd,
-                    "steady_state_msd": mres.steady_state_msd,
-                    "diverged_at": mres.diverged_at,
-                    "edge_accuracy": mres.edge_accuracy,
-                    "classify_error": mres.classify_error,
-                }
+                mode: {"final_msd": mres.final_msd, **mres.summary()}
                 for mode, mres in mode_results.items()
             },
             "diagnostics": _diagnostics_payload(diagnostics),
@@ -473,74 +509,8 @@ def run_forward(config: ExperimentConfig) -> Path:
     if not config.out:
         raise ConfigError("a forward run needs an output directory")
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    adjacency, _ = erdos_renyi_adjacency(
-        config.agents, config.edge_prob, config.seed_graph, config.max_attempts
-    )
-    combination = random_combination_matrix(adjacency, config.seed_weights)
-    model = random_likelihoods(
-        config.agents,
-        config.states,
-        config.signals,
-        config.seed_likelihoods,
-        floor=config.likelihood_floor,
-        kl_floor=config.kl_floor,
-        max_attempts=config.max_attempts,
-    )
-
-    T = config.iterations
-    true_states = np.empty(T, dtype=int)
-    graph_epochs = np.empty(T, dtype=int)
-    events_seen: dict[int, str] = {}
-    written_epochs: set[int] = set()
-    ratio_writer = (
-        io.RatioStreamWriter(out / "private_ratios.csv") if config.test_mode else None
-    )
-    try:
-        with io.BeliefStreamWriter(out / "beliefs.csv") as belief_writer:
-            for step in run_simulation(
-                model,
-                combination,
-                config.true_state,
-                config.delta,
-                T,
-                config.seed_signals,
-                schedule=config.schedule,
-                record_private=config.test_mode,
-                edge_prob=config.edge_prob,
-                regen_max_attempts=config.max_attempts,
-                reference=config.reference,
-            ):
-                i = step.iteration
-                if step.event:
-                    events_seen[i] = step.event
-                if step.graph_epoch not in written_epochs:
-                    tag = f"{step.graph_epoch:03d}"
-                    io.write_matrix(
-                        out / f"true_matrix_{tag}.csv", step.combination.weights
-                    )
-                    io.write_adjacency(
-                        out / f"true_adjacency_{tag}.csv", step.combination.adjacency
-                    )
-                    written_epochs.add(step.graph_epoch)
-                belief_writer.append(i, step.shared_log_beliefs)
-                if ratio_writer is not None:
-                    ratio_writer.append(i, step.signal_log_ratios)
-                true_states[i - 1] = step.true_state
-                graph_epochs[i - 1] = step.graph_epoch
-    finally:
-        if ratio_writer is not None:
-            ratio_writer.close()
-
-    io.save_model(out / "model.json", model)
-    io.write_trace(
-        out / "trace.csv", np.arange(1, T + 1), true_states, graph_epochs, events_seen
-    )
-    io.save_json(out / "manifest.json", {
-        "format": MANIFEST_FORMAT,
-        "config": config.to_dict(),
-    })
+    combination, model, _ = _generate(config)
+    _simulate(config, combination, model, out)
     return out
 
 

@@ -128,6 +128,29 @@ class BeliefStreamWriter(_BlockStreamWriter):
         self._write_block(iteration, np.exp(np.asarray(shared_log_beliefs)))
 
 
+def _read_block_stream(path, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a stream written by :class:`_BlockStreamWriter`, checking
+    that every iteration holds the complete block in row-major order."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 4:
+        raise ValueError(f"{name} stream must have four columns")
+    num_rows = int(data[:, 1].max()) + 1
+    num_cols = int(data[:, 2].max()) + 1
+    block = num_rows * num_cols
+    if data.shape[0] % block:
+        raise ValueError(f"{name} stream has incomplete iterations")
+    steps = data.shape[0] // block
+    iterations = data[::block, 0].astype(int)
+    expected_rows = np.repeat(np.arange(num_rows), num_cols)
+    expected_cols = np.tile(np.arange(num_cols), num_rows)
+    data = data.reshape(steps, block, 4)
+    if (data[:, :, 1] != expected_rows).any() or (data[:, :, 2] != expected_cols).any():
+        raise ValueError(f"{name} stream rows out of order")
+    if (data[:, :, 0] != iterations[:, None]).any():
+        raise ValueError(f"{name} stream iterations out of order")
+    return iterations, data[:, :, 3].reshape(steps, num_rows, num_cols)
+
+
 def read_belief_stream(path) -> tuple[np.ndarray, np.ndarray]:
     """Load a belief stream file.
 
@@ -137,24 +160,7 @@ def read_belief_stream(path) -> tuple[np.ndarray, np.ndarray]:
     beliefs : ndarray, shape (T, num_agents, num_states)
         Shared beliefs in the probability domain.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError("belief stream must have four columns")
-    num_agents = int(data[:, 1].max()) + 1
-    num_states = int(data[:, 2].max()) + 1
-    block = num_agents * num_states
-    if data.shape[0] % block:
-        raise ValueError("belief stream has incomplete iterations")
-    steps = data.shape[0] // block
-    iterations = data[::block, 0].astype(int)
-    expected_agents = np.repeat(np.arange(num_agents), num_states)
-    expected_states = np.tile(np.arange(num_states), num_agents)
-    rows = data.reshape(steps, block, 4)
-    if (rows[:, :, 1] != expected_agents).any() or (rows[:, :, 2] != expected_states).any():
-        raise ValueError("belief stream rows out of order")
-    if (rows[:, :, 0] != iterations[:, None]).any():
-        raise ValueError("belief stream iterations out of order")
-    return iterations, rows[:, :, 3].reshape(steps, num_agents, num_states)
+    return _read_block_stream(path, "belief")
 
 
 class RatioStreamWriter(_BlockStreamWriter):
@@ -170,17 +176,7 @@ class RatioStreamWriter(_BlockStreamWriter):
 def read_ratio_stream(path) -> tuple[np.ndarray, np.ndarray]:
     """Load a ratio stream file; returns iterations and a
     ``(T, num_agents, num_states - 1)`` stack."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError("ratio stream must have four columns")
-    num_agents = int(data[:, 1].max()) + 1
-    num_cols = int(data[:, 2].max()) + 1
-    block = num_agents * num_cols
-    if data.shape[0] % block:
-        raise ValueError("ratio stream has incomplete iterations")
-    steps = data.shape[0] // block
-    iterations = data[::block, 0].astype(int)
-    return iterations, data[:, 3].reshape(steps, num_agents, num_cols)
+    return _read_block_stream(path, "ratio")
 
 
 def write_trace(path, iterations, true_states, graph_epochs, events) -> None:

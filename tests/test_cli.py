@@ -7,6 +7,7 @@ import pytest
 
 from beliefgraph import io
 from beliefgraph.cli import main
+from beliefgraph.model import random_likelihoods
 
 BASE = [
     "--agents", "6", "--states", "3", "--signals", "3", "--edge-prob", "0.5",
@@ -146,6 +147,78 @@ class TestSimulateAndLearn:
             assert online[mode]["edge_accuracy"] is not None
             assert offline[mode]["edge_accuracy"] == online[mode]["edge_accuracy"]
 
+    @pytest.mark.parametrize("events", [[], ["--regen-graph-at", "120:9"]])
+    def test_learn_without_trace_scores_only_a_single_epoch(self, tmp_path, events):
+        """Without the trace the graph epoch of each step is unknown, so
+        learn scores against the true matrix only when the bundle holds
+        a single epoch, and reports no deviation or accuracy otherwise."""
+        forward = tmp_path / "fwd"
+        assert run_cli("simulate", *BASE, *events, "--out", forward) == 0
+        exp_out = tmp_path / "e2e"
+        assert run_cli("experiment", *BASE, *events, "--out", exp_out) == 0
+        (forward / "trace.csv").unlink()
+        inv_out = tmp_path / "inv"
+        assert run_cli("learn", "--run", forward, "--mode", "estimated",
+                       "--out", inv_out) == 0
+        online = json.loads((exp_out / "summary.json").read_text())["modes"]
+        offline = json.loads((inv_out / "summary.json").read_text())["modes"]
+        if events:
+            assert offline["estimated"]["edge_accuracy"] is None
+            assert offline["estimated"]["steady_state_msd"] is None
+            assert not (inv_out / "msd.csv").exists()
+        else:
+            assert offline["estimated"] == {
+                key: online["estimated"][key] for key in offline["estimated"]
+            }
+            assert (inv_out / "msd.csv").exists()
+
+    def test_learn_scores_each_epoch_against_its_own_matrix(self, tmp_path):
+        """True matrices are looked up by the epoch number in their file
+        name: with epoch 0's files gone, its steps have no deviation and
+        epoch 1's steps are still scored against epoch 1."""
+        events = ["--regen-graph-at", "120:9"]
+        forward = tmp_path / "fwd"
+        assert run_cli("simulate", *BASE, *events, "--out", forward) == 0
+        exp_out = tmp_path / "e2e"
+        assert run_cli("experiment", *BASE, *events, "--mode", "known",
+                       "--out", exp_out) == 0
+        (forward / "true_matrix_000.csv").unlink()
+        (forward / "true_adjacency_000.csv").unlink()
+        inv_out = tmp_path / "inv"
+        assert run_cli("learn", "--run", forward, "--mode", "known",
+                       "--out", inv_out) == 0
+        offline = io.read_msd_table(inv_out / "msd.csv")["known"]
+        online = io.read_msd_table(exp_out / "msd.csv")["known"]
+        assert np.isnan(offline[:119]).all()
+        np.testing.assert_allclose(offline[119:], online[119:], rtol=1e-9)
+        summary = json.loads((inv_out / "summary.json").read_text())["modes"]
+        expected = json.loads((exp_out / "summary.json").read_text())["modes"]
+        assert summary["known"]["edge_accuracy"] == expected["known"]["edge_accuracy"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-0.25"])
+    def test_learn_rejects_a_belief_without_a_finite_log(
+        self, forward_run, tmp_path, capsys, bad
+    ):
+        """A NaN, infinite, zero or negative belief is bad input (exit
+        2), not an estimator divergence (exit 3)."""
+        stream = forward_run / "beliefs.csv"
+        lines = stream.read_text().splitlines()
+        lines[40] = lines[40].rsplit(",", 1)[0] + "," + bad
+        stream.write_text("\n".join(lines) + "\n")
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert "non-positive or non-finite" in err
+        assert err.count("\n") == 1
+
+    def test_learn_rejects_a_model_of_another_size(self, forward_run, tmp_path, capsys):
+        io.save_model(forward_run / "model.json", random_likelihoods(7, 3, 3, seed=5))
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert "6 agents and 3 states" in err and "7 agents and 3 states" in err
+        assert err.count("\n") == 1
+
     def test_learn_without_inputs_exits_one(self, tmp_path):
         assert run_cli("learn", "--out", tmp_path / "nope") == 1
 
@@ -164,6 +237,26 @@ class TestSimulateAndLearn:
         assert not (out / "msd.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["modes"]["estimated"]["edge_accuracy"] is None
+
+
+class TestForwardBundle:
+    def test_simulate_writes_a_byte_identical_subset_of_experiment(self, tmp_path):
+        """simulate and experiment run the same simulate-and-write loop:
+        every file the forward run writes, experiment writes with the
+        same bytes."""
+        config = [*BASE, "--test-mode", "--set-state-at", "50:2",
+                  "--regen-graph-at", "120:9"]
+        forward, full = tmp_path / "fwd", tmp_path / "e2e"
+        assert run_cli("simulate", *config, "--out", forward) == 0
+        assert run_cli("experiment", *config, "--out", full) == 0
+        names = sorted(p.name for p in forward.iterdir())
+        assert names == sorted([
+            "beliefs.csv", "manifest.json", "model.json", "private_ratios.csv",
+            "trace.csv", "true_adjacency_000.csv", "true_adjacency_001.csv",
+            "true_matrix_000.csv", "true_matrix_001.csv",
+        ])
+        for name in names:
+            assert (forward / name).read_bytes() == (full / name).read_bytes(), name
 
 
 class TestSweepCommand:

@@ -108,6 +108,24 @@ class TestRatioStream:
         assert path.read_bytes() == per_row_layout(io.RATIO_HEADER, blocks).encode()
 
 
+@pytest.mark.parametrize("writer, reader", [
+    (io.BeliefStreamWriter, io.read_belief_stream),
+    (io.RatioStreamWriter, io.read_ratio_stream),
+])
+def test_stream_readers_reject_swapped_rows(tmp_path, writer, reader):
+    """Both stream readers check the agent/column order of every block;
+    swapping two rows of a block is an error, not a silent relabel."""
+    path = tmp_path / "stream.csv"
+    with writer(path) as stream:
+        for t in range(3):
+            stream.append(t + 1, np.log(np.full((2, 2), 0.5)) - t)
+    lines = path.read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="out of order"):
+        reader(path)
+
+
 class TestTrace:
     def test_round_trip_with_events(self, tmp_path):
         path = tmp_path / "trace.csv"
