@@ -44,6 +44,10 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_DIVERGED = 3
 
+# Its bundles hold a probability-domain CSV stream that learn does not
+# read; its manifests still configure a re-run.
+_V1_FORMAT = "beliefgraph-manifest-v1"
+
 
 def _parse_signals(text: str):
     parts = [int(p) for p in text.split(",")]
@@ -109,7 +113,9 @@ def build_config(args, require_out: bool = True) -> ExperimentConfig:
     file_out = None
     if getattr(args, "config", None):
         payload = io.load_json(args.config)
-        if isinstance(payload, dict) and payload.get("format") == MANIFEST_FORMAT:
+        if isinstance(payload, dict) and payload.get("format") in (
+            MANIFEST_FORMAT, _V1_FORMAT
+        ):
             payload = payload["config"]
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -221,7 +227,7 @@ def _cmd_learn(args) -> int:
     model_file = Path(args.model_file) if args.model_file else None
     trace_file = Path(args.trace_file) if args.trace_file else None
     if run_dir is not None:
-        stream = stream or run_dir / "beliefs.csv"
+        stream = stream or run_dir / "beliefs.npy"
         model_file = model_file or run_dir / "model.json"
         trace_file = trace_file or run_dir / "trace.csv"
     if stream is None or model_file is None:
@@ -230,8 +236,15 @@ def _cmd_learn(args) -> int:
         raise ConfigError("an output directory is required (--out)")
 
     manifest_config: dict = {}
-    if run_dir is not None and (run_dir / "manifest.json").exists():
-        payload = io.load_json(run_dir / "manifest.json")
+    if run_dir is not None:
+        manifest = run_dir / "manifest.json"
+        payload = io.load_json(manifest) if manifest.exists() else {}
+        if payload.get("format") == _V1_FORMAT or (run_dir / "beliefs.csv").exists():
+            raise ConfigError(
+                f"{run_dir} is a {_V1_FORMAT} bundle, whose CSV belief stream "
+                f"learn does not read; re-run `beliefgraph simulate --config "
+                f"{manifest} --out DIR` to write it as {MANIFEST_FORMAT}"
+            )
         if payload.get("format") == MANIFEST_FORMAT:
             manifest_config = payload["config"]
 
@@ -249,29 +262,27 @@ def _cmd_learn(args) -> int:
     classify_threshold = manifest_config.get("classify_threshold")
 
     model = io.load_model(model_file)
-    iterations, beliefs = io.read_belief_stream(stream)
-    if beliefs.shape[1:] != (model.num_agents, model.num_states):
+    log_beliefs = io.read_belief_stream(stream)
+    if log_beliefs.shape[1:] != (model.num_agents, model.num_states):
         raise ValueError(
-            f"the belief stream has {beliefs.shape[1]} agents and "
-            f"{beliefs.shape[2]} states, the model {model.num_agents} agents "
+            f"the belief stream has {log_beliefs.shape[1]} agents and "
+            f"{log_beliefs.shape[2]} states, the model {model.num_agents} agents "
             f"and {model.num_states} states"
         )
-    # Zero, negative, NaN and infinite beliefs have no finite logarithm.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_beliefs = np.log(beliefs)
     if not np.isfinite(log_beliefs).all():
-        raise ValueError("the belief stream holds a non-positive or non-finite value")
-    true_states, combinations = _load_truth(run_dir, trace_file, len(iterations))
+        raise ValueError("the belief stream holds a non-finite log-belief")
+    T = len(log_beliefs)
+    true_states, combinations = _load_truth(run_dir, trace_file, T)
     if "known" in modes and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
     steps = [
         SimulationStep(
-            iteration=int(iteration),
+            iteration=idx + 1,
             shared_log_beliefs=log_beliefs[idx],
             true_state=None if true_states is None else int(true_states[idx]),
             combination=combinations[idx],
         )
-        for idx, iteration in enumerate(iterations)
+        for idx in range(T)
     ]
 
     out = Path(args.out)
@@ -292,7 +303,7 @@ def _cmd_learn(args) -> int:
         m: mres.msd for m, mres in results.items() if not np.isnan(mres.msd).all()
     }
     if deviations:
-        io.write_msd_table(out / "msd.csv", iterations, deviations, {})
+        io.write_msd_table(out / "msd.csv", np.arange(1, T + 1), deviations, {})
     io.save_json(out / "summary.json", {
         "modes": {m: mres.summary() for m, mres in results.items()}
     })
@@ -326,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_learn = sub.add_parser("learn", help="estimate the graph from a recorded run")
     p_learn.add_argument("--run", help="directory written by simulate/experiment")
-    p_learn.add_argument("--stream", help="belief stream file")
+    p_learn.add_argument("--stream", help="belief stream: a bundle's beliefs.npy "
+                                          "(float64 log-beliefs)")
     p_learn.add_argument("--model-file", help="likelihood model JSON")
     p_learn.add_argument("--trace-file", help="ground-truth trace CSV")
     p_learn.add_argument("--mode", choices=["known", "estimated", "both"])

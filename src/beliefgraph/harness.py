@@ -52,7 +52,7 @@ __all__ = [
     "MANIFEST_FORMAT",
 ]
 
-MANIFEST_FORMAT = "beliefgraph-manifest-v1"
+MANIFEST_FORMAT = "beliefgraph-manifest-v2"
 
 MODES = (KNOWN, ESTIMATED)
 
@@ -210,11 +210,10 @@ class ModeResult(LearnResult):
     classify_error: str | None
 
     def summary(self) -> dict:
-        """The mode's entry in ``summary.json``; the steady-state
-        deviation is ``None`` when the stream carried no ground truth."""
-        blind = bool(np.isnan(self.msd).all())
+        """The mode's entry in ``summary.json``, where a steady-state
+        deviation without ground truth (NaN) or diverged (inf) is null."""
         return {
-            "steady_state_msd": None if blind else self.steady_state_msd,
+            "steady_state_msd": self.steady_state_msd,
             "diverged_at": self.diverged_at,
             "edge_accuracy": self.edge_accuracy,
             "classify_error": self.classify_error,
@@ -306,9 +305,14 @@ def _simulate(
     epochs: list[CombinationMatrix] = []
     with ExitStack() as stack:
         if out is not None:
-            beliefs = stack.enter_context(io.BeliefStreamWriter(out / "beliefs.csv"))
+            n, S = model.num_agents, model.num_states
+            beliefs = stack.enter_context(
+                io.BeliefStreamWriter(out / "beliefs.npy", (T, n, S))
+            )
             ratios = (
-                stack.enter_context(io.RatioStreamWriter(out / "private_ratios.csv"))
+                stack.enter_context(
+                    io.BeliefStreamWriter(out / "private_ratios.npy", (T, n, S - 1))
+                )
                 if config.test_mode
                 else None
             )
@@ -334,9 +338,9 @@ def _simulate(
             if step.graph_epoch == len(epochs):
                 epochs.append(step.combination)
             if out is not None:
-                beliefs.append(i, step.shared_log_beliefs)
+                beliefs.append(step.shared_log_beliefs)
                 if ratios is not None:
-                    ratios.append(i, step.signal_log_ratios)
+                    ratios.append(step.signal_log_ratios)
             for consume in consumers:
                 consume(step)
 

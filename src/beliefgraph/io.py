@@ -1,17 +1,20 @@
-"""Plain-text persistence for runs.
+"""Persistence for runs.
 
-All numeric text is written with 17 significant digits, which
-round-trips IEEE doubles exactly: rerunning a configuration reproduces
-every output file byte for byte.
+Text files write every number with 17 significant digits, which
+round-trips IEEE doubles exactly; the two streams are binary float64
+and hold the very values the run produced. Rerunning a configuration
+therefore reproduces every output file byte for byte.
 
 File formats
 ------------
 matrix          one line per row, comma-separated ``%.17g`` values
 adjacency       same layout with 0/1 entries
-belief stream   CSV ``iteration,agent,state,belief`` (shared beliefs,
-                probability domain), one row per (iteration, agent, state)
-ratio stream    CSV ``iteration,agent,column,value`` (private signal
-                log-ratios, validation runs only)
+belief stream   ``.npy`` (format 1.0), little-endian float64 of shape
+                ``(T, num_agents, num_states)``: the shared
+                log-beliefs of iterations ``1..T``
+ratio stream    ``.npy`` of the same kind, shape
+                ``(T, num_agents, num_states - 1)``: the private signal
+                log-ratios (validation runs only)
 trace           CSV ``iteration,true_state,graph_epoch,event``
 deviation table CSV ``iteration,msd,mode,event``
 model           JSON with the per-agent probability tables
@@ -33,8 +36,6 @@ __all__ = [
     "read_adjacency",
     "BeliefStreamWriter",
     "read_belief_stream",
-    "RatioStreamWriter",
-    "read_ratio_stream",
     "write_trace",
     "read_trace",
     "write_msd_table",
@@ -45,8 +46,6 @@ __all__ = [
     "load_json",
 ]
 
-BELIEF_HEADER = "iteration,agent,state,belief"
-RATIO_HEADER = "iteration,agent,column,value"
 TRACE_HEADER = "iteration,true_state,graph_epoch,event"
 MSD_HEADER = "iteration,msd,mode,event"
 
@@ -80,32 +79,32 @@ def read_adjacency(path) -> np.ndarray:
     return read_matrix(path).astype(bool)
 
 
-class _BlockStreamWriter:
-    """CSV stream of one ``(rows, columns)`` block per iteration, written
-    as rows ``iteration,row,column,value``.
-
-    Each block is formatted by one ``%``-template, built once per block
-    shape, with ``%.17g`` for the value: the bytes are those of
-    formatting every row on its own with ``format(value, ".17g")``.
+class BeliefStreamWriter:
+    """Writes ``T`` float64 ``(rows, columns)`` blocks, one per
+    :meth:`append`, as an ``.npy`` file whose header declares
+    ``(T, rows, columns)`` up front; once complete, the file equals
+    ``np.save`` of the stacked blocks byte for byte. Both streams of a
+    bundle use it: the shared log-beliefs and the private log-ratios.
     """
 
-    def __init__(self, path, header: str):
-        self._file = open(path, "w")
-        self._file.write(header + "\n")
-        self._shape = None
-        self._template = ""
+    def __init__(self, path, shape):
+        self._shape = tuple(int(n) for n in shape)
+        self._blocks = 0
+        self._file = open(path, "wb")
+        np.lib.format.write_array_header_1_0(
+            self._file, {"descr": "<f8", "fortran_order": False, "shape": self._shape}
+        )
 
-    def _write_block(self, iteration: int, block: np.ndarray) -> None:
-        if block.shape != self._shape:
-            rows, cols = block.shape
-            self._template = "".join(
-                f"%d,{row},{col},%.17g\n" for row in range(rows) for col in range(cols)
-            )
-            self._shape = block.shape
-        values = block.ravel().tolist()
-        args = [iteration] * (2 * len(values))
-        args[1::2] = values
-        self._file.write(self._template % tuple(args))
+    def append(self, block: np.ndarray) -> None:
+        """Write the next block; raises past the declared ``T`` blocks or
+        for a block of another shape."""
+        block = np.ascontiguousarray(block, dtype="<f8")
+        if block.shape != self._shape[1:]:
+            raise ValueError(f"block of shape {block.shape}, stream of {self._shape}")
+        if self._blocks == self._shape[0]:
+            raise ValueError(f"the stream already holds its {self._blocks} blocks")
+        self._file.write(block)
+        self._blocks += 1
 
     def close(self) -> None:
         self._file.close()
@@ -117,66 +116,28 @@ class _BlockStreamWriter:
         self.close()
 
 
-class BeliefStreamWriter(_BlockStreamWriter):
-    """Streams shared beliefs to disk, one row per (iteration, agent,
-    state), in the probability domain."""
+def read_belief_stream(path) -> np.ndarray:
+    """Load a stream written by :class:`BeliefStreamWriter`.
 
-    def __init__(self, path):
-        super().__init__(path, BELIEF_HEADER)
-
-    def append(self, iteration: int, shared_log_beliefs: np.ndarray) -> None:
-        self._write_block(iteration, np.exp(np.asarray(shared_log_beliefs)))
-
-
-def _read_block_stream(path, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a stream written by :class:`_BlockStreamWriter`, checking
-    that every iteration holds the complete block in row-major order."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError(f"{name} stream must have four columns")
-    num_rows = int(data[:, 1].max()) + 1
-    num_cols = int(data[:, 2].max()) + 1
-    block = num_rows * num_cols
-    if data.shape[0] % block:
-        raise ValueError(f"{name} stream has incomplete iterations")
-    steps = data.shape[0] // block
-    iterations = data[::block, 0].astype(int)
-    expected_rows = np.repeat(np.arange(num_rows), num_cols)
-    expected_cols = np.tile(np.arange(num_cols), num_rows)
-    data = data.reshape(steps, block, 4)
-    if (data[:, :, 1] != expected_rows).any() or (data[:, :, 2] != expected_cols).any():
-        raise ValueError(f"{name} stream rows out of order")
-    if (data[:, :, 0] != iterations[:, None]).any():
-        raise ValueError(f"{name} stream iterations out of order")
-    return iterations, data[:, :, 3].reshape(steps, num_rows, num_cols)
-
-
-def read_belief_stream(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a belief stream file.
-
-    Returns
-    -------
-    iterations : ndarray, shape (T,)
-    beliefs : ndarray, shape (T, num_agents, num_states)
-        Shared beliefs in the probability domain.
+    Returns the ``(T, rows, columns)`` array; row ``t`` is iteration
+    ``t + 1``. Raises ``ValueError`` unless the file is exactly an
+    ``.npy`` of a 3-D little-endian float64 array with at least one
+    block: a stream cut short or too long, a pickled object, another
+    dtype or another rank are all rejected.
     """
-    return _read_block_stream(path, "belief")
-
-
-class RatioStreamWriter(_BlockStreamWriter):
-    """Streams private signal log-ratio matrices to disk."""
-
-    def __init__(self, path):
-        super().__init__(path, RATIO_HEADER)
-
-    def append(self, iteration: int, ratios: np.ndarray) -> None:
-        self._write_block(iteration, np.asarray(ratios))
-
-
-def read_ratio_stream(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a ratio stream file; returns iterations and a
-    ``(T, num_agents, num_states - 1)`` stack."""
-    return _read_block_stream(path, "ratio")
+    with open(path, "rb") as fh:
+        try:
+            stream = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as err:
+            raise ValueError(f"{Path(path).name}: {err}") from None
+        if fh.read(1):
+            raise ValueError(f"{Path(path).name} is longer than its header declares")
+    if stream.dtype.str != "<f8" or stream.ndim != 3 or not stream.shape[0]:
+        raise ValueError(
+            f"{Path(path).name} holds a {stream.dtype.str} array of shape "
+            f"{stream.shape}, not little-endian float64 (T >= 1, rows, columns)"
+        )
+    return stream
 
 
 def write_trace(path, iterations, true_states, graph_epochs, events) -> None:
@@ -261,7 +222,12 @@ def load_model(path) -> LikelihoodModel:
 
 
 def save_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as strict JSON: NaN and infinities, which JSON
+    cannot represent, are written as ``null``."""
+    # json spells them NaN/Infinity; parsing that back turns them to None.
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_json(path):

@@ -197,22 +197,25 @@ class LikelihoodModel:
     def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
         if self._cdf_stack is None:
             n, z_max = self.num_agents, int(self._sizes.max())
-            cdf = np.full((n, z_max, self.num_states), 2.0)
+            # Per state, a contiguous (signals, agents) block. The last
+            # in-space entry is +inf, not a sum that may round below 1.0.
+            cdf = np.full((self.num_states, z_max, n), np.inf)
             logs = np.zeros((n, z_max, self.num_states))
             for k, t in enumerate(self.tables):
-                cdf[k, : t.shape[0]] = np.cumsum(t, axis=0)
+                cdf[:, : t.shape[0] - 1, k] = np.cumsum(t[:-1], axis=0).T
                 logs[k, : t.shape[0]] = np.log(t)
             self._cdf_stack, self._log_stack = cdf, logs
         return self._cdf_stack, self._log_stack
 
     def sampling_cdf(self, state: int) -> np.ndarray:
-        """Stacked cumulative signal distributions under ``state``,
-        shape ``(num_agents, max signal size)``; rows are padded with a
-        value above one past each agent's signal space."""
+        """Stacked cumulative signal distributions under ``state``, shape
+        ``(max signal size, num_agents)``. Entry ``[z, k]`` is
+        ``P(signal_k <= z)``, but ``+inf`` from agent ``k``'s last signal
+        on, so a uniform draw always falls inside the agent's space."""
         if not 0 <= state < self.num_states:
             raise ValueError("state out of range")
         cdf, _ = self._stacks()
-        return cdf[:, :, state]
+        return cdf[state]
 
     def signal_log_likelihoods(self, signals) -> np.ndarray:
         """Rows ``log L_k(signal_k | .)`` for one signal per agent,

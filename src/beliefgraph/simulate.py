@@ -142,8 +142,7 @@ def sample_observations(
     """
     cdf = model.sampling_cdf(true_state)
     u = rng.random(model.num_agents)
-    signals = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(signals, cdf.shape[1] - 1)
+    return (cdf < u).sum(axis=0, dtype=np.intp)
 
 
 def adapt_step(

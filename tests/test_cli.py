@@ -88,7 +88,7 @@ class TestSimulateAndLearn:
 
     def test_simulate_writes_forward_bundle(self, forward_run):
         names = {p.name for p in forward_run.iterdir()}
-        assert "beliefs.csv" in names and "learned_matrix_known.csv" not in names
+        assert "beliefs.npy" in names and "learned_matrix_known.csv" not in names
 
     def test_learn_from_recorded_run(self, forward_run, tmp_path):
         out = tmp_path / "inv"
@@ -110,6 +110,28 @@ class TestSimulateAndLearn:
         learned_file = io.read_matrix(inv_out / "learned_matrix_known.csv")
         learned_mem = io.read_matrix(exp_out / "learned_matrix_known.csv")
         np.testing.assert_allclose(learned_file, learned_mem, atol=1e-10)
+
+    @pytest.mark.parametrize("config", [
+        ["--iters", "2000"],
+        [*BASE, "--set-state-at", "80:2", "--regen-graph-at", "120:9"],
+    ], ids=["reference", "desk-events"])
+    def test_learn_reproduces_the_online_run_bit_for_bit(self, tmp_path, config):
+        """The stream holds the log-beliefs the online learners consumed,
+        so offline learning gives the online estimate and deviation
+        trajectory bit for bit, in both modes: on the reference
+        configuration (shortened) and on a run with a state switch and a
+        graph regeneration."""
+        run = tmp_path / "run"
+        assert run_cli("experiment", *config, "--mode", "both", "--out", run) == 0
+        learned = tmp_path / "learned"
+        assert run_cli("learn", "--run", run, "--out", learned) == 0
+        online = io.read_msd_table(run / "msd.csv")
+        offline = io.read_msd_table(learned / "msd.csv")
+        for mode in ("known", "estimated"):
+            name = f"learned_matrix_{mode}.csv"
+            assert np.array_equal(io.read_matrix(learned / name),
+                                  io.read_matrix(run / name))
+            assert np.array_equal(offline[mode], online[mode])
 
     @pytest.mark.parametrize("classify", [
         ["--classify-method", "two-means"],
@@ -199,17 +221,74 @@ class TestSimulateAndLearn:
     def test_learn_rejects_a_belief_without_a_finite_log(
         self, forward_run, tmp_path, capsys, bad
     ):
-        """A NaN, infinite, zero or negative belief is bad input (exit
-        2), not an estimator divergence (exit 3)."""
-        stream = forward_run / "beliefs.csv"
-        lines = stream.read_text().splitlines()
-        lines[40] = lines[40].rsplit(",", 1)[0] + "," + bad
-        stream.write_text("\n".join(lines) + "\n")
+        """A NaN, infinite, zero or negative belief, stored as its log
+        (NaN, +inf, -inf, NaN), is bad input (exit 2), not an estimator
+        divergence (exit 3)."""
+        stream = forward_run / "beliefs.npy"
+        logs = io.read_belief_stream(stream)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs[13, 1, 1] = np.log(float(bad))
+        np.save(stream, logs)
         assert run_cli("learn", "--run", forward_run, "--mode", "both",
                        "--out", tmp_path / "bad") == 2
         err = capsys.readouterr().err
-        assert "non-positive or non-finite" in err
+        assert "non-finite" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("keep", [0, 8, 128 + 8 * 6 * 3 * 50 + 40])
+    def test_learn_rejects_a_stream_cut_short(
+        self, forward_run, tmp_path, capsys, keep
+    ):
+        """A belief stream cut anywhere, inside the header or mid-block,
+        is bad input: exit 2 and a one-line message."""
+        stream = forward_run / "beliefs.npy"
+        stream.write_bytes(stream.read_bytes()[:keep])
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", tmp_path / "cut") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: beliefs.npy") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("legacy", ["manifest", "stream"])
+    def test_learn_rejects_a_v1_bundle(self, forward_run, tmp_path, capsys, legacy):
+        """A bundle of the CSV stream format (a v1 manifest, or a
+        beliefs.csv in place of beliefs.npy) is a configuration error
+        that names the format and says how to rewrite the bundle; its
+        manifest still configures that re-run."""
+        manifest = forward_run / "manifest.json"
+        if legacy == "manifest":
+            payload = json.loads(manifest.read_text())
+            payload["format"] = "beliefgraph-manifest-v1"
+            manifest.write_text(json.dumps(payload))
+        else:
+            (forward_run / "beliefs.npy").rename(forward_run / "beliefs.csv")
+        assert run_cli("learn", "--run", forward_run, "--out", tmp_path / "v1") == 1
+        err = capsys.readouterr().err
+        assert "beliefgraph-manifest-v1" in err
+        assert f"beliefgraph simulate --config {manifest}" in err
+        rerun = tmp_path / "rerun"
+        assert run_cli("simulate", "--config", manifest, "--out", rerun) == 0
+        assert run_cli("learn", "--run", rerun, "--out", tmp_path / "v2") == 0
+
+    def test_learn_writes_strict_json_without_part_of_the_truth(self, tmp_path):
+        """With the last epoch's true matrix missing, the steady-state
+        deviation is NaN; summary.json holds null there, not a bare NaN
+        that strict JSON parsers reject."""
+        forward = tmp_path / "fwd"
+        assert run_cli("simulate", *BASE, "--regen-graph-at", "120:9",
+                       "--out", forward) == 0
+        (forward / "true_matrix_001.csv").unlink()
+        (forward / "true_adjacency_001.csv").unlink()
+        out = tmp_path / "inv"
+        assert run_cli("learn", "--run", forward, "--mode", "known",
+                       "--out", out) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (out / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["modes"]["known"]["steady_state_msd"] is None
+        assert "NaN" not in text and "Infinity" not in text
 
     def test_learn_rejects_a_model_of_another_size(self, forward_run, tmp_path, capsys):
         io.save_model(forward_run / "model.json", random_likelihoods(7, 3, 3, seed=5))
@@ -251,7 +330,7 @@ class TestForwardBundle:
         assert run_cli("experiment", *config, "--out", full) == 0
         names = sorted(p.name for p in forward.iterdir())
         assert names == sorted([
-            "beliefs.csv", "manifest.json", "model.json", "private_ratios.csv",
+            "beliefs.npy", "manifest.json", "model.json", "private_ratios.npy",
             "trace.csv", "true_adjacency_000.csv", "true_adjacency_001.csv",
             "true_matrix_000.csv", "true_matrix_001.csv",
         ])

@@ -1,11 +1,14 @@
 """Configuration, end-to-end experiments, persistence and sweeps."""
 
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefgraph import io
 from beliefgraph.estimator import learn_graph
@@ -71,6 +74,53 @@ class TestConfigValidation:
         restored = ExperimentConfig.from_dict(config.to_dict())
         assert restored == replace(config, out=None)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dict_round_trip_property(self, data):
+        """Any configuration survives ``to_dict``, JSON text (as in a
+        manifest) and ``from_dict`` unchanged, valid or not."""
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        agents = data.draw(st.integers(1, 12), label="agents")
+        iterations = data.draw(st.integers(1, 10**6), label="iterations")
+        event_iterations = data.draw(
+            st.lists(st.integers(1, iterations), max_size=4, unique=True),
+            label="event iterations",
+        )
+        schedule = EventSchedule(tuple(
+            Event(i, data.draw(st.sampled_from(["set_true_state", "regenerate_graph"])),
+                  data.draw(st.integers(-2**40, 2**40)))
+            for i in sorted(event_iterations)
+        ))
+        config = ExperimentConfig(
+            agents=agents,
+            states=data.draw(st.integers(2, 8)),
+            signals=data.draw(
+                st.integers(2, 9)
+                | st.tuples(*[st.integers(2, 9)] * agents)
+            ),
+            edge_prob=data.draw(floats),
+            delta=data.draw(floats),
+            mu=data.draw(floats),
+            iterations=iterations,
+            seed_graph=data.draw(st.integers(0, 2**63)),
+            seed_weights=data.draw(st.integers(0, 2**63)),
+            seed_likelihoods=data.draw(st.integers(0, 2**63)),
+            seed_signals=data.draw(st.integers(0, 2**63)),
+            mode=data.draw(st.sampled_from(["known", "estimated", "both"])),
+            true_state=data.draw(st.integers(0, 7)),
+            reference=data.draw(st.integers(0, 7)),
+            schedule=schedule,
+            test_mode=data.draw(st.booleans()),
+            likelihood_floor=data.draw(floats),
+            kl_floor=data.draw(floats),
+            max_attempts=data.draw(st.integers(1, 10**6)),
+            classify_method=data.draw(st.sampled_from(["two-means", "threshold"])),
+            classify_threshold=data.draw(st.none() | floats),
+            out="ignored",
+        )
+        payload = json.loads(json.dumps(config.to_dict(), allow_nan=False))
+        assert ExperimentConfig.from_dict(payload) == replace(config, out=None)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"agents": 3, "bogus": 1})
@@ -100,7 +150,7 @@ class TestRunExperiment:
         run_experiment(desk_config(test_mode=True, out=str(out)))
         names = {p.name for p in out.iterdir()}
         assert {
-            "beliefs.csv", "trace.csv", "private_ratios.csv", "model.json",
+            "beliefs.npy", "trace.csv", "private_ratios.npy", "model.json",
             "manifest.json", "summary.json", "msd.csv",
             "true_matrix_000.csv", "true_adjacency_000.csv",
             "learned_matrix_known.csv", "learned_matrix_estimated.csv",
@@ -111,7 +161,7 @@ class TestRunExperiment:
     def test_private_files_absent_without_test_mode(self, tmp_path):
         out = tmp_path / "plain"
         run_experiment(desk_config(out=str(out)))
-        assert not (out / "private_ratios.csv").exists()
+        assert not (out / "private_ratios.npy").exists()
 
     def test_observer_blind_to_test_mode(self):
         """Recording private data must not change what the observer
@@ -167,6 +217,18 @@ class TestRunExperiment:
         result = run_experiment(desk_config(iterations=100, test_mode=True))
         assert result.diagnostics is None
 
+    @pytest.mark.parametrize("mu", [5.0, 50.0, 1e3, 1e6, 1e300])
+    def test_divergence_raises_no_floating_point_warning(self, mu):
+        """The learner stops at the first update that leaves the
+        divergence limit, before any arithmetic can overflow, so no
+        learning rate makes numpy warn."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_experiment(desk_config(mu=mu))
+        for mres in result.modes.values():
+            assert mres.diverged_at is not None
+            assert np.isfinite(mres.estimate).all()
+
     def test_divergent_run_is_flagged_not_raised(self):
         result = run_experiment(desk_config(mu=50.0, mode="known"))
         assert result.divergent
@@ -182,26 +244,25 @@ class TestForwardAndLearn:
         config = desk_config(iterations=400, out=str(out))
         run_forward(config)
         assert {p.name for p in out.iterdir()} >= {
-            "beliefs.csv", "trace.csv", "model.json", "manifest.json",
+            "beliefs.npy", "trace.csv", "model.json", "manifest.json",
             "true_matrix_000.csv", "true_adjacency_000.csv",
         }
 
         model = io.load_model(out / "model.json")
-        iterations, beliefs = io.read_belief_stream(out / "beliefs.csv")
+        logs = io.read_belief_stream(out / "beliefs.npy")
         trace = io.read_trace(out / "trace.csv")
         truth = CombinationMatrix(
             io.read_matrix(out / "true_matrix_000.csv"),
             io.read_adjacency(out / "true_adjacency_000.csv"),
         )
-        logs = np.log(beliefs)
         steps = [
             SimulationStep(
-                iteration=int(iterations[i]),
+                iteration=i + 1,
                 shared_log_beliefs=logs[i],
                 true_state=int(trace["true_states"][i]),
                 combination=truth,
             )
-            for i in range(len(iterations))
+            for i in range(len(logs))
         ]
         from_file = learn_graph(iter(steps), model, config.mu, config.delta,
                                 mode="known")

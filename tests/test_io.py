@@ -1,34 +1,40 @@
 """Round trips of every on-disk format, at full precision."""
 
+from io import BytesIO
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beliefgraph import io
 from beliefgraph.model import random_likelihoods
 
-# Values whose shortest round-trip text is long or unusual: negatives,
-# subnormals, extremes of the exponent range and a signed zero.
+# Awkward doubles: negatives, subnormals, extremes of the exponent range
+# and a signed zero.
 AWKWARD = [-1.2345678901234567, 5e-324, 2.5e-310, 1e300, -1e-300, -0.0,
            0.1, 1.0 / 3.0, 123456789.125, -2.0**-1074]
 
 
-def per_row_layout(header, blocks):
-    """A stream file formatted one row at a time with
-    ``format(value, ".17g")``, the reference layout of both streams."""
-    lines = [header]
-    for iteration, block in blocks:
-        for row in range(block.shape[0]):
-            for col in range(block.shape[1]):
-                lines.append(
-                    f"{iteration},{row},{col},{format(float(block[row, col]), '.17g')}"
-                )
-    return "\n".join(lines) + "\n"
+def saved_bytes(blocks):
+    """The reference layout of both streams: ``np.save`` of the blocks
+    stacked in iteration order, each block row by row."""
+    buffer = BytesIO()
+    np.save(buffer, np.stack(blocks))
+    return buffer.getvalue()
+
+
+def write_stream(path, blocks):
+    with io.BeliefStreamWriter(path, (len(blocks), *blocks[0].shape)) as writer:
+        for block in blocks:
+            writer.append(block)
 
 
 def awkward_blocks(rng, count, shape):
     return [
-        (t + 1, rng.choice(AWKWARD, size=shape) * rng.choice([1.0, 1.0, 7.0], size=shape))
-        for t in range(count)
+        rng.choice(AWKWARD, size=shape) * rng.choice([1.0, 1.0, 7.0], size=shape)
+        for _ in range(count)
     ]
 
 
@@ -54,76 +60,84 @@ class TestBeliefStream:
         rng = np.random.default_rng(2)
         raw = rng.random((4, 3, 5)) + 1e-3
         logs = np.log(raw / raw.sum(axis=2, keepdims=True))
-        path = tmp_path / "beliefs.csv"
-        with io.BeliefStreamWriter(path) as writer:
-            for t in range(4):
-                writer.append(t + 1, logs[t])
-        iterations, beliefs = io.read_belief_stream(path)
-        np.testing.assert_array_equal(iterations, [1, 2, 3, 4])
-        np.testing.assert_array_equal(beliefs, np.exp(logs))
+        path = tmp_path / "beliefs.npy"
+        write_stream(path, list(logs))
+        np.testing.assert_array_equal(io.read_belief_stream(path), logs)
+        assert path.stat().st_size == 128 + 8 * logs.size
 
     def test_incomplete_grid_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "iteration,agent,state,belief\n1,0,0,0.5\n1,0,1,0.5\n1,1,0,0.3\n"
-        )
-        with pytest.raises(ValueError):
-            io.read_belief_stream(path)
-
+        """A stream cut short, even inside a block, or longer than its
+        header declares, is an error."""
+        path = tmp_path / "beliefs.npy"
+        write_stream(path, [np.full((2, 2), -np.log(2.0))] * 3)
+        complete = path.read_bytes()
+        for damaged in (complete[:-8], complete + complete[-8:]):
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match="beliefs.npy"):
+                io.read_belief_stream(path)
 
     def test_bytes_match_the_per_row_layout(self, tmp_path):
         rng = np.random.default_rng(5)
-        # exp of these gives subnormal, tiny, ordinary and huge values
         exponents = [-744.0, -709.5, -300.0, -1e-17, 0.0, -1.0 / 3.0, 2.5, 690.0]
-        logs = [(t + 1, rng.choice(exponents, size=(7, 3))) for t in range(6)]
-        path = tmp_path / "beliefs.csv"
-        with io.BeliefStreamWriter(path) as writer:
-            for iteration, block in logs:
-                writer.append(iteration, block)
-        expected = per_row_layout(
-            io.BELIEF_HEADER, [(t, np.exp(block)) for t, block in logs]
-        )
-        assert path.read_bytes() == expected.encode()
+        logs = [rng.choice(exponents, size=(7, 3)) for _ in range(6)]
+        path = tmp_path / "beliefs.npy"
+        write_stream(path, logs)
+        assert path.read_bytes() == saved_bytes(logs)
+
+    @pytest.mark.parametrize("stored", [
+        np.zeros((3, 2, 2), dtype=np.float32),
+        np.zeros((3, 2, 2), dtype=">f8"),
+        np.zeros((6, 2)),
+        np.zeros((0, 2, 2)),
+        np.array([[[None, 1.0]]], dtype=object),
+    ], ids=["float32", "big-endian", "2-D", "empty", "object"])
+    def test_other_arrays_rejected(self, tmp_path, stored):
+        path = tmp_path / "beliefs.npy"
+        np.save(path, stored, allow_pickle=True)
+        with pytest.raises(ValueError):
+            io.read_belief_stream(path)
+
+    def test_writer_holds_to_its_declared_shape(self, tmp_path):
+        with io.BeliefStreamWriter(tmp_path / "s.npy", (1, 2, 2)) as writer:
+            with pytest.raises(ValueError, match="shape"):
+                writer.append(np.zeros((2, 3)))
+            writer.append(np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="already holds"):
+                writer.append(np.zeros((2, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stream_round_trip_property(tmp_path_factory, data):
+    """Any T >= 1 and block shape, any float64 values (subnormals, -0.0,
+    infinities and NaN included): the file equals ``np.save`` of the
+    stacked blocks and reads back bit for bit."""
+    shape = data.draw(st.tuples(*[st.integers(1, 5)] * 3), label="shape")
+    stack = data.draw(
+        hnp.arrays(np.float64, shape,
+                   elements=st.floats() | st.sampled_from([-0.0, 5e-324, -2.5e-310])),
+        label="stack",
+    )
+    path = tmp_path_factory.mktemp("stream") / "s.npy"
+    write_stream(path, list(stack))
+    assert path.read_bytes() == saved_bytes(list(stack))
+    loaded = io.read_belief_stream(path)
+    assert loaded.tobytes() == stack.tobytes()
 
 
 class TestRatioStream:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         stack = rng.standard_normal((6, 4, 2))
-        path = tmp_path / "ratios.csv"
-        with io.RatioStreamWriter(path) as writer:
-            for t in range(6):
-                writer.append(t + 1, stack[t])
-        iterations, loaded = io.read_ratio_stream(path)
-        np.testing.assert_array_equal(iterations, np.arange(1, 7))
-        np.testing.assert_array_equal(loaded, stack)
+        path = tmp_path / "private_ratios.npy"
+        write_stream(path, list(stack))
+        np.testing.assert_array_equal(io.read_belief_stream(path), stack)
 
     def test_bytes_match_the_per_row_layout(self, tmp_path):
         blocks = awkward_blocks(np.random.default_rng(6), 8, (5, 3))
-        blocks.append((10_000_000, np.array([[-0.0, 5e-324, -1e300]])))
-        path = tmp_path / "ratios.csv"
-        with io.RatioStreamWriter(path) as writer:
-            for iteration, block in blocks:
-                writer.append(iteration, block)
-        assert path.read_bytes() == per_row_layout(io.RATIO_HEADER, blocks).encode()
-
-
-@pytest.mark.parametrize("writer, reader", [
-    (io.BeliefStreamWriter, io.read_belief_stream),
-    (io.RatioStreamWriter, io.read_ratio_stream),
-])
-def test_stream_readers_reject_swapped_rows(tmp_path, writer, reader):
-    """Both stream readers check the agent/column order of every block;
-    swapping two rows of a block is an error, not a silent relabel."""
-    path = tmp_path / "stream.csv"
-    with writer(path) as stream:
-        for t in range(3):
-            stream.append(t + 1, np.log(np.full((2, 2), 0.5)) - t)
-    lines = path.read_text().splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="out of order"):
-        reader(path)
+        path = tmp_path / "private_ratios.npy"
+        write_stream(path, blocks)
+        assert path.read_bytes() == saved_bytes(blocks)
 
 
 class TestTrace:

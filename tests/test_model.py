@@ -279,7 +279,7 @@ class TestMeanLikelihoodMatrix:
         samples = 100_000
         u = rng.random((samples, 4))
         cdf = model.sampling_cdf(1)
-        signals = (cdf[None, :, :] < u[:, :, None]).sum(axis=2)
+        signals = (cdf[None, :, :] < u[:, None, :]).sum(axis=1)
         mean = np.zeros((4, 2))
         for z in range(4):
             ratio = log_likelihood_ratio_matrix(model, np.full(4, z))

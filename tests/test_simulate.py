@@ -109,6 +109,27 @@ class TestSampleObservations:
             tv = 0.5 * np.abs(freq[k] - table[:, 2]).sum()
             assert tv <= 0.01
 
+    def test_a_draw_just_below_one_stays_in_every_space(self):
+        """Next to a 4-signal agent, a 3-signal column whose cumulative
+        sum rounds to 1 - 2**-52: a uniform draw above that sum (the
+        largest double below 1.0) gives the 3-signal agent its last
+        signal, not a signal from the larger space."""
+        column = [0.7380289979116733, 0.21375794350507327, 0.04821305858325322]
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(column)[-1] < top
+        model = LikelihoodModel(
+            [np.array([column, column[::-1]]).T, np.full((4, 2), 0.25)],
+            floor=0.01,
+        )
+
+        class TopDraw:
+            def random(self, size):
+                return np.full(size, top)
+
+        signals = sample_observations(model, 0, TopDraw())
+        np.testing.assert_array_equal(signals, [2, 3])
+        model.signal_log_likelihoods(signals)
+
     def test_per_agent_signal_spaces(self):
         model = random_likelihoods(3, 2, [2, 3, 5], seed=4)
         rng = np.random.default_rng(5)
