@@ -59,9 +59,9 @@ def belief_log_ratios(shared_log_beliefs: np.ndarray, reference: int = 0) -> np.
     observer's state variable; it is computable from public data alone.
     """
     shared_log_beliefs = np.asarray(shared_log_beliefs)
-    cols = ratio_columns(shared_log_beliefs.shape[1], reference)
     if reference == 0:
         return shared_log_beliefs[:, :1] - shared_log_beliefs[:, 1:]
+    cols = ratio_columns(shared_log_beliefs.shape[1], reference)
     return shared_log_beliefs[:, [reference]] - shared_log_beliefs[:, cols]
 
 

@@ -147,6 +147,7 @@ class LikelihoodModel:
             t.flags.writeable = False
         self._cdf_stack = None
         self._log_stack = None
+        self._ratio_tables: dict[int, np.ndarray] = {}
         self._sizes = np.array([t.shape[0] for t in self.tables])
         self._agents = np.arange(len(self.tables))
 
@@ -217,20 +218,22 @@ class LikelihoodModel:
         cdf, _ = self._stacks()
         return cdf[state]
 
-    def signal_log_likelihoods(self, signals) -> np.ndarray:
-        """Rows ``log L_k(signal_k | .)`` for one signal per agent,
-        shape ``(num_agents, num_states)``."""
-        signals = np.asarray(signals, dtype=int)
-        if signals.shape != (self.num_agents,):
-            raise ValueError("one signal per agent is required")
-        outside = (signals < 0) | (signals >= self._sizes)
-        if outside.any():
-            bad = int(np.argmax(outside))
-            raise ValueError(
-                f"signal {signals[bad]} outside the space of agent {bad}"
-            )
-        _, logs = self._stacks()
-        return logs[self._agents, signals]
+    def signal_log_ratio_table(self, reference: int = 0) -> np.ndarray:
+        """Log-likelihood ratios of every signal against ``reference``,
+        shape ``(num_agents, max signal size, num_states - 1)``, read-only.
+
+        Entry ``[k, z, j]`` is ``log L_k(z | reference) - log L_k(z |
+        other_j)`` with the non-reference states ascending; entries past
+        agent ``k``'s signal space are zero. Built once per reference.
+        """
+        table = self._ratio_tables.get(reference)
+        if table is None:
+            cols = ratio_columns(self.num_states, reference)
+            _, logs = self._stacks()
+            table = logs[:, :, [reference]] - logs[:, :, cols]
+            table.flags.writeable = False
+            self._ratio_tables[reference] = table
+        return table
 
     def identifiability_gap(self) -> np.ndarray:
         """Best across agents, for each ordered pair of distinct states,
@@ -410,12 +413,19 @@ def log_likelihood_ratio_matrix(
 
     Entry ``(k, j)`` is ``log L_k(signal_k | reference) -
     log L_k(signal_k | other_j)`` with the non-reference states
-    enumerated ascending. Entries are bounded in magnitude by
-    :meth:`LikelihoodModel.log_ratio_bound`.
+    enumerated ascending: the agents' rows of
+    :meth:`LikelihoodModel.signal_log_ratio_table`. Entries are bounded
+    in magnitude by :meth:`LikelihoodModel.log_ratio_bound`.
     """
-    cols = ratio_columns(model.num_states, reference)
-    log_lik = model.signal_log_likelihoods(signals)
-    return log_lik[:, [reference]] - log_lik[:, cols]
+    table = model.signal_log_ratio_table(reference)
+    signals = np.asarray(signals, dtype=int)
+    if signals.shape != (model.num_agents,):
+        raise ValueError("one signal per agent is required")
+    outside = (signals < 0) | (signals >= model._sizes)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ValueError(f"signal {signals[bad]} outside the space of agent {bad}")
+    return table[model._agents, signals]
 
 
 def mean_likelihood_matrix(

@@ -7,9 +7,14 @@ neighbours' shared beliefs. The shared (post-adapt, pre-combine)
 beliefs are the public output of a run; signals stay private unless a
 run explicitly records them for validation.
 
-All belief arithmetic is carried out on log-probabilities with
-max-shifted log-sum-exp normalization, so long runs neither underflow
-nor drift.
+The forward state is carried in log-ratio coordinates: ``lam[k, j] =
+log b_k(0) - log b_k(j + 1)``, each agent's belief in state 0 against
+every other state. There both stages are linear and need no
+normalization, ``lam_i = (1 - delta) A^T lam_{i-1} + delta x_i`` with
+``x_i`` the signals' log-likelihood ratios. A run steps this recursion
+in chunks of at most ``CHUNK_STEPS`` iterations that end before every
+event, and forms the normalized shared log-beliefs ``[0, -lam]`` of a
+whole chunk at once with one max-shifted log-sum-exp.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .model import (
     CombinationMatrix,
     LikelihoodModel,
     erdos_renyi_adjacency,
-    log_likelihood_ratio_matrix,
     random_combination_matrix,
 )
 
@@ -35,13 +39,14 @@ __all__ = [
     "combine_step",
     "state_estimates",
     "run_simulation",
-    "check_log_beliefs",
 ]
 
 SET_TRUE_STATE = "set_true_state"
 REGENERATE_GRAPH = "regenerate_graph"
 
-ROW_SUM_TOL = 1e-10
+# Iterations stepped per chunk at most. A chunk holds its signals, its
+# log-ratios and its log-beliefs; 64 steps keep those arrays small.
+CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,8 @@ class SimulationStep:
     signal_log_ratios: np.ndarray | None = field(default=None, repr=False)
 
 
-def _log_normalize(rows: np.ndarray) -> np.ndarray:
-    """Subtract from each row (the last axis) of an array its log-sum-exp.
+def _log_normalize(rows: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Subtract from each row (along ``axis``) of an array its log-sum-exp.
 
     The sum runs over ``exp(rows - row max)``, so it lies in
     ``[1, num_columns]`` and neither overflows nor underflows, and the
@@ -117,65 +122,72 @@ def _log_normalize(rows: np.ndarray) -> np.ndarray:
     for the entries that carry the mass, which keeps each output row
     normalized to rounding even when the input sits far from zero.
     """
-    shifted = rows - rows.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = rows - rows.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def check_log_beliefs(log_beliefs: np.ndarray, tol: float = ROW_SUM_TOL) -> None:
-    """Raise if any row fails to be a finite normalized log-distribution."""
-    log_beliefs = np.asarray(log_beliefs, dtype=float)
-    if not np.isfinite(log_beliefs).all():
-        raise ValueError("log-beliefs must be finite")
-    # Normalizing a row moves every entry by the row's log-sum-exp.
-    residual = np.abs(log_beliefs - _log_normalize(log_beliefs))
-    if residual.max() > tol:
-        raise ValueError(f"belief rows not normalized (residual {residual.max():.2e})")
+def _ratio_log_beliefs(ratios: np.ndarray) -> np.ndarray:
+    """Normalized log-beliefs of log-ratios against state 0: the
+    log-sum-exp normalization of ``[0, -ratios]`` along the last axis,
+    which gains one column. The result is C-contiguous."""
+    # Normalized with the states as the leading axis: numpy reduces over
+    # a short last axis row by row but over a leading axis slab by slab,
+    # which is several times faster for a chunk.
+    stacked = np.empty((ratios.shape[-1] + 1,) + ratios.shape[:-1])
+    stacked[0] = 0.0
+    np.negative(np.moveaxis(ratios, -1, 0), out=stacked[1:])
+    return np.moveaxis(_log_normalize(stacked, axis=0), 0, -1).copy()
 
 
 def sample_observations(
-    model: LikelihoodModel, true_state: int, rng: np.random.Generator
+    model: LikelihoodModel,
+    true_state: int,
+    rng: np.random.Generator,
+    steps: int | None = None,
 ) -> np.ndarray:
-    """One private signal per agent, drawn under ``true_state``.
+    """One private signal per agent, drawn under ``true_state``; with
+    ``steps``, a ``(steps, num_agents)`` array, one row per iteration.
 
-    Consumes exactly ``num_agents`` uniforms from ``rng``, so a signal
-    stream is a pure function of the generator state.
+    Consumes exactly ``num_agents`` uniforms per iteration from ``rng``,
+    in iteration order, so a signal stream is a pure function of the
+    generator state, whether it is drawn one iteration at a time or
+    several at once.
     """
     cdf = model.sampling_cdf(true_state)
-    u = rng.random(model.num_agents)
-    return (cdf < u).sum(axis=0, dtype=np.intp)
+    u = rng.random((1 if steps is None else steps, model.num_agents))
+    signals = (cdf[:, None] < u).sum(axis=0, dtype=np.intp)
+    return signals[0] if steps is None else signals
 
 
 def adapt_step(
-    log_beliefs: np.ndarray,
-    signals: np.ndarray,
-    model: LikelihoodModel,
-    delta: float,
+    ratios: np.ndarray, weighted_signal_ratios: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Tilt each agent's belief towards its signal's likelihood.
+    """Tilt each agent's belief towards its signal's likelihood, in
+    log-ratio coordinates.
 
-    Row ``k`` of the result is the normalization of
-    ``delta * log L_k(signal_k | .) + (1 - delta) * log_beliefs[k]``.
-    ``delta`` must lie in ``(0, 1)``; the value 1 (pure likelihood) is
-    accepted for testing.
+    Returns ``(1 - delta) * ratios + weighted_signal_ratios``, where
+    ``weighted_signal_ratios`` is ``delta * x``, the private signals'
+    log-likelihood ratios already scaled by ``delta`` (a run scales a
+    whole chunk at once). This is the ratio form of normalizing
+    ``delta * log L_k(signal_k | .) + (1 - delta) * log b_k``. ``delta``
+    must lie in ``(0, 1)``; the value 1 (pure likelihood) is accepted
+    for testing.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
-    log_lik = model.signal_log_likelihoods(signals)
-    return _log_normalize(delta * log_lik + (1.0 - delta) * np.asarray(log_beliefs))
+    return (1.0 - delta) * ratios + weighted_signal_ratios
 
 
-def combine_step(
-    shared_log_beliefs: np.ndarray, combination: CombinationMatrix
-) -> np.ndarray:
-    """Weighted geometric mean of neighbours' shared beliefs.
+def combine_step(ratios: np.ndarray, combination: CombinationMatrix) -> np.ndarray:
+    """Weighted geometric mean of neighbours' shared beliefs, in
+    log-ratio coordinates: ``A^T @ ratios``.
 
-    Row ``k`` of the result is the normalization of
-    ``sum_l A[l, k] * shared_log_beliefs[l]``.
+    Row ``k`` of the result is ``sum_l A[l, k] * ratios[l]``; the
+    columns of ``A`` sum to one, so no normalization is needed.
     """
-    shared_log_beliefs = np.asarray(shared_log_beliefs)
-    if shared_log_beliefs.shape[0] != combination.size:
-        raise ValueError("belief rows do not match the combination matrix")
-    return _log_normalize(combination.weights.T @ shared_log_beliefs)
+    if ratios.shape[0] != combination.size:
+        raise ValueError("ratio rows do not match the combination matrix")
+    return combination.weights.T @ ratios
 
 
 def state_estimates(log_beliefs: np.ndarray):
@@ -190,22 +202,19 @@ def state_estimates(log_beliefs: np.ndarray):
     return np.argmax(log_beliefs, axis=1)
 
 
-def _apply_event(event, model, edge_prob, regen_max_attempts, state):
+def _apply_event(event, model, edge_prob, regen_max_attempts, true_state, combination):
+    """The true state and combination matrix in force after ``event``."""
     if event.action == SET_TRUE_STATE:
         if not 0 <= event.value < model.num_states:
             raise ValueError(f"event state {event.value} out of range")
-        state["true_state"] = event.value
-    else:
-        if edge_prob is None:
-            raise ValueError(
-                "a regenerate_graph event needs edge_prob to be given"
-            )
-        rng = np.random.default_rng(event.value)
-        adjacency, _ = erdos_renyi_adjacency(
-            model.num_agents, edge_prob, rng, regen_max_attempts
-        )
-        state["combination"] = random_combination_matrix(adjacency, rng)
-        state["graph_epoch"] += 1
+        return event.value, combination
+    if edge_prob is None:
+        raise ValueError("a regenerate_graph event needs edge_prob to be given")
+    rng = np.random.default_rng(event.value)
+    adjacency, _ = erdos_renyi_adjacency(
+        model.num_agents, edge_prob, rng, regen_max_attempts
+    )
+    return true_state, random_combination_matrix(adjacency, rng)
 
 
 def run_simulation(
@@ -228,6 +237,10 @@ def run_simulation(
     adapts, yields the shared beliefs, then combines. Private signal
     log-ratios (against ``reference``) are attached to the steps only
     when ``record_private`` is set.
+
+    The iterations are computed in chunks (see the module docstring)
+    and yielded one by one; a chunk's steps share one read-only
+    log-belief block, so copy a step's beliefs before changing them.
 
     A regenerated graph keeps the run's ``edge_prob`` and draws both
     the new adjacency and its weights from a generator seeded by the
@@ -254,34 +267,54 @@ def run_simulation(
         raise ValueError("schedule event beyond the end of the run")
 
     rng = np.random.default_rng(seed)
-    pending = list(schedule)
-    state = {
-        "true_state": int(true_state),
-        "combination": combination,
-        "graph_epoch": 0,
-    }
-    log_beliefs = np.full(
-        (model.num_agents, model.num_states), -np.log(model.num_states)
+    n = model.num_agents
+    agents = np.arange(n)
+    forward_table = model.signal_log_ratio_table(0)
+    private_table = (
+        model.signal_log_ratio_table(reference) if record_private else None
     )
+    pending = list(schedule)
+    true_state, epoch = int(true_state), 0
+    ratios = np.zeros((n, model.num_states - 1))  # uniform beliefs
 
-    for i in range(1, num_iterations + 1):
+    first = 1
+    while first <= num_iterations:
         event_name = None
-        if pending and pending[0].iteration == i:
+        if pending and pending[0].iteration == first:
             event = pending.pop(0)
-            _apply_event(event, model, edge_prob, regen_max_attempts, state)
+            true_state, combination = _apply_event(
+                event, model, edge_prob, regen_max_attempts, true_state, combination
+            )
+            if event.action == REGENERATE_GRAPH:
+                epoch += 1
             event_name = event.action
-        signals = sample_observations(model, state["true_state"], rng)
-        shared = adapt_step(log_beliefs, signals, model, delta)
+        stop = min(first + CHUNK_STEPS, num_iterations + 1)
+        if pending:
+            stop = min(stop, pending[0].iteration)
+        signals = sample_observations(model, true_state, rng, stop - first)
+        signal_ratios = forward_table[agents, signals]
+        weighted = delta * signal_ratios
+        lam = np.empty_like(weighted)
+        for t in range(stop - first):
+            lam[t] = ratios = adapt_step(ratios, weighted[t], delta)
+            ratios = combine_step(ratios, combination)
+        log_beliefs = _ratio_log_beliefs(lam)
+        # Every step of the chunk is a view into this one block.
+        log_beliefs.flags.writeable = False
         private = None
         if record_private:
-            private = log_likelihood_ratio_matrix(model, signals, reference)
-        yield SimulationStep(
-            iteration=i,
-            shared_log_beliefs=shared,
-            true_state=state["true_state"],
-            graph_epoch=state["graph_epoch"],
-            combination=state["combination"],
-            event=event_name,
-            signal_log_ratios=private,
-        )
-        log_beliefs = combine_step(shared, state["combination"])
+            private = (
+                signal_ratios if reference == 0
+                else private_table[agents, signals]
+            )
+        for t in range(stop - first):
+            yield SimulationStep(
+                iteration=first + t,
+                shared_log_beliefs=log_beliefs[t],
+                true_state=true_state,
+                graph_epoch=epoch,
+                combination=combination,
+                event=event_name if t == 0 else None,
+                signal_log_ratios=None if private is None else private[t],
+            )
+        first = stop

@@ -267,13 +267,8 @@ class TestForwardAndLearn:
         from_file = learn_graph(iter(steps), model, config.mu, config.delta,
                                 mode="known")
         in_memory = run_experiment(replace(config, mode="known", out=None))
-        np.testing.assert_allclose(
-            from_file.estimate, in_memory.modes["known"].estimate,
-            rtol=0, atol=1e-10,
-        )
-        np.testing.assert_allclose(
-            from_file.msd, in_memory.modes["known"].msd, rtol=1e-9, atol=1e-12
-        )
+        assert np.array_equal(from_file.estimate, in_memory.modes["known"].estimate)
+        assert np.array_equal(from_file.msd, in_memory.modes["known"].msd)
 
 
 class TestSweep:

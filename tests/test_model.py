@@ -256,6 +256,29 @@ class TestLogLikelihoodRatioMatrix:
         with pytest.raises(ValueError):
             log_likelihood_ratio_matrix(two_state_model, [0, 2])
 
+    def test_reads_the_cached_signal_table(self):
+        """Rows of the per-reference table, bit for bit the differences
+        of the signal's log-likelihoods; the table is built once and is
+        read-only."""
+        model = random_likelihoods(4, 4, [2, 3, 4, 5], seed=11)
+        rng = np.random.default_rng(12)
+        for reference in range(4):
+            table = model.signal_log_ratio_table(reference)
+            assert table.shape == (4, 5, 3)
+            assert model.signal_log_ratio_table(reference) is table
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1.0
+            cols = ratio_columns(4, reference)
+            for _ in range(50):
+                signals = [int(rng.integers(z)) for z in model.signal_sizes]
+                log_lik = np.log([t[z] for t, z in zip(model.tables, signals)])
+                np.testing.assert_array_equal(
+                    log_likelihood_ratio_matrix(model, signals, reference),
+                    log_lik[:, [reference]] - log_lik[:, cols],
+                )
+        with pytest.raises(ValueError):
+            model.signal_log_ratio_table(4)
+
 
 class TestMeanLikelihoodMatrix:
     def test_reference_as_generating_state(self, two_state_model):

@@ -6,23 +6,87 @@ import numpy as np
 import pytest
 
 from beliefgraph.estimator import belief_log_ratios
-from beliefgraph.model import LikelihoodModel, random_likelihoods
+from beliefgraph.model import (
+    CombinationMatrix,
+    LikelihoodModel,
+    erdos_renyi_adjacency,
+    log_likelihood_ratio_matrix,
+    random_combination_matrix,
+    random_likelihoods,
+)
 from beliefgraph.simulate import (
+    CHUNK_STEPS,
     Event,
     EventSchedule,
     _log_normalize,
+    _ratio_log_beliefs,
     adapt_step,
-    check_log_beliefs,
     combine_step,
     run_simulation,
     sample_observations,
     state_estimates,
 )
-from beliefgraph.model import random_combination_matrix
+
+ROW_SUM_TOL = 1e-10
 
 
 def uniform_log(n, s):
     return np.full((n, s), -np.log(s))
+
+
+def check_log_beliefs(log_beliefs, tol=ROW_SUM_TOL):
+    """Raise if any row fails to be a finite normalized log-distribution."""
+    log_beliefs = np.asarray(log_beliefs, dtype=float)
+    if not np.isfinite(log_beliefs).all():
+        raise ValueError("log-beliefs must be finite")
+    # Normalizing a row moves every entry by the row's log-sum-exp.
+    residual = np.abs(log_beliefs - _log_normalize(log_beliefs))
+    if residual.max() > tol:
+        raise ValueError(f"belief rows not normalized (residual {residual.max():.2e})")
+
+
+# The forward protocol in the probability domain, step by step: the
+# oracle the ratio-coordinate forward pass is checked against.
+
+def oracle_adapt(log_beliefs, signals, model, delta):
+    """Normalization of ``delta * log L_k(signal_k | .) + (1 - delta) *
+    log_beliefs[k]``, row by row."""
+    log_lik = np.log([table[z] for table, z in zip(model.tables, signals)])
+    return _log_normalize(delta * log_lik + (1.0 - delta) * log_beliefs)
+
+
+def oracle_combine(shared_log_beliefs, combination):
+    """Normalization of ``sum_l A[l, k] * shared_log_beliefs[l]``."""
+    return _log_normalize(combination.weights.T @ shared_log_beliefs)
+
+
+def oracle_run(model, combination, true_state, delta, num_iterations, seed,
+               events=(), edge_prob=None, reference=0):
+    """Per iteration: signals, private ratios, shared log-beliefs, true
+    state and combination matrix, from single-step draws."""
+    rng = np.random.default_rng(seed)
+    due = {e.iteration: e for e in events}
+    log_beliefs = uniform_log(model.num_agents, model.num_states)
+    out = []
+    for i in range(1, num_iterations + 1):
+        event = due.get(i)
+        if event is not None and event.action == "set_true_state":
+            true_state = event.value
+        elif event is not None:
+            regen = np.random.default_rng(event.value)
+            adjacency, _ = erdos_renyi_adjacency(model.num_agents, edge_prob, regen)
+            combination = random_combination_matrix(adjacency, regen)
+        signals = sample_observations(model, true_state, rng)
+        shared = oracle_adapt(log_beliefs, signals, model, delta)
+        out.append((
+            signals,
+            log_likelihood_ratio_matrix(model, signals, reference),
+            shared,
+            true_state,
+            combination,
+        ))
+        log_beliefs = oracle_combine(shared, combination)
+    return out
 
 
 def fsum_log_sum_exp(row):
@@ -64,13 +128,21 @@ class TestLogNormalization:
                 assert abs(fsum_mass(row) - 1.0) <= 1e-12
 
     def test_adapt_and_combine_normalize_extreme_rows(self, small_setup):
+        """Log-ratios far from zero, spread over 1e3 within each row, stay
+        finite through adapt and combine, and their log-beliefs are
+        normalized; so are the oracle's outputs on extreme log-beliefs."""
         model, combination = small_setup
         rng = np.random.default_rng(51)
-        log_beliefs = extreme_rows(rng, (model.num_agents, model.num_states))
+        shape = (model.num_agents, model.num_states - 1)
+        ratios = extreme_rows(rng, shape) * rng.choice([-1.0, 1.0], size=shape)
         signals = sample_observations(model, 0, rng)
+        weighted = 0.5 * log_likelihood_ratio_matrix(model, signals)
+        log_beliefs = extreme_rows(rng, (model.num_agents, model.num_states))
         for out in (
-            adapt_step(log_beliefs, signals, model, 0.5),
-            combine_step(log_beliefs, combination),
+            _ratio_log_beliefs(adapt_step(ratios, weighted, 0.5)),
+            _ratio_log_beliefs(combine_step(ratios, combination)),
+            oracle_adapt(log_beliefs, signals, model, 0.5),
+            oracle_combine(log_beliefs, combination),
         ):
             assert np.isfinite(out).all()
             for row in out.tolist():
@@ -128,7 +200,15 @@ class TestSampleObservations:
 
         signals = sample_observations(model, 0, TopDraw())
         np.testing.assert_array_equal(signals, [2, 3])
-        model.signal_log_likelihoods(signals)
+        log_likelihood_ratio_matrix(model, signals)
+
+    def test_a_chunk_equals_single_step_draws(self):
+        model = random_likelihoods(5, 3, [2, 3, 4, 5, 4], seed=6)
+        chunk = sample_observations(model, 2, np.random.default_rng(8), steps=37)
+        rng = np.random.default_rng(8)
+        single = [sample_observations(model, 2, rng) for _ in range(37)]
+        assert chunk.shape == (37, 5)
+        np.testing.assert_array_equal(chunk, single)
 
     def test_per_agent_signal_spaces(self):
         model = random_likelihoods(3, 2, [2, 3, 5], seed=4)
@@ -140,53 +220,98 @@ class TestSampleObservations:
 
 class TestAdaptStep:
     def test_full_weight_on_likelihood(self, two_state_model):
-        shared = adapt_step(uniform_log(2, 2), [0, 0], two_state_model, delta=1.0)
+        """With delta = 1 the prior is forgotten: the ratios are the
+        signal's log-likelihood ratios."""
+        x = log_likelihood_ratio_matrix(two_state_model, [0, 0])
+        prior = np.array([[3.0], [-7.0]])
+        ratios = adapt_step(prior, 1.0 * x, delta=1.0)
+        np.testing.assert_array_equal(ratios, x)
+        shared = _ratio_log_beliefs(ratios)
         np.testing.assert_allclose(np.exp(shared[0]), [0.8, 0.2], atol=1e-15)
 
     def test_uninformative_signal_keeps_uniform(self):
         tables = [np.tile([[0.5], [0.5]], (1, 2))]
         model = LikelihoodModel(tables, floor=0.1)
-        shared = adapt_step(uniform_log(1, 2), [0], model, delta=0.4)
-        np.testing.assert_allclose(np.exp(shared), [[0.5, 0.5]], atol=1e-15)
+        x = log_likelihood_ratio_matrix(model, [0])
+        ratios = adapt_step(np.zeros((1, 1)), 0.4 * x, delta=0.4)
+        np.testing.assert_array_equal(ratios, [[0.0]])
+        np.testing.assert_allclose(
+            np.exp(_ratio_log_beliefs(ratios)), [[0.5, 0.5]], atol=1e-15
+        )
 
     def test_half_step_hand_value(self, two_state_model):
-        shared = adapt_step(uniform_log(2, 2), [0, 0], two_state_model, delta=0.5)
+        """From uniform beliefs half a step towards 0.8 / 0.2 gives the
+        ratio log 2, the belief 2/3 against 1/3."""
+        x = log_likelihood_ratio_matrix(two_state_model, [0, 0])
+        ratios = adapt_step(np.zeros((2, 1)), 0.5 * x, delta=0.5)
+        assert ratios[0, 0] == pytest.approx(np.log(2.0), abs=1e-15)
+        shared = _ratio_log_beliefs(ratios)
         np.testing.assert_allclose(np.exp(shared[0]), [2 / 3, 1 / 3], atol=1e-12)
 
     def test_rejects_bad_delta(self, two_state_model):
-        with pytest.raises(ValueError):
-            adapt_step(uniform_log(2, 2), [0, 0], two_state_model, delta=0.0)
+        for delta in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError):
+                adapt_step(np.zeros((2, 1)), np.zeros((2, 1)), delta=delta)
+
+    def test_matches_the_probability_domain_oracle(self, small_setup):
+        model, _ = small_setup
+        rng = np.random.default_rng(52)
+        log_beliefs = np.log(rng.dirichlet(np.ones(model.num_states), model.num_agents))
+        signals = sample_observations(model, 1, rng)
+        for delta in (0.05, 0.3, 1.0):
+            ratios = adapt_step(
+                belief_log_ratios(log_beliefs),
+                delta * log_likelihood_ratio_matrix(model, signals),
+                delta,
+            )
+            expected = oracle_adapt(log_beliefs, signals, model, delta)
+            np.testing.assert_allclose(
+                _ratio_log_beliefs(ratios), expected, rtol=0, atol=1e-14
+            )
 
 
 class TestCombineStep:
     def test_single_agent_identity(self):
         matrix = random_combination_matrix(np.array([[True]]), seed=0)
-        shared = np.log(np.array([[0.3, 0.7]]))
-        np.testing.assert_allclose(combine_step(shared, matrix), shared, atol=1e-15)
+        ratios = np.array([[np.log(0.3 / 0.7)]])
+        np.testing.assert_array_equal(combine_step(ratios, matrix), ratios)
 
     def test_balanced_weights_cancel_opposite_beliefs(self):
-        from beliefgraph.model import CombinationMatrix
         matrix = CombinationMatrix(np.full((2, 2), 0.5), np.ones((2, 2), dtype=bool))
-        shared = np.log(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        ratios = np.array([[np.log(4.0)], [-np.log(4.0)]])
+        combined = combine_step(ratios, matrix)
+        np.testing.assert_array_equal(combined, np.zeros((2, 1)))
         np.testing.assert_allclose(
-            np.exp(combine_step(shared, matrix)), np.full((2, 2), 0.5), atol=1e-12
+            np.exp(_ratio_log_beliefs(combined)), np.full((2, 2), 0.5), atol=1e-15
         )
 
     def test_weighted_geometric_mean_hand_value(self):
-        from beliefgraph.model import CombinationMatrix
         weights = np.array([[0.75, 0.25], [0.25, 0.75]])
         matrix = CombinationMatrix(weights, np.ones((2, 2), dtype=bool))
         shared = np.log(np.array([[0.9, 0.1], [0.5, 0.5]]))
-        combined = np.exp(combine_step(shared, matrix))
+        combined = combine_step(belief_log_ratios(shared), matrix)
+        assert combined[0, 0] == pytest.approx(0.75 * np.log(9.0), abs=1e-15)
         ratio = 9.0**0.75
         np.testing.assert_allclose(
-            combined[0], [ratio / (1 + ratio), 1 / (1 + ratio)], atol=1e-12
+            np.exp(_ratio_log_beliefs(combined)[0]),
+            [ratio / (1 + ratio), 1 / (1 + ratio)],
+            atol=1e-12,
         )
 
     def test_shape_mismatch(self, small_setup):
         _, combination = small_setup
         with pytest.raises(ValueError):
-            combine_step(uniform_log(3, 2), combination)
+            combine_step(np.zeros((3, 2)), combination)
+
+    def test_matches_the_probability_domain_oracle(self, small_setup):
+        model, combination = small_setup
+        rng = np.random.default_rng(53)
+        shared = np.log(rng.dirichlet(np.ones(model.num_states), model.num_agents))
+        combined = combine_step(belief_log_ratios(shared), combination)
+        np.testing.assert_allclose(
+            _ratio_log_beliefs(combined), oracle_combine(shared, combination),
+            rtol=0, atol=1e-14,
+        )
 
 
 class TestStateEstimates:
@@ -235,7 +360,6 @@ class TestRunSimulation:
         """End-to-end learning check: with a small step size the network
         identifies the true hypothesis almost always late in a run."""
         adjacency_model = random_likelihoods(30, 4, 4, seed=20)
-        from beliefgraph.model import erdos_renyi_adjacency
         mask, _ = erdos_renyi_adjacency(30, 0.2, seed=21)
         combination = random_combination_matrix(mask, seed=22)
         hits = []
@@ -249,7 +373,6 @@ class TestRunSimulation:
         """Windowed per-agent error rates may not regress by more than
         0.01 between consecutive 500-iteration windows."""
         model = random_likelihoods(30, 4, 4, seed=24)
-        from beliefgraph.model import erdos_renyi_adjacency
         mask, _ = erdos_renyi_adjacency(30, 0.2, seed=25)
         combination = random_combination_matrix(mask, seed=26)
         errors = [
@@ -329,6 +452,75 @@ class TestRunSimulation:
             list(run_simulation(model, combination, 9, 0.3, 5, seed=0))
         with pytest.raises(ValueError):
             list(run_simulation(model, combination, 0, 1.0, 5, seed=0))
+
+
+class TestForwardPassAgainstOracle:
+    """The chunked ratio-coordinate forward pass against the step-by-step
+    probability-domain oracle under the same seed: private ratios (so
+    the signals) bit for bit, shared log-beliefs within 1e-12."""
+
+    def compare(self, model, combination, true_state, delta, num_iterations,
+                seed, events=(), edge_prob=None, reference=0):
+        expected = oracle_run(
+            model, combination, true_state, delta, num_iterations, seed,
+            events, edge_prob, reference,
+        )
+        due = {e.iteration: e.action for e in events}
+        steps = run_simulation(
+            model, combination, true_state, delta, num_iterations, seed,
+            schedule=EventSchedule(tuple(events)), record_private=True,
+            edge_prob=edge_prob, reference=reference,
+        )
+        worst = 0.0
+        count = 0
+        for step, (_, private, shared, state, matrix) in zip(steps, expected):
+            count += 1
+            assert step.iteration == count
+            assert step.event == due.get(count)
+            assert step.true_state == state
+            np.testing.assert_array_equal(step.combination.weights, matrix.weights)
+            np.testing.assert_array_equal(step.signal_log_ratios, private)
+            worst = max(worst, np.abs(step.shared_log_beliefs - shared).max())
+        assert count == num_iterations
+        assert worst <= 1e-12
+
+    def test_reference_config(self):
+        adjacency, _ = erdos_renyi_adjacency(30, 0.2, seed=0)
+        combination = random_combination_matrix(adjacency, seed=1)
+        model = random_likelihoods(30, 4, 4, seed=2)
+        assert 10_000 % CHUNK_STEPS != 0
+        self.compare(model, combination, 2, 0.05, 10_000, seed=3)
+
+    def test_desk_run_with_events_around_chunk_ends(self):
+        """Events on the first iteration, one before, at and one after
+        the chunk size, and a graph regeneration later on; private
+        ratios against a nonzero reference."""
+        adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
+        combination = random_combination_matrix(adjacency, seed=22)
+        model = random_likelihoods(10, 3, 4, seed=23)
+        events = [
+            Event(1, "set_true_state", 0),
+            Event(CHUNK_STEPS - 1, "set_true_state", 2),
+            Event(CHUNK_STEPS, "regenerate_graph", 900),
+            Event(CHUNK_STEPS + 1, "set_true_state", 1),
+            Event(3 * CHUNK_STEPS + 1, "regenerate_graph", 901),
+        ]
+        num_iterations = 10_007
+        assert num_iterations % CHUNK_STEPS != 0
+        self.compare(
+            model, combination, 1, 0.3, num_iterations, seed=4,
+            events=events, edge_prob=0.35, reference=1,
+        )
+
+    def test_log_belief_blocks_are_read_only(self, small_setup):
+        """Steps of one chunk share one block, so a write into a step's
+        beliefs raises instead of changing later steps."""
+        model, combination = small_setup
+        steps = list(run_simulation(model, combination, 0, 0.3, CHUNK_STEPS + 3, seed=16))
+        assert steps[0].shared_log_beliefs.base is steps[1].shared_log_beliefs.base
+        for step in (steps[0], steps[-1]):
+            with pytest.raises(ValueError):
+                step.shared_log_beliefs[0, 0] = 0.0
 
 
 class TestCheckLogBeliefs:
