@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .estimator import learn_graph
+from .estimator import ESTIMATED, KNOWN, learn_graph
 from .harness import (
     MANIFEST_FORMAT,
     ConfigError,
@@ -33,6 +33,7 @@ from .harness import (
     run_experiment,
     run_forward,
     sweep,
+    write_report,
 )
 from .model import CombinationMatrix
 from .simulate import SimulationStep
@@ -196,8 +197,8 @@ def _cmd_sweep(args) -> int:
 
 def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
     """Ground truth of each step of a recorded stream: the true states
-    (``None`` without a trace) and the combination matrices (``None``
-    where the bundle does not hold them)."""
+    (``None`` without a trace), the combination matrices (``None``
+    where the bundle does not hold them) and the events by iteration."""
     trace = None
     if trace_file and trace_file.exists():
         trace = io.read_trace(trace_file)
@@ -217,8 +218,9 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
     if trace is None:
         # The trace says which graph epoch each step belongs to; without
         # it, only a single-epoch bundle pins the matrix of every step.
-        return None, [matrices.get(0) if len(matrices) == 1 else None] * num_steps
-    return trace["true_states"], [matrices.get(e) for e in trace["graph_epochs"]]
+        return None, [matrices.get(0) if len(matrices) == 1 else None] * num_steps, {}
+    combinations = [matrices.get(e) for e in trace["graph_epochs"]]
+    return trace["true_states"], combinations, trace["events"]
 
 
 def _cmd_learn(args) -> int:
@@ -235,7 +237,7 @@ def _cmd_learn(args) -> int:
     if not args.out:
         raise ConfigError("an output directory is required (--out)")
 
-    manifest_config: dict = {}
+    config = None
     if run_dir is not None:
         manifest = run_dir / "manifest.json"
         payload = io.load_json(manifest) if manifest.exists() else {}
@@ -246,22 +248,18 @@ def _cmd_learn(args) -> int:
                 f"{manifest} --out DIR` to write it as {MANIFEST_FORMAT}"
             )
         if payload.get("format") == MANIFEST_FORMAT:
-            manifest_config = payload["config"]
-
-    delta = args.delta if args.delta is not None else manifest_config.get("delta")
-    if delta is None:
+            config = ExperimentConfig.from_dict(payload["config"])
+    if config is None and args.delta is None:
         raise ConfigError("learn needs --delta (not found in a manifest)")
-    mu = args.mu if args.mu is not None else manifest_config.get("mu", 0.01)
-    reference = (
-        args.reference if args.reference is not None
-        else manifest_config.get("reference", 0)
-    )
-    mode = args.mode or manifest_config.get("mode", "estimated")
-    modes = ("known", "estimated") if mode == "both" else (mode,)
-    classify_method = manifest_config.get("classify_method", "two-means")
-    classify_threshold = manifest_config.get("classify_threshold")
-
     model = io.load_model(model_file)
+    if config is None:
+        config = ExperimentConfig(
+            agents=model.num_agents, states=model.num_states, mode=ESTIMATED
+        )
+    flags = {name: getattr(args, name) for name in ("mu", "delta", "reference", "mode")}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    config.validate()
+
     log_beliefs = io.read_belief_stream(stream)
     if log_beliefs.shape[1:] != (model.num_agents, model.num_states):
         raise ValueError(
@@ -272,8 +270,8 @@ def _cmd_learn(args) -> int:
     if not np.isfinite(log_beliefs).all():
         raise ValueError("the belief stream holds a non-finite log-belief")
     T = len(log_beliefs)
-    true_states, combinations = _load_truth(run_dir, trace_file, T)
-    if "known" in modes and true_states is None:
+    true_states, combinations, events = _load_truth(run_dir, trace_file, T)
+    if KNOWN in config.modes() and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
     steps = [
         SimulationStep(
@@ -290,23 +288,13 @@ def _cmd_learn(args) -> int:
     # Edge accuracy is scored against the graph in force at the end of
     # the stream, as run_experiment does.
     results = {
-        current_mode: mode_result(
-            learn_graph(steps, model, mu, delta, current_mode, reference),
-            combinations[-1],
-            classify_method,
-            classify_threshold,
-            out,
+        mode: mode_result(
+            learn_graph(steps, model, config.mu, config.delta, mode, config.reference),
+            combinations[-1], config, out,
         )
-        for current_mode in modes
+        for mode in config.modes()
     }
-    deviations = {
-        m: mres.msd for m, mres in results.items() if not np.isnan(mres.msd).all()
-    }
-    if deviations:
-        io.write_msd_table(out / "msd.csv", np.arange(1, T + 1), deviations, {})
-    io.save_json(out / "summary.json", {
-        "modes": {m: mres.summary() for m, mres in results.items()}
-    })
+    write_report(out, results, events)
     _print_mode_summary(results)
     print(f"wrote {out}")
     diverged = any(mres.diverged_at is not None for mres in results.values())

@@ -29,7 +29,6 @@ __all__ = [
     "gradient_step",
     "GraphLearner",
     "LearnResult",
-    "LearnerRun",
     "learn_graph",
     "msd",
     "classify_edges",
@@ -104,6 +103,17 @@ def gradient_step(
 
 
 @dataclass
+class LearnResult:
+    """Outcome of feeding a belief stream through one learner."""
+
+    mode: str
+    estimate: np.ndarray
+    msd: np.ndarray
+    votes: np.ndarray | None
+    diverged_at: int | None
+
+
+@dataclass
 class GraphLearner:
     """Sequential state of the online graph estimator.
 
@@ -116,7 +126,10 @@ class GraphLearner:
 
     When an update stops being finite (or leaves ``DIVERGENCE_LIMIT``),
     the learner keeps its last good estimate, records the iteration in
-    ``diverged_at`` and ignores further steps.
+    ``diverged_at`` and makes no further updates; it still votes.
+
+    :meth:`step` only updates; :meth:`consume` also records each step's
+    vote and squared deviation, which :meth:`result` returns.
     """
 
     model: LikelihoodModel
@@ -129,6 +142,8 @@ class GraphLearner:
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
     last_vote: int | None = field(init=False, default=None)
+    deviations: list[float] = field(init=False, default_factory=list)
+    votes: list[int | None] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if self.mode not in (KNOWN, ESTIMATED):
@@ -153,9 +168,6 @@ class GraphLearner:
         """Consume one belief snapshot and return the updated estimate."""
         self.iterations += 1
         ratios = belief_log_ratios(shared_log_beliefs, self.reference)
-        if self.diverged_at is not None:
-            self.prev_ratios = ratios
-            return self.estimate
         if self.mode == KNOWN:
             if true_state is None:
                 raise ValueError("known mode needs the current true state")
@@ -163,47 +175,28 @@ class GraphLearner:
         else:
             state = majority_vote(shared_log_beliefs)
             self.last_vote = state
-        # The kept estimate is within DIVERGENCE_LIMIT, so no errstate is
-        # needed: only a mu near the float64 range could overflow here.
-        updated = gradient_step(
-            self.estimate, self.prev_ratios, ratios,
-            self.expected_ratios(state), self.mu, self.delta,
-        )
-        # One pass: NaN fails every comparison, so it trips the test too.
-        if not np.abs(updated).max() <= DIVERGENCE_LIMIT:
-            self.diverged_at = self.iterations
-        else:
-            self.estimate = updated
+        if self.diverged_at is None:
+            # The kept estimate is within DIVERGENCE_LIMIT, so no errstate
+            # is needed: only a mu near the float64 range could overflow.
+            updated = gradient_step(
+                self.estimate, self.prev_ratios, ratios,
+                self.expected_ratios(state), self.mu, self.delta,
+            )
+            # One pass: NaN fails every comparison, so it trips the test too.
+            if not np.abs(updated).max() <= DIVERGENCE_LIMIT:
+                self.diverged_at = self.iterations
+            else:
+                self.estimate = updated
         self.prev_ratios = ratios
         return self.estimate
 
-
-@dataclass
-class LearnResult:
-    """Outcome of feeding a belief stream through one learner."""
-
-    mode: str
-    estimate: np.ndarray
-    msd: np.ndarray
-    votes: np.ndarray | None
-    diverged_at: int | None
-
-
-@dataclass
-class LearnerRun:
-    """One learner's pass over a stream of simulation steps: the
-    learner plus its vote and squared deviation at every step."""
-
-    learner: GraphLearner
-    deviations: list[float] = field(default_factory=list)
-    votes: list[int | None] = field(default_factory=list)
-
     def consume(self, step) -> None:
-        """Update the learner from one step and record the outcome."""
-        learner = self.learner
-        estimate = learner.step(step.shared_log_beliefs, step.true_state)
-        self.votes.append(learner.last_vote)
-        if learner.diverged_at is not None:
+        """Update from one simulation step and record its vote and its
+        squared deviation: from the step's combination matrix, NaN
+        without one, ``inf`` once diverged."""
+        estimate = self.step(step.shared_log_beliefs, step.true_state)
+        self.votes.append(self.last_vote)
+        if self.diverged_at is not None:
             self.deviations.append(np.inf)
         elif step.combination is not None:
             self.deviations.append(msd(step.combination.weights, estimate))
@@ -211,14 +204,13 @@ class LearnerRun:
             self.deviations.append(np.nan)
 
     def result(self) -> LearnResult:
-        """The learner's final state and its per-step record."""
-        learner = self.learner
+        """The final estimate and the record of every consumed step."""
         return LearnResult(
-            mode=learner.mode,
-            estimate=learner.estimate,
+            mode=self.mode,
+            estimate=self.estimate,
             msd=np.asarray(self.deviations, dtype=float),
-            votes=np.asarray(self.votes) if learner.mode == ESTIMATED else None,
-            diverged_at=learner.diverged_at,
+            votes=np.asarray(self.votes) if self.mode == ESTIMATED else None,
+            diverged_at=self.diverged_at,
         )
 
 
@@ -233,14 +225,13 @@ def learn_graph(
     """Run a learner over an iterable of simulation steps.
 
     Only each step's shared beliefs (plus, in ``known`` mode, its true
-    state) are consumed. When a step carries the governing combination
-    matrix the squared deviation from it is recorded, otherwise NaN.
-    After a divergence the deviation is reported as ``inf``.
+    state) are consumed; see :meth:`GraphLearner.consume` for the
+    recorded deviations.
     """
-    run = LearnerRun(GraphLearner(model, mu, delta, mode, reference))
+    learner = GraphLearner(model, mu, delta, mode, reference)
     for step in steps:
-        run.consume(step)
-    return run.result()
+        learner.consume(step)
+    return learner.result()
 
 
 def msd(true_matrix: np.ndarray, estimate: np.ndarray) -> float:

@@ -21,7 +21,6 @@ from .estimator import (
     ESTIMATED,
     KNOWN,
     GraphLearner,
-    LearnerRun,
     LearnResult,
     NoSeparationError,
     SteadyStateDiagnostics,
@@ -47,6 +46,7 @@ __all__ = [
     "run_experiment",
     "run_forward",
     "mode_result",
+    "write_report",
     "sweep",
     "steady_state_mean",
     "MANIFEST_FORMAT",
@@ -210,10 +210,11 @@ class ModeResult(LearnResult):
     classify_error: str | None
 
     def summary(self) -> dict:
-        """The mode's entry in ``summary.json``, where a steady-state
-        deviation without ground truth (NaN) or diverged (inf) is null."""
+        """The mode's entry in ``summary.json``, where a deviation
+        without ground truth (NaN) or diverged (inf) is null."""
         return {
             "steady_state_msd": self.steady_state_msd,
+            "final_msd": self.final_msd,
             "diverged_at": self.diverged_at,
             "edge_accuracy": self.edge_accuracy,
             "classify_error": self.classify_error,
@@ -251,17 +252,7 @@ class ExperimentResult:
 def _diagnostics_payload(diag: SteadyStateDiagnostics | None):
     if diag is None:
         return None
-    return {
-        "alpha": diag.alpha,
-        "gamma": diag.gamma,
-        "nu": diag.nu,
-        "kappa": diag.kappa,
-        "bound": diag.bound,
-        "stable": diag.stable,
-        "samples": diag.samples,
-        "ratio_second_moment": diag.ratio_second_moment.tolist(),
-        "signal_covariance": diag.signal_covariance.tolist(),
-    }
+    return {f.name: np.asarray(getattr(diag, f.name)).tolist() for f in fields(diag)}
 
 
 def _generate(config: ExperimentConfig):
@@ -362,11 +353,10 @@ def _simulate(
 def mode_result(
     learned: LearnResult,
     final_combination: CombinationMatrix | None,
-    classify_method: str,
-    classify_threshold: float | None,
+    config: ExperimentConfig,
     out: Path | None,
 ) -> ModeResult:
-    """Classify a learned estimate and score it.
+    """Classify a learned estimate as ``config`` says and score it.
 
     Edge accuracy is taken against ``final_combination``, the graph in
     force at the end of the stream, and is ``None`` without it or when
@@ -378,7 +368,7 @@ def mode_result(
     edge_accuracy = None
     try:
         classified = classify_edges(
-            learned.estimate, classify_method, classify_threshold
+            learned.estimate, config.classify_method, config.classify_threshold
         )
     except NoSeparationError as err:
         classify_error = str(err)
@@ -401,6 +391,21 @@ def mode_result(
     )
 
 
+def write_report(
+    out: Path, modes: dict[str, ModeResult], events: dict[int, str], **extra
+) -> None:
+    """Write ``msd.csv``, the modes with a finite deviation marked with
+    ``events`` (iteration to name), and ``summary.json``, each mode's
+    :meth:`ModeResult.summary` under ``"modes"`` plus ``extra``."""
+    deviations = {m: r.msd for m, r in modes.items() if np.isfinite(r.msd).any()}
+    if deviations:
+        T = len(next(iter(deviations.values())))
+        io.write_msd_table(out / "msd.csv", np.arange(1, T + 1), deviations, events)
+    io.save_json(out / "summary.json", {
+        **extra, "modes": {m: r.summary() for m, r in modes.items()},
+    })
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Generate, simulate, learn and persist one full experiment.
 
@@ -414,13 +419,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     combination, model, graph_attempts = _generate(config)
     initial_msd = float(np.sum(combination.weights**2))
 
-    runs = {
-        mode: LearnerRun(
-            GraphLearner(model, config.mu, config.delta, mode, config.reference)
-        )
+    learners = {
+        mode: GraphLearner(model, config.mu, config.delta, mode, config.reference)
         for mode in config.modes()
     }
-    consumers = [run.consume for run in runs.values()]
+    consumers = [learner.consume for learner in learners.values()]
     lam_samples: list[np.ndarray] = []
     sig_samples: list[np.ndarray] = []
     if config.test_mode:
@@ -455,14 +458,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             diagnostics = None  # run too short for moment estimates
 
     mode_results = {
-        mode: mode_result(
-            run.result(),
-            final_combination,
-            config.classify_method,
-            config.classify_threshold,
-            out,
-        )
-        for mode, run in runs.items()
+        mode: mode_result(learner.result(), final_combination, config, out)
+        for mode, learner in learners.items()
     }
     result = ExperimentResult(
         config=config,
@@ -479,24 +476,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
     if out is not None:
-        io.write_msd_table(
-            out / "msd.csv",
-            np.arange(1, config.iterations + 1),
-            {m: mres.msd for m, mres in mode_results.items()},
-            events,
+        write_report(
+            out, mode_results, events,
+            initial_msd=initial_msd,
+            graph_attempts=graph_attempts,
+            divergent=result.divergent,
+            vote_match_rate=result.vote_match_rate,
+            diagnostics=_diagnostics_payload(diagnostics),
         )
-        summary = {
-            "initial_msd": initial_msd,
-            "graph_attempts": graph_attempts,
-            "divergent": result.divergent,
-            "vote_match_rate": result.vote_match_rate,
-            "modes": {
-                mode: {"final_msd": mres.final_msd, **mres.summary()}
-                for mode, mres in mode_results.items()
-            },
-            "diagnostics": _diagnostics_payload(diagnostics),
-        }
-        io.save_json(out / "summary.json", summary)
 
     return result
 

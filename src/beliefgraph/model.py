@@ -436,14 +436,14 @@ def mean_likelihood_matrix(
 
     Entry ``(k, j)`` equals ``KL_k(generating || other_j) -
     KL_k(generating || reference)``; it is the exact mean of
-    :func:`log_likelihood_ratio_matrix` over the signal distribution.
+    :func:`log_likelihood_ratio_matrix` over the signal distribution,
+    taken over the rows of :meth:`LikelihoodModel.signal_log_ratio_table`.
     """
     if not 0 <= generating_state < model.num_states:
         raise ValueError("generating_state out of range")
-    cols = ratio_columns(model.num_states, reference)
-    out = np.empty((model.num_agents, model.num_states - 1))
+    table = model.signal_log_ratio_table(reference)
+    # Zero weight, and a zero table entry, past each agent's signal space.
+    weights = np.zeros(table.shape[:2])
     for k, t in enumerate(model.tables):
-        d_ref = kl_divergence(t[:, generating_state], t[:, reference])
-        for jj, j in enumerate(cols):
-            out[k, jj] = kl_divergence(t[:, generating_state], t[:, j]) - d_ref
-    return out
+        weights[k, : t.shape[0]] = t[:, generating_state]
+    return np.einsum("kz,kzj->kj", weights, table)

@@ -117,21 +117,55 @@ class TestSimulateAndLearn:
     ], ids=["reference", "desk-events"])
     def test_learn_reproduces_the_online_run_bit_for_bit(self, tmp_path, config):
         """The stream holds the log-beliefs the online learners consumed,
-        so offline learning gives the online estimate and deviation
-        trajectory bit for bit, in both modes: on the reference
-        configuration (shortened) and on a run with a state switch and a
-        graph regeneration."""
+        so offline learning gives the online estimate bit for bit and
+        writes the same msd.csv, event column included, and the same mode
+        entries in summary.json, final_msd included, in both modes: on
+        the reference configuration (shortened) and on a run with a state
+        switch and a graph regeneration."""
         run = tmp_path / "run"
         assert run_cli("experiment", *config, "--mode", "both", "--out", run) == 0
         learned = tmp_path / "learned"
         assert run_cli("learn", "--run", run, "--out", learned) == 0
-        online = io.read_msd_table(run / "msd.csv")
-        offline = io.read_msd_table(learned / "msd.csv")
         for mode in ("known", "estimated"):
             name = f"learned_matrix_{mode}.csv"
             assert np.array_equal(io.read_matrix(learned / name),
                                   io.read_matrix(run / name))
-            assert np.array_equal(offline[mode], online[mode])
+        assert (learned / "msd.csv").read_bytes() == (run / "msd.csv").read_bytes()
+        online = json.loads((run / "summary.json").read_text())["modes"]
+        offline = json.loads((learned / "summary.json").read_text())["modes"]
+        assert offline == online
+        assert offline["known"]["final_msd"] is not None
+
+    @pytest.mark.parametrize("source", ["run", "stream"])
+    @pytest.mark.parametrize("flag", [
+        ["--reference", "7"], ["--reference", "3"], ["--mu", "-1"], ["--delta", "1.5"],
+    ], ids=["reference-7", "reference-3", "mu", "delta"])
+    def test_learn_rejects_an_invalid_flag(
+        self, forward_run, tmp_path, capsys, source, flag
+    ):
+        """learn validates its configuration as experiment does: a flag
+        out of range, here for a 3-state stream, is a configuration error
+        (exit 1), with a manifest or with only a stream and a model."""
+        if source == "run":
+            inputs = ["--run", forward_run]
+        else:
+            inputs = ["--stream", forward_run / "beliefs.npy",
+                      "--model-file", forward_run / "model.json", "--delta", "0.3"]
+        assert run_cli("learn", *inputs, *flag, "--out", tmp_path / "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+
+    def test_learn_from_a_stream_and_a_model_alone(self, forward_run, tmp_path):
+        """Without a manifest, learn runs the estimated mode with the
+        default mu; --delta is required."""
+        inputs = ["--stream", forward_run / "beliefs.npy",
+                  "--model-file", forward_run / "model.json"]
+        assert run_cli("learn", *inputs, "--out", tmp_path / "nodelta") == 1
+        out = tmp_path / "inv"
+        assert run_cli("learn", *inputs, "--delta", "0.3", "--out", out) == 0
+        assert {p.name for p in out.iterdir()} >= {"learned_matrix_estimated.csv"}
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary["modes"]) == ["estimated"]
 
     @pytest.mark.parametrize("classify", [
         ["--classify-method", "two-means"],

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefgraph import io
-from beliefgraph.estimator import learn_graph
+from beliefgraph.estimator import learn_graph, majority_vote
 from beliefgraph.harness import (
     ConfigError,
     ExperimentConfig,
@@ -236,6 +236,26 @@ class TestRunExperiment:
         assert mres.diverged_at is not None
         assert mres.steady_state_msd == np.inf
         assert np.isfinite(mres.estimate).all()
+
+
+class TestVotes:
+    def test_votes_go_on_after_a_divergence(self, tmp_path):
+        """A diverged learner stops updating but still votes on every
+        step: the recorded votes are the majority vote of each step's
+        shared beliefs, across a switch of the true state."""
+        config = ExperimentConfig(
+            agents=10, states=3, signals=4, edge_prob=0.35, delta=0.3, mu=5.0,
+            iterations=600, seed_graph=21, seed_weights=22, seed_likelihoods=23,
+            seed_signals=24, true_state=1, mode="estimated",
+            schedule=EventSchedule((Event(300, "set_true_state", 2),)),
+            out=str(tmp_path / "run"),
+        )
+        result = run_experiment(config)
+        mres = result.modes["estimated"]
+        assert mres.diverged_at is not None and mres.diverged_at < 300
+        beliefs = io.read_belief_stream(tmp_path / "run" / "beliefs.npy")
+        assert mres.votes.tolist() == [majority_vote(b) for b in beliefs]
+        assert result.vote_match_rate > 0.9
 
 
 class TestForwardAndLearn:

@@ -280,7 +280,36 @@ class TestLogLikelihoodRatioMatrix:
             model.signal_log_ratio_table(4)
 
 
+def kl_difference_oracle(model, generating_state, reference):
+    """``KL_k(generating || other_j) - KL_k(generating || reference)``
+    entry by entry, with the checked :func:`kl_divergence`."""
+    cols = ratio_columns(model.num_states, reference)
+    out = np.empty((model.num_agents, model.num_states - 1))
+    for k, t in enumerate(model.tables):
+        d_ref = kl_divergence(t[:, generating_state], t[:, reference])
+        for jj, j in enumerate(cols):
+            out[k, jj] = kl_divergence(t[:, generating_state], t[:, j]) - d_ref
+    return out
+
+
 class TestMeanLikelihoodMatrix:
+    def test_matches_the_kl_difference_oracle(self):
+        """The probability-weighted mean of the cached signal table equals
+        the difference of divergences, for every (generating, reference)
+        pair of a model with mixed 3- and 4-signal agents."""
+        model = random_likelihoods(30, 4, [3, 4] * 15, seed=5)
+        for generating in range(4):
+            for reference in range(4):
+                np.testing.assert_allclose(
+                    mean_likelihood_matrix(model, generating, reference),
+                    kl_difference_oracle(model, generating, reference),
+                    rtol=0, atol=1e-14,
+                )
+        with pytest.raises(ValueError):
+            mean_likelihood_matrix(model, 4)
+        with pytest.raises(ValueError):
+            mean_likelihood_matrix(model, 0, reference=4)
+
     def test_reference_as_generating_state(self, two_state_model):
         out = mean_likelihood_matrix(two_state_model, 0, reference=0)
         for k, table in enumerate(two_state_model.tables):

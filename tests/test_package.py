@@ -1,8 +1,13 @@
 """Properties of the installed package as a whole."""
 
+import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import beliefgraph
 
@@ -21,3 +26,36 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCUMENTED = [*(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py"))),
+              "README.md"]
+
+
+def _python_source(name: str) -> str:
+    """A demo's source, or the example of README's Python API section."""
+    text = (ROOT / name).read_text()
+    if name != "README.md":
+        return text
+    section = text.split("## Python API", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+@pytest.mark.parametrize("name", DOCUMENTED)
+def test_documented_imports_resolve(name):
+    """Every name the demos and README's Python API example import from
+    beliefgraph exists, so dropping a public name fails here rather than
+    in a demo that no test runs."""
+    imported = []
+    for node in ast.walk(ast.parse(_python_source(name), name)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("beliefgraph"):
+                imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names
+                         if alias.name.startswith("beliefgraph")]
+    assert imported, f"{name} imports nothing from beliefgraph"
+    for module, attr in imported:
+        loaded = importlib.import_module(module)
+        assert attr is None or hasattr(loaded, attr), f"{name}: {module}.{attr}"
