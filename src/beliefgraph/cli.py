@@ -36,7 +36,7 @@ from .harness import (
     write_report,
 )
 from .model import CombinationMatrix
-from .simulate import SimulationStep
+from .simulate import CHUNK_STEPS, SimulationStep
 
 __all__ = ["main", "build_parser"]
 
@@ -223,6 +223,27 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
     return trace["true_states"], combinations, trace["events"]
 
 
+def _recorded_steps(log_beliefs, true_states, combinations) -> list[SimulationStep]:
+    """One step per snapshot of a recorded stream, with its ground truth
+    as :func:`_load_truth` gives it. Each step is a row of a view of at
+    most ``CHUNK_STEPS`` snapshots, so the learners' per-block arrays
+    stay bounded whatever the stream's length."""
+    steps = []
+    for start in range(0, len(log_beliefs), CHUNK_STEPS):
+        block = log_beliefs[start:start + CHUNK_STEPS]
+        for row in range(len(block)):
+            idx = start + row
+            steps.append(SimulationStep(
+                iteration=idx + 1,
+                shared_log_beliefs=block[row],
+                true_state=None if true_states is None else int(true_states[idx]),
+                combination=combinations[idx],
+                block=block,
+                row=row,
+            ))
+    return steps
+
+
 def _cmd_learn(args) -> int:
     run_dir = Path(args.run) if args.run else None
     stream = Path(args.stream) if args.stream else None
@@ -273,15 +294,7 @@ def _cmd_learn(args) -> int:
     true_states, combinations, events = _load_truth(run_dir, trace_file, T)
     if KNOWN in config.modes() and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
-    steps = [
-        SimulationStep(
-            iteration=idx + 1,
-            shared_log_beliefs=log_beliefs[idx],
-            true_state=None if true_states is None else int(true_states[idx]),
-            combination=combinations[idx],
-        )
-        for idx in range(T)
-    ]
+    steps = _recorded_steps(log_beliefs, true_states, combinations)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -40,6 +40,7 @@ __all__ = [
 # Estimates this far outside the stochastic-matrix range carry no
 # information any more; the learner freezes and flags divergence.
 DIVERGENCE_LIMIT = 1e6
+_LIMIT_SQUARED = DIVERGENCE_LIMIT**2
 
 KNOWN = "known"
 ESTIMATED = "estimated"
@@ -51,7 +52,9 @@ class NoSeparationError(RuntimeError):
 
 def belief_log_ratios(shared_log_beliefs: np.ndarray, reference: int = 0) -> np.ndarray:
     """Log-ratios of each agent's shared belief against the reference
-    hypothesis, shape ``(num_agents, num_states - 1)``.
+    hypothesis, shape ``(num_agents, num_states - 1)``; for a stack of
+    snapshots ``(..., num_agents, num_states)``, one such matrix per
+    snapshot.
 
     Entry ``(k, j)`` is ``log b_k(reference) - log b_k(other_j)`` with
     the non-reference hypotheses enumerated ascending. This is the
@@ -59,18 +62,29 @@ def belief_log_ratios(shared_log_beliefs: np.ndarray, reference: int = 0) -> np.
     """
     shared_log_beliefs = np.asarray(shared_log_beliefs)
     if reference == 0:
-        return shared_log_beliefs[:, :1] - shared_log_beliefs[:, 1:]
-    cols = ratio_columns(shared_log_beliefs.shape[1], reference)
-    return shared_log_beliefs[:, [reference]] - shared_log_beliefs[:, cols]
+        return shared_log_beliefs[..., :1] - shared_log_beliefs[..., 1:]
+    cols = ratio_columns(shared_log_beliefs.shape[-1], reference)
+    return shared_log_beliefs[..., [reference]] - shared_log_beliefs[..., cols]
 
 
-def majority_vote(shared_log_beliefs: np.ndarray) -> int:
+def majority_vote(shared_log_beliefs: np.ndarray) -> int | np.ndarray:
     """Network-level hypothesis estimate: the most common per-agent
-    argmax. Ties, per agent and across agents, go to the lowest index."""
+    argmax. Ties, per agent and across agents, go to the lowest index.
+
+    A ``(num_agents, num_states)`` snapshot gives an ``int``; a stack
+    ``(steps, num_agents, num_states)`` gives one vote per snapshot.
+    """
     shared_log_beliefs = np.asarray(shared_log_beliefs)
-    per_agent = np.argmax(shared_log_beliefs, axis=1)
-    counts = np.bincount(per_agent, minlength=shared_log_beliefs.shape[1])
-    return int(np.argmax(counts))
+    num_states = shared_log_beliefs.shape[-1]
+    per_agent = np.argmax(shared_log_beliefs, axis=-1)
+    if per_agent.ndim == 1:
+        return int(np.argmax(np.bincount(per_agent, minlength=num_states)))
+    # One bincount over the whole stack: snapshot t counts into bins
+    # t * num_states ... t * num_states + num_states - 1.
+    steps = per_agent.shape[0]
+    per_agent += num_states * np.arange(steps)[:, None]
+    counts = np.bincount(per_agent.ravel(), minlength=steps * num_states)
+    return np.argmax(counts.reshape(steps, num_states), axis=1)
 
 
 def gradient_step(
@@ -98,8 +112,15 @@ def gradient_step(
             or expected_ratios.shape != ratios.shape or ratios.shape[0] != n:
         raise ValueError("estimate and ratio matrices have mismatched shapes")
     scale = 1.0 - delta
-    residual = ratios - scale * (estimate.T @ prev_ratios) - delta * expected_ratios
-    return estimate + mu * scale * (prev_ratios @ residual.T)
+    # The formula above, operation for operation, in two temporaries.
+    residual = estimate.T @ prev_ratios
+    residual *= scale
+    np.subtract(ratios, residual, out=residual)
+    residual -= delta * expected_ratios
+    updated = prev_ratios @ residual.T
+    updated *= mu * scale
+    updated += estimate
+    return updated
 
 
 @dataclass
@@ -119,7 +140,7 @@ class GraphLearner:
 
     The estimate starts at the zero matrix and the previous-ratio
     register at zero, which makes the very first update a no-op. In
-    ``known`` mode each step must be told the current true hypothesis;
+    ``known`` mode each step must carry the current true hypothesis;
     in ``estimated`` mode the learner votes on the snapshot itself.
     Expected-ratio matrices are cached per hypothesis, so re-voting the
     same state costs nothing.
@@ -128,8 +149,11 @@ class GraphLearner:
     the learner keeps its last good estimate, records the iteration in
     ``diverged_at`` and makes no further updates; it still votes.
 
-    :meth:`step` only updates; :meth:`consume` also records each step's
-    vote and squared deviation, which :meth:`result` returns.
+    :meth:`consume` takes simulation steps: it computes the belief
+    log-ratios (and, in ``estimated`` mode, the votes) of each step's
+    block once, when the block changes, updates through :meth:`step`
+    and records each step's vote and squared deviation, which
+    :meth:`result` returns.
     """
 
     model: LikelihoodModel
@@ -141,40 +165,39 @@ class GraphLearner:
     prev_ratios: np.ndarray = field(init=False)
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
-    last_vote: int | None = field(init=False, default=None)
     deviations: list[float] = field(init=False, default_factory=list)
     votes: list[int | None] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if self.mode not in (KNOWN, ESTIMATED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise ValueError("mu must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         n = self.model.num_agents
         self.estimate = np.zeros((n, n))
         self.prev_ratios = np.zeros((n, self.model.num_states - 1))
         self._expected_cache: dict[int, np.ndarray] = {}
+        # The block the current step belongs to, its log-ratios and,
+        # in estimated mode, its votes.
+        self._block = None
+        self._block_ratios = None
+        self._block_votes = None
 
     def expected_ratios(self, state: int) -> np.ndarray:
-        if state not in self._expected_cache:
-            self._expected_cache[state] = mean_likelihood_matrix(
+        expected = self._expected_cache.get(state)
+        if expected is None:
+            expected = self._expected_cache[state] = mean_likelihood_matrix(
                 self.model, state, self.reference
             )
-        return self._expected_cache[state]
+        return expected
 
-    def step(self, shared_log_beliefs: np.ndarray, true_state: int | None = None) -> np.ndarray:
-        """Consume one belief snapshot and return the updated estimate."""
+    def step(self, ratios: np.ndarray, state: int) -> np.ndarray:
+        """Update from one snapshot's belief log-ratios (see
+        :func:`belief_log_ratios`) under hypothesis ``state``, and
+        return the estimate."""
         self.iterations += 1
-        ratios = belief_log_ratios(shared_log_beliefs, self.reference)
-        if self.mode == KNOWN:
-            if true_state is None:
-                raise ValueError("known mode needs the current true state")
-            state = int(true_state)
-        else:
-            state = majority_vote(shared_log_beliefs)
-            self.last_vote = state
         if self.diverged_at is None:
             # The kept estimate is within DIVERGENCE_LIMIT, so no errstate
             # is needed: only a mu near the float64 range could overflow.
@@ -182,11 +205,10 @@ class GraphLearner:
                 self.estimate, self.prev_ratios, ratios,
                 self.expected_ratios(state), self.mu, self.delta,
             )
-            # One pass: NaN fails every comparison, so it trips the test too.
-            if not np.abs(updated).max() <= DIVERGENCE_LIMIT:
-                self.diverged_at = self.iterations
-            else:
+            if _within_limit(updated):
                 self.estimate = updated
+            else:
+                self.diverged_at = self.iterations
         self.prev_ratios = ratios
         return self.estimate
 
@@ -194,8 +216,20 @@ class GraphLearner:
         """Update from one simulation step and record its vote and its
         squared deviation: from the step's combination matrix, NaN
         without one, ``inf`` once diverged."""
-        estimate = self.step(step.shared_log_beliefs, step.true_state)
-        self.votes.append(self.last_vote)
+        block = step.block
+        if block is not self._block:
+            self._block = block
+            self._block_ratios = belief_log_ratios(block, self.reference)
+            if self.mode == ESTIMATED:
+                self._block_votes = majority_vote(block).tolist()
+        if self.mode == KNOWN:
+            if step.true_state is None:
+                raise ValueError("known mode needs the current true state")
+            vote, state = None, step.true_state
+        else:
+            vote = state = self._block_votes[step.row]
+        estimate = self.step(self._block_ratios[step.row], state)
+        self.votes.append(vote)
         if self.diverged_at is not None:
             self.deviations.append(np.inf)
         elif step.combination is not None:
@@ -214,6 +248,21 @@ class GraphLearner:
         )
 
 
+def _within_limit(update: np.ndarray) -> bool:
+    """Whether every entry of ``update`` is at most ``DIVERGENCE_LIMIT``
+    in magnitude; false if any is NaN.
+
+    Rounding is monotone, so a computed sum of squares below
+    ``DIVERGENCE_LIMIT**2`` (exact in float64) bounds every entry below
+    the limit. NaN and inf fail that comparison, and so does a sum near
+    the limit; only those cases pay for the exact entrywise test.
+    """
+    return bool(
+        np.vdot(update, update) < _LIMIT_SQUARED
+        or np.abs(update).max() <= DIVERGENCE_LIMIT
+    )
+
+
 def learn_graph(
     steps,
     model: LikelihoodModel,
@@ -224,9 +273,9 @@ def learn_graph(
 ) -> LearnResult:
     """Run a learner over an iterable of simulation steps.
 
-    Only each step's shared beliefs (plus, in ``known`` mode, its true
-    state) are consumed; see :meth:`GraphLearner.consume` for the
-    recorded deviations.
+    Only each step's shared beliefs, read through its block (plus, in
+    ``known`` mode, its true state), are consumed; see
+    :meth:`GraphLearner.consume` for the recorded deviations.
     """
     learner = GraphLearner(model, mu, delta, mode, reference)
     for step in steps:
@@ -240,8 +289,8 @@ def msd(true_matrix: np.ndarray, estimate: np.ndarray) -> float:
     estimate = np.asarray(estimate, dtype=float)
     if true_matrix.shape != estimate.shape:
         raise ValueError("matrices must have identical shapes")
-    diff = (true_matrix - estimate).ravel()
-    return float(diff @ diff)
+    diff = true_matrix - estimate
+    return float(np.vdot(diff, diff))
 
 
 def two_means_split(values: np.ndarray, max_iterations: int = 100) -> float:

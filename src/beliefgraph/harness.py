@@ -117,8 +117,8 @@ class ExperimentConfig:
             problems.append("edge_prob must be in (0, 1]")
         if not 0 < self.delta < 1:
             problems.append("delta must be in (0, 1)")
-        if self.mu <= 0:
-            problems.append("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            problems.append("mu must be positive and finite")
         if self.iterations < 1:
             problems.append("iterations must be at least 1")
         for name in ("seed_graph", "seed_weights", "seed_likelihoods", "seed_signals"):
@@ -130,18 +130,22 @@ class ExperimentConfig:
             problems.append("true_state out of range")
         if not 0 <= self.reference < self.states:
             problems.append("reference out of range")
-        if self.likelihood_floor <= 0:
-            problems.append("likelihood_floor must be positive")
+        if not 0 < self.likelihood_floor < np.inf:
+            problems.append("likelihood_floor must be positive and finite")
         elif sizes and self.likelihood_floor * max(sizes) >= 1:
             problems.append("likelihood_floor too large for the signal space")
-        if self.kl_floor <= 0:
-            problems.append("kl_floor must be positive")
+        if not 0 < self.kl_floor < np.inf:
+            problems.append("kl_floor must be positive and finite")
         if self.max_attempts < 1:
             problems.append("max_attempts must be at least 1")
         if self.classify_method not in ("two-means", "threshold"):
             problems.append("classify_method must be two-means or threshold")
         if self.classify_method == "threshold" and self.classify_threshold is None:
             problems.append("threshold classification needs classify_threshold")
+        if self.classify_threshold is not None and not np.isfinite(
+            self.classify_threshold
+        ):
+            problems.append("classify_threshold must be finite")
         for event in self.schedule:
             if event.iteration > self.iterations:
                 problems.append(

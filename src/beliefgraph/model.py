@@ -145,8 +145,7 @@ class LikelihoodModel:
         self.validate()
         for t in self.tables:
             t.flags.writeable = False
-        self._cdf_stack = None
-        self._log_stack = None
+        self._stack_cache = None
         self._ratio_tables: dict[int, np.ndarray] = {}
         self._sizes = np.array([t.shape[0] for t in self.tables])
         self._agents = np.arange(len(self.tables))
@@ -195,18 +194,23 @@ class LikelihoodModel:
     # sampling and likelihood lookups are single vectorized operations
     # even when agents have unequal signal spaces.
 
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._cdf_stack is None:
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sampling cdf, the probabilities and their logs; the last
+        two are ``(agents, signals, states)`` and zero past each agent's
+        signal space."""
+        if self._stack_cache is None:
             n, z_max = self.num_agents, int(self._sizes.max())
             # Per state, a contiguous (signals, agents) block. The last
             # in-space entry is +inf, not a sum that may round below 1.0.
             cdf = np.full((self.num_states, z_max, n), np.inf)
+            probs = np.zeros((n, z_max, self.num_states))
             logs = np.zeros((n, z_max, self.num_states))
             for k, t in enumerate(self.tables):
                 cdf[:, : t.shape[0] - 1, k] = np.cumsum(t[:-1], axis=0).T
+                probs[k, : t.shape[0]] = t
                 logs[k, : t.shape[0]] = np.log(t)
-            self._cdf_stack, self._log_stack = cdf, logs
-        return self._cdf_stack, self._log_stack
+            self._stack_cache = cdf, probs, logs
+        return self._stack_cache
 
     def sampling_cdf(self, state: int) -> np.ndarray:
         """Stacked cumulative signal distributions under ``state``, shape
@@ -215,7 +219,7 @@ class LikelihoodModel:
         on, so a uniform draw always falls inside the agent's space."""
         if not 0 <= state < self.num_states:
             raise ValueError("state out of range")
-        cdf, _ = self._stacks()
+        cdf, _, _ = self._stacks()
         return cdf[state]
 
     def signal_log_ratio_table(self, reference: int = 0) -> np.ndarray:
@@ -229,7 +233,7 @@ class LikelihoodModel:
         table = self._ratio_tables.get(reference)
         if table is None:
             cols = ratio_columns(self.num_states, reference)
-            _, logs = self._stacks()
+            _, _, logs = self._stacks()
             table = logs[:, :, [reference]] - logs[:, :, cols]
             table.flags.writeable = False
             self._ratio_tables[reference] = table
@@ -243,16 +247,10 @@ class LikelihoodModel:
         with a zero diagonal. Every off-diagonal entry must be strictly
         positive for the true state to be collectively learnable.
         """
-        s_count = self.num_states
-        gap = np.zeros((s_count, s_count))
-        for t in self.tables:
-            log_t = np.log(t)
-            for a in range(s_count):
-                for b in range(s_count):
-                    if a != b:
-                        d = float(np.sum(t[:, a] * (log_t[:, a] - log_t[:, b])))
-                        gap[a, b] = max(gap[a, b], d)
-        return gap
+        _, probs, logs = self._stacks()
+        # kl[k, s, t] = sum_z p_k(z | s) (log p_k(z | s) - log p_k(z | t))
+        kl = (probs[..., None] * (logs[..., None] - logs[:, :, None, :])).sum(axis=1)
+        return np.maximum(kl.max(axis=0), 0.0)
 
 
 def erdos_renyi_adjacency(
@@ -442,8 +440,8 @@ def mean_likelihood_matrix(
     if not 0 <= generating_state < model.num_states:
         raise ValueError("generating_state out of range")
     table = model.signal_log_ratio_table(reference)
-    # Zero weight, and a zero table entry, past each agent's signal space.
-    weights = np.zeros(table.shape[:2])
-    for k, t in enumerate(model.tables):
-        weights[k, : t.shape[0]] = t[:, generating_state]
+    # Zero weight, and a zero table entry, past each agent's signal space;
+    # contiguous, because einsum's order of summation depends on strides.
+    _, probs, _ = model._stacks()
+    weights = np.ascontiguousarray(probs[:, :, generating_state])
     return np.einsum("kz,kzj->kj", weights, table)

@@ -102,6 +102,12 @@ class SimulationStep:
     this iteration's combine stage, ``graph_epoch`` counts graph
     regenerations, and ``signal_log_ratios`` is populated only when the
     run records private data for validation.
+
+    ``block`` is the ``(steps, num_agents, num_states)`` stack of
+    consecutive snapshots this one belongs to, as row ``row``: the
+    shared beliefs are ``block[row]``. Consumers that work block by
+    block (the learners) compute once per block. A step built without
+    a block is a one-row block of its own.
     """
 
     iteration: int
@@ -111,6 +117,13 @@ class SimulationStep:
     combination: CombinationMatrix | None = None
     event: str | None = None
     signal_log_ratios: np.ndarray | None = field(default=None, repr=False)
+    block: np.ndarray | None = field(default=None, repr=False)
+    row: int = 0
+
+    def __post_init__(self):
+        if self.block is None:
+            self.block = np.asarray(self.shared_log_beliefs)[None]
+            self.row = 0
 
 
 def _log_normalize(rows: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -240,7 +253,8 @@ def run_simulation(
 
     The iterations are computed in chunks (see the module docstring)
     and yielded one by one; a chunk's steps share one read-only
-    log-belief block, so copy a step's beliefs before changing them.
+    log-belief block, each step's ``block`` with its own ``row``, so
+    copy a step's beliefs before changing them.
 
     A regenerated graph keeps the run's ``edge_prob`` and draws both
     the new adjacency and its weights from a generator seeded by the
@@ -311,6 +325,8 @@ def run_simulation(
             yield SimulationStep(
                 iteration=first + t,
                 shared_log_beliefs=log_beliefs[t],
+                block=log_beliefs,
+                row=t,
                 true_state=true_state,
                 graph_epoch=epoch,
                 combination=combination,

@@ -31,6 +31,21 @@ class TestExperimentCommand:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--mu", "nan"], ["--mu", "inf"], ["--kl-floor", "nan"],
+        ["--likelihood-floor", "nan"],
+        ["--classify-method", "threshold", "--classify-threshold", "nan"],
+    ], ids=["mu-nan", "mu-inf", "kl-floor-nan", "likelihood-floor-nan",
+            "classify-threshold-nan"])
+    def test_non_finite_value_exits_one(self, tmp_path, capsys, flag):
+        """A NaN or infinite value is a configuration error, caught
+        before anything is generated or written."""
+        out = tmp_path / "nonfinite"
+        assert run_cli("experiment", *BASE, *flag, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_out_exits_one(self):
         assert run_cli("experiment", *BASE) == 1
 
@@ -139,7 +154,8 @@ class TestSimulateAndLearn:
     @pytest.mark.parametrize("source", ["run", "stream"])
     @pytest.mark.parametrize("flag", [
         ["--reference", "7"], ["--reference", "3"], ["--mu", "-1"], ["--delta", "1.5"],
-    ], ids=["reference-7", "reference-3", "mu", "delta"])
+        ["--mu", "nan"], ["--mu", "inf"],
+    ], ids=["reference-7", "reference-3", "mu", "delta", "mu-nan", "mu-inf"])
     def test_learn_rejects_an_invalid_flag(
         self, forward_run, tmp_path, capsys, source, flag
     ):

@@ -3,8 +3,12 @@ and the steady-state diagnostics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beliefgraph import estimator
+from beliefgraph.cli import _recorded_steps
 from beliefgraph.estimator import (
     GraphLearner,
     NoSeparationError,
@@ -20,9 +24,16 @@ from beliefgraph.estimator import (
 from beliefgraph.model import (
     erdos_renyi_adjacency,
     random_combination_matrix,
+    random_likelihoods,
     ratio_columns,
 )
-from beliefgraph.simulate import run_simulation
+from beliefgraph.simulate import (
+    CHUNK_STEPS,
+    Event,
+    EventSchedule,
+    SimulationStep,
+    run_simulation,
+)
 
 LOG4 = 1.3862943611198906
 
@@ -114,6 +125,53 @@ class TestMajorityVote:
         assert np.mean(np.array(votes[-1000:]) == 2) >= 0.99
 
 
+def vote_oracle(snapshot):
+    """The majority vote by hand: each agent's first most believed
+    hypothesis, then the first most common of those."""
+    counts = [0] * len(snapshot[0])
+    for row in snapshot:
+        row = list(row)
+        counts[row.index(max(row))] += 1
+    return counts.index(max(counts))
+
+
+class TestStackedSnapshots:
+    """Ratios and votes of a ``(steps, agents, states)`` stack, as the
+    learners compute them once per block, equal those of each snapshot."""
+
+    def test_simulated_block_matches_each_snapshot(self, small_setup):
+        model, combination = small_setup
+        steps = list(run_simulation(model, combination, 2, 0.05, 150, seed=45))
+        stack = np.stack([s.shared_log_beliefs for s in steps])
+        for reference in range(model.num_states):
+            ratios = belief_log_ratios(stack, reference)
+            for t, step in enumerate(steps):
+                assert np.array_equal(
+                    ratios[t], belief_log_ratios(step.shared_log_beliefs, reference)
+                )
+        votes = majority_vote(stack)
+        assert votes.tolist() == [majority_vote(s.shared_log_beliefs) for s in steps]
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6).filter(
+            lambda shape: shape[2] >= 2
+        ),
+        elements=st.sampled_from([-2.0, -1.0, -0.5]),
+    ))
+    def test_votes_with_ties_go_to_the_lowest_index(self, stack):
+        """Entries from three values make ties frequent, within an
+        agent's row and between agents' counts."""
+        votes = majority_vote(stack)
+        assert votes.tolist() == [majority_vote(x) for x in stack]
+        assert votes.tolist() == [vote_oracle(x) for x in stack]
+        for reference in range(stack.shape[2]):
+            ratios = belief_log_ratios(stack, reference)
+            for t in range(len(stack)):
+                assert np.array_equal(ratios[t], belief_log_ratios(stack[t], reference))
+
+
 class TestGradientStep:
     def test_zero_rate_freezes_estimate(self, small_setup):
         rng = np.random.default_rng(0)
@@ -188,17 +246,17 @@ class TestGraphLearner:
         estimated = GraphLearner(model, 0.05, 0.3, "estimated")
         shared = np.log(np.tile([0.02, 0.08, 0.9], (6, 1)))
         shared -= np.log(np.exp(shared).sum(axis=1, keepdims=True))
-        for _ in range(3):
-            a = known.step(shared, true_state=2)
-            b = estimated.step(shared)
-        assert estimated.last_vote == 2
-        np.testing.assert_array_equal(a, b)
+        for i in range(1, 4):
+            known.consume(SimulationStep(i, shared, true_state=2))
+            estimated.consume(SimulationStep(i, shared))
+        assert estimated.votes[-1] == 2
+        np.testing.assert_array_equal(known.estimate, estimated.estimate)
 
     def test_known_mode_requires_the_state(self, small_setup):
         model, _ = small_setup
         learner = GraphLearner(model, 0.05, 0.3, "known")
         with pytest.raises(ValueError):
-            learner.step(np.full((6, 3), -np.log(3)))
+            learner.consume(SimulationStep(1, np.full((6, 3), -np.log(3))))
 
     def test_divergence_freezes_the_estimate(self, small_setup):
         model, combination = small_setup
@@ -210,7 +268,8 @@ class TestGraphLearner:
 
     @pytest.mark.parametrize("bad, diverges", [
         (np.nan, True), (np.inf, True), (-np.inf, True), (2e6, True), (-2e6, True),
-        (0.5e6, False),
+        (0.5e6, False), (1e6, False), (-1e6, False),
+        (np.nextafter(1e6, np.inf), True), (np.nextafter(-1e6, -np.inf), True),
     ])
     def test_divergence_test_on_one_entry(self, small_setup, monkeypatch, bad, diverges):
         """A single NaN, infinite or over-limit entry in an update trips
@@ -224,13 +283,37 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        estimate = learner.step(np.full((6, 3), -np.log(3)), true_state=0)
+        estimate = learner.step(np.zeros((6, 2)), 0)
         if diverges:
             assert learner.diverged_at == 1
             np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
         else:
             assert learner.diverged_at is None
             assert estimate[2, 3] == bad
+
+    @pytest.mark.parametrize("fill, diverges", [
+        (9e5, False), (-9e5, False), (1e6, False), (np.nan, True), (np.inf, True),
+    ])
+    def test_divergence_test_on_a_full_update(self, monkeypatch, fill, diverges):
+        """An update whose every entry is within the limit does not
+        diverge even though its sum of squares is far above the squared
+        limit (30 x 30 entries of 9e5 sum to 7.3e14)."""
+        model = random_likelihoods(30, 3, 3, seed=46)
+
+        def update(estimate, *args, **kwargs):
+            return np.full_like(estimate, fill)
+
+        monkeypatch.setattr(estimator, "gradient_step", update)
+        learner = GraphLearner(model, 0.05, 0.3, "known")
+        estimate = learner.step(np.zeros((30, 2)), 0)
+        assert (learner.diverged_at == 1) == diverges
+        assert (estimate == (0.0 if diverges else fill)).all()
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_rate_that_is_not_positive_and_finite(self, small_setup, mu):
+        model, _ = small_setup
+        with pytest.raises(ValueError):
+            GraphLearner(model, mu, 0.3, "known")
 
     def test_learn_without_truth_reports_nan(self, small_setup):
         model, combination = small_setup
@@ -379,3 +462,64 @@ class TestObserverAgainstSimulator:
         k = known.msd[-200:].mean()
         e = estimated.msd[-200:].mean()
         assert abs(k - e) / k < 0.5
+
+
+class TestBlockwiseLearner:
+    """The learner reads each step's ratios and vote from its block. One
+    fed hand-built one-row steps, one fed the simulator's chunks and one
+    fed the bounded views `learn` makes of a recorded stream record the
+    same estimate, deviations and votes, across events just before and
+    just after a chunk boundary."""
+
+    @pytest.fixture(scope="class")
+    def chunked_steps(self):
+        adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
+        combination = random_combination_matrix(adjacency, seed=22)
+        model = random_likelihoods(10, 3, 4, seed=23)
+        schedule = EventSchedule((
+            Event(CHUNK_STEPS - 1, "set_true_state", 2),
+            Event(CHUNK_STEPS + 1, "regenerate_graph", 900),
+            Event(2 * CHUNK_STEPS, "set_true_state", 0),
+        ))
+        steps = list(run_simulation(
+            model, combination, 1, 0.3, 300, seed=24, schedule=schedule,
+            edge_prob=0.35,
+        ))
+        return model, steps
+
+    @pytest.mark.parametrize("mode", ["known", "estimated"])
+    def test_three_feeds_record_the_same_run(self, chunked_steps, mode):
+        model, chunked = chunked_steps
+        one_row = [
+            SimulationStep(
+                iteration=s.iteration,
+                shared_log_beliefs=s.shared_log_beliefs.copy(),
+                true_state=s.true_state,
+                combination=s.combination,
+            )
+            for s in chunked
+        ]
+        views = _recorded_steps(
+            np.stack([s.shared_log_beliefs for s in chunked]),
+            np.array([s.true_state for s in chunked]),
+            [s.combination for s in chunked],
+        )
+        feeds = {"one-row": one_row, "chunks": chunked, "views": views}
+        assert {len(s.block) for s in one_row} == {1}
+        assert max(len(s.block) for s in chunked) == CHUNK_STEPS
+        assert len({id(s.block) for s in chunked}) < len(chunked)
+        assert max(len(s.block) for s in views) == CHUNK_STEPS
+        results = {
+            name: learn_graph(steps, model, 0.01, 0.3, mode)
+            for name, steps in feeds.items()
+        }
+        base = results["chunks"]
+        assert np.isfinite(base.msd).all()
+        for name, result in results.items():
+            assert np.array_equal(result.estimate, base.estimate), name
+            assert np.array_equal(result.msd, base.msd), name
+            if mode == "estimated":
+                assert np.array_equal(result.votes, base.votes), name
+                assert result.votes.tolist() == [
+                    majority_vote(s.shared_log_beliefs) for s in chunked
+                ]

@@ -61,6 +61,14 @@ class TestConfigValidation:
         {"classify_method": "threshold"},
         {"schedule": EventSchedule((Event(400, "set_true_state", 1),))},
         {"schedule": EventSchedule((Event(5, "set_true_state", 9),))},
+        {"mu": np.nan},
+        {"mu": np.inf},
+        {"likelihood_floor": np.nan},
+        {"likelihood_floor": np.inf},
+        {"kl_floor": np.nan},
+        {"kl_floor": np.inf},
+        {"classify_threshold": np.nan},
+        {"classify_method": "threshold", "classify_threshold": np.inf},
     ])
     def test_invalid_configs_raise(self, overrides):
         with pytest.raises(ConfigError):

@@ -156,6 +156,80 @@ class TestRandomCombinationMatrix:
             CombinationMatrix(np.array([[1.0, 0.5], [0.0, 0.5]]), mask)
 
 
+def identifiability_gap_oracle(model):
+    """The identifiability gap agent by agent and pair by pair: entry
+    ``(a, b)`` is the largest ``sum_z p(z | a) (log p(z | a) - log p(z |
+    b))`` over the agents, and at least zero."""
+    s_count = model.num_states
+    gap = np.zeros((s_count, s_count))
+    for t in model.tables:
+        log_t = np.log(t)
+        for a in range(s_count):
+            for b in range(s_count):
+                if a != b:
+                    d = float(np.sum(t[:, a] * (log_t[:, a] - log_t[:, b])))
+                    gap[a, b] = max(gap[a, b], d)
+    return gap
+
+
+# (agents, states, signal sizes, seed, kl_floor): the reference and desk
+# worlds, the desk world with a margin that takes 8 draws to reach, and
+# 50 small worlds with mixed signal sizes.
+GAP_WORLDS = [
+    (30, 4, 4, 2, 1e-3),
+    (10, 3, 4, 23, 1e-3),
+    (10, 3, 4, 23, 1.0),
+    (3, 2, [2, 3, 4], 5, 2.0),
+    *(
+        (2 + k % 7, 2 + k % 4, [2 + (k + i) % 4 for i in range(2 + k % 7)],
+         100 + k, 1e-3)
+        for k in range(50)
+    ),
+]
+
+
+class TestIdentifiabilityGap:
+    def test_matches_the_oracle(self):
+        for agents, states, sizes, seed, kl_floor in GAP_WORLDS:
+            model = random_likelihoods(agents, states, sizes, seed, kl_floor=kl_floor)
+            gap = model.identifiability_gap()
+            np.testing.assert_allclose(
+                gap, identifiability_gap_oracle(model), rtol=0, atol=1e-15
+            )
+            assert (np.diag(gap) == 0).all()
+
+    def test_random_likelihoods_draws_what_the_oracle_draws(self, monkeypatch):
+        """The accept-or-redraw decision is unchanged: with the oracle
+        in place of the gap, every world draws the same tables in the
+        same number of attempts, redraws included."""
+        calls = []
+
+        def count(gap):
+            def counted(model):
+                calls.append(1)
+                return gap(model)
+            return counted
+
+        def draws(gap):
+            monkeypatch.setattr(LikelihoodModel, "identifiability_gap", count(gap))
+            out = []
+            for agents, states, sizes, seed, kl_floor in GAP_WORLDS:
+                calls.clear()
+                model = random_likelihoods(
+                    agents, states, sizes, seed, kl_floor=kl_floor
+                )
+                out.append((model.tables, len(calls)))
+            return out
+
+        vectorised = draws(LikelihoodModel.identifiability_gap)
+        oracle = draws(identifiability_gap_oracle)
+        assert [n for _, n in vectorised] == [n for _, n in oracle]
+        assert max(n for _, n in oracle) > 1
+        for (a, _), (b, _) in zip(vectorised, oracle):
+            assert len(a) == len(b)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestRandomLikelihoods:
     def test_floor_and_normalization(self):
         model = random_likelihoods(5, 3, 2, seed=0, floor=0.1)

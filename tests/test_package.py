@@ -59,3 +59,26 @@ def test_documented_imports_resolve(name):
     for module, attr in imported:
         loaded = importlib.import_module(module)
         assert attr is None or hasattr(loaded, attr), f"{name}: {module}.{attr}"
+
+
+def _benchmark_targets() -> tuple:
+    """``TARGETS`` of ``benchmarks/tracing.py``, read without importing
+    the benchmark."""
+    path = ROOT / "benchmarks" / "tracing.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "TARGETS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmarks/tracing.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("module, name", _benchmark_targets())
+def test_benchmark_hooks_resolve(module, name):
+    """Every function and method the benchmark traces by name still
+    exists, so renaming one fails here rather than in a benchmark run."""
+    target = importlib.import_module(f"beliefgraph.{module}")
+    for part in name.split("."):
+        assert hasattr(target, part), f"beliefgraph.{module}.{name}"
+        target = getattr(target, part)
+    assert callable(target)
