@@ -89,36 +89,35 @@ def majority_vote(shared_log_beliefs: np.ndarray) -> int | np.ndarray:
 
 def gradient_step(
     estimate: np.ndarray,
-    prev_ratios: np.ndarray,
-    ratios: np.ndarray,
-    expected_ratios: np.ndarray,
+    regressors: np.ndarray,
+    targets: np.ndarray,
     mu: float,
-    delta: float,
 ) -> np.ndarray:
-    """One stochastic-gradient update of the combination-matrix estimate.
+    """One stochastic-gradient update of the combination-matrix estimate,
+    in regression form.
 
-    Returns ``A`` with ``A^T = estimate^T + mu * (1 - delta) *
-    (ratios - (1 - delta) * estimate^T @ prev_ratios - delta *
-    expected_ratios) @ prev_ratios^T``, the exact negative gradient step
-    of the instantaneous loss ``Q``. No projection is applied; the
-    iterate is free to leave the set of stochastic matrices.
+    The ratio recursion is the linear regression ``Z = A^T Phi + noise``
+    with regressors ``Phi = (1 - delta) lam_{i-1}`` and targets
+    ``Z = lam_i - delta lbar_i``, so the loss ``Q`` of the module
+    docstring is ``0.5 * ||Z - A^T Phi||_F^2``. Both are passed agents
+    last, ``regressors = Phi^T`` and ``targets = Z^T``, each of shape
+    ``(num_states - 1, num_agents)``, so that each is one contiguous
+    row of a block the learner prepares once (see :class:`GraphLearner`).
+
+    Returns ``A + mu * Phi (Z - A^T Phi)^T``, the exact negative
+    gradient step of ``Q`` (the LMS step). In the paper's terms the new
+    ``A^T`` is ``A^T + mu * (1 - delta) * (lam_i - (1 - delta) A^T
+    lam_{i-1} - delta lbar_i) lam_{i-1}^T``. No projection is applied;
+    the iterate is free to leave the set of stochastic matrices.
     """
-    estimate = np.asarray(estimate, dtype=float)
-    prev_ratios = np.asarray(prev_ratios, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
-    expected_ratios = np.asarray(expected_ratios, dtype=float)
     n = estimate.shape[0]
-    if estimate.shape != (n, n) or prev_ratios.shape != ratios.shape \
-            or expected_ratios.shape != ratios.shape or ratios.shape[0] != n:
-        raise ValueError("estimate and ratio matrices have mismatched shapes")
-    scale = 1.0 - delta
-    # The formula above, operation for operation, in two temporaries.
-    residual = estimate.T @ prev_ratios
-    residual *= scale
-    np.subtract(ratios, residual, out=residual)
-    residual -= delta * expected_ratios
-    updated = prev_ratios @ residual.T
-    updated *= mu * scale
+    if estimate.shape != (n, n) or targets.shape != regressors.shape \
+            or regressors.shape[1:] != (n,):
+        raise ValueError("estimate, regressors and targets have mismatched shapes")
+    residual = regressors.dot(estimate)
+    np.subtract(targets, residual, out=residual)
+    residual *= mu
+    updated = regressors.T.dot(residual)
     updated += estimate
     return updated
 
@@ -142,18 +141,19 @@ class GraphLearner:
     register at zero, which makes the very first update a no-op. In
     ``known`` mode each step must carry the current true hypothesis;
     in ``estimated`` mode the learner votes on the snapshot itself.
-    Expected-ratio matrices are cached per hypothesis, so re-voting the
-    same state costs nothing.
 
     When an update stops being finite (or leaves ``DIVERGENCE_LIMIT``),
     the learner keeps its last good estimate, records the iteration in
     ``diverged_at`` and makes no further updates; it still votes.
 
-    :meth:`consume` takes simulation steps: it computes the belief
-    log-ratios (and, in ``estimated`` mode, the votes) of each step's
-    block once, when the block changes, updates through :meth:`step`
-    and records each step's vote and squared deviation, which
-    :meth:`result` returns.
+    :meth:`consume` takes simulation steps, every step of a block in
+    order. When the block changes, it forms the block's belief
+    log-ratios and regressors (see :func:`gradient_step`) and, in
+    ``estimated`` mode, its votes, all agents last and once per block;
+    ``delta * lbar^T`` is cached per hypothesis. Each step then forms
+    its targets with one subtraction, updates through :meth:`step` and
+    records its vote and squared deviation, which :meth:`result`
+    returns.
     """
 
     model: LikelihoodModel
@@ -162,7 +162,6 @@ class GraphLearner:
     mode: str
     reference: int = 0
     estimate: np.ndarray = field(init=False)
-    prev_ratios: np.ndarray = field(init=False)
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
     deviations: list[float] = field(init=False, default_factory=list)
@@ -177,58 +176,79 @@ class GraphLearner:
             raise ValueError("delta must be in (0, 1)")
         n = self.model.num_agents
         self.estimate = np.zeros((n, n))
-        self.prev_ratios = np.zeros((n, self.model.num_states - 1))
-        self._expected_cache: dict[int, np.ndarray] = {}
-        # The block the current step belongs to, its log-ratios and,
-        # in estimated mode, its votes.
+        # The last log-ratios of the previous block, agents last: the
+        # next block's first regressor.
+        self._register = np.zeros((self.model.num_states - 1, n))
+        self._target_offsets: dict[int, np.ndarray] = {}
+        # The block the current step belongs to, its log-ratios and
+        # regressors, each (steps, num_states - 1, num_agents), and in
+        # estimated mode its votes.
         self._block = None
-        self._block_ratios = None
-        self._block_votes = None
+        self._ratios = None
+        self._regressors = None
+        self._votes = None
 
-    def expected_ratios(self, state: int) -> np.ndarray:
-        expected = self._expected_cache.get(state)
-        if expected is None:
-            expected = self._expected_cache[state] = mean_likelihood_matrix(
-                self.model, state, self.reference
+    def _target_offset(self, state: int) -> np.ndarray:
+        """``delta * lbar^T`` under hypothesis ``state``, agents last."""
+        offset = self._target_offsets.get(state)
+        if offset is None:
+            expected = mean_likelihood_matrix(self.model, state, self.reference)
+            offset = self._target_offsets[state] = np.ascontiguousarray(
+                self.delta * expected.T
             )
-        return expected
+        return offset
 
-    def step(self, ratios: np.ndarray, state: int) -> np.ndarray:
-        """Update from one snapshot's belief log-ratios (see
-        :func:`belief_log_ratios`) under hypothesis ``state``, and
-        return the estimate."""
+    def _enter_block(self, block: np.ndarray) -> None:
+        ratios = belief_log_ratios(block, self.reference)
+        # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
+        # register. Every operation is elementwise per row, so the
+        # update does not depend on where blocks begin and end.
+        lagged = np.empty((len(block) + 1,) + self._register.shape)
+        lagged[0] = self._register
+        lagged[1:] = ratios.transpose(0, 2, 1)
+        self._block = block
+        self._ratios = lagged[1:]
+        self._regressors = (1.0 - self.delta) * lagged[:-1]
+        self._register = lagged[-1]
+        if self.mode == ESTIMATED:
+            self._votes = majority_vote(block).tolist()
+
+    def step(self, regressors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Update from one snapshot and return the estimate.
+
+        ``regressors`` is ``Phi^T = (1 - delta) lam_{i-1}^T`` and
+        ``targets`` is ``Z^T = lam_i^T - delta lbar_i^T``, each
+        ``(num_states - 1, num_agents)``: the paper's recursion
+        ``lam_i = (1 - delta) A^T lam_{i-1} + delta lbar_i + noise`` read
+        as a regression of ``Z`` on ``Phi`` (see :func:`gradient_step`).
+        Once the learner has diverged, the step changes nothing.
+        """
         self.iterations += 1
         if self.diverged_at is None:
             # The kept estimate is within DIVERGENCE_LIMIT, so no errstate
             # is needed: only a mu near the float64 range could overflow.
-            updated = gradient_step(
-                self.estimate, self.prev_ratios, ratios,
-                self.expected_ratios(state), self.mu, self.delta,
-            )
+            updated = gradient_step(self.estimate, regressors, targets, self.mu)
             if _within_limit(updated):
                 self.estimate = updated
             else:
                 self.diverged_at = self.iterations
-        self.prev_ratios = ratios
         return self.estimate
 
     def consume(self, step) -> None:
         """Update from one simulation step and record its vote and its
         squared deviation: from the step's combination matrix, NaN
         without one, ``inf`` once diverged."""
-        block = step.block
-        if block is not self._block:
-            self._block = block
-            self._block_ratios = belief_log_ratios(block, self.reference)
-            if self.mode == ESTIMATED:
-                self._block_votes = majority_vote(block).tolist()
+        if step.block is not self._block:
+            self._enter_block(step.block)
         if self.mode == KNOWN:
             if step.true_state is None:
                 raise ValueError("known mode needs the current true state")
             vote, state = None, step.true_state
         else:
-            vote = state = self._block_votes[step.row]
-        estimate = self.step(self._block_ratios[step.row], state)
+            vote = state = self._votes[step.row]
+        row = step.row
+        targets = self._ratios[row] - self._target_offset(state)
+        estimate = self.step(self._regressors[row], targets)
         self.votes.append(vote)
         if self.diverged_at is not None:
             self.deviations.append(np.inf)

@@ -428,16 +428,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for mode in config.modes()
     }
     consumers = [learner.consume for learner in learners.values()]
-    lam_samples: list[np.ndarray] = []
+    lam_blocks: list[np.ndarray] = []
     sig_samples: list[np.ndarray] = []
     if config.test_mode:
         stationary_start = max(1, config.schedule.last_iteration())
+        block = None
 
         def collect(step):
-            if step.iteration >= stationary_start:
-                lam_samples.append(
-                    belief_log_ratios(step.shared_log_beliefs, config.reference)
+            # One ratio block per block, from its first stationary row on;
+            # _simulate hands over every step of a block, in order.
+            nonlocal block
+            if step.block is not block:
+                block = step.block
+                first = stationary_start - (step.iteration - step.row)
+                lam_blocks.append(
+                    belief_log_ratios(block[max(first, 0):], config.reference)
                 )
+            if step.iteration >= stationary_start:
                 sig_samples.append(step.signal_log_ratios)
 
         consumers.append(collect)
@@ -446,13 +453,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
     diagnostics = None
-    if lam_samples:
+    if sig_samples:
         expected = mean_likelihood_matrix(
             model, int(true_states[-1]), config.reference
         )
         try:
             diagnostics = steady_state_diagnostics(
-                np.array(lam_samples),
+                np.concatenate(lam_blocks),
                 np.array(sig_samples),
                 expected,
                 config.mu,

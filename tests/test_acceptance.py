@@ -144,7 +144,8 @@ def test_criterion_3_update_matches_finite_differences():
         expected = rng.standard_normal((5, 3))
         mu = float(rng.uniform(0.01, 0.2))
         delta = float(rng.uniform(0.05, 0.5))
-        stepped = gradient_step(estimate, prev, ratios, expected, mu, delta)
+        stepped = gradient_step(estimate, ((1 - delta) * prev).T,
+                                (ratios - delta * expected).T, mu)
         grad = np.zeros_like(estimate)
         h = 1e-6
         for i in range(5):

@@ -21,8 +21,10 @@ from beliefgraph.estimator import (
     steady_state_diagnostics,
     two_means_split,
 )
+from beliefgraph.harness import ExperimentConfig, _generate
 from beliefgraph.model import (
     erdos_renyi_adjacency,
+    mean_likelihood_matrix,
     random_combination_matrix,
     random_likelihoods,
     ratio_columns,
@@ -55,6 +57,45 @@ def fd_loss_gradient(estimate, prev_ratios, ratios, expected, delta, h=1e-6):
             down = instantaneous_loss(estimate - bump, prev_ratios, ratios, expected, delta)
             grad[i, j] = (up - down) / (2 * h)
     return grad
+
+
+def paper_gradient_step(estimate, prev_ratios, ratios, expected_ratios, mu, delta):
+    """The update in the paper's form, operation for operation:
+    ``A^T + mu (1 - delta) (ratios - (1 - delta) A^T prev - delta
+    expected) prev^T``, transposed."""
+    scale = 1.0 - delta
+    residual = estimate.T @ prev_ratios
+    residual *= scale
+    np.subtract(ratios, residual, out=residual)
+    residual -= delta * expected_ratios
+    updated = prev_ratios @ residual.T
+    updated *= mu * scale
+    updated += estimate
+    return updated
+
+
+def replay_paper_form(steps, model, mu, delta, mode):
+    """A learner written out snapshot by snapshot with the paper-form
+    update: the estimate, the deviation of every step and, in estimated
+    mode, the votes."""
+    n = model.num_agents
+    estimate = np.zeros((n, n))
+    prev = np.zeros((n, model.num_states - 1))
+    expected = {}
+    deviations, votes = [], []
+    for step in steps:
+        ratios = belief_log_ratios(step.shared_log_beliefs)
+        if mode == "known":
+            state = step.true_state
+        else:
+            state = vote_oracle(step.shared_log_beliefs)
+            votes.append(state)
+        if state not in expected:
+            expected[state] = mean_likelihood_matrix(model, state)
+        estimate = paper_gradient_step(estimate, prev, ratios, expected[state], mu, delta)
+        prev = ratios
+        deviations.append(float(np.sum((step.combination.weights - estimate) ** 2)))
+    return estimate, np.array(deviations), votes
 
 
 def best_two_partition(values):
@@ -173,11 +214,15 @@ class TestStackedSnapshots:
 
 
 class TestGradientStep:
+    """The kernel takes the regression operands ``Phi^T = (1 - delta)
+    prev^T`` and ``Z^T = (ratios - delta * expected)^T``; the losses stay
+    in the paper's form."""
+
     def test_zero_rate_freezes_estimate(self, small_setup):
         rng = np.random.default_rng(0)
         estimate = rng.random((6, 6))
-        out = gradient_step(estimate, rng.random((6, 2)), rng.random((6, 2)),
-                            rng.random((6, 2)), mu=0.0, delta=0.3)
+        prev, ratios, expected = rng.random((6, 2)), rng.random((6, 2)), rng.random((6, 2))
+        out = gradient_step(estimate, (0.7 * prev).T, (ratios - 0.3 * expected).T, mu=0.0)
         np.testing.assert_array_equal(out, estimate)
 
     def test_truth_is_a_fixed_point(self, small_setup):
@@ -189,14 +234,15 @@ class TestGradientStep:
         prev = rng.standard_normal((6, 3))
         expected = rng.standard_normal((6, 3))
         ratios = (1 - delta) * combination.weights.T @ prev + delta * expected
-        out = gradient_step(combination.weights, prev, ratios, expected,
-                            mu=0.5, delta=delta)
+        out = gradient_step(combination.weights, ((1 - delta) * prev).T,
+                            (ratios - delta * expected).T, mu=0.5)
         np.testing.assert_allclose(out, combination.weights, atol=1e-12)
 
     def test_scalar_hand_case(self):
+        delta = 0.3
         out = gradient_step(
-            np.array([[0.6]]), np.array([[0.8]]), np.array([[0.5]]),
-            np.array([[1.2]]), mu=0.1, delta=0.3,
+            np.array([[0.6]]), np.array([[(1 - delta) * 0.8]]),
+            np.array([[0.5 - delta * 1.2]]), mu=0.1,
         )
         assert out[0, 0] == pytest.approx(0.589024, abs=1e-12)
 
@@ -208,7 +254,8 @@ class TestGradientStep:
             ratios = rng.standard_normal((5, 3))
             expected = rng.standard_normal((5, 3))
             mu, delta = 0.05, 0.25
-            stepped = gradient_step(estimate, prev, ratios, expected, mu, delta)
+            stepped = gradient_step(estimate, ((1 - delta) * prev).T,
+                                    (ratios - delta * expected).T, mu)
             grad = fd_loss_gradient(estimate, prev, ratios, expected, delta)
             reference = estimate - mu * grad
             np.testing.assert_allclose(stepped, reference, rtol=1e-6, atol=1e-9)
@@ -224,16 +271,76 @@ class TestGradientStep:
             curvature = (1 - delta) ** 2 * np.linalg.eigvalsh(prev @ prev.T)[-1]
             mu = 1.0 / curvature
             before = instantaneous_loss(estimate, prev, ratios, expected, delta)
-            after = instantaneous_loss(
-                gradient_step(estimate, prev, ratios, expected, mu, delta),
-                prev, ratios, expected, delta,
-            )
+            stepped = gradient_step(estimate, ((1 - delta) * prev).T,
+                                    (ratios - delta * expected).T, mu)
+            after = instantaneous_loss(stepped, prev, ratios, expected, delta)
             assert after <= before + 1e-12
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            gradient_step(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 1)),
-                          np.zeros((3, 2)), 0.1, 0.3)
+        for estimate, regressors, targets in [
+            ((3, 3), (2, 3), (1, 3)),
+            ((3, 3), (2, 4), (2, 4)),
+            ((3, 4), (2, 3), (2, 3)),
+            ((3, 3), (3,), (3,)),
+            ((3, 3), (3, 2), (3, 2)),
+        ]:
+            with pytest.raises(ValueError):
+                gradient_step(np.zeros(estimate), np.zeros(regressors),
+                              np.zeros(targets), 0.1)
+
+
+class TestRegressionForm:
+    """The regression-form kernel against the paper-form update it
+    replaced, which stays here as the oracle."""
+
+    def test_kernel_matches_the_paper_form(self):
+        rng = np.random.default_rng(10)
+        instances = 0
+        for n in (1, 5, 30):
+            for columns in (1, 3):
+                for _ in range(40):
+                    estimate = rng.standard_normal((n, n))
+                    prev, ratios, expected = (
+                        rng.standard_normal((n, columns)) for _ in range(3)
+                    )
+                    mu = float(rng.uniform(1e-3, 0.5))
+                    delta = float(rng.uniform(0.01, 0.99))
+                    oracle = paper_gradient_step(
+                        estimate, prev, ratios, expected, mu, delta
+                    )
+                    kernel = gradient_step(
+                        estimate, ((1 - delta) * prev).T,
+                        (ratios - delta * expected).T, mu,
+                    )
+                    # An entry where the update cancels the estimate keeps
+                    # no relative precision, so entries are also allowed
+                    # 1e-13 of the largest one.
+                    np.testing.assert_allclose(
+                        kernel, oracle, rtol=1e-13, atol=1e-13 * np.abs(oracle).max()
+                    )
+                    instances += 1
+        assert instances >= 200
+
+    def test_reference_run_matches_the_paper_form(self):
+        """The 15k-iteration reference run (30 agents, 4 states), both
+        modes, replayed snapshot by snapshot through the paper-form
+        update: same votes, estimates within 1e-14, deviations within
+        1e-12 relative."""
+        config = ExperimentConfig(iterations=15000)
+        combination, model, _ = _generate(config)
+        steps = list(run_simulation(
+            model, combination, config.true_state, config.delta,
+            config.iterations, config.seed_signals,
+        ))
+        for mode in ("known", "estimated"):
+            learned = learn_graph(steps, model, config.mu, config.delta, mode)
+            estimate, deviations, votes = replay_paper_form(
+                steps, model, config.mu, config.delta, mode
+            )
+            np.testing.assert_allclose(learned.estimate, estimate, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(learned.msd, deviations, rtol=1e-12)
+            if mode == "estimated":
+                assert learned.votes.tolist() == votes
 
 
 class TestGraphLearner:
@@ -283,7 +390,7 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        estimate = learner.step(np.zeros((6, 2)), 0)
+        estimate = learner.step(np.zeros((2, 6)), np.zeros((2, 6)))
         if diverges:
             assert learner.diverged_at == 1
             np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
@@ -305,7 +412,7 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        estimate = learner.step(np.zeros((30, 2)), 0)
+        estimate = learner.step(np.zeros((2, 30)), np.zeros((2, 30)))
         assert (learner.diverged_at == 1) == diverges
         assert (estimate == (0.0 if diverges else fill)).all()
 
