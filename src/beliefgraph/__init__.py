@@ -20,7 +20,6 @@ from .model import (
     GenerationError,
     LikelihoodModel,
     erdos_renyi_adjacency,
-    kl_divergence,
     log_likelihood_ratio_matrix,
     mean_likelihood_matrix,
     random_combination_matrix,
@@ -70,7 +69,6 @@ __all__ = [
     "combine_step",
     "erdos_renyi_adjacency",
     "gradient_step",
-    "kl_divergence",
     "learn_graph",
     "log_likelihood_ratio_matrix",
     "majority_vote",

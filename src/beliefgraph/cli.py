@@ -36,7 +36,7 @@ from .harness import (
     write_report,
 )
 from .model import CombinationMatrix
-from .simulate import CHUNK_STEPS, SimulationStep
+from .simulate import CHUNK_STEPS
 
 __all__ = ["main", "build_parser"]
 
@@ -179,12 +179,19 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _parse_grid(text: str | None, flag: str) -> list[float] | None:
+    if not text:
+        return None
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated numbers: {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
     config = build_config(args)
-    mu_values = [float(x) for x in args.mu_grid.split(",")] if args.mu_grid else None
-    delta_values = (
-        [float(x) for x in args.delta_grid.split(",")] if args.delta_grid else None
-    )
+    mu_values = _parse_grid(args.mu_grid, "--mu-grid")
+    delta_values = _parse_grid(args.delta_grid, "--delta-grid")
     if not mu_values and not delta_values:
         raise ConfigError("sweep needs --mu-grid and/or --delta-grid")
     rows = sweep(config, mu_values, delta_values)
@@ -196,9 +203,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
-    """Ground truth of each step of a recorded stream: the true states
-    (``None`` without a trace), the combination matrices (``None``
-    where the bundle does not hold them) and the events by iteration."""
+    """Ground truth of a recorded stream: the true state of each step
+    (``None`` without a trace), the graph epoch of each step, the
+    combination matrix of each epoch the bundle holds and the events by
+    iteration."""
     trace = None
     if trace_file and trace_file.exists():
         trace = io.read_trace(trace_file)
@@ -218,30 +226,29 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
     if trace is None:
         # The trace says which graph epoch each step belongs to; without
         # it, only a single-epoch bundle pins the matrix of every step.
-        return None, [matrices.get(0) if len(matrices) == 1 else None] * num_steps, {}
-    combinations = [matrices.get(e) for e in trace["graph_epochs"]]
-    return trace["true_states"], combinations, trace["events"]
+        epochs = np.zeros(num_steps, dtype=int)
+        return None, epochs, matrices if len(matrices) == 1 else {}, {}
+    return trace["true_states"], trace["graph_epochs"], matrices, trace["events"]
 
 
-def _recorded_steps(log_beliefs, true_states, combinations) -> list[SimulationStep]:
-    """One step per snapshot of a recorded stream, with its ground truth
-    as :func:`_load_truth` gives it. Each step is a row of a view of at
-    most ``CHUNK_STEPS`` snapshots, so the learners' per-block arrays
-    stay bounded whatever the stream's length."""
-    steps = []
-    for start in range(0, len(log_beliefs), CHUNK_STEPS):
-        block = log_beliefs[start:start + CHUNK_STEPS]
-        for row in range(len(block)):
-            idx = start + row
-            steps.append(SimulationStep(
-                iteration=idx + 1,
-                shared_log_beliefs=block[row],
-                true_state=None if true_states is None else int(true_states[idx]),
-                combination=combinations[idx],
-                block=block,
-                row=row,
-            ))
-    return steps
+def _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices):
+    """The ``(block, true_state, combination)`` triples of a recorded
+    stream, with its ground truth as :func:`_load_truth` gives it. Each
+    block is a view of at most ``CHUNK_STEPS`` snapshots that ends
+    before every change of the true state or the graph epoch, as the
+    simulator's chunks do, so the learners' per-block arrays stay
+    bounded whatever the stream's length."""
+    changed = np.diff(graph_epochs) != 0
+    if true_states is not None:
+        changed |= np.diff(true_states) != 0
+    bounds = [0, *(np.flatnonzero(changed) + 1).tolist(), len(log_beliefs)]
+    for start, end in zip(bounds, bounds[1:]):
+        for first in range(start, end, CHUNK_STEPS):
+            yield (
+                log_beliefs[first:min(first + CHUNK_STEPS, end)],
+                None if true_states is None else int(true_states[first]),
+                matrices.get(int(graph_epochs[first])),
+            )
 
 
 def _cmd_learn(args) -> int:
@@ -290,11 +297,12 @@ def _cmd_learn(args) -> int:
         )
     if not np.isfinite(log_beliefs).all():
         raise ValueError("the belief stream holds a non-finite log-belief")
-    T = len(log_beliefs)
-    true_states, combinations, events = _load_truth(run_dir, trace_file, T)
+    true_states, graph_epochs, matrices, events = _load_truth(
+        run_dir, trace_file, len(log_beliefs)
+    )
     if KNOWN in config.modes() and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
-    steps = _recorded_steps(log_beliefs, true_states, combinations)
+    blocks = list(_recorded_blocks(log_beliefs, true_states, graph_epochs, matrices))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -302,8 +310,8 @@ def _cmd_learn(args) -> int:
     # the stream, as run_experiment does.
     results = {
         mode: mode_result(
-            learn_graph(steps, model, config.mu, config.delta, mode, config.reference),
-            combinations[-1], config, out,
+            learn_graph(blocks, model, config.mu, config.delta, mode, config.reference),
+            matrices.get(int(graph_epochs[-1])), config, out,
         )
         for mode in config.modes()
     }

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LikelihoodModel, mean_likelihood_matrix, ratio_columns
+from .model import (
+    CombinationMatrix, LikelihoodModel, mean_likelihood_matrix, ratio_columns
+)
 
 __all__ = [
     "NoSeparationError",
@@ -139,21 +141,19 @@ class GraphLearner:
 
     The estimate starts at the zero matrix and the previous-ratio
     register at zero, which makes the very first update a no-op. In
-    ``known`` mode each step must carry the current true hypothesis;
-    in ``estimated`` mode the learner votes on the snapshot itself.
+    ``known`` mode each block must carry the current true hypothesis;
+    in ``estimated`` mode the learner votes on each snapshot itself.
 
     When an update stops being finite (or leaves ``DIVERGENCE_LIMIT``),
     the learner keeps its last good estimate, records the iteration in
     ``diverged_at`` and makes no further updates; it still votes.
 
-    :meth:`consume` takes simulation steps, every step of a block in
-    order. When the block changes, it forms the block's belief
-    log-ratios and regressors (see :func:`gradient_step`) and, in
-    ``estimated`` mode, its votes, all agents last and once per block;
-    ``delta * lbar^T`` is cached per hypothesis. Each step then forms
-    its targets with one subtraction, updates through :meth:`step` and
-    records its vote and squared deviation, which :meth:`result`
-    returns.
+    :meth:`consume` takes blocks of consecutive snapshots, each with the
+    true state and combination matrix of all its rows. Per block it forms
+    the belief log-ratios, the regressors (see :func:`gradient_step`)
+    and, in ``estimated`` mode, the votes, all agents last; per row, the
+    targets (one subtraction, ``delta * lbar^T`` cached per hypothesis),
+    the update through :meth:`step` and the squared deviation.
     """
 
     model: LikelihoodModel
@@ -165,7 +165,7 @@ class GraphLearner:
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
     deviations: list[float] = field(init=False, default_factory=list)
-    votes: list[int | None] = field(init=False, default_factory=list)
+    votes: list[int] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if self.mode not in (KNOWN, ESTIMATED):
@@ -180,13 +180,6 @@ class GraphLearner:
         # next block's first regressor.
         self._register = np.zeros((self.model.num_states - 1, n))
         self._target_offsets: dict[int, np.ndarray] = {}
-        # The block the current step belongs to, its log-ratios and
-        # regressors, each (steps, num_states - 1, num_agents), and in
-        # estimated mode its votes.
-        self._block = None
-        self._ratios = None
-        self._regressors = None
-        self._votes = None
 
     def _target_offset(self, state: int) -> np.ndarray:
         """``delta * lbar^T`` under hypothesis ``state``, agents last."""
@@ -197,21 +190,6 @@ class GraphLearner:
                 self.delta * expected.T
             )
         return offset
-
-    def _enter_block(self, block: np.ndarray) -> None:
-        ratios = belief_log_ratios(block, self.reference)
-        # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
-        # register. Every operation is elementwise per row, so the
-        # update does not depend on where blocks begin and end.
-        lagged = np.empty((len(block) + 1,) + self._register.shape)
-        lagged[0] = self._register
-        lagged[1:] = ratios.transpose(0, 2, 1)
-        self._block = block
-        self._ratios = lagged[1:]
-        self._regressors = (1.0 - self.delta) * lagged[:-1]
-        self._register = lagged[-1]
-        if self.mode == ESTIMATED:
-            self._votes = majority_vote(block).tolist()
 
     def step(self, regressors: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Update from one snapshot and return the estimate.
@@ -234,28 +212,37 @@ class GraphLearner:
                 self.diverged_at = self.iterations
         return self.estimate
 
-    def consume(self, step) -> None:
-        """Update from one simulation step and record its vote and its
-        squared deviation: from the step's combination matrix, NaN
-        without one, ``inf`` once diverged."""
-        if step.block is not self._block:
-            self._enter_block(step.block)
-        if self.mode == KNOWN:
-            if step.true_state is None:
-                raise ValueError("known mode needs the current true state")
-            vote, state = None, step.true_state
+    def consume(self, block: np.ndarray, true_state: int | None = None,
+                combination: CombinationMatrix | None = None) -> None:
+        """Update from each snapshot of ``block``, ``(steps, num_agents,
+        num_states)`` shared log-beliefs whose true state (needed in
+        ``known`` mode) and matrix are ``true_state`` and ``combination``,
+        and record its squared deviation: NaN without a matrix, ``inf``
+        once diverged."""
+        if self.mode == ESTIMATED:
+            states = majority_vote(block).tolist()
+            self.votes += states
+        elif true_state is None:
+            raise ValueError("known mode needs the current true state")
         else:
-            vote = state = self._votes[step.row]
-        row = step.row
-        targets = self._ratios[row] - self._target_offset(state)
-        estimate = self.step(self._regressors[row], targets)
-        self.votes.append(vote)
-        if self.diverged_at is not None:
-            self.deviations.append(np.inf)
-        elif step.combination is not None:
-            self.deviations.append(msd(step.combination.weights, estimate))
-        else:
-            self.deviations.append(np.nan)
+            states = [true_state] * len(block)
+        # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
+        # register. Every operation is elementwise per row, so the
+        # update does not depend on where blocks begin and end.
+        lagged = np.empty((len(block) + 1,) + self._register.shape)
+        lagged[0] = self._register
+        lagged[1:] = belief_log_ratios(block, self.reference).transpose(0, 2, 1)
+        self._register = lagged[-1]
+        regressors = (1.0 - self.delta) * lagged[:-1]
+        for row, state in enumerate(states):
+            targets = lagged[row + 1] - self._target_offset(state)
+            estimate = self.step(regressors[row], targets)
+            if self.diverged_at is not None:
+                self.deviations.append(np.inf)
+            elif combination is not None:
+                self.deviations.append(msd(combination.weights, estimate))
+            else:
+                self.deviations.append(np.nan)
 
     def result(self) -> LearnResult:
         """The final estimate and the record of every consumed step."""
@@ -284,22 +271,19 @@ def _within_limit(update: np.ndarray) -> bool:
 
 
 def learn_graph(
-    steps,
+    blocks,
     model: LikelihoodModel,
     mu: float,
     delta: float,
     mode: str = ESTIMATED,
     reference: int = 0,
 ) -> LearnResult:
-    """Run a learner over an iterable of simulation steps.
-
-    Only each step's shared beliefs, read through its block (plus, in
-    ``known`` mode, its true state), are consumed; see
-    :meth:`GraphLearner.consume` for the recorded deviations.
-    """
+    """Run a learner over ``(block, true_state, combination)`` triples:
+    consecutive blocks of a belief stream, each with the true state and
+    matrix of all its rows or ``None``; see :meth:`GraphLearner.consume`."""
     learner = GraphLearner(model, mu, delta, mode, reference)
-    for step in steps:
-        learner.consume(step)
+    for block, true_state, combination in blocks:
+        learner.consume(block, true_state, combination)
     return learner.result()
 
 
@@ -421,7 +405,8 @@ def steady_state_diagnostics(
     ValueError
         If fewer than ``min_samples`` samples remain after burn-in.
     """
-    lam = np.asarray(belief_ratio_samples, dtype=float)
+    # C order, because einsum's order of summation depends on strides.
+    lam = np.ascontiguousarray(belief_ratio_samples, dtype=float)
     sig = np.asarray(signal_ratio_samples, dtype=float)
     if lam.ndim != 3 or sig.ndim != 3:
         raise ValueError("sample stacks must be 3-dimensional")

@@ -10,7 +10,7 @@ is not part of the manifest.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -285,11 +285,14 @@ def _simulate(
     out: Path | None,
     consumers=(),
 ):
-    """Run the forward protocol once, hand every step to each of
-    ``consumers`` and, with ``out`` set, write the forward bundle there.
+    """Run the forward protocol once, hand every chunk to each of
+    ``consumers`` as ``(block, true_state, combination)`` and, with
+    ``out`` set, write the forward bundle there.
 
     Returns the true state and graph epoch of every iteration, the
-    events by iteration and the combination matrix in force at the end.
+    events by iteration, the combination matrix in force at the end and
+    the private signal ratios of every iteration (``None`` unless
+    ``config.test_mode``).
     """
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -298,19 +301,11 @@ def _simulate(
     graph_epochs = np.empty(T, dtype=int)
     events: dict[int, str] = {}
     epochs: list[CombinationMatrix] = []
-    with ExitStack() as stack:
-        if out is not None:
-            n, S = model.num_agents, model.num_states
-            beliefs = stack.enter_context(
-                io.BeliefStreamWriter(out / "beliefs.npy", (T, n, S))
-            )
-            ratios = (
-                stack.enter_context(
-                    io.BeliefStreamWriter(out / "private_ratios.npy", (T, n, S - 1))
-                )
-                if config.test_mode
-                else None
-            )
+    n, S = model.num_agents, model.num_states
+    private = np.empty((T, n, S - 1)) if config.test_mode else None
+    with (
+        io.BeliefStreamWriter(out / "beliefs.npy", (T, n, S)) if out else nullcontext()
+    ) as beliefs:
         steps = run_simulation(
             model,
             combination,
@@ -332,14 +327,19 @@ def _simulate(
             graph_epochs[i - 1] = step.graph_epoch
             if step.graph_epoch == len(epochs):
                 epochs.append(step.combination)
-            if out is not None:
+            if private is not None:
+                private[i - 1] = step.signal_log_ratios
+            if beliefs is not None:
                 beliefs.append(step.shared_log_beliefs)
-                if ratios is not None:
-                    ratios.append(step.signal_log_ratios)
-            for consume in consumers:
-                consume(step)
+            if step.row == 0:
+                for consume in consumers:
+                    consume(step.block, step.true_state, step.combination)
 
     if out is not None:
+        if private is not None:
+            with io.BeliefStreamWriter(out / "private_ratios.npy", private.shape) as w:
+                for row in private:
+                    w.append(row)
         for epoch, truth in enumerate(epochs):
             io.write_matrix(out / f"true_matrix_{epoch:03d}.csv", truth.weights)
             io.write_adjacency(out / f"true_adjacency_{epoch:03d}.csv", truth.adjacency)
@@ -351,7 +351,7 @@ def _simulate(
             "format": MANIFEST_FORMAT,
             "config": config.to_dict(),
         })
-    return true_states, graph_epochs, events, epochs[-1]
+    return true_states, graph_epochs, events, epochs[-1], private
 
 
 def mode_result(
@@ -428,39 +428,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for mode in config.modes()
     }
     consumers = [learner.consume for learner in learners.values()]
-    lam_blocks: list[np.ndarray] = []
-    sig_samples: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     if config.test_mode:
-        stationary_start = max(1, config.schedule.last_iteration())
-        block = None
-
-        def collect(step):
-            # One ratio block per block, from its first stationary row on;
-            # _simulate hands over every step of a block, in order.
-            nonlocal block
-            if step.block is not block:
-                block = step.block
-                first = stationary_start - (step.iteration - step.row)
-                lam_blocks.append(
-                    belief_log_ratios(block[max(first, 0):], config.reference)
-                )
-            if step.iteration >= stationary_start:
-                sig_samples.append(step.signal_log_ratios)
-
-        consumers.append(collect)
-    true_states, graph_epochs, events, final_combination = _simulate(
+        consumers.append(lambda block, *_: blocks.append(block))
+    true_states, graph_epochs, events, final_combination, private = _simulate(
         config, combination, model, out, consumers
     )
 
     diagnostics = None
-    if sig_samples:
+    if private is not None:
+        # The stationary stretch runs from the last event on.
+        first = max(1, config.schedule.last_iteration()) - 1
         expected = mean_likelihood_matrix(
             model, int(true_states[-1]), config.reference
         )
         try:
             diagnostics = steady_state_diagnostics(
-                np.concatenate(lam_blocks),
-                np.array(sig_samples),
+                belief_log_ratios(np.concatenate(blocks)[first:], config.reference),
+                private[first:],
                 expected,
                 config.mu,
                 config.delta,
@@ -529,8 +514,10 @@ def sweep(
     (mu, delta, mode) and are written to ``sweep.csv`` under the base
     configuration's output directory, when one is set.
 
-    Per-run failures are re-raised with the offending grid point named.
-    Divergent runs are flagged in their row, not raised.
+    Every grid point is validated before any runs; an invalid one raises
+    :class:`ConfigError`, a failure while running a valid one
+    ``RuntimeError``, each with the point named. Divergent runs are
+    flagged in their row, not raised.
     """
     config.validate()
     mu_list = (
@@ -544,25 +531,35 @@ def sweep(
     if not mu_list or not delta_list:
         raise ConfigError("the sweep grid is empty")
 
+    points = [
+        replace(config, mu=mu, delta=delta, out=None)
+        for mu in mu_list for delta in delta_list
+    ]
+    for point in points:
+        try:
+            point.validate()
+        except ConfigError as err:
+            raise ConfigError(
+                f"grid point mu={point.mu}, delta={point.delta}: {err}"
+            ) from err
+
     rows: list[dict] = []
-    for mu in mu_list:
-        for delta in delta_list:
-            point = replace(config, mu=mu, delta=delta, out=None)
-            try:
-                result = run_experiment(point)
-            except Exception as err:
-                raise RuntimeError(
-                    f"grid point mu={mu}, delta={delta} failed: {err}"
-                ) from err
-            for mode in sorted(result.modes):
-                mres = result.modes[mode]
-                rows.append({
-                    "mu": mu,
-                    "delta": delta,
-                    "mode": mode,
-                    "steady_state_msd": mres.steady_state_msd,
-                    "divergent": mres.diverged_at is not None,
-                })
+    for point in points:
+        try:
+            result = run_experiment(point)
+        except Exception as err:
+            raise RuntimeError(
+                f"grid point mu={point.mu}, delta={point.delta} failed: {err}"
+            ) from err
+        for mode in sorted(result.modes):
+            mres = result.modes[mode]
+            rows.append({
+                "mu": point.mu,
+                "delta": point.delta,
+                "mode": mode,
+                "steady_state_msd": mres.steady_state_msd,
+                "divergent": mres.diverged_at is not None,
+            })
 
     if config.out:
         out = Path(config.out)

@@ -21,7 +21,6 @@ __all__ = [
     "erdos_renyi_adjacency",
     "random_combination_matrix",
     "random_likelihoods",
-    "kl_divergence",
     "log_likelihood_ratio_matrix",
     "mean_likelihood_matrix",
     "ratio_columns",
@@ -177,18 +176,6 @@ class LikelihoodModel:
                 raise ValueError(f"agent {k} has entries below the floor")
             if np.abs(t.sum(axis=0) - 1.0).max() > 1e-12:
                 raise ValueError(f"columns of agent {k} must sum to one")
-
-    def log_ratio_bound(self) -> float:
-        """Largest possible magnitude of any log-likelihood ratio.
-
-        With probabilities floored at ``eps`` and unit column sums, an
-        entry is at most ``1 - (size - 1) * eps``, so the log of the
-        ratio of two entries is at most ``log`` of that value over
-        ``eps``.
-        """
-        eps = self.floor
-        sizes = np.asarray(self.signal_sizes)
-        return float(np.max(np.log((1.0 - (sizes - 1) * eps) / eps)))
 
     # Tables are stacked into padded arrays so that per-iteration
     # sampling and likelihood lookups are single vectorized operations
@@ -389,20 +376,6 @@ def random_likelihoods(
     )
 
 
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence between two categorical distributions,
-    in nats."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("p and q must be vectors of identical length")
-    if (p <= 0).any() or (q <= 0).any():
-        raise ValueError("entries must be strictly positive")
-    if abs(p.sum() - 1.0) > 1e-6 or abs(q.sum() - 1.0) > 1e-6:
-        raise ValueError("p and q must sum to one")
-    return float(np.sum(p * (np.log(p) - np.log(q))))
-
-
 def log_likelihood_ratio_matrix(
     model: LikelihoodModel, signals, reference: int = 0
 ) -> np.ndarray:
@@ -412,8 +385,7 @@ def log_likelihood_ratio_matrix(
     Entry ``(k, j)`` is ``log L_k(signal_k | reference) -
     log L_k(signal_k | other_j)`` with the non-reference states
     enumerated ascending: the agents' rows of
-    :meth:`LikelihoodModel.signal_log_ratio_table`. Entries are bounded
-    in magnitude by :meth:`LikelihoodModel.log_ratio_bound`.
+    :meth:`LikelihoodModel.signal_log_ratio_table`.
     """
     table = model.signal_log_ratio_table(reference)
     signals = np.asarray(signals, dtype=int)

@@ -103,11 +103,10 @@ class SimulationStep:
     regenerations, and ``signal_log_ratios`` is populated only when the
     run records private data for validation.
 
-    ``block`` is the ``(steps, num_agents, num_states)`` stack of
-    consecutive snapshots this one belongs to, as row ``row``: the
-    shared beliefs are ``block[row]``. Consumers that work block by
-    block (the learners) compute once per block. A step built without
-    a block is a one-row block of its own.
+    ``block`` is the read-only ``(steps, num_agents, num_states)`` chunk
+    of consecutive snapshots this step is row ``row`` of: the shared
+    beliefs are ``block[row]``. All steps of a chunk share one true
+    state, matrix and graph epoch; only row 0 can carry an event.
     """
 
     iteration: int
@@ -119,11 +118,6 @@ class SimulationStep:
     signal_log_ratios: np.ndarray | None = field(default=None, repr=False)
     block: np.ndarray | None = field(default=None, repr=False)
     row: int = 0
-
-    def __post_init__(self):
-        if self.block is None:
-            self.block = np.asarray(self.shared_log_beliefs)[None]
-            self.row = 0
 
 
 def _log_normalize(rows: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -167,9 +161,11 @@ def sample_observations(
     several at once.
     """
     cdf = model.sampling_cdf(true_state)
-    u = rng.random((1 if steps is None else steps, model.num_agents))
-    signals = (cdf[:, None] < u).sum(axis=0, dtype=np.intp)
-    return signals[0] if steps is None else signals
+    if steps is None:
+        return (cdf < rng.random(model.num_agents)).sum(axis=0, dtype=np.intp)
+    return (cdf[:, None] < rng.random((steps, model.num_agents))).sum(
+        axis=0, dtype=np.intp
+    )
 
 
 def adapt_step(
@@ -254,7 +250,10 @@ def run_simulation(
     The iterations are computed in chunks (see the module docstring)
     and yielded one by one; a chunk's steps share one read-only
     log-belief block, each step's ``block`` with its own ``row``, so
-    copy a step's beliefs before changing them.
+    copy a step's beliefs before changing them. A chunk ends before
+    every event, so its steps share one true state, combination matrix
+    and graph epoch: the row-0 steps' ``(block, true_state,
+    combination)`` describe the whole run.
 
     A regenerated graph keeps the run's ``edge_prob`` and draws both
     the new adjacency and its weights from a generator seeded by the

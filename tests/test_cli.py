@@ -404,6 +404,23 @@ class TestSweepCommand:
         assert run_cli("sweep", *BASE, "--mode", "known",
                        "--mu-grid", "0.05,50.0", "--out", tmp_path / "sw") == 3
 
+    @pytest.mark.parametrize("grid, named", [
+        (["--delta-grid", "0.3,1.5"], "delta=1.5"),
+        (["--mu-grid", "0.05,-0.1"], "mu=-0.1"),
+        (["--mu-grid", "0.05,nan"], "mu=nan"),
+        (["--mu-grid", "a"], "--mu-grid"),
+        (["--delta-grid", "0.3,"], "--delta-grid"),
+    ], ids=["delta-out-of-range", "mu-negative", "mu-nan", "mu-text", "delta-empty"])
+    def test_invalid_grid_point_exits_one(self, tmp_path, capsys, grid, named):
+        """An invalid grid value is a configuration error, found before
+        any grid point runs: exit 1, the value named, no sweep.csv."""
+        out = tmp_path / "sw"
+        assert run_cli("sweep", *BASE, "--mode", "known", *grid, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error") and named in captured.err
+        assert captured.out == ""
+        assert not (out / "sweep.csv").exists()
+
 
 class TestManifestRoundTrip:
     def test_cli_rerun_reproduces_bundle(self, tmp_path):

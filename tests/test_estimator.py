@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beliefgraph import estimator
-from beliefgraph.cli import _recorded_steps
+from beliefgraph.cli import _recorded_blocks
 from beliefgraph.estimator import (
     GraphLearner,
     NoSeparationError,
@@ -33,7 +33,6 @@ from beliefgraph.simulate import (
     CHUNK_STEPS,
     Event,
     EventSchedule,
-    SimulationStep,
     run_simulation,
 )
 
@@ -96,6 +95,12 @@ def replay_paper_form(steps, model, mu, delta, mode):
         prev = ratios
         deviations.append(float(np.sum((step.combination.weights - estimate) ** 2)))
     return estimate, np.array(deviations), votes
+
+
+def simulator_blocks(steps):
+    """The ``(block, true_state, combination)`` triples of simulation
+    steps: one per chunk, read from its row-0 step."""
+    return [(s.block, s.true_state, s.combination) for s in steps if s.row == 0]
 
 
 def best_two_partition(values):
@@ -333,7 +338,9 @@ class TestRegressionForm:
             config.iterations, config.seed_signals,
         ))
         for mode in ("known", "estimated"):
-            learned = learn_graph(steps, model, config.mu, config.delta, mode)
+            learned = learn_graph(
+                simulator_blocks(steps), model, config.mu, config.delta, mode
+            )
             estimate, deviations, votes = replay_paper_form(
                 steps, model, config.mu, config.delta, mode
             )
@@ -353,9 +360,9 @@ class TestGraphLearner:
         estimated = GraphLearner(model, 0.05, 0.3, "estimated")
         shared = np.log(np.tile([0.02, 0.08, 0.9], (6, 1)))
         shared -= np.log(np.exp(shared).sum(axis=1, keepdims=True))
-        for i in range(1, 4):
-            known.consume(SimulationStep(i, shared, true_state=2))
-            estimated.consume(SimulationStep(i, shared))
+        for _ in range(3):
+            known.consume(shared[None], true_state=2)
+            estimated.consume(shared[None])
         assert estimated.votes[-1] == 2
         np.testing.assert_array_equal(known.estimate, estimated.estimate)
 
@@ -363,12 +370,14 @@ class TestGraphLearner:
         model, _ = small_setup
         learner = GraphLearner(model, 0.05, 0.3, "known")
         with pytest.raises(ValueError):
-            learner.consume(SimulationStep(1, np.full((6, 3), -np.log(3))))
+            learner.consume(np.full((1, 6, 3), -np.log(3)))
 
     def test_divergence_freezes_the_estimate(self, small_setup):
         model, combination = small_setup
-        steps = list(run_simulation(model, combination, 1, 0.3, 300, seed=41))
-        result = learn_graph(iter(steps), model, mu=50.0, delta=0.3, mode="known")
+        steps = run_simulation(model, combination, 1, 0.3, 300, seed=41)
+        result = learn_graph(
+            simulator_blocks(steps), model, mu=50.0, delta=0.3, mode="known"
+        )
         assert result.diverged_at is not None
         assert np.isfinite(result.estimate).all()
         assert result.msd[-1] == np.inf
@@ -424,11 +433,12 @@ class TestGraphLearner:
 
     def test_learn_without_truth_reports_nan(self, small_setup):
         model, combination = small_setup
-        steps = [
-            type(s)(iteration=s.iteration, shared_log_beliefs=s.shared_log_beliefs)
-            for s in run_simulation(model, combination, 1, 0.3, 20, seed=42)
+        blocks = [
+            (block, None, None) for block, _, _ in simulator_blocks(
+                run_simulation(model, combination, 1, 0.3, 20, seed=42)
+            )
         ]
-        result = learn_graph(iter(steps), model, 0.05, 0.3, mode="estimated")
+        result = learn_graph(blocks, model, 0.05, 0.3, mode="estimated")
         assert np.isnan(result.msd).all()
         assert result.votes.shape == (20,)
 
@@ -556,27 +566,30 @@ class TestSteadyStateDiagnostics:
 class TestObserverAgainstSimulator:
     def test_deviation_decreases_on_a_short_run(self, small_setup):
         model, combination = small_setup
-        steps = run_simulation(model, combination, 1, 0.3, 2000, seed=43)
-        result = learn_graph(steps, model, mu=0.05, delta=0.3, mode="known")
+        blocks = simulator_blocks(
+            run_simulation(model, combination, 1, 0.3, 2000, seed=43)
+        )
+        result = learn_graph(blocks, model, mu=0.05, delta=0.3, mode="known")
         assert result.msd[0] == pytest.approx(np.sum(combination.weights**2))
         assert result.msd[-100:].mean() < 0.2 * result.msd[0]
 
     def test_estimated_mode_tracks_known_mode(self, small_setup):
         model, combination = small_setup
-        steps = list(run_simulation(model, combination, 1, 0.3, 2000, seed=44))
-        known = learn_graph(iter(steps), model, 0.05, 0.3, mode="known")
-        estimated = learn_graph(iter(steps), model, 0.05, 0.3, mode="estimated")
+        blocks = simulator_blocks(
+            run_simulation(model, combination, 1, 0.3, 2000, seed=44)
+        )
+        known = learn_graph(blocks, model, 0.05, 0.3, mode="known")
+        estimated = learn_graph(blocks, model, 0.05, 0.3, mode="estimated")
         k = known.msd[-200:].mean()
         e = estimated.msd[-200:].mean()
         assert abs(k - e) / k < 0.5
 
 
 class TestBlockwiseLearner:
-    """The learner reads each step's ratios and vote from its block. One
-    fed hand-built one-row steps, one fed the simulator's chunks and one
-    fed the bounded views `learn` makes of a recorded stream record the
-    same estimate, deviations and votes, across events just before and
-    just after a chunk boundary."""
+    """The learner works block by block. One fed one-row blocks, one fed
+    the simulator's chunks and one fed the blocks `learn` cuts from a
+    recorded stream record the same estimate, deviations and votes,
+    across events just before and just after a chunk boundary."""
 
     @pytest.fixture(scope="class")
     def chunked_steps(self):
@@ -596,29 +609,23 @@ class TestBlockwiseLearner:
 
     @pytest.mark.parametrize("mode", ["known", "estimated"])
     def test_three_feeds_record_the_same_run(self, chunked_steps, mode):
-        model, chunked = chunked_steps
+        model, steps = chunked_steps
+        stream = np.stack([s.shared_log_beliefs for s in steps])
+        true_states = np.array([s.true_state for s in steps])
+        epochs = np.array([s.graph_epoch for s in steps])
+        matrices = {s.graph_epoch: s.combination for s in steps}
         one_row = [
-            SimulationStep(
-                iteration=s.iteration,
-                shared_log_beliefs=s.shared_log_beliefs.copy(),
-                true_state=s.true_state,
-                combination=s.combination,
-            )
-            for s in chunked
+            (stream[i:i + 1].copy(), s.true_state, s.combination)
+            for i, s in enumerate(steps)
         ]
-        views = _recorded_steps(
-            np.stack([s.shared_log_beliefs for s in chunked]),
-            np.array([s.true_state for s in chunked]),
-            [s.combination for s in chunked],
-        )
-        feeds = {"one-row": one_row, "chunks": chunked, "views": views}
-        assert {len(s.block) for s in one_row} == {1}
-        assert max(len(s.block) for s in chunked) == CHUNK_STEPS
-        assert len({id(s.block) for s in chunked}) < len(chunked)
-        assert max(len(s.block) for s in views) == CHUNK_STEPS
+        chunks = simulator_blocks(steps)
+        recorded = list(_recorded_blocks(stream, true_states, epochs, matrices))
+        feeds = {"one-row": one_row, "chunks": chunks, "recorded": recorded}
+        assert max(len(b) for b, _, _ in chunks) == CHUNK_STEPS
+        assert [len(b) for b, _, _ in recorded] == [len(b) for b, _, _ in chunks]
         results = {
-            name: learn_graph(steps, model, 0.01, 0.3, mode)
-            for name, steps in feeds.items()
+            name: learn_graph(blocks, model, 0.01, 0.3, mode)
+            for name, blocks in feeds.items()
         }
         base = results["chunks"]
         assert np.isfinite(base.msd).all()
@@ -628,5 +635,22 @@ class TestBlockwiseLearner:
             if mode == "estimated":
                 assert np.array_equal(result.votes, base.votes), name
                 assert result.votes.tolist() == [
-                    majority_vote(s.shared_log_beliefs) for s in chunked
+                    majority_vote(s.shared_log_beliefs) for s in steps
                 ]
+
+    def test_recorded_blocks_are_bounded_and_end_before_changes(self):
+        """`learn` cuts a 300-step stream at a state switch (step 100)
+        and a regeneration (step 230), then every CHUNK_STEPS steps from
+        each cut; without a trace, only the length bound cuts."""
+        stream = np.zeros((300, 2, 2))
+        true_states = np.where(np.arange(300) < 99, 1, 0)
+        epochs = np.where(np.arange(300) < 229, 0, 1)
+        matrices = {0: "first", 1: "second"}
+        blocks = list(_recorded_blocks(stream, true_states, epochs, matrices))
+        assert [len(b) for b, _, _ in blocks] == [64, 35, 64, 64, 2, 64, 7]
+        assert [(s, m) for _, s, m in blocks] == (
+            [(1, "first")] * 2 + [(0, "first")] * 3 + [(0, "second")] * 2
+        )
+        blind = list(_recorded_blocks(stream, None, np.zeros(300, int), {}))
+        assert [len(b) for b, _, _ in blind] == [64] * 4 + [44]
+        assert {(s, m) for _, s, m in blind} == {(None, None)}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefgraph import estimator, io
+from beliefgraph import estimator, harness, io
 from beliefgraph.estimator import (
     GraphLearner,
     belief_log_ratios,
@@ -27,7 +27,7 @@ from beliefgraph.harness import (
     steady_state_mean,
     sweep,
 )
-from beliefgraph.simulate import Event, EventSchedule, SimulationStep, run_simulation
+from beliefgraph.simulate import Event, EventSchedule, run_simulation
 from beliefgraph.model import CombinationMatrix, mean_likelihood_matrix
 
 
@@ -348,17 +348,11 @@ class TestForwardAndLearn:
             io.read_matrix(out / "true_matrix_000.csv"),
             io.read_adjacency(out / "true_adjacency_000.csv"),
         )
-        steps = [
-            SimulationStep(
-                iteration=i + 1,
-                shared_log_beliefs=logs[i],
-                true_state=int(trace["true_states"][i]),
-                combination=truth,
-            )
+        blocks = [
+            (logs[i:i + 1], int(trace["true_states"][i]), truth)
             for i in range(len(logs))
         ]
-        from_file = learn_graph(iter(steps), model, config.mu, config.delta,
-                                mode="known")
+        from_file = learn_graph(blocks, model, config.mu, config.delta, mode="known")
         in_memory = run_experiment(replace(config, mode="known", out=None))
         assert np.array_equal(from_file.estimate, in_memory.modes["known"].estimate)
         assert np.array_equal(from_file.msd, in_memory.modes["known"].msd)
@@ -393,8 +387,23 @@ class TestSweep:
 
     def test_errors_carry_grid_point_attribution(self):
         config = desk_config(mode="known")
-        with pytest.raises(RuntimeError, match="mu=-0.1"):
+        with pytest.raises(ConfigError, match="mu=-0.1"):
             sweep(config, mu_values=[-0.1])
+
+    def test_every_grid_point_is_validated_before_any_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        with pytest.raises(ConfigError, match="mu=0.05, delta=1.5"):
+            sweep(desk_config(mode="known"), mu_values=[0.05], delta_values=[0.3, 1.5])
+        assert runs == []
+
+    def test_runtime_failure_names_the_grid_point(self, monkeypatch):
+        def failing(config):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(harness, "run_experiment", failing)
+        with pytest.raises(RuntimeError, match="mu=0.05, delta=0.3 failed: overflow"):
+            sweep(desk_config(mode="known"), mu_values=[0.05])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):

@@ -522,6 +522,43 @@ class TestForwardPassAgainstOracle:
             with pytest.raises(ValueError):
                 step.shared_log_beliefs[0, 0] = 0.0
 
+    def test_chunk_steps_share_their_row_0_truth(self):
+        """A chunk ends before every event: each step is row ``row`` of
+        its chunk's block and has the true state, matrix and graph epoch
+        of the chunk's row-0 step, and only row 0 carries an event.
+        Block consumers rely on this."""
+        adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
+        combination = random_combination_matrix(adjacency, seed=22)
+        model = random_likelihoods(10, 3, 4, seed=23)
+        schedule = EventSchedule((
+            Event(1, "set_true_state", 0),
+            Event(CHUNK_STEPS - 1, "set_true_state", 2),
+            Event(CHUNK_STEPS, "regenerate_graph", 900),
+            Event(CHUNK_STEPS + 1, "set_true_state", 1),
+            Event(2 * CHUNK_STEPS + 5, "regenerate_graph", 901),
+        ))
+        steps = list(run_simulation(
+            model, combination, 1, 0.3, 4 * CHUNK_STEPS + 3, seed=4,
+            schedule=schedule, edge_prob=0.35,
+        ))
+        for step in steps:
+            if step.row == 0:
+                first = step
+            else:
+                assert step.event is None
+            assert step.block is first.block
+            assert step.iteration == first.iteration + step.row
+            assert np.array_equal(step.shared_log_beliefs, first.block[step.row])
+            assert np.shares_memory(step.shared_log_beliefs, first.block)
+            assert step.true_state == first.true_state
+            assert step.combination is first.combination
+            assert step.graph_epoch == first.graph_epoch
+        lengths = [len(s.block) for s in steps if s.row == 0]
+        assert lengths == [62, 1, 1, CHUNK_STEPS, 4, CHUNK_STEPS, 63]
+        assert {s.iteration for s in steps if s.event} == {
+            e.iteration for e in schedule
+        }
+
 
 class TestCheckLogBeliefs:
     def test_accepts_normalized_rows(self):
