@@ -8,6 +8,8 @@ tracks how fast the population locks onto the true hypothesis, and what
 happens when the truth suddenly changes mid-run.
 """
 
+import numpy as np
+
 from beliefgraph import (
     Event,
     EventSchedule,
@@ -16,7 +18,6 @@ from beliefgraph import (
     random_combination_matrix,
     random_likelihoods,
     run_simulation,
-    state_estimates,
 )
 
 TRUE_STATE = 2
@@ -37,7 +38,7 @@ print(f"{'iteration':>10} {'agents correct':>15} {'majority vote':>14}")
 for step in run_simulation(model, combination, TRUE_STATE, delta=0.05,
                            num_iterations=3000, seed=4, schedule=schedule):
     if step.iteration % 250 == 0 or step.iteration in (1, 10, 50, 1510, 1550):
-        estimates = state_estimates(step.shared_log_beliefs)
+        estimates = np.argmax(step.shared_log_beliefs, axis=1)
         correct = (estimates == step.true_state).mean()
         vote = majority_vote(step.shared_log_beliefs)
         marker = " <- truth switched" if step.iteration in (1510, 1550) else ""

@@ -33,7 +33,6 @@ from .simulate import (
     combine_step,
     run_simulation,
     sample_observations,
-    state_estimates,
 )
 from .estimator import (
     GraphLearner,
@@ -79,7 +78,6 @@ __all__ = [
     "run_experiment",
     "run_simulation",
     "sample_observations",
-    "state_estimates",
     "steady_state_diagnostics",
     "sweep",
 ]

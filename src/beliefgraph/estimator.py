@@ -150,10 +150,10 @@ class GraphLearner:
 
     :meth:`consume` takes blocks of consecutive snapshots, each with the
     true state and combination matrix of all its rows. Per block it forms
-    the belief log-ratios, the regressors (see :func:`gradient_step`)
-    and, in ``estimated`` mode, the votes, all agents last; per row, the
-    targets (one subtraction, ``delta * lbar^T`` cached per hypothesis),
-    the update through :meth:`step` and the squared deviation.
+    the belief log-ratios, the votes (``estimated`` mode), the
+    regressors and the targets (see :func:`gradient_step`), all agents
+    last; only the update through :meth:`step` and the squared deviation
+    run per row. ``deviations`` and ``votes`` hold one array per block.
     """
 
     model: LikelihoodModel
@@ -164,8 +164,8 @@ class GraphLearner:
     estimate: np.ndarray = field(init=False)
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
-    deviations: list[float] = field(init=False, default_factory=list)
-    votes: list[int] = field(init=False, default_factory=list)
+    deviations: list[np.ndarray] = field(init=False, default_factory=list)
+    votes: list[np.ndarray] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if self.mode not in (KNOWN, ESTIMATED):
@@ -174,22 +174,23 @@ class GraphLearner:
             raise ValueError("mu must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        n = self.model.num_agents
+        n, S = self.model.num_agents, self.model.num_states
         self.estimate = np.zeros((n, n))
         # The last log-ratios of the previous block, agents last: the
         # next block's first regressor.
-        self._register = np.zeros((self.model.num_states - 1, n))
-        self._target_offsets: dict[int, np.ndarray] = {}
+        self._register = np.zeros((S - 1, n))
+        self._offsets = np.empty((S, S - 1, n))
+        self._offset_states: set[int] = set()
 
-    def _target_offset(self, state: int) -> np.ndarray:
-        """``delta * lbar^T`` under hypothesis ``state``, agents last."""
-        offset = self._target_offsets.get(state)
-        if offset is None:
+    def _target_offsets(self, states) -> np.ndarray:
+        """The ``(num_states, num_states - 1, num_agents)`` table of
+        ``delta * lbar^T`` per hypothesis, agents last; each row is filled
+        in the first time one of ``states`` needs it."""
+        for state in set(states) - self._offset_states:
             expected = mean_likelihood_matrix(self.model, state, self.reference)
-            offset = self._target_offsets[state] = np.ascontiguousarray(
-                self.delta * expected.T
-            )
-        return offset
+            self._offsets[state] = self.delta * expected.T
+            self._offset_states.add(state)
+        return self._offsets
 
     def step(self, regressors: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Update from one snapshot and return the estimate.
@@ -218,14 +219,9 @@ class GraphLearner:
         num_states)`` shared log-beliefs whose true state (needed in
         ``known`` mode) and matrix are ``true_state`` and ``combination``,
         and record its squared deviation: NaN without a matrix, ``inf``
-        once diverged."""
-        if self.mode == ESTIMATED:
-            states = majority_vote(block).tolist()
-            self.votes += states
-        elif true_state is None:
+        from the diverging snapshot on."""
+        if self.mode == KNOWN and true_state is None:
             raise ValueError("known mode needs the current true state")
-        else:
-            states = [true_state] * len(block)
         # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
         # register. Every operation is elementwise per row, so the
         # update does not depend on where blocks begin and end.
@@ -234,23 +230,33 @@ class GraphLearner:
         lagged[1:] = belief_log_ratios(block, self.reference).transpose(0, 2, 1)
         self._register = lagged[-1]
         regressors = (1.0 - self.delta) * lagged[:-1]
-        for row, state in enumerate(states):
-            targets = lagged[row + 1] - self._target_offset(state)
-            estimate = self.step(regressors[row], targets)
-            if self.diverged_at is not None:
-                self.deviations.append(np.inf)
-            elif combination is not None:
-                self.deviations.append(msd(combination.weights, estimate))
-            else:
-                self.deviations.append(np.nan)
+        if self.mode == ESTIMATED:
+            votes = majority_vote(block)
+            self.votes.append(votes)
+            targets = lagged[1:] - self._target_offsets(votes.tolist())[votes]
+        else:
+            targets = lagged[1:] - self._target_offsets([true_state])[true_state]
+        deviations = np.full(len(block), np.nan)
+        self.deviations.append(deviations)
+        first, difference = self.iterations, np.empty_like(self.estimate)
+        weights = None if combination is None else combination.weights
+        for row in range(len(block)):
+            estimate = self.step(regressors[row], targets[row])
+            if weights is not None:
+                # msd()'s operations, without its checks and allocation
+                np.subtract(weights, estimate, out=difference)
+                deviations[row] = np.vdot(difference, difference)
+        if self.diverged_at is not None:
+            deviations[max(self.diverged_at - first - 1, 0):] = np.inf
 
     def result(self) -> LearnResult:
         """The final estimate and the record of every consumed step."""
         return LearnResult(
             mode=self.mode,
             estimate=self.estimate,
-            msd=np.asarray(self.deviations, dtype=float),
-            votes=np.asarray(self.votes) if self.mode == ESTIMATED else None,
+            msd=np.concatenate([np.empty(0), *self.deviations]),
+            votes=(np.concatenate([np.empty(0, dtype=np.intp), *self.votes])
+                   if self.mode == ESTIMATED else None),
             diverged_at=self.diverged_at,
         )
 

@@ -287,7 +287,9 @@ def _simulate(
 ):
     """Run the forward protocol once, hand every chunk to each of
     ``consumers`` as ``(block, true_state, combination)`` and, with
-    ``out`` set, write the forward bundle there.
+    ``out`` set, write the forward bundle there. A chunk's truth is
+    recorded and its block appended to the stream once per chunk; only
+    the private rows of test mode are copied step by step.
 
     Returns the true state and graph epoch of every iteration, the
     events by iteration, the combination matrix in force at the end and
@@ -320,26 +322,26 @@ def _simulate(
             reference=config.reference,
         )
         for step in steps:
-            i = step.iteration
+            if private is not None:
+                private[step.iteration - 1] = step.signal_log_ratios
+            if step.row:
+                continue
+            rows = slice(step.iteration - 1, step.iteration - 1 + len(step.block))
+            true_states[rows] = step.true_state
+            graph_epochs[rows] = step.graph_epoch
             if step.event:
-                events[i] = step.event
-            true_states[i - 1] = step.true_state
-            graph_epochs[i - 1] = step.graph_epoch
+                events[step.iteration] = step.event
             if step.graph_epoch == len(epochs):
                 epochs.append(step.combination)
-            if private is not None:
-                private[i - 1] = step.signal_log_ratios
             if beliefs is not None:
-                beliefs.append(step.shared_log_beliefs)
-            if step.row == 0:
-                for consume in consumers:
-                    consume(step.block, step.true_state, step.combination)
+                beliefs.append(step.block)
+            for consume in consumers:
+                consume(step.block, step.true_state, step.combination)
 
     if out is not None:
         if private is not None:
             with io.BeliefStreamWriter(out / "private_ratios.npy", private.shape) as w:
-                for row in private:
-                    w.append(row)
+                w.append(private)
         for epoch, truth in enumerate(epochs):
             io.write_matrix(out / f"true_matrix_{epoch:03d}.csv", truth.weights)
             io.write_adjacency(out / f"true_adjacency_{epoch:03d}.csv", truth.adjacency)

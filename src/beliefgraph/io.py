@@ -1,9 +1,10 @@
 """Persistence for runs.
 
 Text files write every number with 17 significant digits, which
-round-trips IEEE doubles exactly; the two streams are binary float64
-and hold the very values the run produced. Rerunning a configuration
-therefore reproduces every output file byte for byte.
+round-trips IEEE doubles exactly, and format each table in one pass;
+the two streams are binary float64, written a stack of snapshots at a
+time, and hold the very values the run produced. Rerunning a
+configuration therefore reproduces every output file byte for byte.
 
 File formats
 ------------
@@ -23,6 +24,7 @@ model           JSON with the per-agent probability tables
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +52,11 @@ TRACE_HEADER = "iteration,true_state,graph_epoch,event"
 MSD_HEADER = "iteration,msd,mode,event"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_matrix(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=float)
-    lines = [",".join(_fmt(x) for x in row) for row in matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows, columns = np.shape(matrix)
+    line = ",".join(["%.17g"] * columns)
+    cells = tuple(np.asarray(matrix, dtype=float).ravel().tolist())
+    Path(path).write_text(("\n".join([line] * rows) + "\n") % cells)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -80,31 +79,32 @@ def read_adjacency(path) -> np.ndarray:
 
 
 class BeliefStreamWriter:
-    """Writes ``T`` float64 ``(rows, columns)`` blocks, one per
-    :meth:`append`, as an ``.npy`` file whose header declares
-    ``(T, rows, columns)`` up front; once complete, the file equals
-    ``np.save`` of the stacked blocks byte for byte. Both streams of a
-    bundle use it: the shared log-beliefs and the private log-ratios.
+    """Writes a float64 stream of ``T`` snapshots, ``(rows, columns)``
+    each, fed as ``(k, rows, columns)`` stacks of any ``k``, to an ``.npy``
+    file whose header declares ``(T, rows, columns)`` up front; once
+    complete, the file equals ``np.save`` of the stream byte for byte.
+    Both streams of a bundle use it: the log-beliefs and the log-ratios.
     """
 
     def __init__(self, path, shape):
         self._shape = tuple(int(n) for n in shape)
-        self._blocks = 0
+        self._snapshots = 0
         self._file = open(path, "wb")
         np.lib.format.write_array_header_1_0(
             self._file, {"descr": "<f8", "fortran_order": False, "shape": self._shape}
         )
 
-    def append(self, block: np.ndarray) -> None:
-        """Write the next block; raises past the declared ``T`` blocks or
-        for a block of another shape."""
-        block = np.ascontiguousarray(block, dtype="<f8")
-        if block.shape != self._shape[1:]:
-            raise ValueError(f"block of shape {block.shape}, stream of {self._shape}")
-        if self._blocks == self._shape[0]:
-            raise ValueError(f"the stream already holds its {self._blocks} blocks")
-        self._file.write(block)
-        self._blocks += 1
+    def append(self, stack: np.ndarray) -> None:
+        """Write the next ``len(stack)`` snapshots; raises for a stack of
+        snapshots of another shape or past the declared ``T``."""
+        stack = np.ascontiguousarray(stack, dtype="<f8")
+        if stack.shape[1:] != self._shape[1:]:
+            raise ValueError(f"stack of shape {stack.shape}, stream of {self._shape}")
+        if self._snapshots + len(stack) > self._shape[0]:
+            raise ValueError(f"the stream already holds {self._snapshots} of "
+                             f"its {self._shape[0]} snapshots")
+        self._file.write(stack)
+        self._snapshots += len(stack)
 
     def close(self) -> None:
         self._file.close()
@@ -143,10 +143,13 @@ def read_belief_stream(path) -> np.ndarray:
 def write_trace(path, iterations, true_states, graph_epochs, events) -> None:
     """Write the ground-truth trace; ``events`` maps an iteration to the
     name of the event applied there."""
-    lines = [TRACE_HEADER]
-    for i, state, epoch in zip(iterations, true_states, graph_epochs):
-        lines.append(f"{i},{state},{epoch},{events.get(int(i), '')}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    iterations = np.asarray(iterations).tolist()
+    markers = [events.get(i, "") for i in iterations]
+    rows = zip(iterations, np.asarray(true_states).tolist(),
+               np.asarray(graph_epochs).tolist(), markers)
+    cells = tuple(chain.from_iterable(rows))
+    lines = "%s,%s,%s,%s\n" * (len(cells) // 4)
+    Path(path).write_text((TRACE_HEADER + "\n" + lines) % cells)
 
 
 def read_trace(path) -> dict:
@@ -176,13 +179,15 @@ def read_trace(path) -> dict:
 
 def write_msd_table(path, iterations, deviations_by_mode: dict, events) -> None:
     """Write deviation trajectories, one row per (iteration, mode)."""
-    lines = [MSD_HEADER]
+    iterations = np.asarray(iterations).tolist()
+    markers = [events.get(i, "") for i in iterations]
     modes = sorted(deviations_by_mode)
-    for idx, i in enumerate(iterations):
-        marker = events.get(int(i), "")
-        for mode in modes:
-            lines.append(f"{i},{_fmt(deviations_by_mode[mode][idx])},{mode},{marker}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # An iteration's lines take (iteration, deviation, marker) per mode.
+    columns = [column for mode in modes for column in (
+        iterations, np.asarray(deviations_by_mode[mode], float).tolist(), markers)]
+    lines = "".join(f"%s,%.17g,{mode.replace('%', '%%')},%s\n" for mode in modes)
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    Path(path).write_text((MSD_HEADER + "\n" + lines * len(iterations)) % cells)
 
 
 def read_msd_table(path) -> dict[str, np.ndarray]:

@@ -37,7 +37,6 @@ __all__ = [
     "sample_observations",
     "adapt_step",
     "combine_step",
-    "state_estimates",
     "run_simulation",
 ]
 
@@ -197,18 +196,6 @@ def combine_step(ratios: np.ndarray, combination: CombinationMatrix) -> np.ndarr
     if ratios.shape[0] != combination.size:
         raise ValueError("ratio rows do not match the combination matrix")
     return combination.weights.T @ ratios
-
-
-def state_estimates(log_beliefs: np.ndarray):
-    """Per-agent most believed hypothesis; ties go to the lowest index.
-
-    Accepts a single belief row (returns an ``int``) or a matrix
-    (returns one index per row).
-    """
-    log_beliefs = np.asarray(log_beliefs)
-    if log_beliefs.ndim == 1:
-        return int(np.argmax(log_beliefs))
-    return np.argmax(log_beliefs, axis=1)
 
 
 def _apply_event(event, model, edge_prob, regen_max_attempts, true_state, combination):

@@ -363,7 +363,7 @@ class TestGraphLearner:
         for _ in range(3):
             known.consume(shared[None], true_state=2)
             estimated.consume(shared[None])
-        assert estimated.votes[-1] == 2
+        assert estimated.result().votes[-1] == 2
         np.testing.assert_array_equal(known.estimate, estimated.estimate)
 
     def test_known_mode_requires_the_state(self, small_setup):
@@ -607,8 +607,13 @@ class TestBlockwiseLearner:
         ))
         return model, steps
 
-    @pytest.mark.parametrize("mode", ["known", "estimated"])
-    def test_three_feeds_record_the_same_run(self, chunked_steps, mode):
+    @pytest.mark.parametrize("mode, mu", [
+        ("known", 0.01), ("estimated", 0.01), ("known", 5.0), ("estimated", 5.0),
+    ], ids=["known", "estimated", "known-diverging", "estimated-diverging"])
+    def test_three_feeds_record_the_same_run(self, chunked_steps, mode, mu):
+        """At mu=5 the learner diverges inside the first chunk: every feed
+        records the deviations of the rows before it as msd() gives them,
+        inf from the diverging row on, and goes on counting and voting."""
         model, steps = chunked_steps
         stream = np.stack([s.shared_log_beliefs for s in steps])
         true_states = np.array([s.true_state for s in steps])
@@ -624,11 +629,25 @@ class TestBlockwiseLearner:
         assert max(len(b) for b, _, _ in chunks) == CHUNK_STEPS
         assert [len(b) for b, _, _ in recorded] == [len(b) for b, _, _ in chunks]
         results = {
-            name: learn_graph(blocks, model, 0.01, 0.3, mode)
+            name: learn_graph(blocks, model, mu, 0.3, mode)
             for name, blocks in feeds.items()
         }
         base = results["chunks"]
-        assert np.isfinite(base.msd).all()
+        if mu < 1:
+            assert np.isfinite(base.msd).all()
+        else:
+            chunk_starts = np.cumsum([0] + [len(b) for b, _, _ in chunks])
+            assert base.diverged_at - 1 not in chunk_starts
+            learner = GraphLearner(model, mu, 0.3, mode)
+            oracle = []
+            for block, true_state, combination in one_row:
+                learner.consume(block, true_state, combination)
+                oracle.append(msd(combination.weights, learner.estimate))
+            assert learner.iterations == len(steps)
+            assert learner.diverged_at == base.diverged_at
+            diverged = base.diverged_at - 1
+            assert np.array_equal(base.msd[:diverged], oracle[:diverged])
+            assert np.isinf(base.msd[diverged:]).all()
         for name, result in results.items():
             assert np.array_equal(result.estimate, base.estimate), name
             assert np.array_equal(result.msd, base.msd), name
@@ -637,6 +656,36 @@ class TestBlockwiseLearner:
                 assert result.votes.tolist() == [
                     majority_vote(s.shared_log_beliefs) for s in steps
                 ]
+
+    @pytest.mark.parametrize("mu", [0.01, 5.0])
+    def test_blocks_without_a_matrix_record_nan(self, chunked_steps, mu):
+        """A block without its matrix records NaN for each row the learner
+        has not diverged by, inf for the others, and the same update."""
+        model, steps = chunked_steps
+        chunks = simulator_blocks(steps)
+        blind = [
+            (block, state, None if index % 2 == 0 else combination)
+            for index, (block, state, combination) in enumerate(chunks)
+        ]
+        full = learn_graph(chunks, model, mu, 0.3, "known")
+        partial = learn_graph(blind, model, mu, 0.3, "known")
+        assert np.array_equal(partial.estimate, full.estimate)
+        without = np.concatenate([np.full(len(b), m is None) for b, _, m in blind])
+        expected = np.where(without & np.isfinite(full.msd), np.nan, full.msd)
+        assert np.array_equal(partial.msd, expected, equal_nan=True)
+        assert np.isnan(partial.msd).any()
+
+    @pytest.mark.parametrize("mode", ["known", "estimated"])
+    def test_an_empty_feed_records_nothing(self, chunked_steps, mode):
+        model, _ = chunked_steps
+        result = learn_graph([], model, 0.01, 0.3, mode)
+        assert result.msd.shape == (0,) and result.msd.dtype == float
+        assert result.diverged_at is None
+        assert not result.estimate.any()
+        if mode == "estimated":
+            assert result.votes.shape == (0,)
+        else:
+            assert result.votes is None
 
     def test_recorded_blocks_are_bounded_and_end_before_changes(self):
         """`learn` cuts a 300-step stream at a state switch (step 100)

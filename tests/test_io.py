@@ -27,8 +27,33 @@ def saved_bytes(blocks):
 
 def write_stream(path, blocks):
     with io.BeliefStreamWriter(path, (len(blocks), *blocks[0].shape)) as writer:
-        for block in blocks:
-            writer.append(block)
+        writer.append(np.stack(blocks))
+
+
+# The text writers as they were, one format() call per number: the
+# oracles of the one-pass writers, returning the text they wrote.
+def per_value_matrix(matrix) -> str:
+    lines = [",".join(format(float(x), ".17g") for x in row)
+             for row in np.asarray(matrix, dtype=float)]
+    return "\n".join(lines) + "\n"
+
+
+def per_value_trace(iterations, true_states, graph_epochs, events) -> str:
+    lines = [io.TRACE_HEADER]
+    for i, state, epoch in zip(iterations, true_states, graph_epochs):
+        lines.append(f"{i},{state},{epoch},{events.get(int(i), '')}")
+    return "\n".join(lines) + "\n"
+
+
+def per_value_msd_table(iterations, deviations_by_mode, events) -> str:
+    lines = [io.MSD_HEADER]
+    modes = sorted(deviations_by_mode)
+    for idx, i in enumerate(iterations):
+        marker = events.get(int(i), "")
+        for mode in modes:
+            value = format(float(deviations_by_mode[mode][idx]), ".17g")
+            lines.append(f"{i},{value},{mode},{marker}")
+    return "\n".join(lines) + "\n"
 
 
 def awkward_blocks(rng, count, shape):
@@ -100,10 +125,10 @@ class TestBeliefStream:
     def test_writer_holds_to_its_declared_shape(self, tmp_path):
         with io.BeliefStreamWriter(tmp_path / "s.npy", (1, 2, 2)) as writer:
             with pytest.raises(ValueError, match="shape"):
-                writer.append(np.zeros((2, 3)))
-            writer.append(np.zeros((2, 2)))
+                writer.append(np.zeros((1, 2, 3)))
+            writer.append(np.zeros((1, 2, 2)))
             with pytest.raises(ValueError, match="already holds"):
-                writer.append(np.zeros((2, 2)))
+                writer.append(np.zeros((1, 2, 2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,6 +148,60 @@ def test_stream_round_trip_property(tmp_path_factory, data):
     assert path.read_bytes() == saved_bytes(list(stack))
     loaded = io.read_belief_stream(path)
     assert loaded.tobytes() == stack.tobytes()
+
+
+def test_stacks_of_mixed_sizes_equal_one_save(tmp_path):
+    """Stacks of one snapshot, of 64 and of the remainder write the same
+    file as ``np.save``; a 2-D snapshot or a stack past ``T`` raises."""
+    stack = np.stack(awkward_blocks(np.random.default_rng(7), 100, (4, 3)))
+    path = tmp_path / "s.npy"
+    with io.BeliefStreamWriter(path, stack.shape) as writer:
+        writer.append(stack[:1])
+        writer.append(stack[1:65])
+        with pytest.raises(ValueError, match="shape"):
+            writer.append(stack[65])
+        with pytest.raises(ValueError, match="already holds"):
+            writer.append(stack[64:])
+        writer.append(stack[65:])
+    assert path.read_bytes() == saved_bytes(list(stack))
+
+
+DOUBLES = st.floats() | st.sampled_from(
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308]
+)
+MARKERS = st.sampled_from(["set_true_state", "regenerate_graph", "a,b", "100%"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_text_writers_match_the_per_value_writers(tmp_path_factory, data):
+    """The one-pass text writers give the per-value writers' bytes for
+    any doubles (NaN, infinities, -0.0 and subnormals included), table
+    size and event markers."""
+    path = tmp_path_factory.mktemp("text")
+    rows = data.draw(st.integers(0, 40), label="rows")
+    matrix = data.draw(
+        hnp.arrays(np.float64, (rows, data.draw(st.integers(1, 6))), elements=DOUBLES),
+        label="matrix",
+    )
+    io.write_matrix(path / "m.csv", matrix)
+    assert (path / "m.csv").read_text() == per_value_matrix(matrix)
+
+    iterations = np.arange(1, rows + 1)
+    events = data.draw(st.dictionaries(
+        st.integers(1, max(rows, 1)), MARKERS, max_size=4), label="events")
+    states = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, 9)))
+    epochs = np.cumsum(data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, 1))))
+    io.write_trace(path / "t.csv", iterations, states, epochs, events)
+    assert (path / "t.csv").read_text() == per_value_trace(
+        iterations, states, epochs, events)
+
+    modes = data.draw(st.sets(st.sampled_from(["known", "estimated"]), min_size=1))
+    deviations = {mode: matrix[:, 0] if mode == "known" else matrix[:, -1]
+                  for mode in modes}
+    io.write_msd_table(path / "d.csv", iterations, deviations, events)
+    assert (path / "d.csv").read_text() == per_value_msd_table(
+        iterations, deviations, events)
 
 
 class TestRatioStream:

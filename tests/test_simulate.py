@@ -24,10 +24,18 @@ from beliefgraph.simulate import (
     combine_step,
     run_simulation,
     sample_observations,
-    state_estimates,
 )
 
 ROW_SUM_TOL = 1e-10
+
+
+def state_estimates(log_beliefs):
+    """Per-agent most believed hypothesis, ties to the lowest index: an
+    ``int`` for one belief row, one index per row for a matrix."""
+    log_beliefs = np.asarray(log_beliefs)
+    if log_beliefs.ndim == 1:
+        return int(np.argmax(log_beliefs))
+    return np.argmax(log_beliefs, axis=1)
 
 
 def uniform_log(n, s):
