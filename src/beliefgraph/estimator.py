@@ -152,8 +152,10 @@ class GraphLearner:
     true state and combination matrix of all its rows. Per block it forms
     the belief log-ratios, the votes (``estimated`` mode), the
     regressors and the targets (see :func:`gradient_step`), all agents
-    last; only the update through :meth:`step` and the squared deviation
-    run per row. ``deviations`` and ``votes`` hold one array per block.
+    last; only :meth:`step` runs per row. Given the block's matrix, the
+    step also forms the row's squared deviation, which doubles as its
+    divergence test. ``deviations`` and ``votes`` hold one array per
+    block.
     """
 
     model: LikelihoodModel
@@ -181,6 +183,27 @@ class GraphLearner:
         self._register = np.zeros((S - 1, n))
         self._offsets = np.empty((S, S - 1, n))
         self._offset_states: set[int] = set()
+        self._difference = np.empty((n, n))
+        # The squared deviation of the last update step() checked against
+        # a true matrix; inf before the first.
+        self._deviation = np.inf
+        # Proof that a computed deviation d = vdot(W - U, W - U) below
+        # _bound puts every entry of the update U within DIVERGENCE_LIMIT.
+        # With u = 2**-53 the unit roundoff and N = n**2 terms:
+        # - each computed difference D_ij is (W_ij - U_ij)(1 + e) with
+        #   |e| <= u, so |W_ij - U_ij| <= |D_ij| / (1 - u);
+        # - a computed sum of N squares, in any order, is within
+        #   gamma = N u / (1 - N u) of the exact sum relatively (Higham,
+        #   Accuracy and Stability of Numerical Algorithms, 2002, 3.1), so
+        #   sum D_ij**2 <= d / (1 - gamma) = d (1 - N u) / (1 - 2 N u), and
+        #   d < (L - 2)**2 (1 - 4 N u) keeps that below (L - 2)**2 for
+        #   N u <= 3/4. Squares that underflow add at most N 2**-1074 more;
+        # - W is a validated CombinationMatrix: entries in [0, 1 + 1e-12].
+        # So |U_ij| <= |W_ij| + |W_ij - U_ij| <= 1 + 1e-12 + (L - 2)(1 + 2u),
+        # below L = DIVERGENCE_LIMIT; the spare 1 - 1e-12 also absorbs the
+        # rounding of _bound itself. A NaN or inf d fails the comparison.
+        eps = np.finfo(float).eps  # 2 u
+        self._bound = (DIVERGENCE_LIMIT - 2.0) ** 2 * (1.0 - 2.0 * n * n * eps)
 
     def _target_offsets(self, states) -> np.ndarray:
         """The ``(num_states, num_states - 1, num_agents)`` table of
@@ -192,7 +215,8 @@ class GraphLearner:
             self._offset_states.add(state)
         return self._offsets
 
-    def step(self, regressors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def step(self, regressors: np.ndarray, targets: np.ndarray,
+             combination: CombinationMatrix | None = None) -> np.ndarray:
         """Update from one snapshot and return the estimate.
 
         ``regressors`` is ``Phi^T = (1 - delta) lam_{i-1}^T`` and
@@ -201,13 +225,27 @@ class GraphLearner:
         ``lam_i = (1 - delta) A^T lam_{i-1} + delta lbar_i + noise`` read
         as a regression of ``Z`` on ``Phi`` (see :func:`gradient_step`).
         Once the learner has diverged, the step changes nothing.
+
+        With the true ``combination``, the squared deviation of the
+        update from it is formed as :func:`msd` does and kept for
+        :meth:`consume`; below a bound it also certifies that the update
+        is within ``DIVERGENCE_LIMIT`` (see ``__post_init__``), and only
+        an update at or above the bound pays for the exact entrywise test.
         """
         self.iterations += 1
         if self.diverged_at is None:
             # The kept estimate is within DIVERGENCE_LIMIT, so no errstate
             # is needed: only a mu near the float64 range could overflow.
             updated = gradient_step(self.estimate, regressors, targets, self.mu)
-            if _within_limit(updated):
+            if combination is None:
+                within = _within_limit(updated)
+            else:
+                difference = self._difference
+                np.subtract(combination.weights, updated, out=difference)
+                self._deviation = np.vdot(difference, difference)
+                within = (self._deviation < self._bound
+                          or np.abs(updated).max() <= DIVERGENCE_LIMIT)
+            if within:
                 self.estimate = updated
             else:
                 self.diverged_at = self.iterations
@@ -238,14 +276,14 @@ class GraphLearner:
             targets = lagged[1:] - self._target_offsets([true_state])[true_state]
         deviations = np.full(len(block), np.nan)
         self.deviations.append(deviations)
-        first, difference = self.iterations, np.empty_like(self.estimate)
-        weights = None if combination is None else combination.weights
-        for row in range(len(block)):
-            estimate = self.step(regressors[row], targets[row])
-            if weights is not None:
-                # msd()'s operations, without its checks and allocation
-                np.subtract(weights, estimate, out=difference)
-                deviations[row] = np.vdot(difference, difference)
+        first = self.iterations
+        if combination is None:
+            for row in range(len(block)):
+                self.step(regressors[row], targets[row])
+        else:
+            for row in range(len(block)):
+                self.step(regressors[row], targets[row], combination)
+                deviations[row] = self._deviation
         if self.diverged_at is not None:
             deviations[max(self.diverged_at - first - 1, 0):] = np.inf
 

@@ -24,6 +24,7 @@ model           JSON with the per-agent probability tables
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -49,6 +50,10 @@ __all__ = [
 ]
 
 TRACE_HEADER = "iteration,true_state,graph_epoch,event"
+# One trace row as np.loadtxt parses it: it raises ValueError for a row
+# with another number of fields or a non-integer in the first three.
+_TRACE_ROW = np.dtype([("iteration", np.int64), ("true_state", np.int64),
+                       ("graph_epoch", np.int64), ("event", object)])
 MSD_HEADER = "iteration,msd,mode,event"
 
 
@@ -153,27 +158,21 @@ def write_trace(path, iterations, true_states, graph_epochs, events) -> None:
 
 
 def read_trace(path) -> dict:
-    iterations, states, epochs = [], [], []
-    events: dict[int, str] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError("unrecognized trace header")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i, state, epoch, event = line.split(",")
-            iterations.append(int(i))
-            states.append(int(state))
-            epochs.append(int(epoch))
-            if event:
-                events[int(i)] = event
+    """Load a trace written by :func:`write_trace`. Blank lines are
+    skipped; a wrong header or a row without exactly four fields or with
+    a non-integer in the first three raises ``ValueError``."""
+    header, _, body = Path(path).read_text().partition("\n")
+    if header.strip() != TRACE_HEADER:
+        raise ValueError("unrecognized trace header")
+    lines = [line for line in map(str.strip, body.split("\n")) if line]
+    rows = (np.loadtxt(lines, _TRACE_ROW, comments=None, delimiter=",", ndmin=1)
+            if lines else np.empty(0, _TRACE_ROW))
+    marked = rows[rows["event"] != ""]
     return {
-        "iterations": np.array(iterations, dtype=int),
-        "true_states": np.array(states, dtype=int),
-        "graph_epochs": np.array(epochs, dtype=int),
-        "events": events,
+        "iterations": rows["iteration"].astype(int),
+        "true_states": rows["true_state"].astype(int),
+        "graph_epochs": rows["graph_epoch"].astype(int),
+        "events": dict(zip(marked["iteration"].tolist(), marked["event"].tolist())),
     }
 
 
@@ -229,10 +228,20 @@ def load_model(path) -> LikelihoodModel:
 def save_json(path, payload) -> None:
     """Write ``payload`` as strict JSON: NaN and infinities, which JSON
     cannot represent, are written as ``null``."""
-    # json spells them NaN/Infinity; parsing that back turns them to None.
-    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
+
+
+def _finite(value):
+    """``value`` with every non-finite float in its dicts, lists and
+    tuples replaced by ``None``, and tuples as lists, as JSON has them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def load_json(path):

@@ -195,7 +195,8 @@ def combine_step(ratios: np.ndarray, combination: CombinationMatrix) -> np.ndarr
     """
     if ratios.shape[0] != combination.size:
         raise ValueError("ratio rows do not match the combination matrix")
-    return combination.weights.T @ ratios
+    # ndarray.dot is the same BLAS call as @, without matmul's dispatch
+    return combination.weights.T.dot(ratios)
 
 
 def _apply_event(event, model, edge_prob, regen_max_attempts, true_state, combination):
@@ -268,10 +269,14 @@ def run_simulation(
 
     rng = np.random.default_rng(seed)
     n = model.num_agents
-    agents = np.arange(n)
+    # The ratio tables flattened to one row per (agent, signal): a chunk's
+    # signal ratios are one take of rows agent * max signal size + signal.
     forward_table = model.signal_log_ratio_table(0)
+    agent_rows = np.arange(n) * forward_table.shape[1]
+    forward_table = forward_table.reshape(-1, model.num_states - 1)
     private_table = (
-        model.signal_log_ratio_table(reference) if record_private else None
+        model.signal_log_ratio_table(reference).reshape(forward_table.shape)
+        if record_private else None
     )
     pending = list(schedule)
     true_state, epoch = int(true_state), 0
@@ -292,7 +297,8 @@ def run_simulation(
         if pending:
             stop = min(stop, pending[0].iteration)
         signals = sample_observations(model, true_state, rng, stop - first)
-        signal_ratios = forward_table[agents, signals]
+        rows = agent_rows + signals
+        signal_ratios = forward_table.take(rows, axis=0)
         weighted = delta * signal_ratios
         lam = np.empty_like(weighted)
         for t in range(stop - first):
@@ -305,7 +311,7 @@ def run_simulation(
         if record_private:
             private = (
                 signal_ratios if reference == 0
-                else private_table[agents, signals]
+                else private_table.take(rows, axis=0)
             )
         for t in range(stop - first):
             yield SimulationStep(

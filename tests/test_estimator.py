@@ -23,6 +23,7 @@ from beliefgraph.estimator import (
 )
 from beliefgraph.harness import ExperimentConfig, _generate
 from beliefgraph.model import (
+    CombinationMatrix,
     erdos_renyi_adjacency,
     mean_likelihood_matrix,
     random_combination_matrix,
@@ -101,6 +102,15 @@ def simulator_blocks(steps):
     """The ``(block, true_state, combination)`` triples of simulation
     steps: one per chunk, read from its row-0 step."""
     return [(s.block, s.true_state, s.combination) for s in steps if s.row == 0]
+
+
+def cycle_matrix(n):
+    """The combination matrix of the cycle ``k - 1 -> k``: weight 1 on the
+    predecessor, except agent 0, which splits its weight with itself."""
+    weights = np.zeros((n, n))
+    weights[np.arange(n) - 1, np.arange(n)] = 1.0
+    weights[[0, n - 1], 0] = 0.5
+    return CombinationMatrix(weights, weights > 0)
 
 
 def best_two_partition(values):
@@ -424,6 +434,68 @@ class TestGraphLearner:
         estimate = learner.step(np.zeros((2, 30)), np.zeros((2, 30)))
         assert (learner.diverged_at == 1) == diverges
         assert (estimate == (0.0 if diverges else fill)).all()
+
+    @pytest.mark.parametrize("bad, diverges", [
+        (np.nan, True), (np.inf, True), (-np.inf, True), (2e6, True), (-2e6, True),
+        (0.5e6, False), (1e6, False), (-1e6, False),
+        (np.nextafter(1e6, np.inf), True), (np.nextafter(-1e6, -np.inf), True),
+    ])
+    def test_divergence_test_with_a_matrix_on_one_entry(self, monkeypatch, bad,
+                                                        diverges):
+        """Given the true matrix, the step gives the verdicts of the test
+        without it. The bad entry sits where the matrix holds 1, so the
+        deviation of an update just over the limit is just under the
+        squared limit: only the bound's margin sends it to the exact
+        test, which also keeps an update at the limit."""
+        truth = cycle_matrix(6)
+        assert truth.weights[2, 3] == 1.0
+
+        def update(estimate, *args, **kwargs):
+            out = np.zeros_like(estimate)
+            out[2, 3] = bad
+            return out
+
+        monkeypatch.setattr(estimator, "gradient_step", update)
+        learner = GraphLearner(random_likelihoods(6, 3, 4, seed=32), 0.05, 0.3, "known")
+        estimate = learner.step(np.zeros((2, 6)), np.zeros((2, 6)), truth)
+        if diverges:
+            assert learner.diverged_at == 1
+            np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
+        else:
+            assert learner.diverged_at is None
+            assert estimate[2, 3] == bad
+
+    @pytest.mark.parametrize("fill, diverges", [
+        (9e5, False), (-9e5, False), (1e6, False), (np.nan, True), (np.inf, True),
+    ])
+    def test_divergence_test_with_a_matrix_on_a_full_update(self, monkeypatch, fill,
+                                                            diverges):
+        """The deviation of 30 x 30 entries of 9e5 is far above the bound,
+        yet the update is within the limit: the exact test decides."""
+        model = random_likelihoods(30, 3, 3, seed=46)
+        adjacency, _ = erdos_renyi_adjacency(30, 0.2, seed=47)
+        truth = random_combination_matrix(adjacency, seed=48)
+
+        def update(estimate, *args, **kwargs):
+            return np.full_like(estimate, fill)
+
+        monkeypatch.setattr(estimator, "gradient_step", update)
+        learner = GraphLearner(model, 0.05, 0.3, "known")
+        estimate = learner.step(np.zeros((2, 30)), np.zeros((2, 30)), truth)
+        assert (learner.diverged_at == 1) == diverges
+        assert (estimate == (0.0 if diverges else fill)).all()
+
+    @pytest.mark.parametrize("mode", ["known", "estimated"])
+    def test_each_deviation_is_the_msd_of_its_estimate(self, small_setup, mode):
+        """The deviation the step forms for its divergence test is the one
+        recorded: exactly ``msd`` of the matrix and the new estimate."""
+        model, combination = small_setup
+        learner = GraphLearner(model, 0.5, 0.3, mode)
+        for step in run_simulation(model, combination, 1, 0.3, 150, seed=49):
+            learner.consume(step.shared_log_beliefs[None], 1, combination)
+            assert learner.deviations[-1][0] == msd(combination.weights,
+                                                     learner.estimate)
+        assert learner.diverged_at is None
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_a_rate_that_is_not_positive_and_finite(self, small_setup, mu):

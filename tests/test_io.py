@@ -1,6 +1,8 @@
 """Round trips of every on-disk format, at full precision."""
 
+import json
 from io import BytesIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,38 @@ def per_value_msd_table(iterations, deviations_by_mode, events) -> str:
             value = format(float(deviations_by_mode[mode][idx]), ".17g")
             lines.append(f"{i},{value},{mode},{marker}")
     return "\n".join(lines) + "\n"
+
+
+# The readers and writers as they were: one JSON round trip to null the
+# non-finite floats, and a trace parsed line by line.
+def round_trip_json(path, payload) -> None:
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
+
+
+def per_line_trace(path) -> dict:
+    iterations, states, epochs = [], [], []
+    events = {}
+    with open(path) as fh:
+        if fh.readline().strip() != io.TRACE_HEADER:
+            raise ValueError("unrecognized trace header")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            i, state, epoch, event = line.split(",")
+            iterations.append(int(i))
+            states.append(int(state))
+            epochs.append(int(epoch))
+            if event:
+                events[int(i)] = event
+    return {
+        "iterations": np.array(iterations, dtype=int),
+        "true_states": np.array(states, dtype=int),
+        "graph_epochs": np.array(epochs, dtype=int),
+        "events": events,
+    }
 
 
 def awkward_blocks(rng, count, shape):
@@ -240,6 +274,37 @@ class TestTrace:
         with pytest.raises(ValueError):
             io.read_trace(path)
 
+    @pytest.mark.parametrize("rows", [0, 1, 64, 1000])
+    def test_matches_the_per_line_reader(self, tmp_path, rows):
+        """Events on the first, a middle and the last row, blank lines,
+        CRLF line ends and padding around rows read as they always did."""
+        path = tmp_path / "trace.csv"
+        iterations = np.arange(1, rows + 1)
+        events = {i: name for i, name in zip(
+            (1, rows // 2, rows), ("set_true_state", "regenerate_graph", "#x y"))}
+        io.write_trace(path, iterations, iterations % 3, iterations // 100, events)
+        header, *lines = path.read_text().splitlines()
+        padded = [header, "", "  "] + [f" {line}\t" for line in lines] + ["", ""]
+        path.write_text("\r\n".join(padded))
+        expected, read = per_line_trace(path), io.read_trace(path)
+        assert read.keys() == expected.keys()
+        for key in ("iterations", "true_states", "graph_epochs"):
+            assert read[key].dtype == expected[key].dtype
+            np.testing.assert_array_equal(read[key], expected[key])
+        assert read["events"] == expected["events"]
+
+    @pytest.mark.parametrize("row", [
+        "4,0,0", "4,0,0,set_true_state,x", "4,0.5,0,", "4,,0,", "x,0,0,",
+        "4,0,0,,",
+    ])
+    def test_rejects_a_malformed_row(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{io.TRACE_HEADER}\n1,0,0,\n{row}\n2,0,0,\n")
+        with pytest.raises(ValueError):
+            per_line_trace(path)
+        with pytest.raises(ValueError):
+            io.read_trace(path)
+
 
 class TestMsdTable:
     def test_round_trip_two_modes(self, tmp_path):
@@ -253,6 +318,31 @@ class TestMsdTable:
         np.testing.assert_array_equal(table["estimated"], estimated)
         np.testing.assert_array_equal(table["iteration"], [1, 2, 3])
         assert ",set_true_state" in path.read_text()
+
+
+class TestJsonFiles:
+    @pytest.mark.parametrize("payload", [
+        {"x": float("nan"), "y": [1.0, float("inf"), (-float("inf"), "s")],
+         "z": {"b": {"c": np.float64("nan"), "d": None}, "a": [True, 0, -0.0]},
+         "w": [np.float64(0.1), 5e-324, 1e300, 10**30, "NaN"]},
+        {"modes": {"known": {"steady_state_msd": float("nan"),
+                             "final_msd": float("inf"), "diverged_at": 15}}},
+        [], {}, float("nan"), "text",
+    ])
+    def test_bytes_match_the_round_trip(self, tmp_path, payload):
+        io.save_json(tmp_path / "new.json", payload)
+        round_trip_json(tmp_path / "old.json", payload)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    def test_model_bytes_match_the_round_trip(self, tmp_path):
+        model = random_likelihoods(30, 4, 3, seed=5)
+        io.save_model(tmp_path / "model.json", model)
+        round_trip_json(tmp_path / "old.json", {
+            "floor": model.floor, "signal_sizes": model.signal_sizes,
+            "tables": [t.tolist() for t in model.tables],
+        })
+        assert (tmp_path / "model.json").read_bytes() == \
+            (tmp_path / "old.json").read_bytes()
 
 
 class TestModelFile:

@@ -311,6 +311,18 @@ class TestCombineStep:
         with pytest.raises(ValueError):
             combine_step(np.zeros((3, 2)), combination)
 
+    @pytest.mark.parametrize("n", [7, 10, 30, 64])
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_equals_the_matmul_form(self, n, columns):
+        """``W.T.dot(ratios)`` is bit for bit ``W.T @ ratios``."""
+        adjacency, _ = erdos_renyi_adjacency(n, 0.3, seed=n)
+        combination = random_combination_matrix(adjacency, seed=n + 1)
+        rng = np.random.default_rng(n * columns)
+        for scale in (1.0, 1e-3, 1e3):
+            ratios = scale * rng.standard_normal((n, columns))
+            assert np.array_equal(combine_step(ratios, combination),
+                                  combination.weights.T @ ratios)
+
     def test_matches_the_probability_domain_oracle(self, small_setup):
         model, combination = small_setup
         rng = np.random.default_rng(53)
@@ -519,6 +531,32 @@ class TestForwardPassAgainstOracle:
             model, combination, 1, 0.3, num_iterations, seed=4,
             events=events, edge_prob=0.35, reference=1,
         )
+
+    @pytest.mark.parametrize("reference", [0, 2])
+    def test_gather_and_combine_equal_the_fancy_index_and_matmul_forms(
+            self, reference):
+        """Ragged signal spaces, so the ratio tables are padded: the
+        private ratios are ``table[agents, signals]`` and the shared
+        log-beliefs follow from the recursion stepped with ``W.T @``,
+        both bit for bit."""
+        n, delta, T = 7, 0.3, 2 * CHUNK_STEPS + 11
+        model = random_likelihoods(n, 4, [2, 5, 3, 4, 2, 5, 3], seed=54)
+        adjacency, _ = erdos_renyi_adjacency(n, 0.4, seed=55)
+        combination = random_combination_matrix(adjacency, seed=56)
+        steps = list(run_simulation(model, combination, 1, delta, T, seed=57,
+                                    record_private=True, reference=reference))
+        signals = sample_observations(model, 1, np.random.default_rng(57), T)
+        agents = np.arange(n)
+        private = model.signal_log_ratio_table(reference)[agents, signals]
+        assert np.array_equal(np.stack([s.signal_log_ratios for s in steps]), private)
+        weighted = delta * model.signal_log_ratio_table(0)[agents, signals]
+        lam = np.empty_like(weighted)
+        ratios = np.zeros((n, 3))
+        for t in range(T):
+            lam[t] = ratios = (1.0 - delta) * ratios + weighted[t]
+            ratios = combination.weights.T @ ratios
+        shared = np.stack([s.shared_log_beliefs for s in steps])
+        assert np.array_equal(shared, _ratio_log_beliefs(lam))
 
     def test_log_belief_blocks_are_read_only(self, small_setup):
         """Steps of one chunk share one block, so a write into a step's
