@@ -20,31 +20,17 @@ from .model import (
     GenerationError,
     LikelihoodModel,
     erdos_renyi_adjacency,
-    log_likelihood_ratio_matrix,
-    mean_likelihood_matrix,
     random_combination_matrix,
     random_likelihoods,
 )
-from .simulate import (
-    Event,
-    EventSchedule,
-    SimulationStep,
-    adapt_step,
-    combine_step,
-    run_simulation,
-    sample_observations,
-)
+from .simulate import Event, EventSchedule, SimulationStep, run_simulation
 from .estimator import (
     GraphLearner,
-    LearnResult,
     NoSeparationError,
     SteadyStateDiagnostics,
-    belief_log_ratios,
     classify_edges,
-    gradient_step,
     learn_graph,
     majority_vote,
-    msd,
     steady_state_diagnostics,
 )
 from .harness import ConfigError, ExperimentConfig, run_experiment, sweep
@@ -57,27 +43,18 @@ __all__ = [
     "ExperimentConfig",
     "GenerationError",
     "GraphLearner",
-    "LearnResult",
     "LikelihoodModel",
     "NoSeparationError",
     "SimulationStep",
     "SteadyStateDiagnostics",
-    "adapt_step",
-    "belief_log_ratios",
     "classify_edges",
-    "combine_step",
     "erdos_renyi_adjacency",
-    "gradient_step",
     "learn_graph",
-    "log_likelihood_ratio_matrix",
     "majority_vote",
-    "mean_likelihood_matrix",
-    "msd",
     "random_combination_matrix",
     "random_likelihoods",
     "run_experiment",
     "run_simulation",
-    "sample_observations",
     "steady_state_diagnostics",
     "sweep",
 ]

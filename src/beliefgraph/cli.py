@@ -210,8 +210,9 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
     trace = None
     if trace_file and trace_file.exists():
         trace = io.read_trace(trace_file)
-        if len(trace["iterations"]) != num_steps:
-            raise ValueError("trace and belief stream lengths differ")
+        if not np.array_equal(trace["iterations"], np.arange(1, num_steps + 1)):
+            raise ValueError(f"the trace must hold iterations 1..{num_steps} of the "
+                             f"belief stream, one row each, in order")
     matrices: dict[int, CombinationMatrix] = {}
     if run_dir is not None:
         for path in run_dir.glob("true_matrix_*.csv"):

@@ -42,7 +42,6 @@ __all__ = [
 # Estimates this far outside the stochastic-matrix range carry no
 # information any more; the learner freezes and flags divergence.
 DIVERGENCE_LIMIT = 1e6
-_LIMIT_SQUARED = DIVERGENCE_LIMIT**2
 
 KNOWN = "known"
 ESTIMATED = "estimated"
@@ -63,8 +62,6 @@ def belief_log_ratios(shared_log_beliefs: np.ndarray, reference: int = 0) -> np.
     observer's state variable; it is computable from public data alone.
     """
     shared_log_beliefs = np.asarray(shared_log_beliefs)
-    if reference == 0:
-        return shared_log_beliefs[..., :1] - shared_log_beliefs[..., 1:]
     cols = ratio_columns(shared_log_beliefs.shape[-1], reference)
     return shared_log_beliefs[..., [reference]] - shared_log_beliefs[..., cols]
 
@@ -152,10 +149,11 @@ class GraphLearner:
     true state and combination matrix of all its rows. Per block it forms
     the belief log-ratios, the votes (``estimated`` mode), the
     regressors and the targets (see :func:`gradient_step`), all agents
-    last; only :meth:`step` runs per row. Given the block's matrix, the
-    step also forms the row's squared deviation, which doubles as its
-    divergence test. ``deviations`` and ``votes`` hold one array per
-    block.
+    last, the targets from a table of ``delta lbar^T`` per hypothesis
+    built once per learner; only :meth:`step` runs per row. The step
+    also forms the row's squared deviation from the block's matrix (the
+    zero matrix without one), which doubles as its divergence test.
+    ``deviations`` and ``votes`` hold one array per block.
     """
 
     model: LikelihoodModel
@@ -181,11 +179,16 @@ class GraphLearner:
         # The last log-ratios of the previous block, agents last: the
         # next block's first regressor.
         self._register = np.zeros((S - 1, n))
-        self._offsets = np.empty((S, S - 1, n))
-        self._offset_states: set[int] = set()
+        # delta * lbar^T per hypothesis, agents last: a block's targets
+        # are its ratios less one row of this table per snapshot.
+        self._offsets = self.delta * np.stack([
+            mean_likelihood_matrix(self.model, state, self.reference).T
+            for state in range(S)
+        ])
+        self._zero = np.zeros((n, n))
         self._difference = np.empty((n, n))
-        # The squared deviation of the last update step() checked against
-        # a true matrix; inf before the first.
+        # The squared deviation of the last update step() formed; inf
+        # before the first.
         self._deviation = np.inf
         # Proof that a computed deviation d = vdot(W - U, W - U) below
         # _bound puts every entry of the update U within DIVERGENCE_LIMIT.
@@ -198,22 +201,13 @@ class GraphLearner:
         #   sum D_ij**2 <= d / (1 - gamma) = d (1 - N u) / (1 - 2 N u), and
         #   d < (L - 2)**2 (1 - 4 N u) keeps that below (L - 2)**2 for
         #   N u <= 3/4. Squares that underflow add at most N 2**-1074 more;
-        # - W is a validated CombinationMatrix: entries in [0, 1 + 1e-12].
+        # - W is a validated CombinationMatrix, or the zero matrix step()
+        #   takes without one: entries in [0, 1 + 1e-12].
         # So |U_ij| <= |W_ij| + |W_ij - U_ij| <= 1 + 1e-12 + (L - 2)(1 + 2u),
         # below L = DIVERGENCE_LIMIT; the spare 1 - 1e-12 also absorbs the
         # rounding of _bound itself. A NaN or inf d fails the comparison.
         eps = np.finfo(float).eps  # 2 u
         self._bound = (DIVERGENCE_LIMIT - 2.0) ** 2 * (1.0 - 2.0 * n * n * eps)
-
-    def _target_offsets(self, states) -> np.ndarray:
-        """The ``(num_states, num_states - 1, num_agents)`` table of
-        ``delta * lbar^T`` per hypothesis, agents last; each row is filled
-        in the first time one of ``states`` needs it."""
-        for state in set(states) - self._offset_states:
-            expected = mean_likelihood_matrix(self.model, state, self.reference)
-            self._offsets[state] = self.delta * expected.T
-            self._offset_states.add(state)
-        return self._offsets
 
     def step(self, regressors: np.ndarray, targets: np.ndarray,
              combination: CombinationMatrix | None = None) -> np.ndarray:
@@ -226,26 +220,24 @@ class GraphLearner:
         as a regression of ``Z`` on ``Phi`` (see :func:`gradient_step`).
         Once the learner has diverged, the step changes nothing.
 
-        With the true ``combination``, the squared deviation of the
-        update from it is formed as :func:`msd` does and kept for
-        :meth:`consume`; below a bound it also certifies that the update
-        is within ``DIVERGENCE_LIMIT`` (see ``__post_init__``), and only
-        an update at or above the bound pays for the exact entrywise test.
+        The squared deviation of the update from the true
+        ``combination`` (the zero matrix without one) is formed as
+        :func:`msd` does and kept for :meth:`consume`; below a bound it
+        also certifies that the update is within ``DIVERGENCE_LIMIT`` (see
+        ``__post_init__``), and only an update at or above the bound pays
+        for the exact entrywise test. NaN and inf fail both tests.
         """
         self.iterations += 1
         if self.diverged_at is None:
             # The kept estimate is within DIVERGENCE_LIMIT, so no errstate
             # is needed: only a mu near the float64 range could overflow.
             updated = gradient_step(self.estimate, regressors, targets, self.mu)
-            if combination is None:
-                within = _within_limit(updated)
-            else:
-                difference = self._difference
-                np.subtract(combination.weights, updated, out=difference)
-                self._deviation = np.vdot(difference, difference)
-                within = (self._deviation < self._bound
-                          or np.abs(updated).max() <= DIVERGENCE_LIMIT)
-            if within:
+            weights = self._zero if combination is None else combination.weights
+            difference = self._difference
+            np.subtract(weights, updated, out=difference)
+            self._deviation = np.vdot(difference, difference)
+            if (self._deviation < self._bound
+                    or np.abs(updated).max() <= DIVERGENCE_LIMIT):
                 self.estimate = updated
             else:
                 self.diverged_at = self.iterations
@@ -258,8 +250,9 @@ class GraphLearner:
         ``known`` mode) and matrix are ``true_state`` and ``combination``,
         and record its squared deviation: NaN without a matrix, ``inf``
         from the diverging snapshot on."""
-        if self.mode == KNOWN and true_state is None:
-            raise ValueError("known mode needs the current true state")
+        if self.mode == KNOWN and true_state not in range(self.model.num_states):
+            raise ValueError(f"known mode needs the current true state in "
+                             f"0..{self.model.num_states - 1}, got {true_state}")
         # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
         # register. Every operation is elementwise per row, so the
         # update does not depend on where blocks begin and end.
@@ -268,22 +261,19 @@ class GraphLearner:
         lagged[1:] = belief_log_ratios(block, self.reference).transpose(0, 2, 1)
         self._register = lagged[-1]
         regressors = (1.0 - self.delta) * lagged[:-1]
+        states = true_state
         if self.mode == ESTIMATED:
-            votes = majority_vote(block)
-            self.votes.append(votes)
-            targets = lagged[1:] - self._target_offsets(votes.tolist())[votes]
-        else:
-            targets = lagged[1:] - self._target_offsets([true_state])[true_state]
-        deviations = np.full(len(block), np.nan)
+            states = majority_vote(block)
+            self.votes.append(states)
+        targets = lagged[1:] - self._offsets[states]
+        deviations = np.empty(len(block))
         self.deviations.append(deviations)
         first = self.iterations
+        for row in range(len(block)):
+            self.step(regressors[row], targets[row], combination)
+            deviations[row] = self._deviation
         if combination is None:
-            for row in range(len(block)):
-                self.step(regressors[row], targets[row])
-        else:
-            for row in range(len(block)):
-                self.step(regressors[row], targets[row], combination)
-                deviations[row] = self._deviation
+            deviations[:] = np.nan
         if self.diverged_at is not None:
             deviations[max(self.diverged_at - first - 1, 0):] = np.inf
 
@@ -297,21 +287,6 @@ class GraphLearner:
                    if self.mode == ESTIMATED else None),
             diverged_at=self.diverged_at,
         )
-
-
-def _within_limit(update: np.ndarray) -> bool:
-    """Whether every entry of ``update`` is at most ``DIVERGENCE_LIMIT``
-    in magnitude; false if any is NaN.
-
-    Rounding is monotone, so a computed sum of squares below
-    ``DIVERGENCE_LIMIT**2`` (exact in float64) bounds every entry below
-    the limit. NaN and inf fail that comparison, and so does a sum near
-    the limit; only those cases pay for the exact entrywise test.
-    """
-    return bool(
-        np.vdot(update, update) < _LIMIT_SQUARED
-        or np.abs(update).max() <= DIVERGENCE_LIMIT
-    )
 
 
 def learn_graph(

@@ -42,7 +42,6 @@ __all__ = [
     "write_trace",
     "read_trace",
     "write_msd_table",
-    "read_msd_table",
     "save_model",
     "load_model",
     "save_json",
@@ -74,9 +73,7 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_adjacency(path, adjacency: np.ndarray) -> None:
-    adjacency = np.asarray(adjacency, dtype=bool)
-    lines = [",".join("1" if x else "0" for x in row) for row in adjacency]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_matrix(path, np.asarray(adjacency, dtype=bool))
 
 
 def read_adjacency(path) -> np.ndarray:
@@ -187,28 +184,6 @@ def write_msd_table(path, iterations, deviations_by_mode: dict, events) -> None:
     lines = "".join(f"%s,%.17g,{mode.replace('%', '%%')},%s\n" for mode in modes)
     cells = tuple(chain.from_iterable(zip(*columns)))
     Path(path).write_text((MSD_HEADER + "\n" + lines * len(iterations)) % cells)
-
-
-def read_msd_table(path) -> dict[str, np.ndarray]:
-    """Load deviation trajectories keyed by mode; also returns the
-    iteration axis under the key ``"iteration"``."""
-    by_mode: dict[str, list[float]] = {}
-    iterations: dict[str, list[int]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != MSD_HEADER:
-            raise ValueError("unrecognized deviation table header")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i, value, mode, _ = line.split(",")
-            by_mode.setdefault(mode, []).append(float(value))
-            iterations.setdefault(mode, []).append(int(i))
-    out = {mode: np.array(vals) for mode, vals in by_mode.items()}
-    first = next(iter(iterations.values()), [])
-    out["iteration"] = np.array(first, dtype=int)
-    return out
 
 
 def save_model(path, model: LikelihoodModel) -> None:

@@ -21,7 +21,6 @@ __all__ = [
     "erdos_renyi_adjacency",
     "random_combination_matrix",
     "random_likelihoods",
-    "log_likelihood_ratio_matrix",
     "mean_likelihood_matrix",
     "ratio_columns",
     "is_strongly_connected",
@@ -147,7 +146,6 @@ class LikelihoodModel:
         self._stack_cache = None
         self._ratio_tables: dict[int, np.ndarray] = {}
         self._sizes = np.array([t.shape[0] for t in self.tables])
-        self._agents = np.arange(len(self.tables))
 
     @property
     def num_agents(self) -> int:
@@ -376,28 +374,6 @@ def random_likelihoods(
     )
 
 
-def log_likelihood_ratio_matrix(
-    model: LikelihoodModel, signals, reference: int = 0
-) -> np.ndarray:
-    """Log-likelihood ratios of one signal per agent against the
-    reference state.
-
-    Entry ``(k, j)`` is ``log L_k(signal_k | reference) -
-    log L_k(signal_k | other_j)`` with the non-reference states
-    enumerated ascending: the agents' rows of
-    :meth:`LikelihoodModel.signal_log_ratio_table`.
-    """
-    table = model.signal_log_ratio_table(reference)
-    signals = np.asarray(signals, dtype=int)
-    if signals.shape != (model.num_agents,):
-        raise ValueError("one signal per agent is required")
-    outside = (signals < 0) | (signals >= model._sizes)
-    if outside.any():
-        bad = int(np.argmax(outside))
-        raise ValueError(f"signal {signals[bad]} outside the space of agent {bad}")
-    return table[model._agents, signals]
-
-
 def mean_likelihood_matrix(
     model: LikelihoodModel, generating_state: int, reference: int = 0
 ) -> np.ndarray:
@@ -405,9 +381,9 @@ def mean_likelihood_matrix(
     ``generating_state``.
 
     Entry ``(k, j)`` equals ``KL_k(generating || other_j) -
-    KL_k(generating || reference)``; it is the exact mean of
-    :func:`log_likelihood_ratio_matrix` over the signal distribution,
-    taken over the rows of :meth:`LikelihoodModel.signal_log_ratio_table`.
+    KL_k(generating || reference)``: the exact mean, over agent ``k``'s
+    signal distribution, of its rows of
+    :meth:`LikelihoodModel.signal_log_ratio_table`.
     """
     if not 0 <= generating_state < model.num_states:
         raise ValueError("generating_state out of range")

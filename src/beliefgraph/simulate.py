@@ -307,12 +307,7 @@ def run_simulation(
         log_beliefs = _ratio_log_beliefs(lam)
         # Every step of the chunk is a view into this one block.
         log_beliefs.flags.writeable = False
-        private = None
-        if record_private:
-            private = (
-                signal_ratios if reference == 0
-                else private_table.take(rows, axis=0)
-            )
+        private = private_table.take(rows, axis=0) if record_private else None
         for t in range(stop - first):
             yield SimulationStep(
                 iteration=first + t,

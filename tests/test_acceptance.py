@@ -20,7 +20,6 @@ from beliefgraph.estimator import (
 from beliefgraph.harness import ExperimentConfig, run_experiment
 from beliefgraph.model import (
     erdos_renyi_adjacency,
-    log_likelihood_ratio_matrix,
     mean_likelihood_matrix,
     random_combination_matrix,
     random_likelihoods,
@@ -31,6 +30,8 @@ from beliefgraph.simulate import (
     run_simulation,
     sample_observations,
 )
+
+from helpers import log_likelihood_ratio_matrix
 
 REFERENCE = dict(
     agents=30, states=4, signals=4, edge_prob=0.2, delta=0.05, mu=0.01,

@@ -9,6 +9,8 @@ from beliefgraph import io
 from beliefgraph.cli import main
 from beliefgraph.model import random_likelihoods
 
+from helpers import read_msd_table
+
 BASE = [
     "--agents", "6", "--states", "3", "--signals", "3", "--edge-prob", "0.5",
     "--delta", "0.3", "--mu", "0.05", "--iters", "200", "--true-state", "1",
@@ -111,7 +113,7 @@ class TestSimulateAndLearn:
                        "--out", out) == 0
         assert (out / "learned_matrix_known.csv").exists()
         assert (out / "learned_matrix_estimated.csv").exists()
-        table = io.read_msd_table(out / "msd.csv")
+        table = read_msd_table(out / "msd.csv")
         assert table["known"].shape == (200,)
         assert np.isfinite(table["known"]).all()
 
@@ -259,8 +261,8 @@ class TestSimulateAndLearn:
         inv_out = tmp_path / "inv"
         assert run_cli("learn", "--run", forward, "--mode", "known",
                        "--out", inv_out) == 0
-        offline = io.read_msd_table(inv_out / "msd.csv")["known"]
-        online = io.read_msd_table(exp_out / "msd.csv")["known"]
+        offline = read_msd_table(inv_out / "msd.csv")["known"]
+        online = read_msd_table(exp_out / "msd.csv")["known"]
         assert np.isnan(offline[:119]).all()
         np.testing.assert_allclose(offline[119:], online[119:], rtol=1e-9)
         summary = json.loads((inv_out / "summary.json").read_text())["modes"]
@@ -339,6 +341,49 @@ class TestSimulateAndLearn:
         summary = json.loads(text, parse_constant=reject)
         assert summary["modes"]["known"]["steady_state_msd"] is None
         assert "NaN" not in text and "Infinity" not in text
+
+    @pytest.mark.parametrize("case", ["swapped", "duplicated", "gap", "from-zero"])
+    def test_learn_rejects_a_trace_out_of_order(self, tmp_path, capsys, case):
+        """Each trace row is the truth of the stream row at its position,
+        so a trace that is not iterations 1..T in order, one row each, is
+        bad input (exit 2), even at the stream's length: here rows 10 and
+        150 swapped across a state switch, row 150 repeated, iteration
+        100 missing and a trace counted from 0."""
+        forward = tmp_path / "fwd"
+        assert run_cli("simulate", *BASE, "--set-state-at", "80:2",
+                       "--out", forward) == 0
+        trace = io.read_trace(forward / "trace.csv")
+        order = np.arange(200)
+        iterations = trace["iterations"]
+        if case == "swapped":
+            order[[9, 149]] = [149, 9]
+        elif case == "duplicated":
+            order[149] = 148
+        elif case == "gap":
+            iterations = np.r_[1:100, 101:202]
+        else:
+            iterations = iterations - 1
+        io.write_trace(forward / "trace.csv", iterations[order],
+                       trace["true_states"][order], trace["graph_epochs"][order],
+                       trace["events"])
+        assert run_cli("learn", "--run", forward, "--mode", "both",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert "iterations 1..200" in err and err.count("\n") == 1
+
+    def test_learn_rejects_a_trace_with_a_state_out_of_range(
+        self, forward_run, tmp_path, capsys
+    ):
+        """A true state of -1 would index the last hypothesis; known mode
+        rejects it (exit 2) rather than learn against the wrong one."""
+        trace = io.read_trace(forward_run / "trace.csv")
+        trace["true_states"][50:60] = -1
+        io.write_trace(forward_run / "trace.csv", trace["iterations"],
+                       trace["true_states"], trace["graph_epochs"], trace["events"])
+        assert run_cli("learn", "--run", forward_run, "--mode", "known",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert "true state" in err and err.count("\n") == 1
 
     def test_learn_rejects_a_model_of_another_size(self, forward_run, tmp_path, capsys):
         io.save_model(forward_run / "model.json", random_likelihoods(7, 3, 3, seed=5))

@@ -382,6 +382,25 @@ class TestGraphLearner:
         with pytest.raises(ValueError):
             learner.consume(np.full((1, 6, 3), -np.log(3)))
 
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_known_mode_rejects_a_state_out_of_range(self, small_setup, state):
+        """The targets index a table of the 3 hypotheses by the true
+        state, where -1 would silently pick hypothesis 2: a state outside
+        0..2, like a missing one, is rejected before anything is
+        consumed."""
+        model, combination = small_setup
+        learner = GraphLearner(model, 0.05, 0.3, "known")
+        with pytest.raises(ValueError, match="true state"):
+            learner.consume(np.full((2, 6, 3), -np.log(3)), state, combination)
+        assert learner.iterations == 0 and not learner.deviations
+
+    @pytest.mark.parametrize("reference", [-1, 3])
+    def test_rejects_a_reference_out_of_range_at_construction(self, small_setup,
+                                                             reference):
+        model, _ = small_setup
+        with pytest.raises(ValueError, match="reference"):
+            GraphLearner(model, 0.05, 0.3, "estimated", reference)
+
     def test_divergence_freezes_the_estimate(self, small_setup):
         model, combination = small_setup
         steps = run_simulation(model, combination, 1, 0.3, 300, seed=41)
@@ -742,6 +761,8 @@ class TestBlockwiseLearner:
         full = learn_graph(chunks, model, mu, 0.3, "known")
         partial = learn_graph(blind, model, mu, 0.3, "known")
         assert np.array_equal(partial.estimate, full.estimate)
+        assert partial.diverged_at == full.diverged_at
+        assert (partial.diverged_at is None) == (mu < 1)
         without = np.concatenate([np.full(len(b), m is None) for b, _, m in blind])
         expected = np.where(without & np.isfinite(full.msd), np.nan, full.msd)
         assert np.array_equal(partial.msd, expected, equal_nan=True)

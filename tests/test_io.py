@@ -13,6 +13,8 @@ from hypothesis.extra import numpy as hnp
 from beliefgraph import io
 from beliefgraph.model import random_likelihoods
 
+from helpers import read_msd_table
+
 # Awkward doubles: negatives, subnormals, extremes of the exponent range
 # and a signed zero.
 AWKWARD = [-1.2345678901234567, 5e-324, 2.5e-310, 1e300, -1e-300, -0.0,
@@ -37,6 +39,12 @@ def write_stream(path, blocks):
 def per_value_matrix(matrix) -> str:
     lines = [",".join(format(float(x), ".17g") for x in row)
              for row in np.asarray(matrix, dtype=float)]
+    return "\n".join(lines) + "\n"
+
+
+def per_row_adjacency(adjacency) -> str:
+    lines = [",".join("1" if x else "0" for x in row)
+             for row in np.asarray(adjacency, dtype=bool)]
     return "\n".join(lines) + "\n"
 
 
@@ -112,6 +120,19 @@ class TestMatrixFiles:
         io.write_adjacency(path, adjacency)
         np.testing.assert_array_equal(io.read_adjacency(path), adjacency)
         assert set(path.read_text()) <= {"0", "1", ",", "\n"}
+
+    @pytest.mark.parametrize("adjacency", [
+        np.random.default_rng(3).random((7, 7)) < 0.4,
+        np.array([[0.5, 0.0, 1.0], [0.0, 0.25, 0.0], [2.0, 0.0, 0.5]]),
+        np.array([[True]]),
+    ], ids=["bool", "float", "1x1"])
+    def test_adjacency_bytes_match_the_per_row_join(self, tmp_path, adjacency):
+        """The adjacency goes through write_matrix, whose %.17g writes the
+        0.0 and 1.0 of a boolean matrix as 0 and 1: the bytes of the old
+        per-row join, also for weights, whose nonzero entries are arcs."""
+        path = tmp_path / "a.csv"
+        io.write_adjacency(path, adjacency)
+        assert path.read_bytes() == per_row_adjacency(adjacency).encode()
 
 
 class TestBeliefStream:
@@ -313,7 +334,7 @@ class TestMsdTable:
         estimated = np.array([4.0, 2.5, 1.5])
         io.write_msd_table(path, [1, 2, 3], {"known": known, "estimated": estimated},
                            events={2: "set_true_state"})
-        table = io.read_msd_table(path)
+        table = read_msd_table(path)
         np.testing.assert_array_equal(table["known"], known)
         np.testing.assert_array_equal(table["estimated"], estimated)
         np.testing.assert_array_equal(table["iteration"], [1, 2, 3])

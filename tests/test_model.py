@@ -11,12 +11,13 @@ from beliefgraph.model import (
     LikelihoodModel,
     erdos_renyi_adjacency,
     is_strongly_connected,
-    log_likelihood_ratio_matrix,
     mean_likelihood_matrix,
     random_combination_matrix,
     random_likelihoods,
     ratio_columns,
 )
+
+from helpers import log_likelihood_ratio_matrix
 
 # Expected values computed by direct summation, independent of the
 # library (sum of p * log(p/q) evaluated term by term).

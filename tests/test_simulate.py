@@ -10,7 +10,6 @@ from beliefgraph.model import (
     CombinationMatrix,
     LikelihoodModel,
     erdos_renyi_adjacency,
-    log_likelihood_ratio_matrix,
     random_combination_matrix,
     random_likelihoods,
 )
@@ -25,6 +24,8 @@ from beliefgraph.simulate import (
     run_simulation,
     sample_observations,
 )
+
+from helpers import log_likelihood_ratio_matrix
 
 ROW_SUM_TOL = 1e-10
 
