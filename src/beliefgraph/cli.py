@@ -36,7 +36,7 @@ from .harness import (
     write_report,
 )
 from .model import CombinationMatrix
-from .simulate import CHUNK_STEPS
+from .simulate import CHUNK_STEPS, REGENERATE_GRAPH
 
 __all__ = ["main", "build_parser"]
 
@@ -202,17 +202,46 @@ def _cmd_sweep(args) -> int:
     return EXIT_DIVERGED if any(r["divergent"] for r in rows) else EXIT_OK
 
 
-def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
+def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
+                num_states: int, regenerations: int):
     """Ground truth of a recorded stream: the true state of each step
     (``None`` without a trace), the graph epoch of each step, the
     combination matrix of each epoch the bundle holds and the events by
-    iteration."""
+    iteration.
+
+    A trace must hold iterations ``1..num_steps`` in order, true states
+    in ``0..num_states - 1`` and graph epochs that start at 0 and rise by
+    one at each ``regenerate_graph`` event and nowhere else. In a bundle
+    that holds true matrices, the trace's last epoch must have one or be
+    an epoch of the run, whose schedule holds ``regenerations`` graph
+    regenerations: the steps of a run epoch whose matrix file is missing
+    are only left unscored.
+    """
     trace = None
     if trace_file and trace_file.exists():
         trace = io.read_trace(trace_file)
         if not np.array_equal(trace["iterations"], np.arange(1, num_steps + 1)):
             raise ValueError(f"the trace must hold iterations 1..{num_steps} of the "
                              f"belief stream, one row each, in order")
+        states = trace["true_states"]
+        outside = np.flatnonzero((states < 0) | (states >= num_states))
+        if outside.size:
+            first = outside[0]
+            raise ValueError(f"the trace holds true state {states[first]} at iteration "
+                             f"{first + 1}, outside 0..{num_states - 1}")
+        regenerated = np.zeros(num_steps, dtype=int)
+        for iteration, event in trace["events"].items():
+            regenerated[iteration - 1] = event == REGENERATE_GRAPH
+        expected = np.cumsum(regenerated)
+        wrong = np.flatnonzero(trace["graph_epochs"] != expected)
+        if wrong.size:
+            first = wrong[0]
+            raise ValueError(
+                f"the trace puts iteration {first + 1} in graph epoch "
+                f"{trace['graph_epochs'][first]}, not {expected[first]}: "
+                f"graph epochs start at 0 and rise by one at each "
+                f"{REGENERATE_GRAPH} event and nowhere else"
+            )
     matrices: dict[int, CombinationMatrix] = {}
     if run_dir is not None:
         for path in run_dir.glob("true_matrix_*.csv"):
@@ -229,6 +258,10 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int):
         # it, only a single-epoch bundle pins the matrix of every step.
         epochs = np.zeros(num_steps, dtype=int)
         return None, epochs, matrices if len(matrices) == 1 else {}, {}
+    last = trace["graph_epochs"][-1]
+    if matrices and last > max(max(matrices), regenerations):
+        raise ValueError(f"the trace reaches graph epoch {last}, but the bundle "
+                         f"holds no true_matrix_{last:03d}.csv")
     return trace["true_states"], trace["graph_epochs"], matrices, trace["events"]
 
 
@@ -298,8 +331,9 @@ def _cmd_learn(args) -> int:
         )
     if not np.isfinite(log_beliefs).all():
         raise ValueError("the belief stream holds a non-finite log-belief")
+    regenerations = sum(e.action == REGENERATE_GRAPH for e in config.schedule)
     true_states, graph_epochs, matrices, events = _load_truth(
-        run_dir, trace_file, len(log_beliefs)
+        run_dir, trace_file, len(log_beliefs), model.num_states, regenerations
     )
     if KNOWN in config.modes() and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")

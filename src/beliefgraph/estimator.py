@@ -109,9 +109,8 @@ def gradient_step(
     lam_{i-1} - delta lbar_i) lam_{i-1}^T``. No projection is applied;
     the iterate is free to leave the set of stochastic matrices.
     """
-    n = estimate.shape[0]
-    if estimate.shape != (n, n) or targets.shape != regressors.shape \
-            or regressors.shape[1:] != (n,):
+    shape = regressors.shape
+    if targets.shape != shape or len(shape) != 2 or estimate.shape != (shape[1],) * 2:
         raise ValueError("estimate, regressors and targets have mismatched shapes")
     residual = regressors.dot(estimate)
     np.subtract(targets, residual, out=residual)
@@ -176,6 +175,9 @@ class GraphLearner:
             raise ValueError("delta must be in (0, 1)")
         n, S = self.model.num_agents, self.model.num_states
         self.estimate = np.zeros((n, n))
+        # mu as a 0-d array: numpy scales by one on its fast path, by a
+        # Python float on a slower one, with the same result.
+        self._rate = np.array(self.mu, dtype=float)
         # The last log-ratios of the previous block, agents last: the
         # next block's first regressor.
         self._register = np.zeros((S - 1, n))
@@ -231,7 +233,7 @@ class GraphLearner:
         if self.diverged_at is None:
             # The kept estimate is within DIVERGENCE_LIMIT, so no errstate
             # is needed: only a mu near the float64 range could overflow.
-            updated = gradient_step(self.estimate, regressors, targets, self.mu)
+            updated = gradient_step(self.estimate, regressors, targets, self._rate)
             weights = self._zero if combination is None else combination.weights
             difference = self._difference
             np.subtract(weights, updated, out=difference)
@@ -269,8 +271,8 @@ class GraphLearner:
         deviations = np.empty(len(block))
         self.deviations.append(deviations)
         first = self.iterations
-        for row in range(len(block)):
-            self.step(regressors[row], targets[row], combination)
+        for row, (regressor, target) in enumerate(zip(regressors, targets)):
+            self.step(regressor, target, combination)
             deviations[row] = self._deviation
         if combination is None:
             deviations[:] = np.nan

@@ -302,7 +302,9 @@ def _simulate(
     true_states = np.empty(T, dtype=int)
     graph_epochs = np.empty(T, dtype=int)
     events: dict[int, str] = {}
-    epochs: list[CombinationMatrix] = []
+    # Epoch 0 is the run's initial matrix, also when a regenerate_graph
+    # event at iteration 1 means no step runs under it.
+    epochs = [combination]
     n, S = model.num_agents, model.num_states
     private = np.empty((T, n, S - 1)) if config.test_mode else None
     with (

@@ -20,6 +20,7 @@ whole chunk at once with one max-shifted log-sum-exp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class EventSchedule:
         return self.events[-1].iteration if self.events else 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulationStep:
     """Public snapshot of one iteration plus its ground truth.
 
@@ -106,6 +107,8 @@ class SimulationStep:
     of consecutive snapshots this step is row ``row`` of: the shared
     beliefs are ``block[row]``. All steps of a chunk share one true
     state, matrix and graph epoch; only row 0 can carry an event.
+    :func:`run_simulation` passes the fields by position, in the order
+    below.
     """
 
     iteration: int
@@ -180,6 +183,10 @@ def adapt_step(
     ``delta * log L_k(signal_k | .) + (1 - delta) * log b_k``. ``delta``
     must lie in ``(0, 1)``; the value 1 (pure likelihood) is accepted
     for testing.
+
+    This is the one-step form of the chunk loop of
+    :func:`run_simulation`, which writes the same operations, in the
+    same order, into each row of its chunk in place.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
@@ -281,6 +288,8 @@ def run_simulation(
     pending = list(schedule)
     true_state, epoch = int(true_state), 0
     ratios = np.zeros((n, model.num_states - 1))  # uniform beliefs
+    # A 0-d array scales on numpy's fast path; a Python float does not.
+    keep = np.array(1.0 - delta)
 
     first = 1
     while first <= num_iterations:
@@ -298,26 +307,25 @@ def run_simulation(
             stop = min(stop, pending[0].iteration)
         signals = sample_observations(model, true_state, rng, stop - first)
         rows = agent_rows + signals
-        signal_ratios = forward_table.take(rows, axis=0)
-        weighted = delta * signal_ratios
+        weighted = delta * forward_table.take(rows, axis=0)
         lam = np.empty_like(weighted)
-        for t in range(stop - first):
-            lam[t] = ratios = adapt_step(ratios, weighted[t], delta)
-            ratios = combine_step(ratios, combination)
+        # adapt_step written into each row of lam in place, the same
+        # operations in the same order
+        for row, signal in zip(lam, weighted):
+            np.multiply(ratios, keep, out=row)
+            row += signal
+            ratios = combine_step(row, combination)
         log_beliefs = _ratio_log_beliefs(lam)
         # Every step of the chunk is a view into this one block.
         log_beliefs.flags.writeable = False
-        private = private_table.take(rows, axis=0) if record_private else None
-        for t in range(stop - first):
+        private = (
+            private_table.take(rows, axis=0) if record_private
+            else repeat(None, stop - first)
+        )
+        for t, (shared, signal_ratios) in enumerate(zip(log_beliefs, private)):
             yield SimulationStep(
-                iteration=first + t,
-                shared_log_beliefs=log_beliefs[t],
-                block=log_beliefs,
-                row=t,
-                true_state=true_state,
-                graph_epoch=epoch,
-                combination=combination,
-                event=event_name if t == 0 else None,
-                signal_log_ratios=None if private is None else private[t],
+                first + t, shared, true_state, epoch, combination, event_name,
+                signal_ratios, log_beliefs, t,
             )
+            event_name = None
         first = stop

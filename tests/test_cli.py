@@ -385,6 +385,133 @@ class TestSimulateAndLearn:
         err = capsys.readouterr().err
         assert "true state" in err and err.count("\n") == 1
 
+    def test_a_graph_regenerated_at_iteration_1(self, tmp_path):
+        """A regeneration at iteration 1 leaves epoch 0 without a step; the
+        bundle still holds its matrix next to epoch 1's, and learn on it
+        gives the online result bit for bit."""
+        config = ["--agents", "6", "--states", "3", "--edge-prob", "0.5",
+                  "--iters", "20"]
+        run = tmp_path / "D"
+        assert run_cli("experiment", *config, "--regen-graph-at", "1:5",
+                       "--mode", "both", "--out", run) == 0
+        matrices = sorted(p.name for p in run.glob("true_*.csv"))
+        assert matrices == ["true_adjacency_000.csv", "true_adjacency_001.csv",
+                            "true_matrix_000.csv", "true_matrix_001.csv"]
+        still = tmp_path / "still"
+        assert run_cli("simulate", *config, "--out", still) == 0
+        assert ((run / "true_matrix_000.csv").read_bytes()
+                == (still / "true_matrix_000.csv").read_bytes())
+        trace = io.read_trace(run / "trace.csv")
+        assert (trace["graph_epochs"] == 1).all()
+        learned = tmp_path / "learned"
+        assert run_cli("learn", "--run", run, "--mode", "both", "--out", learned) == 0
+        for mode in ("known", "estimated"):
+            name = f"learned_matrix_{mode}.csv"
+            assert (learned / name).read_bytes() == (run / name).read_bytes()
+        assert (learned / "msd.csv").read_bytes() == (run / "msd.csv").read_bytes()
+        online = json.loads((run / "summary.json").read_text())["modes"]
+        offline = json.loads((learned / "summary.json").read_text())["modes"]
+        assert offline == online and offline["known"]["final_msd"] is not None
+
+    @pytest.fixture
+    def event_run(self, tmp_path):
+        """A 200-step bundle with a state switch at 80 and a regeneration
+        at 120, and a function that rewrites its trace."""
+        out = tmp_path / "events"
+        assert run_cli("simulate", *BASE, "--set-state-at", "80:2",
+                       "--regen-graph-at", "120:9", "--out", out) == 0
+        trace = io.read_trace(out / "trace.csv")
+
+        def rewrite(true_states=trace["true_states"],
+                    graph_epochs=trace["graph_epochs"], events=trace["events"]):
+            io.write_trace(out / "trace.csv", trace["iterations"], true_states,
+                           graph_epochs, events)
+            return out
+
+        return trace, rewrite
+
+    def learn_rejects(self, run, tmp_path, capsys):
+        """learn --mode estimated on ``run`` exits 2 with one line and
+        writes nothing; returns the line."""
+        out = tmp_path / "rejected"
+        assert run_cli("learn", "--run", run, "--mode", "estimated",
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the trace") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    def test_learn_rejects_a_trace_state_outside_the_model(
+        self, event_run, tmp_path, capsys
+    ):
+        """Estimated mode uses the true states only to cut blocks and
+        score, yet a state outside 0..S-1 still marks a corrupt trace."""
+        trace, rewrite = event_run
+        states = trace["true_states"].copy()
+        states[50:60] = 7
+        err = self.learn_rejects(rewrite(true_states=states), tmp_path, capsys)
+        assert "true state 7 at iteration 51, outside 0..2" in err
+
+    @pytest.mark.parametrize("case", ["shifted", "regenerated-at-1"])
+    def test_learn_rejects_graph_epochs_that_do_not_start_at_0(
+        self, event_run, tmp_path, capsys, case
+    ):
+        """Epochs start at 0, or at 1 when row 1 carries regenerate_graph:
+        here every epoch shifted up by one, and a run regenerated at
+        iteration 1 whose trace says epoch 0 throughout."""
+        trace, rewrite = event_run
+        if case == "shifted":
+            run = rewrite(graph_epochs=trace["graph_epochs"] + 1)
+            expected = "iteration 1 in graph epoch 1, not 0"
+        else:
+            run = tmp_path / "at1"
+            assert run_cli("simulate", *BASE, "--regen-graph-at", "1:5",
+                           "--out", run) == 0
+            at1 = io.read_trace(run / "trace.csv")
+            io.write_trace(run / "trace.csv", at1["iterations"], at1["true_states"],
+                           np.zeros(200, dtype=int), at1["events"])
+            expected = "iteration 1 in graph epoch 0, not 1"
+        assert expected in self.learn_rejects(run, tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", ["rise-without-event", "event-without-rise",
+                                      "rise-by-two"])
+    def test_learn_rejects_graph_epochs_that_do_not_follow_the_events(
+        self, event_run, tmp_path, capsys, case
+    ):
+        """Epochs rise by exactly one at each regenerate_graph row and
+        nowhere else: here epoch 5 from row 101 on, no rise at the event
+        of row 120, and a rise by two there."""
+        trace, rewrite = event_run
+        epochs = trace["graph_epochs"].copy()
+        if case == "rise-without-event":
+            epochs[100:] = 5
+            expected = "iteration 101 in graph epoch 5, not 0"
+        elif case == "event-without-rise":
+            epochs[:] = 0
+            expected = "iteration 120 in graph epoch 0, not 1"
+        else:
+            epochs[119:] = 2
+            expected = "iteration 120 in graph epoch 2, not 1"
+        assert expected in self.learn_rejects(rewrite(graph_epochs=epochs),
+                                              tmp_path, capsys)
+
+    def test_learn_rejects_an_epoch_the_bundle_has_no_matrix_for(
+        self, event_run, tmp_path, capsys
+    ):
+        """A trace with a second regeneration marked at row 150, consistent
+        in itself, reaches epoch 2; the bundle holds the matrices of
+        epochs 0 and 1 and its schedule one regeneration, so epoch 2 is
+        no epoch of this run. A run epoch whose matrix file is missing
+        only goes unscored (test_learn_scores_each_epoch_against_its_own_matrix,
+        test_learn_writes_strict_json_without_part_of_the_truth)."""
+        trace, rewrite = event_run
+        epochs = trace["graph_epochs"].copy()
+        epochs[149:] = 2
+        events = {**trace["events"], 150: "regenerate_graph"}
+        run = rewrite(graph_epochs=epochs, events=events)
+        err = self.learn_rejects(run, tmp_path, capsys)
+        assert "graph epoch 2, but the bundle holds no true_matrix_002.csv" in err
+
     def test_learn_rejects_a_model_of_another_size(self, forward_run, tmp_path, capsys):
         io.save_model(forward_run / "model.json", random_likelihoods(7, 3, 3, seed=5))
         assert run_cli("learn", "--run", forward_run, "--mode", "both",

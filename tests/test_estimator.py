@@ -304,6 +304,36 @@ class TestGradientStep:
                               np.zeros(targets), 0.1)
 
 
+    def test_shape_check_rejects_what_the_former_check_rejected(self):
+        """Over operands of rank 0 to 3, the one-chain shape check rejects
+        exactly the shapes the former three-part check rejected (an
+        estimate of rank 0 made that one fail with an IndexError)."""
+
+        def former_rejects(estimate, regressors, targets):
+            try:
+                n = estimate[0]
+            except IndexError:
+                return True
+            return (estimate != (n, n) or targets != regressors
+                    or regressors[1:] != (n,))
+
+        shapes = [(), (3,), (2,), (2, 3), (3, 3), (3, 2), (2, 4), (4, 4), (1, 3),
+                  (3, 4), (2, 2, 3), (3, 3, 3)]
+        checked = rejected = 0
+        for estimate in shapes:
+            for regressors in shapes:
+                for targets in shapes:
+                    args = [np.zeros(shape) for shape in (estimate, regressors, targets)]
+                    if former_rejects(estimate, regressors, targets):
+                        with pytest.raises(ValueError):
+                            gradient_step(*args, 0.1)
+                        rejected += 1
+                    else:
+                        assert gradient_step(*args, 0.1).shape == estimate
+                    checked += 1
+        assert checked == len(shapes) ** 3 and 0 < rejected < checked
+
+
 class TestRegressionForm:
     """The regression-form kernel against the paper-form update it
     replaced, which stays here as the oracle."""
@@ -747,6 +777,31 @@ class TestBlockwiseLearner:
                 assert result.votes.tolist() == [
                     majority_vote(s.shared_log_beliefs) for s in steps
                 ]
+
+    @pytest.mark.parametrize("mode", ["known", "estimated"])
+    def test_the_learner_equals_a_plain_loop_of_the_kernel(self, chunked_steps, mode):
+        """The learner hands the kernel mu as a 0-d array; a plain loop of
+        gradient_step with mu as a Python float, over regressors and
+        targets formed snapshot by snapshot, gives the same estimate and
+        deviations bit for bit."""
+        model, steps = chunked_steps
+        mu, delta = 0.01, 0.3
+        learned = learn_graph(simulator_blocks(steps), model, mu, delta, mode)
+        estimate = np.zeros((10, 10))
+        previous = np.zeros((2, 10))
+        deviations = []
+        for step in steps:
+            ratios = belief_log_ratios(step.shared_log_beliefs).T
+            state = (step.true_state if mode == "known"
+                     else majority_vote(step.shared_log_beliefs))
+            targets = ratios - delta * mean_likelihood_matrix(model, state).T
+            estimate = gradient_step(
+                estimate, (1.0 - delta) * previous, targets, float(mu)
+            )
+            previous = ratios
+            deviations.append(msd(step.combination.weights, estimate))
+        assert np.array_equal(learned.estimate, estimate)
+        assert np.array_equal(learned.msd, deviations)
 
     @pytest.mark.parametrize("mu", [0.01, 5.0])
     def test_blocks_without_a_matrix_record_nan(self, chunked_steps, mu):

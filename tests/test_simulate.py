@@ -98,6 +98,32 @@ def oracle_run(model, combination, true_state, delta, num_iterations, seed,
     return out
 
 
+def plain_forward_ratios(model, combination, true_state, delta, num_iterations,
+                         seed, events=(), edge_prob=None):
+    """The shared log-ratios of every iteration from a plain loop of the
+    public ``adapt_step`` and ``combine_step``, one signal draw per
+    iteration and events applied as ``oracle_run`` applies them."""
+    rng = np.random.default_rng(seed)
+    due = {e.iteration: e for e in events}
+    table = model.signal_log_ratio_table(0)
+    agents = np.arange(model.num_agents)
+    ratios = np.zeros((model.num_agents, model.num_states - 1))
+    shared = []
+    for i in range(1, num_iterations + 1):
+        event = due.get(i)
+        if event is not None and event.action == "set_true_state":
+            true_state = event.value
+        elif event is not None:
+            regen = np.random.default_rng(event.value)
+            adjacency, _ = erdos_renyi_adjacency(model.num_agents, edge_prob, regen)
+            combination = random_combination_matrix(adjacency, regen)
+        signals = sample_observations(model, true_state, rng)
+        ratios = adapt_step(ratios, delta * table[agents, signals], delta)
+        shared.append(ratios)
+        ratios = combine_step(ratios, combination)
+    return np.stack(shared)
+
+
 def fsum_log_sum_exp(row):
     """Log-sum-exp of one row in scalar arithmetic, with the shifted
     exponentials summed exactly rounded by ``math.fsum``."""
@@ -532,6 +558,101 @@ class TestForwardPassAgainstOracle:
             model, combination, 1, 0.3, num_iterations, seed=4,
             events=events, edge_prob=0.35, reference=1,
         )
+
+    @pytest.mark.parametrize("case", ["reference", "desk-events"])
+    def test_blocks_equal_a_plain_loop_of_the_public_steps(self, case):
+        """The chunk loop adapts in place; its blocks equal, bit for bit,
+        a plain loop of the public adapt_step and combine_step normalized
+        with _ratio_log_beliefs: on the reference configuration and on a
+        desk run with events just before, at and after chunk ends."""
+        if case == "reference":
+            adjacency, _ = erdos_renyi_adjacency(30, 0.2, seed=0)
+            combination = random_combination_matrix(adjacency, seed=1)
+            model = random_likelihoods(30, 4, 4, seed=2)
+            args = (model, combination, 2, 0.05, 10_000, 3)
+            events, edge_prob = (), None
+        else:
+            adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
+            combination = random_combination_matrix(adjacency, seed=22)
+            model = random_likelihoods(10, 3, 4, seed=23)
+            args = (model, combination, 1, 0.3, 10_007, 4)
+            events = (
+                Event(1, "set_true_state", 0),
+                Event(CHUNK_STEPS - 1, "set_true_state", 2),
+                Event(CHUNK_STEPS, "regenerate_graph", 900),
+                Event(CHUNK_STEPS + 1, "set_true_state", 1),
+                Event(3 * CHUNK_STEPS + 1, "regenerate_graph", 901),
+            )
+            edge_prob = 0.35
+        steps = run_simulation(*args, schedule=EventSchedule(events),
+                               edge_prob=edge_prob)
+        blocks = np.concatenate([s.block for s in steps if s.row == 0])
+        expected = _ratio_log_beliefs(
+            plain_forward_ratios(*args, events=events, edge_prob=edge_prob)
+        )
+        assert blocks.shape == expected.shape
+        assert np.array_equal(blocks, expected)
+
+    def test_every_step_field_holds_its_own_value(self):
+        """Steps are built by position, so each field is checked against
+        a source of its own: the trace the schedule implies (a true state
+        never equal to the graph epoch, so a swap shows), the private
+        stream of plain single-step draws and the chunk boundaries that
+        CHUNK_STEPS and the events imply."""
+        adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
+        combination = random_combination_matrix(adjacency, seed=22)
+        model = random_likelihoods(10, 4, 4, seed=23)
+        switch, regen, T = CHUNK_STEPS + 5, 2 * CHUNK_STEPS - 1, 3 * CHUNK_STEPS + 7
+        schedule = EventSchedule((
+            Event(switch, "set_true_state", 2), Event(regen, "regenerate_graph", 900),
+        ))
+        steps = list(run_simulation(
+            model, combination, 3, 0.3, T, seed=24, schedule=schedule,
+            record_private=True, edge_prob=0.35, reference=1,
+        ))
+        iterations = np.arange(1, T + 1)
+        true_states = np.where(iterations < switch, 3, 2)
+        graph_epochs = (iterations >= regen).astype(int)
+        assert (true_states != graph_epochs).all()
+        events = {switch: "set_true_state", regen: "regenerate_graph"}
+        regen_rng = np.random.default_rng(900)
+        regenerated = random_combination_matrix(
+            erdos_renyi_adjacency(10, 0.35, regen_rng)[0], regen_rng
+        )
+        rng = np.random.default_rng(24)
+        private = np.stack([
+            model.signal_log_ratio_table(1)[
+                np.arange(10), sample_observations(model, state, rng)
+            ]
+            for state in true_states
+        ])
+        starts, first = [], 1
+        while first <= T:
+            starts.append(first)
+            first = min([first + CHUNK_STEPS] + [i for i in (switch, regen) if i > first])
+        assert starts == [1, 1 + CHUNK_STEPS, switch, regen, regen + CHUNK_STEPS]
+        ends = starts[1:] + [T + 1]
+
+        assert len(steps) == T
+        for step, i in zip(steps, iterations):
+            chunk = np.searchsorted(starts, i, side="right") - 1
+            assert type(step.iteration) is int and step.iteration == i
+            assert type(step.true_state) is int
+            assert step.true_state == true_states[i - 1]
+            assert type(step.graph_epoch) is int
+            assert step.graph_epoch == graph_epochs[i - 1]
+            if i < regen:
+                assert step.combination is combination
+            else:
+                assert np.array_equal(step.combination.weights, regenerated.weights)
+            assert step.event == events.get(i)
+            assert np.array_equal(step.signal_log_ratios, private[i - 1])
+            assert step.block.shape == (ends[chunk] - starts[chunk], 10, 4)
+            assert type(step.row) is int and step.row == i - starts[chunk]
+            assert step.shared_log_beliefs.shape == (10, 4)
+            assert np.shares_memory(step.shared_log_beliefs, step.block)
+            assert np.array_equal(step.shared_log_beliefs, step.block[step.row])
+        assert not hasattr(steps[0], "__dict__")
 
     @pytest.mark.parametrize("reference", [0, 2])
     def test_gather_and_combine_equal_the_fancy_index_and_matmul_forms(
