@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .estimator import ESTIMATED, KNOWN, learn_graph
+from .estimator import BOTH, ESTIMATED, KNOWN, learn_graph
 from .harness import (
     MANIFEST_FORMAT,
     ConfigError,
@@ -337,18 +337,19 @@ def _cmd_learn(args) -> int:
     )
     if KNOWN in config.modes() and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
-    blocks = list(_recorded_blocks(log_beliefs, true_states, graph_epochs, matrices))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    blocks = _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices)
+    learned = learn_graph(blocks, model, config.mu, config.delta, config.mode,
+                          config.reference)
+    if config.mode != BOTH:
+        learned = {config.mode: learned}
     # Edge accuracy is scored against the graph in force at the end of
     # the stream, as run_experiment does.
     results = {
-        mode: mode_result(
-            learn_graph(blocks, model, config.mu, config.delta, mode, config.reference),
-            matrices.get(int(graph_epochs[-1])), config, out,
-        )
-        for mode in config.modes()
+        mode: mode_result(result, matrices.get(int(graph_epochs[-1])), config, out)
+        for mode, result in learned.items()
     }
     write_report(out, results, events)
     _print_mode_summary(results)

@@ -31,6 +31,7 @@ __all__ = [
     "gradient_step",
     "GraphLearner",
     "LearnResult",
+    "mode_learners",
     "learn_graph",
     "msd",
     "classify_edges",
@@ -45,6 +46,8 @@ DIVERGENCE_LIMIT = 1e6
 
 KNOWN = "known"
 ESTIMATED = "estimated"
+BOTH = "both"
+MODES = (KNOWN, ESTIMATED)
 
 
 class NoSeparationError(RuntimeError):
@@ -153,6 +156,20 @@ class GraphLearner:
     also forms the row's squared deviation from the block's matrix (the
     zero matrix without one), which doubles as its divergence test.
     ``deviations`` and ``votes`` hold one array per block.
+
+    An ``estimated`` learner built with a ``leader``, a fresh ``known``
+    learner of the same model, mu, delta and reference, follows it: the
+    two share one trajectory until a vote differs. The leader consumes
+    each block first. The follower still forms and records its votes;
+    while every vote of a block equals the block's true state, the two
+    updates are bit-identical, so it runs no step and takes the leader's
+    deviation array for the block and its estimate, register,
+    ``iterations``, ``diverged_at`` and last deviation. The first row of
+    the run is exempt: the register starts at zero, so its update is a
+    no-op whatever the target. At the first block with any other
+    differing vote, the follower holds the leader's state from the start
+    of that block; it drops the leader (``leader`` becomes ``None``) and
+    consumes on its own from then on.
     """
 
     model: LikelihoodModel
@@ -160,6 +177,7 @@ class GraphLearner:
     delta: float
     mode: str
     reference: int = 0
+    leader: GraphLearner | None = None
     estimate: np.ndarray = field(init=False)
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
@@ -173,6 +191,15 @@ class GraphLearner:
             raise ValueError("mu must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
+        leader = self.leader
+        if leader is not None and (
+            self.mode != ESTIMATED or leader.mode != KNOWN
+            or leader.model is not self.model or leader.iterations
+            or (leader.mu, leader.delta, leader.reference)
+            != (self.mu, self.delta, self.reference)
+        ):
+            raise ValueError("an estimated learner follows a fresh known learner "
+                             "of the same model, mu, delta and reference")
         n, S = self.model.num_agents, self.model.num_states
         self.estimate = np.zeros((n, n))
         # mu as a 0-d array: numpy scales by one on its fast path, by a
@@ -255,6 +282,12 @@ class GraphLearner:
         if self.mode == KNOWN and true_state not in range(self.model.num_states):
             raise ValueError(f"known mode needs the current true state in "
                              f"0..{self.model.num_states - 1}, got {true_state}")
+        states = true_state
+        if self.mode == ESTIMATED:
+            states = majority_vote(block)
+            self.votes.append(states)
+            if self.leader is not None and self._follow(states, true_state, len(block)):
+                return
         # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
         # register. Every operation is elementwise per row, so the
         # update does not depend on where blocks begin and end.
@@ -263,10 +296,6 @@ class GraphLearner:
         lagged[1:] = belief_log_ratios(block, self.reference).transpose(0, 2, 1)
         self._register = lagged[-1]
         regressors = (1.0 - self.delta) * lagged[:-1]
-        states = true_state
-        if self.mode == ESTIMATED:
-            states = majority_vote(block)
-            self.votes.append(states)
         targets = lagged[1:] - self._offsets[states]
         deviations = np.empty(len(block))
         self.deviations.append(deviations)
@@ -279,16 +308,54 @@ class GraphLearner:
         if self.diverged_at is not None:
             deviations[max(self.diverged_at - first - 1, 0):] = np.inf
 
+    def _follow(self, votes: np.ndarray, true_state: int | None, steps: int) -> bool:
+        """Take the leader's update of a block whose votes all equal its
+        true state and return True, or drop the leader for good and
+        return False."""
+        leader = self.leader
+        if leader.iterations != self.iterations + steps:
+            raise ValueError("the leader must consume each block before its follower")
+        # The run's first update is a no-op (see the class docstring).
+        checked = votes[1:] if self.iterations == 0 else votes
+        if (checked != true_state).any():
+            self.leader = None
+            return False
+        self.deviations.append(leader.deviations[-1])
+        (self.estimate, self._register, self.iterations, self.diverged_at,
+         self._deviation) = (leader.estimate, leader._register, leader.iterations,
+                             leader.diverged_at, leader._deviation)
+        return True
+
     def result(self) -> LearnResult:
-        """The final estimate and the record of every consumed step."""
+        """The final estimate, a copy that shares no memory with a
+        leader's or a follower's, and the record of every consumed
+        step."""
         return LearnResult(
             mode=self.mode,
-            estimate=self.estimate,
+            estimate=self.estimate.copy(),
             msd=np.concatenate([np.empty(0), *self.deviations]),
             votes=(np.concatenate([np.empty(0, dtype=np.intp), *self.votes])
                    if self.mode == ESTIMATED else None),
             diverged_at=self.diverged_at,
         )
+
+
+def mode_learners(
+    model: LikelihoodModel,
+    mu: float,
+    delta: float,
+    mode: str,
+    reference: int = 0,
+) -> dict[str, GraphLearner]:
+    """The learners of a run in ``mode``, by mode: both of :data:`MODES`
+    for ``"both"``, the estimated one following the known one, which
+    comes first so that it consumes each block first."""
+    learners: dict[str, GraphLearner] = {}
+    for name in MODES if mode == BOTH else (mode,):
+        learners[name] = GraphLearner(
+            model, mu, delta, name, reference, leader=learners.get(KNOWN)
+        )
+    return learners
 
 
 def learn_graph(
@@ -298,14 +365,18 @@ def learn_graph(
     delta: float,
     mode: str = ESTIMATED,
     reference: int = 0,
-) -> LearnResult:
-    """Run a learner over ``(block, true_state, combination)`` triples:
-    consecutive blocks of a belief stream, each with the true state and
-    matrix of all its rows or ``None``; see :meth:`GraphLearner.consume`."""
-    learner = GraphLearner(model, mu, delta, mode, reference)
+) -> LearnResult | dict[str, LearnResult]:
+    """Run the learners of ``mode`` over ``(block, true_state,
+    combination)`` triples: consecutive blocks of a belief stream, each
+    with the true state and matrix of all its rows or ``None``; see
+    :meth:`GraphLearner.consume`. Returns the mode's result, or for
+    ``"both"`` the result of each mode by mode."""
+    learners = mode_learners(model, mu, delta, mode, reference)
     for block, true_state, combination in blocks:
-        learner.consume(block, true_state, combination)
-    return learner.result()
+        for learner in learners.values():
+            learner.consume(block, true_state, combination)
+    results = {name: learner.result() for name, learner in learners.items()}
+    return results if mode == BOTH else results[mode]
 
 
 def msd(true_matrix: np.ndarray, estimate: np.ndarray) -> float:

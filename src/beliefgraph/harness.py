@@ -18,14 +18,15 @@ import numpy as np
 
 from . import io
 from .estimator import (
+    BOTH,
     ESTIMATED,
-    KNOWN,
-    GraphLearner,
+    MODES,
     LearnResult,
     NoSeparationError,
     SteadyStateDiagnostics,
     belief_log_ratios,
     classify_edges,
+    mode_learners,
     steady_state_diagnostics,
 )
 from .model import (
@@ -53,8 +54,6 @@ __all__ = [
 ]
 
 MANIFEST_FORMAT = "beliefgraph-manifest-v2"
-
-MODES = (KNOWN, ESTIMATED)
 
 
 class ConfigError(ValueError):
@@ -96,7 +95,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def modes(self) -> tuple[str, ...]:
-        return MODES if self.mode == "both" else (self.mode,)
+        return MODES if self.mode == BOTH else (self.mode,)
 
     def validate(self) -> None:
         problems = []
@@ -292,7 +291,7 @@ def _simulate(
     the private rows of test mode are copied step by step.
 
     Returns the true state and graph epoch of every iteration, the
-    events by iteration, the combination matrix in force at the end and
+    events by iteration, the combination matrix of every graph epoch and
     the private signal ratios of every iteration (``None`` unless
     ``config.test_mode``).
     """
@@ -355,7 +354,7 @@ def _simulate(
             "format": MANIFEST_FORMAT,
             "config": config.to_dict(),
         })
-    return true_states, graph_epochs, events, epochs[-1], private
+    return true_states, graph_epochs, events, epochs, private
 
 
 def mode_result(
@@ -425,19 +424,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     out = Path(config.out) if config.out else None
     combination, model, graph_attempts = _generate(config)
-    initial_msd = float(np.sum(combination.weights**2))
 
-    learners = {
-        mode: GraphLearner(model, config.mu, config.delta, mode, config.reference)
-        for mode in config.modes()
-    }
+    # In dict order, so that a leader consumes each block before its
+    # follower (see mode_learners).
+    learners = mode_learners(model, config.mu, config.delta, config.mode,
+                             config.reference)
     consumers = [learner.consume for learner in learners.values()]
     blocks: list[np.ndarray] = []
     if config.test_mode:
         consumers.append(lambda block, *_: blocks.append(block))
-    true_states, graph_epochs, events, final_combination, private = _simulate(
+    true_states, graph_epochs, events, epochs, private = _simulate(
         config, combination, model, out, consumers
     )
+    final_combination = epochs[-1]
+    # The zero estimate's deviation at step 1, from the matrix in force
+    # there: epoch 1 after a regenerate_graph event at iteration 1.
+    initial_msd = float(np.sum(epochs[graph_epochs[0]].weights**2))
 
     diagnostics = None
     if private is not None:

@@ -3,6 +3,7 @@ package code calls, kept beside the tests that use them."""
 
 import numpy as np
 
+from beliefgraph.estimator import GraphLearner
 from beliefgraph.io import MSD_HEADER
 
 
@@ -46,3 +47,17 @@ def read_msd_table(path) -> dict[str, np.ndarray]:
     first = next(iter(iterations.values()), [])
     out["iteration"] = np.array(first, dtype=int)
     return out
+
+
+def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:
+    """The known-mode and estimated-mode results of two learners that
+    each consume every ``(block, true_state, combination)`` triple on
+    their own, by mode: the oracle of an estimated learner that follows
+    a known one."""
+    results = {}
+    for mode in ("known", "estimated"):
+        learner = GraphLearner(model, mu, delta, mode, reference)
+        for block, true_state, combination in blocks:
+            learner.consume(block, true_state, combination)
+        results[mode] = learner.result()
+    return results

@@ -413,6 +413,25 @@ class TestSimulateAndLearn:
         offline = json.loads((learned / "summary.json").read_text())["modes"]
         assert offline == online and offline["known"]["final_msd"] is not None
 
+    def test_initial_msd_of_a_graph_regenerated_at_iteration_1(self, tmp_path,
+                                                              capsys):
+        """With the graph regenerated at iteration 1, every step runs under
+        epoch 1: the initial msd is the zero estimate's deviation from
+        that matrix, row 1 of msd.csv for each mode, not epoch 0's."""
+        run = tmp_path / "D"
+        assert run_cli("experiment", "--agents", "6", "--states", "3",
+                       "--edge-prob", "0.5", "--iters", "20",
+                       "--regen-graph-at", "1:5", "--out", run) == 0
+        initial = json.loads((run / "summary.json").read_text())["initial_msd"]
+        assert f"initial msd {initial:.6g}\n" in capsys.readouterr().out
+        epoch1 = io.read_matrix(run / "true_matrix_001.csv")
+        assert initial == float(np.sum(epoch1**2))
+        table = read_msd_table(run / "msd.csv")
+        for mode in ("known", "estimated"):
+            assert table[mode][0] == initial, mode
+        epoch0 = io.read_matrix(run / "true_matrix_000.csv")
+        assert initial != float(np.sum(epoch0**2))
+
     @pytest.fixture
     def event_run(self, tmp_path):
         """A 200-step bundle with a state switch at 80 and a regeneration

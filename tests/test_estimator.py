@@ -1,6 +1,8 @@
 """Observer side: ratios, voting, the gradient update, classification
 and the steady-state diagnostics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,8 @@ from beliefgraph.simulate import (
     EventSchedule,
     run_simulation,
 )
+
+from helpers import independent_learners
 
 LOG4 = 1.3862943611198906
 
@@ -851,3 +855,141 @@ class TestBlockwiseLearner:
         blind = list(_recorded_blocks(stream, None, np.zeros(300, int), {}))
         assert [len(b) for b, _, _ in blind] == [64] * 4 + [44]
         assert {(s, m) for _, s, m in blind} == {(None, None)}
+
+
+class TestFollower:
+    """An estimated learner that follows a known one records what two
+    independent learners record, bit for bit: online and through
+    ``learn_graph(..., "both")``, whether it follows to the end, forks
+    at a block whose votes differ from its true state, or follows
+    through a divergence. The desk stream's votes differ from its true
+    state at iteration 1 only."""
+
+    T = 300
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
+        combination = random_combination_matrix(adjacency, seed=22)
+        model = random_likelihoods(10, 3, 4, seed=23)
+        steps = list(run_simulation(model, combination, 1, 0.3, self.T, seed=20))
+        votes = np.array([majority_vote(s.shared_log_beliefs) for s in steps])
+        assert (np.flatnonzero(votes != 1) == [0]).all()
+        return model, simulator_blocks(steps)
+
+    @pytest.fixture
+    def step_calls(self, monkeypatch):
+        counts = Counter()
+        step = GraphLearner.step
+
+        def counting_step(self, *args, **kwargs):
+            counts[self.mode] += 1
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(GraphLearner, "step", counting_step)
+        return counts
+
+    @staticmethod
+    def follow(blocks, model, mu):
+        """Feed a known learner and its follower online, leader first."""
+        known = GraphLearner(model, mu, 0.3, "known")
+        estimated = GraphLearner(model, mu, 0.3, "estimated", leader=known)
+        for block, true_state, combination in blocks:
+            known.consume(block, true_state, combination)
+            estimated.consume(block, true_state, combination)
+        return known, estimated
+
+    @staticmethod
+    def assert_matches_the_oracle(results, oracle):
+        for mode in ("known", "estimated"):
+            got, want = results[mode], oracle[mode]
+            assert np.array_equal(got.estimate, want.estimate), mode
+            assert np.array_equal(got.msd, want.msd), mode
+            assert got.diverged_at == want.diverged_at, mode
+            if mode == "estimated":
+                assert np.array_equal(got.votes, want.votes)
+            else:
+                assert got.votes is want.votes is None
+
+    def check(self, blocks, model, mu):
+        """Compare both feeds with the oracle; return the online pair."""
+        oracle = independent_learners(blocks, model, mu, 0.3)
+        known, estimated = self.follow(blocks, model, mu)
+        self.assert_matches_the_oracle(
+            {"known": known.result(), "estimated": estimated.result()}, oracle
+        )
+        self.assert_matches_the_oracle(learn_graph(blocks, model, mu, 0.3, "both"),
+                                       oracle)
+        return known, estimated
+
+    def test_a_differing_vote_at_iteration_1_only_does_not_fork(self, desk,
+                                                                step_calls):
+        model, blocks = desk
+        known, estimated = self.check(blocks, model, 0.01)
+        assert estimated.leader is known
+        # the oracle's two learners, the online pair, then learn_graph's
+        assert step_calls == {"known": 3 * self.T, "estimated": self.T}
+        assert estimated.result().votes[0] != 1
+
+    @pytest.mark.parametrize("k, rows", [(0, None), (2, None), (4, None), (2, 1)],
+                             ids=["first", "middle", "last", "middle-row-0"])
+    def test_a_block_whose_votes_differ_forks_it(self, desk, step_calls, k, rows):
+        """The first ``rows`` rows of block k (all of them by default), as
+        a block of their own, are given true state 2 while every vote in
+        them is 1. In block 0 only rows 1.. count, since the run's first
+        row is exempt; the first row of a later block is not."""
+        model, blocks = desk
+        assert len(blocks) == 5
+        block, state, matrix = blocks[k]
+        cut = len(block) if rows is None else rows
+        pieces = [(block[:cut], 2, matrix), (block[cut:], state, matrix)]
+        forced = blocks[:k] + [p for p in pieces if len(p[0])] + blocks[k + 1:]
+        start = sum(len(b) for b, _, _ in blocks[:k])
+        known, estimated = self.check(forced, model, 0.01)
+        assert estimated.leader is None
+        assert step_calls == {"known": 3 * self.T, "estimated": 3 * self.T - 2 * start}
+
+    def test_a_divergence_while_following(self, desk, step_calls):
+        model, blocks = desk
+        known, estimated = self.check(blocks, model, 5.0)
+        assert estimated.leader is known
+        assert step_calls["estimated"] == self.T
+        diverged = estimated.diverged_at
+        assert diverged is not None and diverged == known.diverged_at
+        for learner in (known, estimated):
+            msd_ = learner.result().msd
+            assert np.isfinite(msd_[:diverged - 1]).all()
+            assert np.isinf(msd_[diverged - 1:]).all()
+
+    def test_results_share_no_estimate(self, desk):
+        model, blocks = desk
+        results = learn_graph(blocks, model, 0.01, 0.3, "both")
+        kept = results["estimated"].estimate.copy()
+        assert np.array_equal(results["known"].estimate, kept)
+        results["known"].estimate += 1.0
+        assert np.array_equal(results["estimated"].estimate, kept)
+
+    @pytest.mark.parametrize("change", [
+        {"mode": "known"}, {"mu": 0.02}, {"delta": 0.2}, {"reference": 1},
+        {"leader_mode": "estimated"}, {"consumed": True}, {"model": True},
+    ], ids=["known-follower", "mu", "delta", "reference", "estimated-leader",
+            "used-leader", "other-model"])
+    def test_follows_only_a_fresh_known_learner_of_the_same_run(self, desk, change):
+        model, blocks = desk
+        leader = GraphLearner(
+            random_likelihoods(10, 3, 4, seed=23) if change.get("model") else model,
+            0.01, 0.3, change.get("leader_mode", "known"),
+        )
+        if change.get("consumed"):
+            leader.consume(*blocks[0])
+        args = {"mode": "estimated", "mu": 0.01, "delta": 0.3, "reference": 0}
+        args.update((k, v) for k, v in change.items() if k in args)
+        with pytest.raises(ValueError, match="follows a fresh known learner"):
+            GraphLearner(model, leader=leader, **args)
+
+    def test_the_leader_consumes_each_block_first(self, desk):
+        model, blocks = desk
+        known = GraphLearner(model, 0.01, 0.3, "known")
+        estimated = GraphLearner(model, 0.01, 0.3, "estimated", leader=known)
+        with pytest.raises(ValueError, match="leader must consume"):
+            estimated.consume(*blocks[0])

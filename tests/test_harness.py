@@ -285,11 +285,15 @@ class TestRunExperiment:
 
 
 class TestLearnerHooks:
-    def test_kernel_and_step_run_once_per_step_and_mode(self, monkeypatch):
-        """The benchmark's tracing and its failing-check test wrap
-        ``estimator.gradient_step`` and ``GraphLearner.step`` by name:
-        the learners must reach both through those attributes, once per
-        consumed step and mode."""
+    """The benchmark's tracing and its failing-check test wrap
+    ``estimator.gradient_step`` and ``GraphLearner.step`` by name: the
+    learners must reach both through those attributes, once per consumed
+    step of each distinct learner trajectory. The estimated learner
+    follows the known one and runs no kernel until a vote differs from
+    the true state."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
         counts = Counter()
         kernel, step = estimator.gradient_step, GraphLearner.step
 
@@ -303,12 +307,36 @@ class TestLearnerHooks:
 
         monkeypatch.setattr(estimator, "gradient_step", counting_kernel)
         monkeypatch.setattr(GraphLearner, "step", counting_step)
+        return counts
+
+    def test_kernel_and_step_run_once_per_step_and_mode(self, counts):
+        """This config votes wrong at iterations 8-11, so the learners
+        fork in the first block and run two trajectories."""
         T = 150
         result = run_experiment(desk_config(
             iterations=T, schedule=EventSchedule((Event(80, "set_true_state", 0),)),
         ))
         assert not result.divergent
         assert counts == {"gradient_step": 2 * T, "known": T, "estimated": T}
+
+    def test_one_trajectory_while_the_modes_agree(self, counts):
+        """The 10-agent desk config on signal seed 20 votes wrong at
+        iteration 1 only, whose update is a no-op: one trajectory, the
+        estimated learner makes no step, and both modes record it."""
+        T = 300
+        result = run_experiment(ExperimentConfig(
+            agents=10, states=3, signals=4, edge_prob=0.35, delta=0.3, mu=0.01,
+            iterations=T, seed_graph=21, seed_weights=22, seed_likelihoods=23,
+            seed_signals=20, true_state=1,
+        ))
+        assert result.vote_match_rate == 1 - 1 / T
+        assert counts == {"gradient_step": T, "known": T}
+        known, estimated = result.modes["known"], result.modes["estimated"]
+        assert np.array_equal(known.msd, estimated.msd)
+        kept = known.estimate.copy()
+        assert np.array_equal(estimated.estimate, kept)
+        estimated.estimate[0, 0] += 1.0
+        assert np.array_equal(known.estimate, kept)
 
 
 class TestVotes:
