@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    CombinationMatrix, LikelihoodModel, mean_likelihood_matrix, ratio_columns
-)
+from .model import CombinationMatrix, LikelihoodModel, mean_likelihood_matrix
 
 __all__ = [
     "NoSeparationError",
@@ -54,19 +52,31 @@ class NoSeparationError(RuntimeError):
     """Two-cluster edge classification found no separation."""
 
 
-def belief_log_ratios(shared_log_beliefs: np.ndarray, reference: int = 0) -> np.ndarray:
+def belief_log_ratios(shared_log_beliefs: np.ndarray, reference: int = 0,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Log-ratios of each agent's shared belief against the reference
     hypothesis, shape ``(num_agents, num_states - 1)``; for a stack of
     snapshots ``(..., num_agents, num_states)``, one such matrix per
-    snapshot.
+    snapshot. Written into ``out``, of that shape, when given.
 
     Entry ``(k, j)`` is ``log b_k(reference) - log b_k(other_j)`` with
     the non-reference hypotheses enumerated ascending. This is the
     observer's state variable; it is computable from public data alone.
     """
     shared_log_beliefs = np.asarray(shared_log_beliefs)
-    cols = ratio_columns(shared_log_beliefs.shape[-1], reference)
-    return shared_log_beliefs[..., [reference]] - shared_log_beliefs[..., cols]
+    num_states = shared_log_beliefs.shape[-1]
+    if not 0 <= reference < num_states:
+        raise ValueError(f"reference state {reference} out of range")
+    if out is None:
+        out = np.empty(shared_log_beliefs.shape[:-1] + (num_states - 1,))
+    # The states before the reference, then the states after it, on views
+    # with the agents last: the learner's buffer holds them so, and numpy
+    # then runs its inner loop along them.
+    beliefs, ratios = shared_log_beliefs.swapaxes(-1, -2), out.swapaxes(-1, -2)
+    kept = beliefs[..., reference:reference + 1, :]
+    np.subtract(kept, beliefs[..., :reference, :], out=ratios[..., :reference, :])
+    np.subtract(kept, beliefs[..., reference + 1:, :], out=ratios[..., reference:, :])
+    return out
 
 
 def majority_vote(shared_log_beliefs: np.ndarray) -> int | np.ndarray:
@@ -209,11 +219,16 @@ class GraphLearner:
         # next block's first regressor.
         self._register = np.zeros((S - 1, n))
         # delta * lbar^T per hypothesis, agents last: a block's targets
-        # are its ratios less one row of this table per snapshot.
-        self._offsets = self.delta * np.stack([
-            mean_likelihood_matrix(self.model, state, self.reference).T
-            for state in range(S)
-        ])
+        # are its ratios less one row of this table per snapshot. Read-only,
+        # so a follower shares its leader's.
+        if leader is None:
+            self._offsets = self.delta * np.stack([
+                mean_likelihood_matrix(self.model, state, self.reference).T
+                for state in range(S)
+            ])
+            self._offsets.flags.writeable = False
+        else:
+            self._offsets = leader._offsets
         self._zero = np.zeros((n, n))
         self._difference = np.empty((n, n))
         # The squared deviation of the last update step() formed; inf
@@ -293,7 +308,7 @@ class GraphLearner:
         # update does not depend on where blocks begin and end.
         lagged = np.empty((len(block) + 1,) + self._register.shape)
         lagged[0] = self._register
-        lagged[1:] = belief_log_ratios(block, self.reference).transpose(0, 2, 1)
+        belief_log_ratios(block, self.reference, out=lagged[1:].transpose(0, 2, 1))
         self._register = lagged[-1]
         regressors = (1.0 - self.delta) * lagged[:-1]
         targets = lagged[1:] - self._offsets[states]

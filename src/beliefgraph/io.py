@@ -73,7 +73,14 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_adjacency(path, adjacency: np.ndarray) -> None:
-    write_matrix(path, np.asarray(adjacency, dtype=bool))
+    adjacency = np.asarray(adjacency, dtype=bool)
+    # One byte per cell, "0" or "1", each followed by a comma, and the
+    # last comma of a row replaced by a newline.
+    text = np.full((adjacency.shape[0], 2 * adjacency.shape[1]), ord(","), np.uint8)
+    text[:, ::2] = adjacency
+    text[:, ::2] += ord("0")
+    text[:, -1] = ord("\n")
+    Path(path).write_bytes(text.tobytes())
 
 
 def read_adjacency(path) -> np.ndarray:

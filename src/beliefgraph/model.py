@@ -28,6 +28,13 @@ __all__ = [
 
 COLUMN_SUM_TOL = 1e-12
 
+# LikelihoodModel.validate's value faults, in the order it tests them.
+_TABLE_FAULTS = (
+    "agent {} has a non-finite entry",
+    "agent {} has entries below the floor",
+    "columns of agent {} must sum to one",
+)
+
 
 class GenerationError(RuntimeError):
     """Random generation could not satisfy its constraints within the
@@ -136,8 +143,8 @@ class LikelihoodModel:
     """
 
     def __init__(self, tables, floor: float):
-        if floor <= 0:
-            raise ValueError("floor must be positive")
+        if not 0 < floor < np.inf:
+            raise ValueError("floor must be positive and finite")
         self.tables = [np.array(t, dtype=float) for t in tables]
         self.floor = float(floor)
         self.validate()
@@ -145,7 +152,6 @@ class LikelihoodModel:
             t.flags.writeable = False
         self._stack_cache = None
         self._ratio_tables: dict[int, np.ndarray] = {}
-        self._sizes = np.array([t.shape[0] for t in self.tables])
 
     @property
     def num_agents(self) -> int:
@@ -160,6 +166,11 @@ class LikelihoodModel:
         return [t.shape[0] for t in self.tables]
 
     def validate(self) -> None:
+        """Raise ``ValueError`` naming the first agent whose table is at
+        fault. Shapes and signal counts are checked for every agent
+        first; then the first agent with a non-finite entry, an entry
+        below the floor or a column that does not sum to one is named,
+        with the first of those faults its table has."""
         if not self.tables:
             raise ValueError("at least one agent is required")
         num_states = self.tables[0].shape[1]
@@ -168,12 +179,22 @@ class LikelihoodModel:
         for k, t in enumerate(self.tables):
             if t.ndim != 2 or t.shape[1] != num_states:
                 raise ValueError(f"table of agent {k} has inconsistent shape")
-            if t.shape[0] < 2:
-                raise ValueError(f"agent {k} needs at least two signals")
-            if (t < self.floor - 1e-15).any():
-                raise ValueError(f"agent {k} has entries below the floor")
-            if np.abs(t.sum(axis=0) - 1.0).max() > 1e-12:
-                raise ValueError(f"columns of agent {k} must sum to one")
+        sizes = np.array(self.signal_sizes)
+        if (sizes < 2).any():
+            raise ValueError(f"agent {np.argmax(sizes < 2)} needs at least two signals")
+        # One row per (agent, signal); agent k's rows start at starts[k].
+        entries = np.concatenate(self.tables)
+        starts = np.cumsum(sizes) - sizes
+        with np.errstate(invalid="ignore"):  # inf - inf in a column sum
+            unbalanced = np.abs(np.add.reduceat(entries, starts) - 1.0) > 1e-12
+        faults = np.stack([
+            np.logical_or.reduceat(~np.isfinite(entries), starts).any(axis=1),
+            np.logical_or.reduceat(entries < self.floor - 1e-15, starts).any(axis=1),
+            unbalanced.any(axis=1),
+        ])
+        if faults.any():
+            k = np.argmax(faults.any(axis=0))
+            raise ValueError(_TABLE_FAULTS[np.argmax(faults[:, k])].format(k))
 
     # Tables are stacked into padded arrays so that per-iteration
     # sampling and likelihood lookups are single vectorized operations
@@ -184,16 +205,20 @@ class LikelihoodModel:
         two are ``(agents, signals, states)`` and zero past each agent's
         signal space."""
         if self._stack_cache is None:
-            n, z_max = self.num_agents, int(self._sizes.max())
+            sizes = np.array(self.signal_sizes)
+            signals = np.arange(sizes.max())
+            # The (agent, signal) cells of each agent's space, in the
+            # order of the concatenated tables' rows.
+            in_space = signals < sizes[:, None]
+            entries = np.concatenate(self.tables)
+            probs = np.zeros(in_space.shape + (self.num_states,))
+            probs[in_space] = entries
+            logs = np.zeros_like(probs)
+            logs[in_space] = np.log(entries)
             # Per state, a contiguous (signals, agents) block. The last
             # in-space entry is +inf, not a sum that may round below 1.0.
-            cdf = np.full((self.num_states, z_max, n), np.inf)
-            probs = np.zeros((n, z_max, self.num_states))
-            logs = np.zeros((n, z_max, self.num_states))
-            for k, t in enumerate(self.tables):
-                cdf[:, : t.shape[0] - 1, k] = np.cumsum(t[:-1], axis=0).T
-                probs[k, : t.shape[0]] = t
-                logs[k, : t.shape[0]] = np.log(t)
+            cdf = np.cumsum(probs, axis=1).T.copy()
+            cdf[:, signals[:, None] >= sizes - 1] = np.inf
             self._stack_cache = cdf, probs, logs
         return self._stack_cache
 
@@ -316,6 +341,23 @@ def _floor_column(column: np.ndarray, eps: float) -> np.ndarray:
         low |= newly
 
 
+def _floor_columns(columns: np.ndarray, eps: float) -> None:
+    """Apply :func:`_floor_column` to every row of a C-contiguous
+    ``(columns, size)`` array, in place.
+
+    A column with no entry below ``eps`` ends after one rescale by
+    ``1 / sum``, unless that pushes an entry below ``eps``. That rescale
+    runs for all columns at once: each row sum adds the same elements
+    in the same order as the sum of one column does. Only the columns
+    it does not settle go through :func:`_floor_column`.
+    """
+    scaled = columns * (1.0 / columns.sum(axis=1))[:, None]
+    clamped = (columns < eps).any(axis=1) | (scaled < eps).any(axis=1)
+    for row in np.flatnonzero(clamped):
+        scaled[row] = _floor_column(columns[row], eps)
+    columns[...] = scaled
+
+
 def random_likelihoods(
     num_agents: int,
     num_states: int,
@@ -332,6 +374,10 @@ def random_likelihoods(
     consuming the same generator stream, until for every ordered pair
     of distinct states some agent separates the pair by more than
     ``kl_floor`` in KL divergence.
+
+    An attempt draws every agent's ``(size, num_states)`` table from one
+    call, agent after agent, and floors the columns of all agents of one
+    signal size at once (see :func:`_floor_columns`).
 
     Raises
     ------
@@ -357,14 +403,26 @@ def random_likelihoods(
 
     rng = _as_rng(seed)
     off_diagonal = ~np.eye(num_states, dtype=bool)
+    # Per signal size, its agents and their rows of an attempt's draw.
+    # A set, not np.unique: the first np.unique call of a process pays a
+    # one-off set-up several times the cost of the whole draw.
+    ends = np.cumsum(sizes)
+    groups = []
+    for size in set(sizes):
+        agents = np.flatnonzero(np.array(sizes) == size)
+        rows = ends[agents, None] - size + np.arange(size)
+        groups.append((size, agents, rows.ravel()))
+    tables = [None] * num_agents
     for _ in range(max_attempts):
-        tables = []
-        for size in sizes:
-            t = rng.random((size, num_states))
-            t /= t.sum(axis=0, keepdims=True)
-            for s in range(num_states):
-                t[:, s] = _floor_column(t[:, s], floor)
-            tables.append(t)
+        draw = rng.random((ends[-1], num_states))
+        for size, agents, rows in groups:
+            group = draw[rows].reshape(len(agents), size, num_states)
+            group /= group.sum(axis=1, keepdims=True)
+            # One contiguous row per (agent, state) column.
+            columns = np.ascontiguousarray(group.transpose(0, 2, 1))
+            _floor_columns(columns.reshape(-1, size), floor)
+            for k, table in zip(agents, columns.transpose(0, 2, 1)):
+                tables[k] = table
         model = LikelihoodModel(tables, floor)
         if (model.identifiability_gap()[off_diagonal] > kl_floor).all():
             return model

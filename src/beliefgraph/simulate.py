@@ -122,30 +122,31 @@ class SimulationStep:
     row: int = 0
 
 
-def _log_normalize(rows: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Subtract from each row (along ``axis``) of an array its log-sum-exp.
-
-    The sum runs over ``exp(rows - row max)``, so it lies in
-    ``[1, num_columns]`` and neither overflows nor underflows, and the
-    result is formed as ``(rows - max) - log(sum)``: the shift is exact
-    for the entries that carry the mass, which keeps each output row
-    normalized to rounding even when the input sits far from zero.
-    """
-    shifted = rows - rows.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def _ratio_log_beliefs(ratios: np.ndarray) -> np.ndarray:
     """Normalized log-beliefs of log-ratios against state 0: the
     log-sum-exp normalization of ``[0, -ratios]`` along the last axis,
-    which gains one column. The result is C-contiguous."""
-    # Normalized with the states as the leading axis: numpy reduces over
-    # a short last axis row by row but over a leading axis slab by slab,
-    # which is several times faster for a chunk.
-    stacked = np.empty((ratios.shape[-1] + 1,) + ratios.shape[:-1])
+    which gains one column. The result is C-contiguous.
+
+    Each row is shifted by its max and then less the log of its sum of
+    ``exp``: that sum lies in ``[1, num_states]``, so it neither
+    overflows nor underflows, and the shift is exact for the entries
+    that carry the mass, which keeps each row normalized to rounding
+    even when the ratios sit far from zero.
+    """
+    # Normalized with the states as the leading axis of a C-order stack:
+    # numpy reduces over a short last axis row by row but over a leading
+    # axis slab by slab, which is several times faster for a chunk. The
+    # slabs are added in state order; the bits of the sum depend on it.
+    # The other axes are transposed, which changes no bit.
+    stacked = np.empty((ratios.shape[-1] + 1,) + ratios.shape[-2::-1])
     stacked[0] = 0.0
-    np.negative(np.moveaxis(ratios, -1, 0), out=stacked[1:])
-    return np.moveaxis(_log_normalize(stacked, axis=0), 0, -1).copy()
+    np.negative(ratios.T, out=stacked[1:])
+    stacked -= stacked.max(axis=0, keepdims=True)
+    total = np.exp(stacked).sum(axis=0, keepdims=True)
+    np.log(total, out=total)
+    log_beliefs = np.empty(ratios.shape[:-1] + (len(stacked),))
+    np.subtract(stacked, total, out=log_beliefs.T)
+    return log_beliefs
 
 
 def sample_observations(

@@ -1,10 +1,11 @@
-"""Helpers shared by several test modules: readers and lookups that no
-package code calls, kept beside the tests that use them."""
+"""Helpers shared by several test modules: readers, lookups and oracles
+that no package code calls, kept beside the tests that use them."""
 
 import numpy as np
 
 from beliefgraph.estimator import GraphLearner
 from beliefgraph.io import MSD_HEADER
+from beliefgraph.model import GenerationError, LikelihoodModel, _floor_column
 
 
 def log_likelihood_ratio_matrix(model, signals, reference: int = 0) -> np.ndarray:
@@ -61,3 +62,56 @@ def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:
             learner.consume(block, true_state, combination)
         results[mode] = learner.result()
     return results
+
+
+def log_normalize(rows: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Subtract from each row (along ``axis``) of an array its log-sum-exp.
+
+    The sum runs over ``exp(rows - row max)``, so it lies in
+    ``[1, num_columns]`` and neither overflows nor underflows, and the
+    result is formed as ``(rows - max) - log(sum)``: the shift is exact
+    for the entries that carry the mass, which keeps each output row
+    normalized to rounding even when the input sits far from zero. The
+    forward pass normalizes its chunks with these operations, in this
+    order, in place.
+    """
+    shifted = rows - rows.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def per_column_likelihoods(num_agents, num_states, signal_sizes, seed,
+                           floor=0.01, kl_floor=1e-3, max_attempts=1000):
+    """:func:`beliefgraph.model.random_likelihoods` one agent and one
+    column at a time: a ``(size, num_states)`` draw per agent, normalized
+    on its own, and every column clamped by ``_floor_column``. The
+    oracle of the generator, which works on all agents at once."""
+    sizes = ([int(signal_sizes)] * num_agents if np.isscalar(signal_sizes)
+             else [int(z) for z in signal_sizes])
+    rng = np.random.default_rng(seed)
+    off_diagonal = ~np.eye(num_states, dtype=bool)
+    for _ in range(max_attempts):
+        tables = []
+        for size in sizes:
+            t = rng.random((size, num_states))
+            t /= t.sum(axis=0, keepdims=True)
+            for s in range(num_states):
+                t[:, s] = _floor_column(t[:, s], floor)
+            tables.append(t)
+        model = LikelihoodModel(tables, floor)
+        if (model.identifiability_gap()[off_diagonal] > kl_floor).all():
+            return model
+    raise GenerationError("identifiability gap not reached")
+
+
+def per_agent_stacks(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``LikelihoodModel._stacks`` filled one agent at a time: the
+    oracle of the array form."""
+    n, z_max = model.num_agents, max(model.signal_sizes)
+    cdf = np.full((model.num_states, z_max, n), np.inf)
+    probs = np.zeros((n, z_max, model.num_states))
+    logs = np.zeros((n, z_max, model.num_states))
+    for k, t in enumerate(model.tables):
+        cdf[:, : t.shape[0] - 1, k] = np.cumsum(t[:-1], axis=0).T
+        probs[k, : t.shape[0]] = t
+        logs[k, : t.shape[0]] = np.log(t)
+    return cdf, probs, logs

@@ -287,6 +287,23 @@ class TestSimulateAndLearn:
         assert "non-finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_learn_rejects_a_model_with_a_non_finite_entry(
+        self, forward_run, tmp_path, capsys, bad
+    ):
+        """json parses NaN and the infinities, so a model.json can hold
+        one: that is bad input (exit 2) that names the agent, not a run
+        that diverges at its first update (exit 3)."""
+        path = forward_run / "model.json"
+        text = path.read_text()
+        payload = json.loads(text)
+        payload["tables"][4][1][2] = "BAD"
+        path.write_text(json.dumps(payload).replace('"BAD"', bad))
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err == "error: agent 4 has a non-finite entry\n"
+
     @pytest.mark.parametrize("keep", [0, 8, 128 + 8 * 6 * 3 * 50 + 40])
     def test_learn_rejects_a_stream_cut_short(
         self, forward_run, tmp_path, capsys, keep

@@ -153,10 +153,14 @@ class TestBeliefLogRatios:
             shared = np.log(rng.dirichlet(np.ones(num_states), size=9))
             for reference in range(num_states):
                 cols = ratio_columns(num_states, reference)
-                np.testing.assert_array_equal(
-                    belief_log_ratios(shared, reference),
-                    shared[:, [reference]] - shared[:, cols],
-                )
+                expected = shared[:, [reference]] - shared[:, cols]
+                np.testing.assert_array_equal(belief_log_ratios(shared, reference),
+                                              expected)
+                # Written into a transposed buffer, as the learner does.
+                buffer = np.empty((num_states - 1, 9))
+                out = belief_log_ratios(shared, reference, out=buffer.T)
+                assert out.base is buffer
+                np.testing.assert_array_equal(buffer, expected.T)
 
     def test_reference_out_of_range(self):
         shared = np.full((2, 3), -np.log(3))
@@ -807,6 +811,36 @@ class TestBlockwiseLearner:
         assert np.array_equal(learned.estimate, estimate)
         assert np.array_equal(learned.msd, deviations)
 
+    @pytest.mark.parametrize("reference", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("mode", ["known", "estimated"])
+    def test_every_reference_equals_a_plain_loop(self, chunked_steps, mode, reference):
+        """The learner writes a block's ratios into its own buffer; a
+        plain loop that forms each snapshot's ratios on their own, by
+        column selection, gives the same estimate and deviations bit for
+        bit, whichever column the reference is."""
+        model, steps = chunked_steps
+        mu, delta = 0.01, 0.3
+        cols = ratio_columns(model.num_states, reference)
+        learner = GraphLearner(model, mu, delta, mode, reference)
+        for block, true_state, combination in simulator_blocks(steps):
+            learner.consume(block, true_state, combination)
+        learned = learner.result()
+        estimate = np.zeros((10, 10))
+        previous = np.zeros((2, 10))
+        deviations = []
+        for step in steps:
+            shared = step.shared_log_beliefs
+            ratios = (shared[:, [reference]] - shared[:, cols]).T
+            state = step.true_state if mode == "known" else majority_vote(shared)
+            expected = mean_likelihood_matrix(model, state, reference)
+            estimate = gradient_step(
+                estimate, (1.0 - delta) * previous, ratios - delta * expected.T, mu
+            )
+            previous = ratios
+            deviations.append(msd(step.combination.weights, estimate))
+        assert np.array_equal(learned.estimate, estimate)
+        assert np.array_equal(learned.msd, deviations)
+
     @pytest.mark.parametrize("mu", [0.01, 5.0])
     def test_blocks_without_a_matrix_record_nan(self, chunked_steps, mu):
         """A block without its matrix records NaN for each row the learner
@@ -993,3 +1027,20 @@ class TestFollower:
         estimated = GraphLearner(model, 0.01, 0.3, "estimated", leader=known)
         with pytest.raises(ValueError, match="leader must consume"):
             estimated.consume(*blocks[0])
+
+    def test_takes_the_leaders_target_table(self, desk, monkeypatch):
+        """The table of delta * lbar^T is built once per pair: the leader
+        computes one mean ratio matrix per hypothesis, the follower none."""
+        model, _ = desk
+        calls = []
+        mean = estimator.mean_likelihood_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return mean(*args)
+
+        monkeypatch.setattr(estimator, "mean_likelihood_matrix", counted)
+        known = GraphLearner(model, 0.01, 0.3, "known")
+        assert len(calls) == model.num_states
+        GraphLearner(model, 0.01, 0.3, "estimated", leader=known)
+        assert len(calls) == model.num_states

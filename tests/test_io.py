@@ -127,8 +127,7 @@ class TestMatrixFiles:
         np.array([[True]]),
     ], ids=["bool", "float", "1x1"])
     def test_adjacency_bytes_match_the_per_row_join(self, tmp_path, adjacency):
-        """The adjacency goes through write_matrix, whose %.17g writes the
-        0.0 and 1.0 of a boolean matrix as 0 and 1: the bytes of the old
+        """Each cell is written as the byte 0 or 1: the bytes of the
         per-row join, also for weights, whose nonzero entries are arcs."""
         path = tmp_path / "a.csv"
         io.write_adjacency(path, adjacency)

@@ -4,11 +4,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beliefgraph.model import (
     CombinationMatrix,
     GenerationError,
     LikelihoodModel,
+    _floor_column,
+    _floor_columns,
     erdos_renyi_adjacency,
     is_strongly_connected,
     mean_likelihood_matrix,
@@ -17,7 +21,7 @@ from beliefgraph.model import (
     ratio_columns,
 )
 
-from helpers import log_likelihood_ratio_matrix
+from helpers import log_likelihood_ratio_matrix, per_agent_stacks, per_column_likelihoods
 
 # Expected values computed by direct summation, independent of the
 # library (sum of p * log(p/q) evaluated term by term).
@@ -283,6 +287,200 @@ class TestRandomLikelihoods:
         b = random_likelihoods(4, 3, 3, seed=9)
         for ta, tb in zip(a.tables, b.tables):
             np.testing.assert_array_equal(ta, tb)
+
+
+def valid_tables(sizes=(2, 5, 3, 4), num_states=3):
+    """Tables of the given signal sizes whose columns sum to one exactly:
+    each column is the signal-size-th part of one, the last signal
+    taking the rest; every entry is at least 0.2."""
+    tables = []
+    for size in sizes:
+        t = np.full((size, num_states), 1.0 / size)
+        t[-1] = 1.0 - t[:-1].sum(axis=0)
+        tables.append(t)
+    return tables
+
+
+class TestLikelihoodModelRejections:
+    """Every check of LikelihoodModel, each fault placed on an agent
+    other than the first, so that an agent index off by one in the
+    array checks names the wrong agent."""
+
+    def test_valid_tables_pass(self):
+        model = LikelihoodModel(valid_tables(), floor=0.2)
+        assert model.signal_sizes == [2, 5, 3, 4]
+
+    @pytest.mark.parametrize("agent", [1, 3])
+    @pytest.mark.parametrize("fault, message", [
+        ("shape", "table of agent {} has inconsistent shape"),
+        ("flat", "table of agent {} has inconsistent shape"),
+        ("one-signal", "agent {} needs at least two signals"),
+        ("below", "agent {} has entries below the floor"),
+        ("unbalanced", "columns of agent {} must sum to one"),
+        ("nan", "agent {} has a non-finite entry"),
+        ("inf", "agent {} has a non-finite entry"),
+        ("-inf", "agent {} has a non-finite entry"),
+    ])
+    def test_names_the_agent_at_fault(self, agent, fault, message):
+        tables = valid_tables()
+        t = tables[agent]
+        if fault == "shape":
+            tables[agent] = np.full((t.shape[0], 4), 1.0 / t.shape[0])
+        elif fault == "flat":
+            tables[agent] = t[:, 0]
+        elif fault == "one-signal":
+            tables[agent] = np.ones((1, 3))
+        elif fault == "below":
+            # The column still sums to one: only the floor is broken.
+            t[0, 1] -= 0.1
+            t[1, 1] += 0.1
+        elif fault == "unbalanced":
+            t[0, 2] += 1e-9
+        else:
+            t[1, 2] = float(fault)
+        with pytest.raises(ValueError, match=f"^{message.format(agent)}$"):
+            LikelihoodModel(tables, floor=0.2)
+
+    def test_names_the_first_agent_at_fault(self):
+        """Agent 1's columns do not sum to one and agent 3 has a NaN:
+        agent 1 is named, with its own fault."""
+        tables = valid_tables()
+        tables[1][0, 0] += 1e-9
+        tables[3][0, 0] = np.nan
+        with pytest.raises(ValueError, match="^columns of agent 1 must sum to one$"):
+            LikelihoodModel(tables, floor=0.2)
+
+    def test_the_first_fault_of_an_agent_is_named(self):
+        """Infinite entries also break their column's sum, here to NaN
+        (inf - inf) without a warning; they are named as non-finite,
+        the first check."""
+        tables = valid_tables()
+        tables[2][0, 0] = np.inf
+        tables[2][1, 0] = -np.inf
+        with pytest.raises(ValueError, match="^agent 2 has a non-finite entry$"):
+            LikelihoodModel(tables, floor=0.2)
+
+    @pytest.mark.parametrize("floor", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_a_floor_that_is_not_positive_and_finite(self, floor):
+        with pytest.raises(ValueError, match="^floor must be positive and finite$"):
+            LikelihoodModel(valid_tables(), floor=floor)
+
+    def test_rejects_no_agents_and_one_hypothesis(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            LikelihoodModel([], floor=0.2)
+        with pytest.raises(ValueError, match="two hypotheses"):
+            LikelihoodModel([np.full((2, 1), 0.5)] * 2, floor=0.2)
+
+
+@st.composite
+def generator_worlds(draw):
+    """Arguments of random_likelihoods: one signal size for all agents
+    or one per agent, a floor up to just below one over the largest
+    signal size, so that a rescale often pushes further entries under
+    it, and a kl_floor up to one that most draws miss."""
+    agents = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        sizes = draw(st.integers(2, 40))
+        largest = sizes
+    else:
+        sizes = draw(st.lists(st.integers(2, 24), min_size=agents, max_size=agents))
+        largest = max(sizes)
+    floor = draw(st.floats(0.05, 0.95)) / largest
+    kl_floor = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    return (agents, draw(st.integers(2, 5)), sizes, draw(st.integers(0, 2**32 - 1)),
+            floor, kl_floor)
+
+
+# Worlds the oracle tests always run: the reference world, signal sizes
+# of 8 and more, unequal sizes, a floor just below one over the signal
+# size and kl_floors that take redraws (TestArrayForms checks each).
+EXACT_WORLDS = {
+    "reference": (30, 4, 4, 2, 0.01, 1e-3),
+    "wide": (5, 3, 130, 7, 0.007, 1e-3),
+    "unequal": (6, 4, [2, 9, 3, 17, 9, 2], 11, 0.05, 1e-3),
+    "tight-floor": (4, 3, [8, 12, 10, 12], 12, 0.08, 1e-3),
+    "redraws": (10, 3, 4, 23, 0.01, 1.0),
+    "unequal-redraws": (3, 2, [2, 3, 4], 5, 0.01, 2.0),
+}
+
+
+class TestArrayForms:
+    """The generator, the model's stacks and its ratio tables, formed
+    for all agents at once, equal the per-agent and per-column forms
+    kept in tests/helpers.py, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_worlds())
+    @example(EXACT_WORLDS["reference"])
+    @example(EXACT_WORLDS["wide"])
+    @example(EXACT_WORLDS["unequal"])
+    @example(EXACT_WORLDS["tight-floor"])
+    @example(EXACT_WORLDS["redraws"])
+    @example(EXACT_WORLDS["unequal-redraws"])
+    def test_matches_the_per_agent_forms(self, world):
+        agents, states, sizes, seed, floor, kl_floor = world
+        try:
+            model = random_likelihoods(agents, states, sizes, seed, floor, kl_floor,
+                                       max_attempts=30)
+        except GenerationError:
+            with pytest.raises(GenerationError):
+                per_column_likelihoods(agents, states, sizes, seed, floor, kl_floor,
+                                       max_attempts=30)
+            return
+        oracle = per_column_likelihoods(agents, states, sizes, seed, floor, kl_floor,
+                                        max_attempts=30)
+        assert len(model.tables) == len(oracle.tables)
+        assert all(np.array_equal(a, b) for a, b in zip(model.tables, oracle.tables))
+        stacks = per_agent_stacks(model)
+        assert all(np.array_equal(a, b) for a, b in zip(model._stacks(), stacks))
+        logs = stacks[2]
+        for reference in range(states):
+            cols = ratio_columns(states, reference)
+            assert np.array_equal(model.signal_log_ratio_table(reference),
+                                  logs[:, :, [reference]] - logs[:, :, cols])
+
+    def test_the_worlds_reach_every_branch(self, monkeypatch):
+        """The fixed worlds clamp columns in more than one round and
+        redraw; the tight floor does both in one world's first draw."""
+        rounds = []
+
+        def counted(column, eps):
+            out = _floor_column(column, eps)
+            # A second round clamps an entry that was above the floor.
+            rounds.append(((out == eps) & (column >= eps)).any())
+            return out
+
+        monkeypatch.setattr("beliefgraph.model._floor_column", counted)
+        agents, states, sizes, seed, floor, _ = EXACT_WORLDS["tight-floor"]
+        random_likelihoods(agents, states, sizes, seed, floor)
+        assert any(rounds)
+        for name in ("redraws", "unequal-redraws"):
+            agents, states, sizes, seed, floor, kl_floor = EXACT_WORLDS[name]
+            with pytest.raises(GenerationError):
+                random_likelihoods(agents, states, sizes, seed, floor, kl_floor,
+                                   max_attempts=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 12), st.floats(0.05, 0.99),
+           st.integers(0, 2**32 - 1))
+    def test_floor_columns_clamps_each_row_as_floor_column(self, size, count, share,
+                                                           seed):
+        rng = np.random.default_rng(seed)
+        columns = rng.random((count, size))
+        columns /= columns.sum(axis=1, keepdims=True)
+        eps = share / size
+        expected = np.array([_floor_column(row, eps) for row in columns])
+        _floor_columns(columns, eps)
+        assert np.array_equal(columns, expected)
+
+    def test_floor_column_can_take_two_rounds(self):
+        """Clamping the zero entry rescales 0.105 to 0.0945, under the
+        floor, so a second round clamps it too."""
+        column = np.array([0.0, 0.105, 0.895])
+        assert np.array_equal(_floor_column(column, 0.1), [0.1, 0.1, 0.8])
+        columns = column[None].copy()
+        _floor_columns(columns, 0.1)
+        assert np.array_equal(columns, [[0.1, 0.1, 0.8]])
 
 
 class TestKlDivergence:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beliefgraph.estimator import belief_log_ratios
 from beliefgraph.model import (
@@ -17,7 +20,6 @@ from beliefgraph.simulate import (
     CHUNK_STEPS,
     Event,
     EventSchedule,
-    _log_normalize,
     _ratio_log_beliefs,
     adapt_step,
     combine_step,
@@ -25,7 +27,7 @@ from beliefgraph.simulate import (
     sample_observations,
 )
 
-from helpers import log_likelihood_ratio_matrix
+from helpers import log_likelihood_ratio_matrix, log_normalize
 
 ROW_SUM_TOL = 1e-10
 
@@ -49,7 +51,7 @@ def check_log_beliefs(log_beliefs, tol=ROW_SUM_TOL):
     if not np.isfinite(log_beliefs).all():
         raise ValueError("log-beliefs must be finite")
     # Normalizing a row moves every entry by the row's log-sum-exp.
-    residual = np.abs(log_beliefs - _log_normalize(log_beliefs))
+    residual = np.abs(log_beliefs - log_normalize(log_beliefs))
     if residual.max() > tol:
         raise ValueError(f"belief rows not normalized (residual {residual.max():.2e})")
 
@@ -61,12 +63,12 @@ def oracle_adapt(log_beliefs, signals, model, delta):
     """Normalization of ``delta * log L_k(signal_k | .) + (1 - delta) *
     log_beliefs[k]``, row by row."""
     log_lik = np.log([table[z] for table, z in zip(model.tables, signals)])
-    return _log_normalize(delta * log_lik + (1.0 - delta) * log_beliefs)
+    return log_normalize(delta * log_lik + (1.0 - delta) * log_beliefs)
 
 
 def oracle_combine(shared_log_beliefs, combination):
     """Normalization of ``sum_l A[l, k] * shared_log_beliefs[l]``."""
-    return _log_normalize(combination.weights.T @ shared_log_beliefs)
+    return log_normalize(combination.weights.T @ shared_log_beliefs)
 
 
 def oracle_run(model, combination, true_state, delta, num_iterations, seed,
@@ -151,7 +153,7 @@ class TestLogNormalization:
                 10.0 * rng.standard_normal(shape) if kind == "random"
                 else extreme_rows(rng, shape)
             )
-            out = _log_normalize(rows)
+            out = log_normalize(rows)
             assert np.isfinite(out).all()
             expected = [fsum_log_sum_exp(row) for row in rows.tolist()]
             # Normalizing moves every entry of a row by its log-sum-exp.
@@ -161,6 +163,26 @@ class TestLogNormalization:
             )
             for row in out.tolist():
                 assert abs(fsum_mass(row) - 1.0) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+        elements=st.floats(-1e6, 1e6),
+    ))
+    def test_chunk_normalization_is_the_oracle_bit_for_bit(self, ratios):
+        """The forward pass normalizes a chunk in place on a transposed
+        stack; the result is log_normalize of ``[0, -ratios]`` with the
+        states as the leading axis, bit for bit, for one row, one
+        snapshot and a stack of snapshots."""
+        # C order: a sum over the leading axis of this layout adds slab
+        # after slab, in state order.
+        stacked = np.empty((ratios.shape[-1] + 1,) + ratios.shape[:-1])
+        stacked[0] = 0.0
+        stacked[1:] = -np.moveaxis(ratios, -1, 0)
+        out = _ratio_log_beliefs(ratios)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, np.moveaxis(log_normalize(stacked, axis=0), 0, -1))
 
     def test_adapt_and_combine_normalize_extreme_rows(self, small_setup):
         """Log-ratios far from zero, spread over 1e3 within each row, stay
