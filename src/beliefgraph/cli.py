@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .estimator import BOTH, ESTIMATED, KNOWN, learn_graph
+from .estimator import ESTIMATED, learn_graph
 from .harness import (
     MANIFEST_FORMAT,
     ConfigError,
@@ -303,6 +303,9 @@ def _cmd_learn(args) -> int:
     if run_dir is not None:
         manifest = run_dir / "manifest.json"
         payload = io.load_json(manifest) if manifest.exists() else {}
+        if not isinstance(payload, dict):
+            raise ValueError(f"{manifest}: expected a JSON object with 'format' "
+                             f"and 'config'")
         if payload.get("format") == _V1_FORMAT or (run_dir / "beliefs.csv").exists():
             raise ConfigError(
                 f"{run_dir} is a {_V1_FORMAT} bundle, whose CSV belief stream "
@@ -310,6 +313,8 @@ def _cmd_learn(args) -> int:
                 f"{manifest} --out DIR` to write it as {MANIFEST_FORMAT}"
             )
         if payload.get("format") == MANIFEST_FORMAT:
+            if not isinstance(payload.get("config"), dict):
+                raise ValueError(f"{manifest}: 'config' must be a JSON object")
             config = ExperimentConfig.from_dict(payload["config"])
     if config is None and args.delta is None:
         raise ConfigError("learn needs --delta (not found in a manifest)")
@@ -335,7 +340,7 @@ def _cmd_learn(args) -> int:
     true_states, graph_epochs, matrices, events = _load_truth(
         run_dir, trace_file, len(log_beliefs), model.num_states, regenerations
     )
-    if KNOWN in config.modes() and true_states is None:
+    if config.mode != ESTIMATED and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
 
     out = Path(args.out)
@@ -343,8 +348,6 @@ def _cmd_learn(args) -> int:
     blocks = _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices)
     learned = learn_graph(blocks, model, config.mu, config.delta, config.mode,
                           config.reference)
-    if config.mode != BOTH:
-        learned = {config.mode: learned}
     # Edge accuracy is scored against the graph in force at the end of
     # the stream, as run_experiment does.
     results = {

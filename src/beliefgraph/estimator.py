@@ -16,6 +16,7 @@ the same snapshot by a majority vote (``estimated`` mode).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
     "gradient_step",
     "GraphLearner",
     "LearnResult",
-    "mode_learners",
+    "ModeLearners",
     "learn_graph",
     "msd",
     "classify_edges",
@@ -45,7 +46,6 @@ DIVERGENCE_LIMIT = 1e6
 KNOWN = "known"
 ESTIMATED = "estimated"
 BOTH = "both"
-MODES = (KNOWN, ESTIMATED)
 
 
 class NoSeparationError(RuntimeError):
@@ -165,21 +165,8 @@ class GraphLearner:
     built once per learner; only :meth:`step` runs per row. The step
     also forms the row's squared deviation from the block's matrix (the
     zero matrix without one), which doubles as its divergence test.
-    ``deviations`` and ``votes`` hold one array per block.
-
-    An ``estimated`` learner built with a ``leader``, a fresh ``known``
-    learner of the same model, mu, delta and reference, follows it: the
-    two share one trajectory until a vote differs. The leader consumes
-    each block first. The follower still forms and records its votes;
-    while every vote of a block equals the block's true state, the two
-    updates are bit-identical, so it runs no step and takes the leader's
-    deviation array for the block and its estimate, register,
-    ``iterations``, ``diverged_at`` and last deviation. The first row of
-    the run is exempt: the register starts at zero, so its update is a
-    no-op whatever the target. At the first block with any other
-    differing vote, the follower holds the leader's state from the start
-    of that block; it drops the leader (``leader`` becomes ``None``) and
-    consumes on its own from then on.
+    ``deviations`` and ``votes`` hold one array per block. A run's
+    learners in both modes are paired by :class:`ModeLearners`.
     """
 
     model: LikelihoodModel
@@ -187,7 +174,6 @@ class GraphLearner:
     delta: float
     mode: str
     reference: int = 0
-    leader: GraphLearner | None = None
     estimate: np.ndarray = field(init=False)
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
@@ -201,15 +187,6 @@ class GraphLearner:
             raise ValueError("mu must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        leader = self.leader
-        if leader is not None and (
-            self.mode != ESTIMATED or leader.mode != KNOWN
-            or leader.model is not self.model or leader.iterations
-            or (leader.mu, leader.delta, leader.reference)
-            != (self.mu, self.delta, self.reference)
-        ):
-            raise ValueError("an estimated learner follows a fresh known learner "
-                             "of the same model, mu, delta and reference")
         n, S = self.model.num_agents, self.model.num_states
         self.estimate = np.zeros((n, n))
         # mu as a 0-d array: numpy scales by one on its fast path, by a
@@ -220,15 +197,12 @@ class GraphLearner:
         self._register = np.zeros((S - 1, n))
         # delta * lbar^T per hypothesis, agents last: a block's targets
         # are its ratios less one row of this table per snapshot. Read-only,
-        # so a follower shares its leader's.
-        if leader is None:
-            self._offsets = self.delta * np.stack([
-                mean_likelihood_matrix(self.model, state, self.reference).T
-                for state in range(S)
-            ])
-            self._offsets.flags.writeable = False
-        else:
-            self._offsets = leader._offsets
+        # so a fork (see ModeLearners) shares it.
+        self._offsets = self.delta * np.stack([
+            mean_likelihood_matrix(self.model, state, self.reference).T
+            for state in range(S)
+        ])
+        self._offsets.flags.writeable = False
         self._zero = np.zeros((n, n))
         self._difference = np.empty((n, n))
         # The squared deviation of the last update step() formed; inf
@@ -301,8 +275,6 @@ class GraphLearner:
         if self.mode == ESTIMATED:
             states = majority_vote(block)
             self.votes.append(states)
-            if self.leader is not None and self._follow(states, true_state, len(block)):
-                return
         # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
         # register. Every operation is elementwise per row, so the
         # update does not depend on where blocks begin and end.
@@ -323,28 +295,9 @@ class GraphLearner:
         if self.diverged_at is not None:
             deviations[max(self.diverged_at - first - 1, 0):] = np.inf
 
-    def _follow(self, votes: np.ndarray, true_state: int | None, steps: int) -> bool:
-        """Take the leader's update of a block whose votes all equal its
-        true state and return True, or drop the leader for good and
-        return False."""
-        leader = self.leader
-        if leader.iterations != self.iterations + steps:
-            raise ValueError("the leader must consume each block before its follower")
-        # The run's first update is a no-op (see the class docstring).
-        checked = votes[1:] if self.iterations == 0 else votes
-        if (checked != true_state).any():
-            self.leader = None
-            return False
-        self.deviations.append(leader.deviations[-1])
-        (self.estimate, self._register, self.iterations, self.diverged_at,
-         self._deviation) = (leader.estimate, leader._register, leader.iterations,
-                             leader.diverged_at, leader._deviation)
-        return True
-
     def result(self) -> LearnResult:
-        """The final estimate, a copy that shares no memory with a
-        leader's or a follower's, and the record of every consumed
-        step."""
+        """The final estimate, as a copy, and the record of every
+        consumed step."""
         return LearnResult(
             mode=self.mode,
             estimate=self.estimate.copy(),
@@ -355,22 +308,69 @@ class GraphLearner:
         )
 
 
-def mode_learners(
-    model: LikelihoodModel,
-    mu: float,
-    delta: float,
-    mode: str,
-    reference: int = 0,
-) -> dict[str, GraphLearner]:
-    """The learners of a run in ``mode``, by mode: both of :data:`MODES`
-    for ``"both"``, the estimated one following the known one, which
-    comes first so that it consumes each block first."""
-    learners: dict[str, GraphLearner] = {}
-    for name in MODES if mode == BOTH else (mode,):
-        learners[name] = GraphLearner(
-            model, mu, delta, name, reference, leader=learners.get(KNOWN)
-        )
-    return learners
+class ModeLearners:
+    """The learners of one run in ``mode``: ``known``, ``estimated`` or
+    ``both``, fed together by :meth:`consume`.
+
+    In ``both`` the two learners share one trajectory until a vote
+    differs: while every vote of a block equals the block's true state,
+    the two updates are bit-identical, so only the known learner steps
+    and the estimated votes are recorded. The first row of the run is
+    exempt, because the register starts at zero and its update is a
+    no-op whatever the target. At the first block with any other
+    differing vote, the estimated learner forks from the known learner's
+    state before that block and consumes on its own from then on.
+    """
+
+    def __init__(self, model: LikelihoodModel, mu: float, delta: float,
+                 mode: str, reference: int = 0):
+        if mode not in (KNOWN, ESTIMATED, BOTH):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.known: GraphLearner | None = None
+        self.estimated: GraphLearner | None = None
+        if mode == ESTIMATED:
+            self.estimated = GraphLearner(model, mu, delta, ESTIMATED, reference)
+        else:
+            self.known = GraphLearner(model, mu, delta, KNOWN, reference)
+        # The estimated votes of each block while the pair follows.
+        self._votes: list[np.ndarray] | None = [] if mode == BOTH else None
+
+    def consume(self, block: np.ndarray, true_state: int | None = None,
+                combination: CombinationMatrix | None = None) -> None:
+        """Feed one block to each learner; see :meth:`GraphLearner.consume`."""
+        if self._votes is not None:
+            votes = majority_vote(block)
+            # The run's first update is a no-op (see the class docstring).
+            checked = votes[1:] if self.known.iterations == 0 else votes
+            if (checked != true_state).any():
+                self.estimated, self._votes = self._fork(), None
+            else:
+                self._votes.append(votes)
+        if self.known is not None:
+            self.known.consume(block, true_state, combination)
+        if self.estimated is not None:
+            self.estimated.consume(block, true_state, combination)
+
+    def _fork(self) -> GraphLearner:
+        """The estimated learner at the known learner's state: a shallow
+        copy that shares the read-only target table, with its own
+        records, the votes so far, and its own scratch buffer. The
+        estimate and register stay shared: a learner replaces them,
+        never writes into them."""
+        fork = copy.copy(self.known)
+        fork.mode = ESTIMATED
+        fork.deviations = list(fork.deviations)
+        fork.votes = list(self._votes)
+        fork._difference = np.empty_like(fork._difference)
+        return fork
+
+    def results(self) -> dict[str, LearnResult]:
+        """Each learner's result by mode, the known one first. An
+        estimated learner that never forked reports the known
+        trajectory with its own votes."""
+        estimated = self.estimated if self._votes is None else self._fork()
+        return {learner.mode: learner.result()
+                for learner in (self.known, estimated) if learner is not None}
 
 
 def learn_graph(
@@ -380,18 +380,15 @@ def learn_graph(
     delta: float,
     mode: str = ESTIMATED,
     reference: int = 0,
-) -> LearnResult | dict[str, LearnResult]:
+) -> dict[str, LearnResult]:
     """Run the learners of ``mode`` over ``(block, true_state,
     combination)`` triples: consecutive blocks of a belief stream, each
-    with the true state and matrix of all its rows or ``None``; see
-    :meth:`GraphLearner.consume`. Returns the mode's result, or for
-    ``"both"`` the result of each mode by mode."""
-    learners = mode_learners(model, mu, delta, mode, reference)
+    with the true state and matrix of all its rows or ``None``. Returns
+    the result of each mode by mode; see :class:`ModeLearners`."""
+    learners = ModeLearners(model, mu, delta, mode, reference)
     for block, true_state, combination in blocks:
-        for learner in learners.values():
-            learner.consume(block, true_state, combination)
-    results = {name: learner.result() for name, learner in learners.items()}
-    return results if mode == BOTH else results[mode]
+        learners.consume(block, true_state, combination)
+    return learners.results()
 
 
 def msd(true_matrix: np.ndarray, estimate: np.ndarray) -> float:

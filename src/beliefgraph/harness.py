@@ -10,6 +10,7 @@ is not part of the manifest.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -18,15 +19,13 @@ import numpy as np
 
 from . import io
 from .estimator import (
-    BOTH,
     ESTIMATED,
-    MODES,
     LearnResult,
+    ModeLearners,
     NoSeparationError,
     SteadyStateDiagnostics,
     belief_log_ratios,
     classify_edges,
-    mode_learners,
     steady_state_diagnostics,
 )
 from .model import (
@@ -54,6 +53,16 @@ __all__ = [
 ]
 
 MANIFEST_FORMAT = "beliefgraph-manifest-v2"
+
+# The number fields of a configuration. A value of another type, such as
+# a string from a config file, is named before any check compares it.
+_INTEGER_FIELDS = ("agents", "states", "iterations", "true_state", "reference",
+                   "max_attempts")
+_REAL_FIELDS = ("edge_prob", "delta", "mu", "likelihood_floor", "kl_floor")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -94,11 +103,20 @@ class ExperimentConfig:
     classify_threshold: float | None = None
     out: str | None = None
 
-    def modes(self) -> tuple[str, ...]:
-        return MODES if self.mode == BOTH else (self.mode,)
-
     def validate(self) -> None:
-        problems = []
+        problems = [f"{name} must be an integer" for name in _INTEGER_FIELDS
+                    if not _is_number(getattr(self, name), numbers.Integral)]
+        problems += [f"{name} must be a number" for name in _REAL_FIELDS
+                     if not _is_number(getattr(self, name))]
+        signals = (self.signals if isinstance(self.signals, (tuple, list))
+                   else (self.signals,))
+        if not all(_is_number(size, numbers.Integral) for size in signals):
+            problems.append("signals must be an integer or a list of integers")
+        if not (self.classify_threshold is None
+                or _is_number(self.classify_threshold)):
+            problems.append("classify_threshold must be a number")
+        if problems:
+            raise ConfigError("; ".join(problems))
         if self.agents < 1:
             problems.append("agents must be at least 1")
         if self.states < 2:
@@ -425,11 +443,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = Path(config.out) if config.out else None
     combination, model, graph_attempts = _generate(config)
 
-    # In dict order, so that a leader consumes each block before its
-    # follower (see mode_learners).
-    learners = mode_learners(model, config.mu, config.delta, config.mode,
-                             config.reference)
-    consumers = [learner.consume for learner in learners.values()]
+    learners = ModeLearners(model, config.mu, config.delta, config.mode,
+                            config.reference)
+    consumers = [learners.consume]
     blocks: list[np.ndarray] = []
     if config.test_mode:
         consumers.append(lambda block, *_: blocks.append(block))
@@ -460,8 +476,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             diagnostics = None  # run too short for moment estimates
 
     mode_results = {
-        mode: mode_result(learner.result(), final_combination, config, out)
-        for mode, learner in learners.items()
+        mode: mode_result(learned, final_combination, config, out)
+        for mode, learned in learners.results().items()
     }
     result = ExperimentResult(
         config=config,

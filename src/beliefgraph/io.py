@@ -203,8 +203,20 @@ def save_model(path, model: LikelihoodModel) -> None:
 
 
 def load_model(path) -> LikelihoodModel:
+    """The model :func:`save_model` wrote to ``path``; a file of another
+    JSON shape raises ``ValueError`` naming the file and the field."""
     payload = load_json(path)
-    return LikelihoodModel(payload["tables"], payload["floor"])
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object with 'tables' and 'floor'")
+    tables, floor = payload.get("tables"), payload.get("floor")
+    if not (isinstance(tables, list) and all(
+        isinstance(table, list) and all(isinstance(row, list) for row in table)
+        for table in tables
+    )):
+        raise ValueError(f"{path}: 'tables' must be a list of tables of rows")
+    if isinstance(floor, bool) or not isinstance(floor, (int, float)):
+        raise ValueError(f"{path}: 'floor' must be a number")
+    return LikelihoodModel(tables, floor)
 
 
 def save_json(path, payload) -> None:

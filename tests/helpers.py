@@ -53,8 +53,8 @@ def read_msd_table(path) -> dict[str, np.ndarray]:
 def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:
     """The known-mode and estimated-mode results of two learners that
     each consume every ``(block, true_state, combination)`` triple on
-    their own, by mode: the oracle of an estimated learner that follows
-    a known one."""
+    their own, by mode: the oracle of the learners of a ``both`` run
+    (``estimator.ModeLearners``)."""
     results = {}
     for mode in ("known", "estimated"):
         learner = GraphLearner(model, mu, delta, mode, reference)

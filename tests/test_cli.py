@@ -48,6 +48,21 @@ class TestExperimentCommand:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("agents", "x"), ("mu", "0.1"), ("signals", "4"),
+    ])
+    def test_value_of_the_wrong_type_exits_one(self, tmp_path, capsys, field, value):
+        """A config file value of the wrong type is a configuration error
+        that names the field, caught before anything is written."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        out = tmp_path / "typed"
+        assert run_cli("experiment", "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} must be")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_out_exits_one(self):
         assert run_cli("experiment", *BASE) == 1
 
@@ -559,10 +574,34 @@ class TestSimulateAndLearn:
     def test_learn_without_inputs_exits_one(self, tmp_path):
         assert run_cli("learn", "--out", tmp_path / "nope") == 1
 
-    def test_learn_known_mode_needs_trace(self, forward_run, tmp_path):
+    @pytest.mark.parametrize("mode", ["known", "both"])
+    def test_learn_known_mode_needs_trace(self, forward_run, tmp_path, mode):
         (forward_run / "trace.csv").unlink()
-        assert run_cli("learn", "--run", forward_run, "--mode", "known",
+        assert run_cli("learn", "--run", forward_run, "--mode", mode,
                        "--out", tmp_path / "kn") == 1
+
+    @pytest.mark.parametrize("name, edit, field", [
+        ("model.json", lambda p: {**p, "floor": None}, "'floor'"),
+        ("model.json", lambda p: {k: v for k, v in p.items() if k != "tables"},
+         "'tables'"),
+        ("model.json", lambda p: [p], "'tables'"),
+        ("manifest.json", lambda p: [p], "'config'"),
+        ("manifest.json", lambda p: {"format": p["format"]}, "'config'"),
+    ], ids=["model-floor-null", "model-without-tables", "model-list",
+            "manifest-list", "manifest-without-config"])
+    def test_learn_names_the_file_and_field_of_a_misshapen_bundle(
+        self, forward_run, tmp_path, capsys, name, edit, field
+    ):
+        """A model.json or manifest.json of the wrong JSON shape is bad
+        input (exit 2) whose one-line message names the file and the
+        field."""
+        path = forward_run / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert field in err
 
     def test_learn_estimated_without_truth_still_works(self, forward_run, tmp_path):
         (forward_run / "trace.csv").unlink()

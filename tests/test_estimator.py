@@ -13,6 +13,7 @@ from beliefgraph import estimator
 from beliefgraph.cli import _recorded_blocks
 from beliefgraph.estimator import (
     GraphLearner,
+    ModeLearners,
     NoSeparationError,
     belief_log_ratios,
     classify_edges,
@@ -388,7 +389,7 @@ class TestRegressionForm:
         for mode in ("known", "estimated"):
             learned = learn_graph(
                 simulator_blocks(steps), model, config.mu, config.delta, mode
-            )
+            )[mode]
             estimate, deviations, votes = replay_paper_form(
                 steps, model, config.mu, config.delta, mode
             )
@@ -444,7 +445,7 @@ class TestGraphLearner:
         steps = run_simulation(model, combination, 1, 0.3, 300, seed=41)
         result = learn_graph(
             simulator_blocks(steps), model, mu=50.0, delta=0.3, mode="known"
-        )
+        )["known"]
         assert result.diverged_at is not None
         assert np.isfinite(result.estimate).all()
         assert result.msd[-1] == np.inf
@@ -567,7 +568,7 @@ class TestGraphLearner:
                 run_simulation(model, combination, 1, 0.3, 20, seed=42)
             )
         ]
-        result = learn_graph(blocks, model, 0.05, 0.3, mode="estimated")
+        result = learn_graph(blocks, model, 0.05, 0.3, mode="estimated")["estimated"]
         assert np.isnan(result.msd).all()
         assert result.votes.shape == (20,)
 
@@ -698,7 +699,7 @@ class TestObserverAgainstSimulator:
         blocks = simulator_blocks(
             run_simulation(model, combination, 1, 0.3, 2000, seed=43)
         )
-        result = learn_graph(blocks, model, mu=0.05, delta=0.3, mode="known")
+        result = learn_graph(blocks, model, mu=0.05, delta=0.3, mode="known")["known"]
         assert result.msd[0] == pytest.approx(np.sum(combination.weights**2))
         assert result.msd[-100:].mean() < 0.2 * result.msd[0]
 
@@ -707,8 +708,8 @@ class TestObserverAgainstSimulator:
         blocks = simulator_blocks(
             run_simulation(model, combination, 1, 0.3, 2000, seed=44)
         )
-        known = learn_graph(blocks, model, 0.05, 0.3, mode="known")
-        estimated = learn_graph(blocks, model, 0.05, 0.3, mode="estimated")
+        known = learn_graph(blocks, model, 0.05, 0.3, mode="known")["known"]
+        estimated = learn_graph(blocks, model, 0.05, 0.3, mode="estimated")["estimated"]
         k = known.msd[-200:].mean()
         e = estimated.msd[-200:].mean()
         assert abs(k - e) / k < 0.5
@@ -758,7 +759,7 @@ class TestBlockwiseLearner:
         assert max(len(b) for b, _, _ in chunks) == CHUNK_STEPS
         assert [len(b) for b, _, _ in recorded] == [len(b) for b, _, _ in chunks]
         results = {
-            name: learn_graph(blocks, model, mu, 0.3, mode)
+            name: learn_graph(blocks, model, mu, 0.3, mode)[mode]
             for name, blocks in feeds.items()
         }
         base = results["chunks"]
@@ -794,7 +795,7 @@ class TestBlockwiseLearner:
         deviations bit for bit."""
         model, steps = chunked_steps
         mu, delta = 0.01, 0.3
-        learned = learn_graph(simulator_blocks(steps), model, mu, delta, mode)
+        learned = learn_graph(simulator_blocks(steps), model, mu, delta, mode)[mode]
         estimate = np.zeros((10, 10))
         previous = np.zeros((2, 10))
         deviations = []
@@ -851,8 +852,8 @@ class TestBlockwiseLearner:
             (block, state, None if index % 2 == 0 else combination)
             for index, (block, state, combination) in enumerate(chunks)
         ]
-        full = learn_graph(chunks, model, mu, 0.3, "known")
-        partial = learn_graph(blind, model, mu, 0.3, "known")
+        full = learn_graph(chunks, model, mu, 0.3, "known")["known"]
+        partial = learn_graph(blind, model, mu, 0.3, "known")["known"]
         assert np.array_equal(partial.estimate, full.estimate)
         assert partial.diverged_at == full.diverged_at
         assert (partial.diverged_at is None) == (mu < 1)
@@ -864,7 +865,7 @@ class TestBlockwiseLearner:
     @pytest.mark.parametrize("mode", ["known", "estimated"])
     def test_an_empty_feed_records_nothing(self, chunked_steps, mode):
         model, _ = chunked_steps
-        result = learn_graph([], model, 0.01, 0.3, mode)
+        result = learn_graph([], model, 0.01, 0.3, mode)[mode]
         assert result.msd.shape == (0,) and result.msd.dtype == float
         assert result.diverged_at is None
         assert not result.estimate.any()
@@ -892,12 +893,13 @@ class TestBlockwiseLearner:
 
 
 class TestFollower:
-    """An estimated learner that follows a known one records what two
-    independent learners record, bit for bit: online and through
-    ``learn_graph(..., "both")``, whether it follows to the end, forks
-    at a block whose votes differ from its true state, or follows
-    through a divergence. The desk stream's votes differ from its true
-    state at iteration 1 only."""
+    """The estimated learner of a ``both`` run, which follows the known
+    one until a vote differs, records what two independent learners
+    record, bit for bit: online through :class:`ModeLearners` and through
+    ``learn_graph(..., "both")``, whether it follows to the end, forks at
+    a block whose votes differ from its true state, or follows through a
+    divergence. The desk stream's votes differ from its true state at
+    iteration 1 only."""
 
     T = 300
 
@@ -925,18 +927,18 @@ class TestFollower:
 
     @staticmethod
     def follow(blocks, model, mu):
-        """Feed a known learner and its follower online, leader first."""
-        known = GraphLearner(model, mu, 0.3, "known")
-        estimated = GraphLearner(model, mu, 0.3, "estimated", leader=known)
+        """Feed the learners of a ``both`` run online."""
+        learners = ModeLearners(model, mu, 0.3, "both")
         for block, true_state, combination in blocks:
-            known.consume(block, true_state, combination)
-            estimated.consume(block, true_state, combination)
-        return known, estimated
+            learners.consume(block, true_state, combination)
+        return learners
 
     @staticmethod
     def assert_matches_the_oracle(results, oracle):
+        assert list(results) == ["known", "estimated"]
         for mode in ("known", "estimated"):
             got, want = results[mode], oracle[mode]
+            assert got.mode == mode
             assert np.array_equal(got.estimate, want.estimate), mode
             assert np.array_equal(got.msd, want.msd), mode
             assert got.diverged_at == want.diverged_at, mode
@@ -946,24 +948,22 @@ class TestFollower:
                 assert got.votes is want.votes is None
 
     def check(self, blocks, model, mu):
-        """Compare both feeds with the oracle; return the online pair."""
+        """Compare both feeds with the oracle; return the online learners."""
         oracle = independent_learners(blocks, model, mu, 0.3)
-        known, estimated = self.follow(blocks, model, mu)
-        self.assert_matches_the_oracle(
-            {"known": known.result(), "estimated": estimated.result()}, oracle
-        )
+        learners = self.follow(blocks, model, mu)
+        self.assert_matches_the_oracle(learners.results(), oracle)
         self.assert_matches_the_oracle(learn_graph(blocks, model, mu, 0.3, "both"),
                                        oracle)
-        return known, estimated
+        return learners
 
     def test_a_differing_vote_at_iteration_1_only_does_not_fork(self, desk,
                                                                 step_calls):
         model, blocks = desk
-        known, estimated = self.check(blocks, model, 0.01)
-        assert estimated.leader is known
+        learners = self.check(blocks, model, 0.01)
+        assert learners.estimated is None
         # the oracle's two learners, the online pair, then learn_graph's
         assert step_calls == {"known": 3 * self.T, "estimated": self.T}
-        assert estimated.result().votes[0] != 1
+        assert learners.results()["estimated"].votes[0] != 1
 
     @pytest.mark.parametrize("k, rows", [(0, None), (2, None), (4, None), (2, 1)],
                              ids=["first", "middle", "last", "middle-row-0"])
@@ -979,59 +979,36 @@ class TestFollower:
         pieces = [(block[:cut], 2, matrix), (block[cut:], state, matrix)]
         forced = blocks[:k] + [p for p in pieces if len(p[0])] + blocks[k + 1:]
         start = sum(len(b) for b, _, _ in blocks[:k])
-        known, estimated = self.check(forced, model, 0.01)
-        assert estimated.leader is None
+        learners = self.check(forced, model, 0.01)
+        assert learners.estimated is not None
         assert step_calls == {"known": 3 * self.T, "estimated": 3 * self.T - 2 * start}
 
     def test_a_divergence_while_following(self, desk, step_calls):
         model, blocks = desk
-        known, estimated = self.check(blocks, model, 5.0)
-        assert estimated.leader is known
+        learners = self.check(blocks, model, 5.0)
+        assert learners.estimated is None
         assert step_calls["estimated"] == self.T
-        diverged = estimated.diverged_at
-        assert diverged is not None and diverged == known.diverged_at
-        for learner in (known, estimated):
-            msd_ = learner.result().msd
-            assert np.isfinite(msd_[:diverged - 1]).all()
-            assert np.isinf(msd_[diverged - 1:]).all()
+        results = learners.results()
+        diverged = results["estimated"].diverged_at
+        assert diverged is not None and diverged == results["known"].diverged_at
+        for result in results.values():
+            assert np.isfinite(result.msd[:diverged - 1]).all()
+            assert np.isinf(result.msd[diverged - 1:]).all()
 
-    def test_results_share_no_estimate(self, desk):
+    def test_results_share_no_memory(self, desk):
         model, blocks = desk
         results = learn_graph(blocks, model, 0.01, 0.3, "both")
         kept = results["estimated"].estimate.copy()
         assert np.array_equal(results["known"].estimate, kept)
         results["known"].estimate += 1.0
         assert np.array_equal(results["estimated"].estimate, kept)
+        assert not np.shares_memory(results["known"].msd, results["estimated"].msd)
 
-    @pytest.mark.parametrize("change", [
-        {"mode": "known"}, {"mu": 0.02}, {"delta": 0.2}, {"reference": 1},
-        {"leader_mode": "estimated"}, {"consumed": True}, {"model": True},
-    ], ids=["known-follower", "mu", "delta", "reference", "estimated-leader",
-            "used-leader", "other-model"])
-    def test_follows_only_a_fresh_known_learner_of_the_same_run(self, desk, change):
+    def test_a_fork_shares_the_target_table(self, desk, monkeypatch):
+        """The table of delta * lbar^T is built once per pair: the known
+        learner computes one mean ratio matrix per hypothesis, the fork
+        none."""
         model, blocks = desk
-        leader = GraphLearner(
-            random_likelihoods(10, 3, 4, seed=23) if change.get("model") else model,
-            0.01, 0.3, change.get("leader_mode", "known"),
-        )
-        if change.get("consumed"):
-            leader.consume(*blocks[0])
-        args = {"mode": "estimated", "mu": 0.01, "delta": 0.3, "reference": 0}
-        args.update((k, v) for k, v in change.items() if k in args)
-        with pytest.raises(ValueError, match="follows a fresh known learner"):
-            GraphLearner(model, leader=leader, **args)
-
-    def test_the_leader_consumes_each_block_first(self, desk):
-        model, blocks = desk
-        known = GraphLearner(model, 0.01, 0.3, "known")
-        estimated = GraphLearner(model, 0.01, 0.3, "estimated", leader=known)
-        with pytest.raises(ValueError, match="leader must consume"):
-            estimated.consume(*blocks[0])
-
-    def test_takes_the_leaders_target_table(self, desk, monkeypatch):
-        """The table of delta * lbar^T is built once per pair: the leader
-        computes one mean ratio matrix per hypothesis, the follower none."""
-        model, _ = desk
         calls = []
         mean = estimator.mean_likelihood_matrix
 
@@ -1040,7 +1017,13 @@ class TestFollower:
             return mean(*args)
 
         monkeypatch.setattr(estimator, "mean_likelihood_matrix", counted)
-        known = GraphLearner(model, 0.01, 0.3, "known")
+        learners = ModeLearners(model, 0.01, 0.3, "both")
         assert len(calls) == model.num_states
-        GraphLearner(model, 0.01, 0.3, "estimated", leader=known)
+        block, _, matrix = blocks[1]
+        learners.consume(block, 2, matrix)
+        assert learners.estimated._offsets is learners.known._offsets
         assert len(calls) == model.num_states
+
+    def test_an_unknown_mode_is_rejected(self, desk):
+        with pytest.raises(ValueError, match="unknown mode 'all'"):
+            ModeLearners(desk[0], 0.01, 0.3, "all")

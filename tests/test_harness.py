@@ -76,6 +76,14 @@ class TestConfigValidation:
         {"kl_floor": np.inf},
         {"classify_threshold": np.nan},
         {"classify_method": "threshold", "classify_threshold": np.inf},
+        {"agents": "x"},
+        {"iterations": 200.0},
+        {"true_state": True},
+        {"mu": "0.1"},
+        {"kl_floor": None},
+        {"signals": "4"},
+        {"signals": (3, 3, 3, 3, 3, 3.0)},
+        {"classify_threshold": "0.5"},
     ])
     def test_invalid_configs_raise(self, overrides):
         with pytest.raises(ConfigError):
@@ -380,7 +388,8 @@ class TestForwardAndLearn:
             (logs[i:i + 1], int(trace["true_states"][i]), truth)
             for i in range(len(logs))
         ]
-        from_file = learn_graph(blocks, model, config.mu, config.delta, mode="known")
+        from_file = learn_graph(blocks, model, config.mu, config.delta,
+                                mode="known")["known"]
         in_memory = run_experiment(replace(config, mode="known", out=None))
         assert np.array_equal(from_file.estimate, in_memory.modes["known"].estimate)
         assert np.array_equal(from_file.msd, in_memory.modes["known"].msd)
