@@ -107,7 +107,7 @@ def _parse_timed(text: str, flag: str) -> tuple[int, int | None]:
     return int(match.group(1)), None if match.group(2) is None else int(match.group(2))
 
 
-def build_config(args, require_out: bool = True) -> ExperimentConfig:
+def build_config(args) -> ExperimentConfig:
     """Merge dataclass defaults, an optional config file and explicit
     flags into a validated configuration."""
     base: dict = {}
@@ -117,7 +117,9 @@ def build_config(args, require_out: bool = True) -> ExperimentConfig:
         if isinstance(payload, dict) and payload.get("format") in (
             MANIFEST_FORMAT, _V1_FORMAT
         ):
-            payload = payload["config"]
+            payload = payload.get("config")
+            if not isinstance(payload, dict):
+                raise ConfigError(f"{args.config}: a manifest needs a 'config' object")
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
         file_out = payload.pop("out", None)
@@ -128,7 +130,7 @@ def build_config(args, require_out: bool = True) -> ExperimentConfig:
         if value is not None:
             base[name] = value
 
-    events = list(base.get("schedule", []))
+    events = []
     for text in args.set_state_at or []:
         iteration, value = _parse_timed(text, "--set-state-at")
         if value is None:
@@ -139,14 +141,19 @@ def build_config(args, require_out: bool = True) -> ExperimentConfig:
     for index, text in enumerate(args.regen_graph_at or []):
         iteration, value = _parse_timed(text, "--regen-graph-at")
         if value is None:
+            if not isinstance(seed_graph, int):
+                raise ConfigError("seed_graph must be an explicit integer")
             value = seed_graph + 1001 + index
         events.append({"iteration": iteration, "action": "regenerate_graph",
                        "value": value})
-    if events:
-        base["schedule"] = sorted(events, key=lambda e: e["iteration"])
+    # from_dict checks and orders the events, and names a schedule that
+    # is not a list.
+    schedule = base.get("schedule", [])
+    if events and isinstance(schedule, list):
+        base["schedule"] = schedule + events
 
     out = getattr(args, "out", None) or file_out
-    if require_out and not out:
+    if not out:
         raise ConfigError("an output directory is required (--out)")
     try:
         return ExperimentConfig.from_dict(base, out=out)

@@ -146,27 +146,26 @@ class LearnResult:
 
 @dataclass
 class GraphLearner:
-    """Sequential state of the online graph estimator.
+    """One LMS trajectory of the online graph estimator, stepping on
+    the hypotheses it is given: the true state or the votes, as
+    :class:`ModeLearners` decides. ``mode`` only names it and its result.
 
     The estimate starts at the zero matrix and the previous-ratio
-    register at zero, which makes the very first update a no-op. In
-    ``known`` mode each block must carry the current true hypothesis;
-    in ``estimated`` mode the learner votes on each snapshot itself.
+    register at zero, which makes the very first update a no-op.
 
     When an update stops being finite (or leaves ``DIVERGENCE_LIMIT``),
     the learner keeps its last good estimate, records the iteration in
-    ``diverged_at`` and makes no further updates; it still votes.
+    ``diverged_at`` and makes no further updates.
 
-    :meth:`consume` takes blocks of consecutive snapshots, each with the
-    true state and combination matrix of all its rows. Per block it forms
-    the belief log-ratios, the votes (``estimated`` mode), the
-    regressors and the targets (see :func:`gradient_step`), all agents
-    last, the targets from a table of ``delta lbar^T`` per hypothesis
-    built once per learner; only :meth:`step` runs per row. The step
-    also forms the row's squared deviation from the block's matrix (the
-    zero matrix without one), which doubles as its divergence test.
-    ``deviations`` and ``votes`` hold one array per block. A run's
-    learners in both modes are paired by :class:`ModeLearners`.
+    :meth:`consume` takes blocks of consecutive snapshots, each with its
+    hypotheses and the combination matrix of all its rows. Per block it
+    forms the belief log-ratios, the regressors and the targets (see
+    :func:`gradient_step`), all agents last, the targets from a table of
+    ``delta lbar^T`` per hypothesis built once per learner; only
+    :meth:`step` runs per row. The step also forms the row's squared
+    deviation from the block's matrix (the zero matrix without one),
+    which doubles as its divergence test. ``deviations`` holds one array
+    per block.
     """
 
     model: LikelihoodModel
@@ -178,11 +177,8 @@ class GraphLearner:
     iterations: int = field(init=False, default=0)
     diverged_at: int | None = field(init=False, default=None)
     deviations: list[np.ndarray] = field(init=False, default_factory=list)
-    votes: list[np.ndarray] = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        if self.mode not in (KNOWN, ESTIMATED):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.mu < np.inf:
             raise ValueError("mu must be positive and finite")
         if not 0 < self.delta < 1:
@@ -261,20 +257,18 @@ class GraphLearner:
                 self.diverged_at = self.iterations
         return self.estimate
 
-    def consume(self, block: np.ndarray, true_state: int | None = None,
+    def consume(self, block: np.ndarray, states: int | np.ndarray | None = None,
                 combination: CombinationMatrix | None = None) -> None:
         """Update from each snapshot of ``block``, ``(steps, num_agents,
-        num_states)`` shared log-beliefs whose true state (needed in
-        ``known`` mode) and matrix are ``true_state`` and ``combination``,
-        and record its squared deviation: NaN without a matrix, ``inf``
-        from the diverging snapshot on."""
-        if self.mode == KNOWN and true_state not in range(self.model.num_states):
+        num_states)`` shared log-beliefs, on ``states``, one hypothesis
+        for the block or one per row, and record its squared deviation
+        from ``combination``: NaN without a matrix, ``inf`` from the
+        diverging snapshot on."""
+        if np.shape(states) not in ((), (len(block),)):
+            raise ValueError(f"{len(states)} hypotheses for a block of {len(block)} rows")
+        if np.ndim(states) == 0 and states not in range(self.model.num_states):
             raise ValueError(f"known mode needs the current true state in "
-                             f"0..{self.model.num_states - 1}, got {true_state}")
-        states = true_state
-        if self.mode == ESTIMATED:
-            states = majority_vote(block)
-            self.votes.append(states)
+                             f"0..{self.model.num_states - 1}, got {states}")
         # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
         # register. Every operation is elementwise per row, so the
         # update does not depend on where blocks begin and end.
@@ -302,24 +296,24 @@ class GraphLearner:
             mode=self.mode,
             estimate=self.estimate.copy(),
             msd=np.concatenate([np.empty(0), *self.deviations]),
-            votes=(np.concatenate([np.empty(0, dtype=np.intp), *self.votes])
-                   if self.mode == ESTIMATED else None),
+            votes=None,
             diverged_at=self.diverged_at,
         )
 
 
 class ModeLearners:
     """The learners of one run in ``mode``: ``known``, ``estimated`` or
-    ``both``, fed together by :meth:`consume`.
+    ``both``, fed together by :meth:`consume`: the known learner on each
+    block's true state, the estimated one on the block's votes, which
+    are formed and recorded here.
 
     In ``both`` the two learners share one trajectory until a vote
     differs: while every vote of a block equals the block's true state,
-    the two updates are bit-identical, so only the known learner steps
-    and the estimated votes are recorded. The first row of the run is
-    exempt, because the register starts at zero and its update is a
-    no-op whatever the target. At the first block with any other
-    differing vote, the estimated learner forks from the known learner's
-    state before that block and consumes on its own from then on.
+    the two updates are bit-identical, so only the known learner steps.
+    The run's first row is exempt, because the register starts at zero
+    and its update is a no-op whatever the target. At the first block
+    with any other differing vote, the estimated learner forks from the
+    known learner's state before that block.
     """
 
     def __init__(self, model: LikelihoodModel, mu: float, delta: float,
@@ -332,45 +326,47 @@ class ModeLearners:
             self.estimated = GraphLearner(model, mu, delta, ESTIMATED, reference)
         else:
             self.known = GraphLearner(model, mu, delta, KNOWN, reference)
-        # The estimated votes of each block while the pair follows.
-        self._votes: list[np.ndarray] | None = [] if mode == BOTH else None
+        # The votes of each block, in the modes that vote.
+        self._votes: list[np.ndarray] | None = None if mode == KNOWN else []
 
     def consume(self, block: np.ndarray, true_state: int | None = None,
                 combination: CombinationMatrix | None = None) -> None:
         """Feed one block to each learner; see :meth:`GraphLearner.consume`."""
+        votes = None
         if self._votes is not None:
             votes = majority_vote(block)
-            # The run's first update is a no-op (see the class docstring).
-            checked = votes[1:] if self.known.iterations == 0 else votes
-            if (checked != true_state).any():
-                self.estimated, self._votes = self._fork(), None
-            else:
-                self._votes.append(votes)
+            self._votes.append(votes)
+            if self.estimated is None:
+                # The run's first update is a no-op (see the class docstring).
+                checked = votes[1:] if self.known.iterations == 0 else votes
+                if (checked != true_state).any():
+                    self.estimated = self._fork()
         if self.known is not None:
             self.known.consume(block, true_state, combination)
         if self.estimated is not None:
-            self.estimated.consume(block, true_state, combination)
+            self.estimated.consume(block, votes, combination)
 
     def _fork(self) -> GraphLearner:
         """The estimated learner at the known learner's state: a shallow
-        copy that shares the read-only target table, with its own
-        records, the votes so far, and its own scratch buffer. The
-        estimate and register stay shared: a learner replaces them,
-        never writes into them."""
+        copy with its own records. The rest stays shared: a learner
+        replaces its estimate and register, never writes into them, only
+        reads the target table, and fills and reads its scratch buffer
+        within one step."""
         fork = copy.copy(self.known)
         fork.mode = ESTIMATED
         fork.deviations = list(fork.deviations)
-        fork.votes = list(self._votes)
-        fork._difference = np.empty_like(fork._difference)
         return fork
 
     def results(self) -> dict[str, LearnResult]:
-        """Each learner's result by mode, the known one first. An
-        estimated learner that never forked reports the known
-        trajectory with its own votes."""
-        estimated = self.estimated if self._votes is None else self._fork()
-        return {learner.mode: learner.result()
-                for learner in (self.known, estimated) if learner is not None}
+        """Each learner's result by mode, the known one first, with the
+        votes on the estimated one. An estimated learner that never
+        forked reports the known trajectory."""
+        results = {} if self.known is None else {KNOWN: self.known.result()}
+        if self._votes is not None:
+            estimated = (self.estimated or self._fork()).result()
+            estimated.votes = np.concatenate([np.empty(0, dtype=np.intp), *self._votes])
+            results[ESTIMATED] = estimated
+        return results
 
 
 def learn_graph(

@@ -115,6 +115,8 @@ class ExperimentConfig:
         if not (self.classify_threshold is None
                 or _is_number(self.classify_threshold)):
             problems.append("classify_threshold must be a number")
+        if not isinstance(self.test_mode, bool):
+            problems.append("test_mode must be true or false")
         if problems:
             raise ConfigError("; ".join(problems))
         if self.agents < 1:
@@ -139,7 +141,7 @@ class ExperimentConfig:
         if self.iterations < 1:
             problems.append("iterations must be at least 1")
         for name in ("seed_graph", "seed_weights", "seed_likelihoods", "seed_signals"):
-            if not isinstance(getattr(self, name), int):
+            if not _is_number(getattr(self, name), int):
                 problems.append(f"{name} must be an explicit integer")
         if self.mode not in ("known", "estimated", "both"):
             problems.append("mode must be known, estimated or both")
@@ -193,7 +195,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, payload: dict, out: str | None = None) -> "ExperimentConfig":
         """Build a configuration from a mapping (a config file or the
-        ``config`` section of a manifest)."""
+        ``config`` section of a manifest). The schedule's events may come
+        in any order."""
         payload = dict(payload)
         payload.pop("out", None)
         known_names = {f.name for f in fields(cls)}
@@ -201,12 +204,21 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "schedule" in payload:
-            payload["schedule"] = EventSchedule(
-                tuple(
-                    Event(int(e["iteration"]), str(e["action"]), int(e["value"]))
-                    for e in payload["schedule"]
-                )
-            )
+            events = payload["schedule"]
+            if not isinstance(events, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("action"), str)
+                and _is_number(e.get("iteration"), numbers.Integral)
+                and _is_number(e.get("value"), numbers.Integral) for e in events
+            ):
+                raise ConfigError("schedule must be a list of objects, each with an "
+                                  "integer iteration and value and a string action")
+            try:
+                payload["schedule"] = EventSchedule(tuple(
+                    Event(e["iteration"], e["action"], e["value"])
+                    for e in sorted(events, key=lambda e: e["iteration"])
+                ))
+            except ValueError as err:
+                raise ConfigError(f"schedule: {err}") from err
         if isinstance(payload.get("signals"), list):
             payload["signals"] = tuple(payload["signals"])
         return cls(out=out, **payload)

@@ -173,12 +173,11 @@ class LikelihoodModel:
         with the first of those faults its table has."""
         if not self.tables:
             raise ValueError("at least one agent is required")
-        num_states = self.tables[0].shape[1]
-        if num_states < 2:
-            raise ValueError("at least two hypotheses are required")
         for k, t in enumerate(self.tables):
-            if t.ndim != 2 or t.shape[1] != num_states:
+            if t.ndim != 2 or t.shape[1] != self.tables[0].shape[1]:
                 raise ValueError(f"table of agent {k} has inconsistent shape")
+        if self.num_states < 2:
+            raise ValueError("at least two hypotheses are required")
         sizes = np.array(self.signal_sizes)
         if (sizes < 2).any():
             raise ValueError(f"agent {np.argmax(sizes < 2)} needs at least two signals")

@@ -3,7 +3,7 @@ that no package code calls, kept beside the tests that use them."""
 
 import numpy as np
 
-from beliefgraph.estimator import GraphLearner
+from beliefgraph.estimator import GraphLearner, majority_vote
 from beliefgraph.io import MSD_HEADER
 from beliefgraph.model import GenerationError, LikelihoodModel, _floor_column
 
@@ -53,14 +53,19 @@ def read_msd_table(path) -> dict[str, np.ndarray]:
 def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:
     """The known-mode and estimated-mode results of two learners that
     each consume every ``(block, true_state, combination)`` triple on
-    their own, by mode: the oracle of the learners of a ``both`` run
+    their own, the estimated one on ``majority_vote(block)``, by mode:
+    the oracle of the learners of a ``both`` run
     (``estimator.ModeLearners``)."""
     results = {}
     for mode in ("known", "estimated"):
         learner = GraphLearner(model, mu, delta, mode, reference)
+        votes = []
         for block, true_state, combination in blocks:
-            learner.consume(block, true_state, combination)
+            votes.append(majority_vote(block))
+            learner.consume(block, true_state if mode == "known" else votes[-1],
+                            combination)
         results[mode] = learner.result()
+    results["estimated"].votes = np.concatenate(votes)
     return results
 
 

@@ -49,7 +49,8 @@ class TestExperimentCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("agents", "x"), ("mu", "0.1"), ("signals", "4"),
+        ("agents", "x"), ("mu", "0.1"), ("signals", "4"), ("test_mode", "false"),
+        ("seed_graph", True),
     ])
     def test_value_of_the_wrong_type_exits_one(self, tmp_path, capsys, field, value):
         """A config file value of the wrong type is a configuration error
@@ -106,9 +107,75 @@ class TestExperimentCommand:
         trace = io.read_trace(out / "trace.csv")
         assert trace["events"] == {30: "set_true_state", 60: "regenerate_graph"}
 
-    def test_bad_schedule_flag_exits_one(self, tmp_path):
-        assert run_cli("experiment", *BASE, "--set-state-at", "30",
+    @pytest.mark.parametrize("text", ["30", "x"])
+    def test_bad_schedule_flag_exits_one(self, tmp_path, capsys, text):
+        assert run_cli("experiment", *BASE, "--set-state-at", text,
                        "--out", tmp_path / "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --set-state-at expects")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed, values", [([], [1001, 1002]),
+                                              (["--seed-graph", "7"], [1008, 1009])],
+                             ids=["default-seed-graph", "seed-graph-7"])
+    def test_a_regeneration_without_a_seed(self, tmp_path, seed, values):
+        """The seed of the n-th --regen-graph-at without one defaults to
+        seed_graph + 1001 + n, counting regenerations only; the events
+        are recorded in order of iteration."""
+        out = tmp_path / "regen"
+        assert run_cli("simulate", *BASE, *seed, "--regen-graph-at", "5",
+                       "--set-state-at", "7:2", "--regen-graph-at", "9",
+                       "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["schedule"] == [
+            {"iteration": 5, "action": "regenerate_graph", "value": values[0]},
+            {"iteration": 7, "action": "set_true_state", "value": 2},
+            {"iteration": 9, "action": "regenerate_graph", "value": values[1]},
+        ]
+
+    @pytest.mark.parametrize("command, payload, flags, named", [
+        ("experiment", {"schedule": "x"}, [], "schedule"),
+        ("experiment", {"schedule": "x"}, ["--set-state-at", "5:1"], "schedule"),
+        ("experiment", {"schedule": [{"iteration": 5}]}, [], "schedule"),
+        ("experiment", {"schedule": [{"iteration": "a", "action": "set_true_state",
+                                      "value": 1}]}, [], "schedule"),
+        ("experiment", {"schedule": [{"iteration": 5, "action": "x", "value": 1}]}, [],
+         "schedule: unknown event action 'x'"),
+        ("experiment", {"seed_graph": "7"}, ["--regen-graph-at", "5"], "seed_graph"),
+        ("experiment", {"format": "beliefgraph-manifest-v2"}, [], "'config'"),
+        ("learn", {"schedule": "x"}, [], "schedule"),
+    ], ids=["schedule-not-a-list", "schedule-not-a-list-with-a-flag",
+            "event-without-action", "iteration-not-an-integer", "unknown-action",
+            "seed-graph-not-an-integer", "manifest-without-config",
+            "learn-schedule-not-a-list"])
+    def test_a_config_file_of_the_wrong_shape_exits_one(
+        self, tmp_path, capsys, command, payload, flags, named
+    ):
+        """A config file, or the manifest a learn run reads, whose
+        schedule or manifest section is of the wrong shape is a
+        configuration error whose one line names the field; nothing is
+        written."""
+        if command == "learn":
+            run = tmp_path / "fwd"
+            assert run_cli("simulate", *BASE, "--out", run) == 0
+            path = run / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["config"].update(payload)
+            path.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            source = ["--run", run]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(payload))
+            source = ["--config", path]
+        out = tmp_path / "out"
+        assert run_cli(command, *source, *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert named in err
+        if "format" in payload:
+            assert str(path) in err
+        assert not out.exists()
 
 
 class TestSimulateAndLearn:

@@ -406,14 +406,48 @@ class TestGraphLearner:
         literally identical update."""
         model, _ = small_setup
         known = GraphLearner(model, 0.05, 0.3, "known")
-        estimated = GraphLearner(model, 0.05, 0.3, "estimated")
+        estimated = ModeLearners(model, 0.05, 0.3, "estimated")
         shared = np.log(np.tile([0.02, 0.08, 0.9], (6, 1)))
         shared -= np.log(np.exp(shared).sum(axis=1, keepdims=True))
         for _ in range(3):
-            known.consume(shared[None], true_state=2)
+            known.consume(shared[None], 2)
             estimated.consume(shared[None])
-        assert estimated.result().votes[-1] == 2
-        np.testing.assert_array_equal(known.estimate, estimated.estimate)
+        result = estimated.results()["estimated"]
+        assert result.votes.tolist() == [2, 2, 2]
+        np.testing.assert_array_equal(known.estimate, result.estimate)
+
+    def test_steps_on_one_hypothesis_per_row(self, small_setup):
+        """A block's hypotheses, one per row, give the update of one-row
+        blocks each given its own; one for the whole block, that of the
+        same hypothesis repeated per row."""
+        model, combination = small_setup
+        block = np.stack([s.shared_log_beliefs for s in
+                          run_simulation(model, combination, 1, 0.3, 6, seed=43)])
+        states = np.array([0, 2, 1, 1, 0, 2])
+        per_row = GraphLearner(model, 0.05, 0.3, "estimated")
+        per_row.consume(block, states, combination)
+        one_row = GraphLearner(model, 0.05, 0.3, "estimated")
+        for row, state in zip(block, states):
+            one_row.consume(row[None], state, combination)
+        assert np.array_equal(per_row.estimate, one_row.estimate)
+        assert np.array_equal(per_row.result().msd, one_row.result().msd)
+        voted = GraphLearner(model, 0.05, 0.3, "estimated")
+        voted.consume(block, majority_vote(block), combination)
+        assert not np.array_equal(per_row.estimate, voted.estimate)
+        scalar = GraphLearner(model, 0.05, 0.3, "known")
+        scalar.consume(block, 1, combination)
+        repeated = GraphLearner(model, 0.05, 0.3, "known")
+        repeated.consume(block, np.ones(6, dtype=int), combination)
+        assert np.array_equal(scalar.estimate, repeated.estimate)
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_rejects_hypotheses_of_another_length(self, small_setup, count):
+        model, combination = small_setup
+        learner = GraphLearner(model, 0.05, 0.3, "estimated")
+        with pytest.raises(ValueError, match=f"{count} hypotheses for a block of 6"):
+            learner.consume(np.full((6, 6, 3), -np.log(3)), np.ones(count, dtype=int),
+                            combination)
+        assert learner.iterations == 0 and not learner.deviations
 
     def test_known_mode_requires_the_state(self, small_setup):
         model, _ = small_setup
@@ -550,7 +584,9 @@ class TestGraphLearner:
         model, combination = small_setup
         learner = GraphLearner(model, 0.5, 0.3, mode)
         for step in run_simulation(model, combination, 1, 0.3, 150, seed=49):
-            learner.consume(step.shared_log_beliefs[None], 1, combination)
+            block = step.shared_log_beliefs[None]
+            states = 1 if mode == "known" else majority_vote(block)
+            learner.consume(block, states, combination)
             assert learner.deviations[-1][0] == msd(combination.weights,
                                                      learner.estimate)
         assert learner.diverged_at is None
@@ -771,7 +807,8 @@ class TestBlockwiseLearner:
             learner = GraphLearner(model, mu, 0.3, mode)
             oracle = []
             for block, true_state, combination in one_row:
-                learner.consume(block, true_state, combination)
+                states = true_state if mode == "known" else majority_vote(block)
+                learner.consume(block, states, combination)
                 oracle.append(msd(combination.weights, learner.estimate))
             assert learner.iterations == len(steps)
             assert learner.diverged_at == base.diverged_at
@@ -824,7 +861,8 @@ class TestBlockwiseLearner:
         cols = ratio_columns(model.num_states, reference)
         learner = GraphLearner(model, mu, delta, mode, reference)
         for block, true_state, combination in simulator_blocks(steps):
-            learner.consume(block, true_state, combination)
+            states = true_state if mode == "known" else majority_vote(block)
+            learner.consume(block, states, combination)
         learned = learner.result()
         estimate = np.zeros((10, 10))
         previous = np.zeros((2, 10))

@@ -167,12 +167,25 @@ class TestRandomCombinationMatrix:
         with pytest.raises(ValueError):
             random_combination_matrix(mask, seed=0)
 
-    def test_validation_catches_bad_matrices(self):
-        mask = np.array([[1, 1], [1, 1]], dtype=bool)
-        with pytest.raises(ValueError):
-            CombinationMatrix(np.array([[0.6, 0.5], [0.5, 0.5]]), mask)
-        with pytest.raises(ValueError):
-            CombinationMatrix(np.array([[1.0, 0.5], [0.0, 0.5]]), mask)
+    @pytest.mark.parametrize("weights, adjacency, message", [
+        ([[0.5, 0.5]], [[1, 1]], "weights must be a square matrix"),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1, 1, 1]] * 3,
+         "adjacency shape does not match weights"),
+        ([[1.5, 0.5], [-0.5, 0.5]], [[1, 1]] * 2,
+         "weights must be finite and nonnegative"),
+        ([[np.nan, 0.5], [0.5, 0.5]], [[1, 1]] * 2,
+         "weights must be finite and nonnegative"),
+        ([[0.6, 0.5], [0.5, 0.5]], [[1, 1]] * 2, "columns must sum to one"),
+        ([[1.0, 0.5], [0.0, 0.5]], [[1, 1]] * 2,
+         "positive weights must coincide with the adjacency"),
+        ([[0.0, 1.0], [1.0, 0.0]], [[0, 1], [1, 0]], "at least one self-loop is required"),
+        ([[1.0, 0.5], [0.0, 0.5]], [[1, 1], [0, 1]],
+         "the weight graph must be strongly connected"),
+    ], ids=["not-square", "adjacency-shape", "negative", "nan", "column-sum",
+            "support", "no-self-loop", "not-strongly-connected"])
+    def test_validation_catches_bad_matrices(self, weights, adjacency, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CombinationMatrix(np.array(weights), np.array(adjacency, dtype=bool))
 
 
 def identifiability_gap_oracle(model):
@@ -340,6 +353,12 @@ class TestLikelihoodModelRejections:
             t[1, 2] = float(fault)
         with pytest.raises(ValueError, match=f"^{message.format(agent)}$"):
             LikelihoodModel(tables, floor=0.2)
+
+    def test_names_agent_0_for_a_flat_table(self):
+        """Agent 0's table is checked for two dimensions before the
+        number of hypotheses is read from it."""
+        with pytest.raises(ValueError, match="^table of agent 0 has inconsistent shape$"):
+            LikelihoodModel([np.array([0.5, 0.5]), np.eye(2)], 0.01)
 
     def test_names_the_first_agent_at_fault(self):
         """Agent 1's columns do not sum to one and agent 3 has a NaN:
