@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .estimator import ESTIMATED, learn_graph
+from .estimator import ESTIMATED, KNOWN, learn_graph
 from .harness import (
     MANIFEST_FORMAT,
     ConfigError,
@@ -209,8 +209,35 @@ def _cmd_sweep(args) -> int:
     return EXIT_DIVERGED if any(r["divergent"] for r in rows) else EXIT_OK
 
 
+def _true_matrix(path: Path, num_agents: int) -> tuple[int, CombinationMatrix]:
+    """The graph epoch a bundle's ``true_matrix_NNN.csv`` names and its
+    matrix, on the arcs of the ``true_adjacency_NNN.csv`` beside it or,
+    without one, of its positive weights. A malformed file, or one of
+    another size than ``num_agents``, raises ``ValueError`` naming it."""
+    tag = path.stem.split("_")[-1]
+    try:
+        epoch, weights = int(tag), io.read_matrix(path)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if weights.shape != (num_agents, num_agents):
+        raise ValueError(f"{path} holds a matrix of shape {weights.shape}, but the "
+                         f"model has {num_agents} agents")
+    adjacency = weights > 0
+    adjacency_path = path.with_name(f"true_adjacency_{tag}.csv")
+    if adjacency_path.exists():
+        adjacency = io.read_adjacency(adjacency_path)
+        if adjacency.shape != weights.shape:
+            raise ValueError(f"{adjacency_path} holds an adjacency of shape "
+                             f"{adjacency.shape}, but the model has {num_agents} "
+                             f"agents")
+    try:
+        return epoch, CombinationMatrix(weights, adjacency)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
-                num_states: int, regenerations: int):
+                num_agents: int, num_states: int, regenerations: int):
     """Ground truth of a recorded stream: the true state of each step
     (``None`` without a trace), the graph epoch of each step, the
     combination matrix of each epoch the bundle holds and the events by
@@ -252,14 +279,8 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
     matrices: dict[int, CombinationMatrix] = {}
     if run_dir is not None:
         for path in run_dir.glob("true_matrix_*.csv"):
-            tag = path.stem.split("_")[-1]
-            adjacency_path = run_dir / f"true_adjacency_{tag}.csv"
-            weights = io.read_matrix(path)
-            if adjacency_path.exists():
-                adjacency = io.read_adjacency(adjacency_path)
-            else:
-                adjacency = weights > 0
-            matrices[int(tag)] = CombinationMatrix(weights, adjacency)
+            epoch, matrix = _true_matrix(path, num_agents)
+            matrices[epoch] = matrix
     if trace is None:
         # The trace says which graph epoch each step belongs to; without
         # it, only a single-epoch bundle pins the matrix of every step.
@@ -345,7 +366,8 @@ def _cmd_learn(args) -> int:
         raise ValueError("the belief stream holds a non-finite log-belief")
     regenerations = sum(e.action == REGENERATE_GRAPH for e in config.schedule)
     true_states, graph_epochs, matrices, events = _load_truth(
-        run_dir, trace_file, len(log_beliefs), model.num_states, regenerations
+        run_dir, trace_file, len(log_beliefs), model.num_agents, model.num_states,
+        regenerations,
     )
     if config.mode != ESTIMATED and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
@@ -357,10 +379,12 @@ def _cmd_learn(args) -> int:
                           config.reference)
     # Edge accuracy is scored against the graph in force at the end of
     # the stream, as run_experiment does.
-    results = {
-        mode: mode_result(result, matrices.get(int(graph_epochs[-1])), config, out)
-        for mode, result in learned.items()
-    }
+    final_combination = matrices.get(int(graph_epochs[-1]))
+    results = {}
+    for mode, result in learned.items():
+        results[mode] = mode_result(
+            result, final_combination, config, out, results.get(KNOWN)
+        )
     write_report(out, results, events)
     _print_mode_summary(results)
     print(f"wrote {out}")

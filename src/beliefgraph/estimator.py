@@ -281,8 +281,9 @@ class GraphLearner:
         deviations = np.empty(len(block))
         self.deviations.append(deviations)
         first = self.iterations
+        step = self.step
         for row, (regressor, target) in enumerate(zip(regressors, targets)):
-            self.step(regressor, target, combination)
+            step(regressor, target, combination)
             deviations[row] = self._deviation
         if combination is None:
             deviations[:] = np.nan

@@ -11,6 +11,7 @@ is not part of the manifest.
 from __future__ import annotations
 
 import numbers
+import shutil
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 from . import io
 from .estimator import (
     ESTIMATED,
+    KNOWN,
     LearnResult,
     ModeLearners,
     NoSeparationError,
@@ -392,6 +394,7 @@ def mode_result(
     final_combination: CombinationMatrix | None,
     config: ExperimentConfig,
     out: Path | None,
+    twin: ModeResult | None = None,
 ) -> ModeResult:
     """Classify a learned estimate as ``config`` says and score it.
 
@@ -399,25 +402,41 @@ def mode_result(
     force at the end of the stream, and is ``None`` without it or when
     the classification finds no separation. With ``out`` set, the
     learned matrix and its classification are written there.
+
+    ``twin`` is another mode's result from the same call: the same
+    stream, ``final_combination``, ``config`` and ``out``. When its
+    estimate holds the same bytes as ``learned``'s (``-0.0`` and ``0.0``
+    are written apart), its classification is reused and its files are
+    copied, so a trajectory the modes share is classified and formatted
+    once.
     """
-    classified = None
-    classify_error = None
-    edge_accuracy = None
-    try:
-        classified = classify_edges(
-            learned.estimate, config.classify_method, config.classify_threshold
-        )
-    except NoSeparationError as err:
-        classify_error = str(err)
+    shared = twin is not None and twin.estimate.tobytes() == learned.estimate.tobytes()
+    classified = classify_error = edge_accuracy = None
+    if shared:
+        classify_error = twin.classify_error
+        if twin.classified is not None:
+            classified = twin.classified.copy()
     else:
-        if final_combination is not None:
-            edge_accuracy = float((classified == final_combination.adjacency).mean())
-    if out is not None:
-        io.write_matrix(out / f"learned_matrix_{learned.mode}.csv", learned.estimate)
-        if classified is not None:
-            io.write_adjacency(
-                out / f"classified_adjacency_{learned.mode}.csv", classified
+        try:
+            classified = classify_edges(
+                learned.estimate, config.classify_method, config.classify_threshold
             )
+        except NoSeparationError as err:
+            classify_error = str(err)
+    if classified is not None and final_combination is not None:
+        edge_accuracy = float((classified == final_combination.adjacency).mean())
+    if out is not None:
+        for name, matrix, write in (
+            ("learned_matrix", learned.estimate, io.write_matrix),
+            ("classified_adjacency", classified, io.write_adjacency),
+        ):
+            path = out / f"{name}_{learned.mode}.csv"
+            if matrix is None:
+                continue
+            if shared:
+                shutil.copyfile(out / f"{name}_{twin.mode}.csv", path)
+            else:
+                write(path, matrix)
     return ModeResult(
         **vars(learned),
         steady_state_msd=steady_state_mean(learned.msd),
@@ -487,10 +506,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except ValueError:
             diagnostics = None  # run too short for moment estimates
 
-    mode_results = {
-        mode: mode_result(learned, final_combination, config, out)
-        for mode, learned in learners.results().items()
-    }
+    mode_results: dict[str, ModeResult] = {}
+    for mode, learned in learners.results().items():
+        mode_results[mode] = mode_result(
+            learned, final_combination, config, out, mode_results.get(KNOWN)
+        )
     result = ExperimentResult(
         config=config,
         model=model,

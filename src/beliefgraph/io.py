@@ -84,7 +84,21 @@ def write_adjacency(path, adjacency: np.ndarray) -> None:
 
 
 def read_adjacency(path) -> np.ndarray:
-    return read_matrix(path).astype(bool)
+    """The adjacency :func:`write_adjacency` wrote to ``path``, parsed
+    from its bytes. A file of any other layout (empty, with a ragged row
+    or with a cell other than ``0`` and ``1``) raises ``ValueError``."""
+    data = np.frombuffer(Path(path).read_bytes(), np.uint8)
+    rows = np.count_nonzero(data == ord("\n"))
+    # Each row is 2 bytes per cell; with as many rows as newlines, every
+    # row must end in one.
+    if rows and not len(data) % (2 * rows):
+        text = data.reshape(rows, -1)
+        cells = text[:, ::2] - ord("0")
+        if ((cells <= 1).all() and (text[:, 1:-1:2] == ord(",")).all()
+                and (text[:, -1] == ord("\n")).all()):
+            return cells.astype(bool)
+    raise ValueError(f"{Path(path).name} is not an adjacency file: rows of "
+                     f"0/1 cells separated by commas, each ending in a newline")
 
 
 class BeliefStreamWriter:
@@ -185,11 +199,22 @@ def write_msd_table(path, iterations, deviations_by_mode: dict, events) -> None:
     iterations = np.asarray(iterations).tolist()
     markers = [events.get(i, "") for i in iterations]
     modes = sorted(deviations_by_mode)
-    # An iteration's lines take (iteration, deviation, marker) per mode.
-    columns = [column for mode in modes for column in (
-        iterations, np.asarray(deviations_by_mode[mode], float).tolist(), markers)]
-    lines = "".join(f"%s,%.17g,{mode.replace('%', '%%')},%s\n" for mode in modes)
-    cells = tuple(chain.from_iterable(zip(*columns)))
+    columns = [np.asarray(deviations_by_mode[mode], float) for mode in modes]
+    keys = [column.tobytes() for column in columns]
+    texts: dict[bytes, list[str]] = {}
+    fields, lines = [], ""
+    for mode, column, key in zip(modes, columns, keys):
+        cell, column = "%.17g", column.tolist()
+        if keys.count(key) > 1:
+            # Modes whose deviations hold the same bytes share one column
+            # of text, formatted once.
+            if key not in texts:
+                texts[key] = ("%.17g\n" * len(column) % tuple(column)).split("\n")
+            cell, column = "%s", texts[key]
+        # An iteration's lines take (iteration, deviation, marker) per mode.
+        fields += (iterations, column, markers)
+        lines += f"%s,{cell},{mode.replace('%', '%%')},%s\n"
+    cells = tuple(chain.from_iterable(zip(*fields)))
     Path(path).write_text((MSD_HEADER + "\n" + lines * len(iterations)) % cells)
 
 

@@ -47,18 +47,6 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _reaches_all(adjacency: np.ndarray) -> bool:
-    """True if node 0 reaches every node along the arcs of a boolean
-    adjacency, found by expanding a breadth-first frontier."""
-    seen = np.zeros(adjacency.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adjacency[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
-
-
 def is_strongly_connected(adjacency: np.ndarray) -> bool:
     """True if the directed graph of ``adjacency`` is strongly connected.
 
@@ -66,13 +54,26 @@ def is_strongly_connected(adjacency: np.ndarray) -> bool:
     graph is strongly connected iff node 0 reaches every node both
     along the arcs and along the reversed arcs. A graph without nodes
     is not connected.
+
+    Both searches expand their breadth-first frontiers together, one
+    boolean matrix product of the stacked frontiers with the stacked
+    graph and its reverse per level.
     """
     adjacency = np.asarray(adjacency, dtype=bool)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError("adjacency must be a square matrix")
-    if adjacency.shape[0] == 0:
+    n = adjacency.shape[0]
+    if n == 0:
         return False
-    return _reaches_all(adjacency) and _reaches_all(adjacency.T)
+    graphs = np.stack((adjacency, adjacency.T))
+    seen = np.zeros((2, 1, n), dtype=bool)
+    seen[:, 0, 0] = True
+    frontier = seen
+    while frontier.any():
+        # The nodes one arc beyond the frontier, less those already seen.
+        frontier = np.matmul(frontier, graphs) > seen
+        seen = seen | frontier
+    return bool(seen.all())
 
 
 def ratio_columns(num_states: int, reference: int) -> list[int]:
@@ -105,6 +106,8 @@ class CombinationMatrix:
         self.validate()
         self.weights.flags.writeable = False
         self.adjacency.flags.writeable = False
+        # A^T, the operand of every simulate.combine_step, as one view.
+        self._transposed = self.weights.T
 
     @property
     def size(self) -> int:

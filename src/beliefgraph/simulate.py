@@ -20,7 +20,7 @@ whole chunk at once with one max-shifted log-sum-exp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -201,10 +201,11 @@ def combine_step(ratios: np.ndarray, combination: CombinationMatrix) -> np.ndarr
     Row ``k`` of the result is ``sum_l A[l, k] * ratios[l]``; the
     columns of ``A`` sum to one, so no normalization is needed.
     """
-    if ratios.shape[0] != combination.size:
+    transposed = combination._transposed
+    if len(ratios) != len(transposed):
         raise ValueError("ratio rows do not match the combination matrix")
     # ndarray.dot is the same BLAS call as @, without matmul's dispatch
-    return combination.weights.T.dot(ratios)
+    return transposed.dot(ratios)
 
 
 def _apply_event(event, model, edge_prob, regen_max_attempts, true_state, combination):
@@ -320,13 +321,12 @@ def run_simulation(
         # Every step of the chunk is a view into this one block.
         log_beliefs.flags.writeable = False
         private = (
-            private_table.take(rows, axis=0) if record_private
-            else repeat(None, stop - first)
+            private_table.take(rows, axis=0) if record_private else repeat(None)
         )
-        for t, (shared, signal_ratios) in enumerate(zip(log_beliefs, private)):
-            yield SimulationStep(
-                first + t, shared, true_state, epoch, combination, event_name,
-                signal_ratios, log_beliefs, t,
-            )
-            event_name = None
+        # Only row 0 carries the event.
+        yield from map(
+            SimulationStep, range(first, stop), log_beliefs, repeat(true_state),
+            repeat(epoch), repeat(combination), chain((event_name,), repeat(None)),
+            private, repeat(log_beliefs), range(stop - first),
+        )
         first = stop

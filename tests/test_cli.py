@@ -638,6 +638,37 @@ class TestSimulateAndLearn:
         assert "6 agents and 3 states" in err and "7 agents and 3 states" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, edit, expected", [
+        ("true_matrix_000.csv", lambda text: text.rsplit("\n", 2)[0] + "\n",
+         "shape (5, 6), but the model has 6 agents"),
+        ("true_matrix_000.csv", lambda text: "",
+         "shape (0,), but the model has 6 agents"),
+        ("true_matrix_000.csv", lambda text: text.replace("0", "x", 1),
+         "could not convert"),
+        ("true_matrix_000.csv", lambda text: "1,0\n0,1\n",
+         "shape (2, 2), but the model has 6 agents"),
+        ("true_matrix_000.csv", lambda text: "1" + text, "columns must sum to one"),
+        ("true_matrix_abc.csv", lambda text: text, "invalid literal for int()"),
+        ("true_adjacency_000.csv", lambda text: text.replace("1", "2", 1),
+         "not an adjacency file"),
+        ("true_adjacency_000.csv", lambda text: "1,0\n0,1\n",
+         "shape (2, 2), but the model has 6 agents"),
+    ], ids=["truncated", "empty", "letter", "smaller", "column-sum", "epoch-name",
+            "adjacency-byte", "adjacency-smaller"])
+    def test_learn_names_a_malformed_true_matrix_file(
+        self, forward_run, tmp_path, capsys, name, edit, expected
+    ):
+        """A true matrix or adjacency file that is malformed, or of another
+        size than the model, is bad input (exit 2) whose one-line message
+        names the file."""
+        source = forward_run / name.replace("abc", "000")
+        (forward_run / name).write_text(edit(source.read_text()))
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err and expected in err
+
     def test_learn_without_inputs_exits_one(self, tmp_path):
         assert run_cli("learn", "--out", tmp_path / "nope") == 1
 

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefgraph import estimator, harness, io
+from beliefgraph.cli import main
 from beliefgraph.estimator import (
     GraphLearner,
+    LearnResult,
     belief_log_ratios,
     learn_graph,
     majority_vote,
@@ -29,6 +31,8 @@ from beliefgraph.harness import (
 )
 from beliefgraph.simulate import Event, EventSchedule, run_simulation
 from beliefgraph.model import CombinationMatrix, mean_likelihood_matrix
+
+from helpers import read_msd_table
 
 
 def desk_config(**overrides):
@@ -345,6 +349,93 @@ class TestLearnerHooks:
         assert np.array_equal(estimated.estimate, kept)
         estimated.estimate[0, 0] += 1.0
         assert np.array_equal(known.estimate, kept)
+
+
+class TestSharedModeOutputs:
+    """With both modes, a trajectory the two learners share is
+    classified once and its files formatted once; results that differ in
+    any byte, a zero's sign included, are classified and written each on
+    their own."""
+
+    # The 10-agent desk config on signal seed 20 never forks (see
+    # TestLearnerHooks); the 6-agent desk config with a switch at 80
+    # votes wrong at iterations 8-11 and forks.
+    AGREEING = dict(
+        agents=10, states=3, signals=4, edge_prob=0.35, delta=0.3, mu=0.01,
+        iterations=300, seed_graph=21, seed_weights=22, seed_likelihoods=23,
+        seed_signals=20, true_state=1,
+    )
+
+    @pytest.fixture
+    def classify_calls(self, monkeypatch):
+        calls = []
+        classify = harness.classify_edges
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "classify_edges", counting)
+        return calls
+
+    def test_a_shared_trajectory_is_classified_and_written_once(
+        self, tmp_path, classify_calls
+    ):
+        out = tmp_path / "run"
+        result = run_experiment(ExperimentConfig(**self.AGREEING, out=str(out)))
+        assert len(classify_calls) == 1
+        known, estimated = result.modes["known"], result.modes["estimated"]
+        assert np.array_equal(known.classified, estimated.classified)
+        assert known.classified is not estimated.classified
+        assert known.edge_accuracy == estimated.edge_accuracy is not None
+        for name in ("learned_matrix", "classified_adjacency"):
+            assert ((out / f"{name}_known.csv").read_bytes()
+                    == (out / f"{name}_estimated.csv").read_bytes())
+        table = read_msd_table(out / "msd.csv")
+        assert np.array_equal(table["known"], table["estimated"])
+        assert np.array_equal(table["known"], known.msd)
+        # learn on the bundle classifies once more and writes the same files
+        learned = tmp_path / "learned"
+        assert main(["learn", "--run", str(out), "--out", str(learned)]) == 0
+        assert len(classify_calls) == 2
+        for name in ("learned_matrix_known.csv", "learned_matrix_estimated.csv",
+                     "classified_adjacency_known.csv",
+                     "classified_adjacency_estimated.csv", "msd.csv"):
+            assert (learned / name).read_bytes() == (out / name).read_bytes()
+
+    def test_a_forking_run_classifies_each_mode(self, tmp_path, classify_calls):
+        out = tmp_path / "run"
+        result = run_experiment(desk_config(
+            iterations=150, schedule=EventSchedule((Event(80, "set_true_state", 0),)),
+            out=str(out),
+        ))
+        known, estimated = result.modes["known"], result.modes["estimated"]
+        assert not np.array_equal(known.estimate, estimated.estimate)
+        assert len(classify_calls) == 2
+        for mode, mres in result.modes.items():
+            assert io.read_matrix(out / f"learned_matrix_{mode}.csv").tobytes() == (
+                mres.estimate.tobytes())
+            assert np.array_equal(
+                io.read_adjacency(out / f"classified_adjacency_{mode}.csv"),
+                harness.classify_edges(mres.estimate),
+            )
+
+    def test_a_signed_zero_gets_its_own_text(self, tmp_path, classify_calls):
+        """Estimates equal in value but not in the sign of a zero are
+        classified and written each on their own (for the deviation
+        table, see tests/test_io.py::TestMsdTable)."""
+        deviations = np.array([1.0, 0.5])
+        known = LearnResult("known", np.array([[0.0, 0.5], [0.5, 1.0]]),
+                            deviations, None, None)
+        estimated = LearnResult("estimated", np.array([[-0.0, 0.5], [0.5, 1.0]]),
+                                deviations.copy(), None, None)
+        config = ExperimentConfig(agents=2)
+        twin = harness.mode_result(known, None, config, tmp_path)
+        harness.mode_result(estimated, None, config, tmp_path, twin)
+        assert len(classify_calls) == 2
+        assert (tmp_path / "learned_matrix_known.csv").read_text() == "0,0.5\n0.5,1\n"
+        assert (tmp_path / "learned_matrix_estimated.csv").read_text() == (
+            "-0,0.5\n0.5,1\n")
 
 
 class TestVotes:

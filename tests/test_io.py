@@ -121,6 +121,30 @@ class TestMatrixFiles:
         np.testing.assert_array_equal(io.read_adjacency(path), adjacency)
         assert set(path.read_text()) <= {"0", "1", ",", "\n"}
 
+    def test_adjacency_round_trip_of_every_size(self, tmp_path):
+        """read_adjacency parses the bytes write_adjacency writes, for
+        every size from 1 to 30: random, empty and full."""
+        rng = np.random.default_rng(4)
+        path = tmp_path / "a.csv"
+        for n in range(1, 31):
+            for adjacency in (rng.random((n, n)) < 0.4, np.zeros((n, n), dtype=bool),
+                              np.ones((n, n), dtype=bool)):
+                io.write_adjacency(path, adjacency)
+                read = io.read_adjacency(path)
+                assert read.dtype == bool
+                np.testing.assert_array_equal(read, adjacency)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "1,0\n0,2\n", "1,0\n0,x\n", "1.0,0\n0,1\n", "1,0\n0\n",
+        "1,0\n0,1,1\n", "1,0\n0,1", "1;0\n0;1\n", "1,0\r\n0,1\r\n", "1,\n",
+    ], ids=["empty", "blank", "two", "letter", "float", "short-row", "long-row",
+            "no-final-newline", "semicolons", "crlf", "trailing-comma"])
+    def test_a_malformed_adjacency_raises(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="a.csv is not an adjacency file"):
+            io.read_adjacency(path)
+
     @pytest.mark.parametrize("adjacency", [
         np.random.default_rng(3).random((7, 7)) < 0.4,
         np.array([[0.5, 0.0, 1.0], [0.0, 0.25, 0.0], [2.0, 0.0, 0.5]]),
@@ -338,6 +362,18 @@ class TestMsdTable:
         np.testing.assert_array_equal(table["estimated"], estimated)
         np.testing.assert_array_equal(table["iteration"], [1, 2, 3])
         assert ",set_true_state" in path.read_text()
+
+    def test_modes_sharing_a_column_keep_each_zeros_sign(self, tmp_path):
+        """Deviations of the same bytes share one column of text; equal
+        values that differ in a zero's sign are written as they are."""
+        path = tmp_path / "msd.csv"
+        zero, flipped = np.array([0.0, 0.1, -0.0]), np.array([-0.0, 0.1, 0.0])
+        for deviations in ({"known": zero, "estimated": zero.copy()},
+                           {"known": zero, "estimated": flipped},
+                           {"known": zero, "estimated": zero, "other": flipped}):
+            io.write_msd_table(path, [1, 2, 3], deviations, {3: "set_true_state"})
+            assert path.read_text() == per_value_msd_table(
+                [1, 2, 3], deviations, {3: "set_true_state"})
 
 
 class TestJsonFiles:
