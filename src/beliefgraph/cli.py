@@ -55,49 +55,66 @@ def _parse_signals(text: str):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
+# A flag's text read as its field's kind; a choice or a path stays text,
+# and so does a value that does not parse, for validate() to name its
+# field as it does in a config file.
+_PARSERS = {"integer": int, "real": float, "optional real": float,
+            "integers": _parse_signals, "flag": bool}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _add_field_argument(parser, name: str) -> None:
+    spec = _FIELDS[name].metadata
+    choices = spec["choices"] and "{" + ",".join(spec["choices"]) + "}"
+    options = ({"action": "store_true"} if spec["kind"] == "flag"
+               else {"metavar": choices or spec["metavar"]})
+    parser.add_argument(spec["flag"] or "--" + name.replace("_", "-"), dest=name,
+                        default=None, help=spec["help"], **options)
+
+
+def _flag_values(args) -> dict:
+    """The configuration fields set by flags, by name."""
+    values = {}
+    for name, f in _FIELDS.items():
+        text = getattr(args, name, None)
+        if text is not None:
+            try:
+                values[name] = _PARSERS.get(f.metadata["kind"], str)(text)
+            except ValueError:
+                values[name] = text
+    return values
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("experiment configuration")
     g.add_argument("--config", metavar="FILE",
                    help="JSON config file or manifest; flags override it")
-    g.add_argument("--agents", type=int, help="number of agents")
-    g.add_argument("--states", type=int, help="number of hypotheses")
-    g.add_argument("--signals", type=_parse_signals, metavar="N[,N...]",
-                   help="signal-space size, one value or one per agent")
-    g.add_argument("--edge-prob", type=float, help="arc probability of the random graph")
-    g.add_argument("--delta", type=float, help="belief adaptation step size, in (0,1)")
-    g.add_argument("--mu", type=float, help="estimator learning rate")
-    g.add_argument("--iters", type=int, dest="iterations", help="number of iterations")
-    g.add_argument("--seed-graph", type=int, help="seed for the adjacency draw")
-    g.add_argument("--seed-weights", type=int, help="seed for the weight draw")
-    g.add_argument("--seed-likelihoods", type=int, help="seed for the observation models")
-    g.add_argument("--seed-signals", type=int, help="seed for the signal stream")
-    g.add_argument("--mode", choices=["known", "estimated", "both"],
-                   help="estimator variant(s) to run")
-    g.add_argument("--true-state", type=int, help="initial true hypothesis index")
-    g.add_argument("--reference", type=int, help="reference hypothesis index")
-    g.add_argument("--set-state-at", action="append", metavar="ITER:STATE",
-                   default=None, help="switch the true state at an iteration; repeatable")
-    g.add_argument("--regen-graph-at", action="append", metavar="ITER[:SEED]",
-                   default=None,
-                   help="regenerate the graph at an iteration; the seed defaults "
-                        "to seed_graph + 1001 + event index")
-    g.add_argument("--test-mode", action="store_const", const=True, default=None,
-                   help="record private signal data for validation")
-    g.add_argument("--likelihood-floor", type=float, help="probability floor")
-    g.add_argument("--kl-floor", type=float, help="identifiability margin")
-    g.add_argument("--max-attempts", type=int, help="resampling budget for generation")
-    g.add_argument("--classify-method", choices=["two-means", "threshold"],
-                   help="edge classification method")
-    g.add_argument("--classify-threshold", type=float,
-                   help="threshold for the threshold classifier")
-    g.add_argument("--out", help="output directory")
+    for name, f in _FIELDS.items():
+        if f.metadata:
+            _add_field_argument(g, name)
+            continue
+        # The schedule is built from the timed-event flags.
+        g.add_argument("--set-state-at", action="append", metavar="ITER:STATE",
+                       help="switch the true state at an iteration; repeatable")
+        g.add_argument("--regen-graph-at", action="append", metavar="ITER[:SEED]",
+                       help="regenerate the graph at an iteration; the seed defaults "
+                            "to seed_graph + 1001 + event index")
 
 
-# The fields a flag of the same name sets; the schedule is built from
-# the timed-event flags and the output directory is taken separately.
-_CONFIG_FIELDS = tuple(
-    f.name for f in fields(ExperimentConfig) if f.name not in ("schedule", "out")
-)
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_config_arguments(parser)
+    parser.add_argument("--mu-grid", help="comma-separated mu values")
+    parser.add_argument("--delta-grid", help="comma-separated delta values")
+
+
+def _add_learn_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--run", help="directory written by simulate/experiment")
+    parser.add_argument("--stream", help="belief stream: a bundle's beliefs.npy "
+                                         "(float64 log-beliefs)")
+    parser.add_argument("--model-file", help="likelihood model JSON")
+    parser.add_argument("--trace-file", help="ground-truth trace CSV")
+    for name in ("mode", "mu", "delta", "reference", "out"):
+        _add_field_argument(parser, name)
 
 
 def _parse_timed(text: str, flag: str) -> tuple[int, int | None]:
@@ -125,10 +142,7 @@ def build_config(args) -> ExperimentConfig:
         file_out = payload.pop("out", None)
         base = payload
 
-    for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            base[name] = value
+    base.update(_flag_values(args))
 
     events = []
     for text in args.set_state_at or []:
@@ -142,7 +156,7 @@ def build_config(args) -> ExperimentConfig:
         iteration, value = _parse_timed(text, "--regen-graph-at")
         if value is None:
             if not isinstance(seed_graph, int):
-                raise ConfigError("seed_graph must be an explicit integer")
+                raise ConfigError("seed_graph must be an integer")
             value = seed_graph + 1001 + index
         events.append({"iteration": iteration, "action": "regenerate_graph",
                        "value": value})
@@ -152,7 +166,7 @@ def build_config(args) -> ExperimentConfig:
     if events and isinstance(schedule, list):
         base["schedule"] = schedule + events
 
-    out = getattr(args, "out", None) or file_out
+    out = base.pop("out", None) or file_out
     if not out:
         raise ConfigError("an output directory is required (--out)")
     try:
@@ -351,8 +365,7 @@ def _cmd_learn(args) -> int:
         config = ExperimentConfig(
             agents=model.num_agents, states=model.num_states, mode=ESTIMATED
         )
-    flags = {name: getattr(args, name) for name in ("mu", "delta", "reference", "mode")}
-    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    config = replace(config, **_flag_values(args))
     config.validate()
 
     log_beliefs = io.read_belief_stream(stream)
@@ -392,48 +405,43 @@ def _cmd_learn(args) -> int:
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help, handler and arguments, in the order --help
+# lists them.
+_COMMANDS = {
+    "simulate": ("forward simulation only", _cmd_simulate, _add_config_arguments),
+    "experiment": ("end-to-end experiment", _cmd_experiment, _add_config_arguments),
+    "sweep": ("grid of experiments over mu/delta", _cmd_sweep, _add_sweep_arguments),
+    "learn": ("estimate the graph from a recorded run", _cmd_learn,
+              _add_learn_arguments),
+}
+
+
+def _parser(commands) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefgraph",
         description="Simulate social learning over a hidden network and "
                     "recover the influence graph from the shared beliefs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="forward simulation only")
-    _add_config_arguments(p_sim)
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_exp = sub.add_parser("experiment", help="end-to-end experiment")
-    _add_config_arguments(p_exp)
-    p_exp.set_defaults(handler=_cmd_experiment)
-
-    p_sweep = sub.add_parser("sweep", help="grid of experiments over mu/delta")
-    _add_config_arguments(p_sweep)
-    p_sweep.add_argument("--mu-grid", help="comma-separated mu values")
-    p_sweep.add_argument("--delta-grid", help="comma-separated delta values")
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_learn = sub.add_parser("learn", help="estimate the graph from a recorded run")
-    p_learn.add_argument("--run", help="directory written by simulate/experiment")
-    p_learn.add_argument("--stream", help="belief stream: a bundle's beliefs.npy "
-                                          "(float64 log-beliefs)")
-    p_learn.add_argument("--model-file", help="likelihood model JSON")
-    p_learn.add_argument("--trace-file", help="ground-truth trace CSV")
-    p_learn.add_argument("--mode", choices=["known", "estimated", "both"])
-    p_learn.add_argument("--mu", type=float)
-    p_learn.add_argument("--delta", type=float)
-    p_learn.add_argument("--reference", type=int)
-    p_learn.add_argument("--out", help="output directory")
-    p_learn.set_defaults(handler=_cmd_learn)
-
+    for name in commands:
+        summary, _, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
+    return _parser(_COMMANDS)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the invoked subcommand's parser is built; --help, and a
+    # missing or unknown subcommand, list every subcommand.
+    commands = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _parser(commands).parse_args(argv)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][1](args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -56,15 +56,51 @@ __all__ = [
 
 MANIFEST_FORMAT = "beliefgraph-manifest-v2"
 
-# The number fields of a configuration. A value of another type, such as
-# a string from a config file, is named before any check compares it.
-_INTEGER_FIELDS = ("agents", "states", "iterations", "true_state", "reference",
-                   "max_attempts")
-_REAL_FIELDS = ("edge_prob", "delta", "mu", "likelihood_floor", "kl_floor")
-
 
 def _is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# The type test and fault of each kind of configuration field, in the
+# order validate() lists type faults; a choice or a path has none. A value
+# of another type, such as a string from a config file or a flag, is
+# named before any check compares it.
+_KINDS = {
+    "integer": (lambda v: _is_number(v, numbers.Integral), "must be an integer"),
+    "real": (_is_number, "must be a number"),
+    "integers": (lambda v: all(_is_number(z, numbers.Integral) for z in (
+        v if isinstance(v, (tuple, list)) else (v,))),
+        "must be an integer or a list of integers"),
+    "optional real": (lambda v: v is None or _is_number(v), "must be a number"),
+    "flag": (lambda v: isinstance(v, bool), "must be true or false"),
+}
+_POSITIVE = (lambda v: 0 < v < np.inf, "must be positive and finite")
+
+
+def _at_least(low: int):
+    return (lambda v: v >= low, f"must be at least {low}")
+
+
+def _field(default, kind: str, help: str, check=None, *, choices=None, flag=None,
+           metavar=None):
+    """A configuration field with its spec: its kind, its flag's help
+    text, its range ``check`` (a test and the fault it names) or its
+    ``choices``, and its flag and metavar where argparse's do not fit."""
+    if choices is not None:
+        check = (lambda v: v in choices,
+                 f"must be {', '.join(choices[:-1])} or {choices[-1]}")
+    return field(default=default, metadata={
+        "kind": kind, "help": help, "check": check, "choices": choices,
+        "flag": flag, "metavar": metavar,
+    })
+
+
+def _plain(value):
+    """A value as JSON holds it: a numpy scalar as the Python number it
+    holds, a tuple as a list."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 class ConfigError(ValueError):
@@ -80,118 +116,94 @@ class ExperimentConfig:
     which estimator variants run: ``"known"``, ``"estimated"`` or
     ``"both"``. ``out`` is the output directory; with ``None`` the
     experiment runs in memory only.
+
+    Each field but ``schedule`` carries its spec (see ``_field``), from
+    which :meth:`validate` and the command line's flags are built.
     """
 
-    agents: int = 30
-    states: int = 4
-    signals: int | tuple[int, ...] = 4
-    edge_prob: float = 0.2
-    delta: float = 0.05
-    mu: float = 0.01
-    iterations: int = 15000
-    seed_graph: int = 0
-    seed_weights: int = 1
-    seed_likelihoods: int = 2
-    seed_signals: int = 3
-    mode: str = "both"
-    true_state: int = 0
-    reference: int = 0
+    agents: int = _field(30, "integer", "number of agents", _at_least(1))
+    states: int = _field(4, "integer", "number of hypotheses", _at_least(2))
+    signals: int | tuple[int, ...] = _field(
+        4, "integers", "signal-space size, one value or one per agent",
+        metavar="N[,N...]")
+    edge_prob: float = _field(0.2, "real", "arc probability of the random graph",
+                              (lambda v: 0 < v <= 1, "must be in (0, 1]"))
+    delta: float = _field(0.05, "real", "belief adaptation step size, in (0,1)",
+                          (lambda v: 0 < v < 1, "must be in (0, 1)"))
+    mu: float = _field(0.01, "real", "estimator learning rate", _POSITIVE)
+    iterations: int = _field(15000, "integer", "number of iterations", _at_least(1),
+                             flag="--iters")
+    seed_graph: int = _field(0, "integer", "seed for the adjacency draw", _at_least(0))
+    seed_weights: int = _field(1, "integer", "seed for the weight draw", _at_least(0))
+    seed_likelihoods: int = _field(2, "integer", "seed for the observation models",
+                                   _at_least(0))
+    seed_signals: int = _field(3, "integer", "seed for the signal stream", _at_least(0))
+    mode: str = _field("both", "choice", "estimator variant(s) to run",
+                       choices=("known", "estimated", "both"))
+    true_state: int = _field(0, "integer", "initial true hypothesis index")
+    reference: int = _field(0, "integer", "reference hypothesis index")
     schedule: EventSchedule = field(default_factory=EventSchedule)
-    test_mode: bool = False
-    likelihood_floor: float = 0.01
-    kl_floor: float = 1e-3
-    max_attempts: int = 1000
-    classify_method: str = "two-means"
-    classify_threshold: float | None = None
-    out: str | None = None
+    test_mode: bool = _field(False, "flag", "record private signal data for validation")
+    likelihood_floor: float = _field(0.01, "real", "probability floor", _POSITIVE)
+    kl_floor: float = _field(1e-3, "real", "identifiability margin", _POSITIVE)
+    max_attempts: int = _field(1000, "integer", "resampling budget for generation",
+                               _at_least(1))
+    classify_method: str = _field("two-means", "choice", "edge classification method",
+                                  choices=("two-means", "threshold"))
+    classify_threshold: float | None = _field(
+        None, "optional real", "threshold for the threshold classifier",
+        (lambda v: v is None or np.isfinite(v), "must be finite"))
+    out: str | None = _field(None, "path", "output directory")
 
     def validate(self) -> None:
-        problems = [f"{name} must be an integer" for name in _INTEGER_FIELDS
-                    if not _is_number(getattr(self, name), numbers.Integral)]
-        problems += [f"{name} must be a number" for name in _REAL_FIELDS
-                     if not _is_number(getattr(self, name))]
-        signals = (self.signals if isinstance(self.signals, (tuple, list))
-                   else (self.signals,))
-        if not all(_is_number(size, numbers.Integral) for size in signals):
-            problems.append("signals must be an integer or a list of integers")
-        if not (self.classify_threshold is None
-                or _is_number(self.classify_threshold)):
-            problems.append("classify_threshold must be a number")
-        if not isinstance(self.test_mode, bool):
-            problems.append("test_mode must be true or false")
+        """Raise :class:`ConfigError` naming every type fault or, when
+        there is none, every range fault, each list in a fixed order."""
+        specs = [f for f in fields(self) if f.metadata]
+        problems = [f"{f.name} {fault}" for kind, (test, fault) in _KINDS.items()
+                    for f in specs
+                    if f.metadata["kind"] == kind and not test(getattr(self, f.name))]
         if problems:
             raise ConfigError("; ".join(problems))
-        if self.agents < 1:
-            problems.append("agents must be at least 1")
-        if self.states < 2:
-            problems.append("states must be at least 2")
-        sizes = (
-            (self.signals,) * max(self.agents, 1)
-            if np.isscalar(self.signals)
-            else tuple(self.signals)
-        )
-        if not np.isscalar(self.signals) and len(sizes) != self.agents:
-            problems.append("signals must be a scalar or one size per agent")
-        if sizes and min(sizes) < 2:
-            problems.append("signal spaces need at least two outcomes")
-        if not 0 < self.edge_prob <= 1:
-            problems.append("edge_prob must be in (0, 1]")
-        if not 0 < self.delta < 1:
-            problems.append("delta must be in (0, 1)")
-        if not 0 < self.mu < np.inf:
-            problems.append("mu must be positive and finite")
-        if self.iterations < 1:
-            problems.append("iterations must be at least 1")
-        for name in ("seed_graph", "seed_weights", "seed_likelihoods", "seed_signals"):
-            if not _is_number(getattr(self, name), int):
-                problems.append(f"{name} must be an explicit integer")
-        if self.mode not in ("known", "estimated", "both"):
-            problems.append("mode must be known, estimated or both")
-        if not 0 <= self.true_state < self.states:
-            problems.append("true_state out of range")
-        if not 0 <= self.reference < self.states:
-            problems.append("reference out of range")
-        if not 0 < self.likelihood_floor < np.inf:
-            problems.append("likelihood_floor must be positive and finite")
-        elif sizes and self.likelihood_floor * max(sizes) >= 1:
-            problems.append("likelihood_floor too large for the signal space")
-        if not 0 < self.kl_floor < np.inf:
-            problems.append("kl_floor must be positive and finite")
-        if self.max_attempts < 1:
-            problems.append("max_attempts must be at least 1")
-        if self.classify_method not in ("two-means", "threshold"):
-            problems.append("classify_method must be two-means or threshold")
-        if self.classify_method == "threshold" and self.classify_threshold is None:
-            problems.append("threshold classification needs classify_threshold")
-        if self.classify_threshold is not None and not np.isfinite(
-            self.classify_threshold
-        ):
-            problems.append("classify_threshold must be finite")
+        sizes = (self.signals,) if np.isscalar(self.signals) else tuple(self.signals)
+        # The checks of a field against others, made when its own holds.
+        related = {
+            "signals": [(np.isscalar(self.signals) or len(sizes) == self.agents,
+                         "signals must be a scalar or one size per agent"),
+                        (min(sizes, default=2) >= 2,
+                         "signal spaces need at least two outcomes")],
+            "true_state": [(0 <= self.true_state < self.states,
+                            "true_state out of range")],
+            "reference": [(0 <= self.reference < self.states, "reference out of range")],
+            "likelihood_floor": [(self.likelihood_floor * max(sizes, default=0) < 1,
+                                  "likelihood_floor too large for the signal space")],
+            "classify_threshold": [(self.classify_threshold is not None
+                                    or self.classify_method != "threshold",
+                                    "threshold classification needs classify_threshold")],
+        }
+        for f in specs:
+            check = f.metadata["check"]
+            if check is not None and not check[0](getattr(self, f.name)):
+                problems.append(f"{f.name} {check[1]}")
+            else:
+                problems += [fault for holds, fault in related.get(f.name, ())
+                             if not holds]
         for event in self.schedule:
             if event.iteration > self.iterations:
-                problems.append(
-                    f"event at iteration {event.iteration} is beyond the run"
-                )
+                problems.append(f"event at iteration {event.iteration} is beyond the run")
             if event.action == "set_true_state" and not 0 <= event.value < self.states:
                 problems.append(f"event state {event.value} out of range")
+            elif event.action == "regenerate_graph" and event.value < 0:
+                problems.append(f"event seed {event.value} out of range")
         if problems:
             raise ConfigError("; ".join(problems))
 
     def to_dict(self) -> dict:
-        """JSON-ready mapping of all fields except the output directory."""
-        payload = {}
-        for f in fields(self):
-            if f.name == "out":
-                continue
-            value = getattr(self, f.name)
-            if f.name == "schedule":
-                value = [
-                    {"iteration": e.iteration, "action": e.action, "value": e.value}
-                    for e in value
-                ]
-            elif isinstance(value, tuple):
-                value = list(value)
-            payload[f.name] = value
+        """JSON-ready mapping of all fields except the output directory,
+        with numpy scalars written as plain numbers."""
+        payload = {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+                   if f.name != "out"}
+        payload["schedule"] = [{name: _plain(value) for name, value in vars(e).items()}
+                               for e in self.schedule]
         return payload
 
     @classmethod

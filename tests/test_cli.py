@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from beliefgraph import io
-from beliefgraph.cli import main
+from beliefgraph.cli import build_parser, main
+from beliefgraph.harness import ExperimentConfig
 from beliefgraph.model import random_likelihoods
 
 from helpers import read_msd_table
@@ -48,6 +49,30 @@ class TestExperimentCommand:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--agents", "x"], "agents must be an integer"),
+        (["--mu", "abc"], "mu must be a number"),
+        (["--mode", "oracle"], "mode must be known, estimated or both"),
+        (["--signals", "3,a"], "signals must be an integer or a list of integers"),
+        (["--classify-threshold", "x"], "classify_threshold must be a number"),
+        (["--seed-graph", "-1"], "seed_graph must be at least 0"),
+        (["--seed-signals", "-5"], "seed_signals must be at least 0"),
+        (["--regen-graph-at", "50:-3"], "event seed -3 out of range"),
+        (["--seed-graph", "x", "--regen-graph-at", "50"], "seed_graph must be an integer"),
+    ], ids=["agents-text", "mu-text", "mode-unknown", "signals-text",
+            "classify-threshold-text", "seed-graph-negative", "seed-signals-negative",
+            "regen-seed-negative", "seed-graph-text-regen"])
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_a_malformed_flag_value_exits_one(self, tmp_path, capsys, command, flag,
+                                              message):
+        """A flag value that is not of its field's kind or out of its
+        range is a configuration error naming the field, as the same
+        value in a config file is: exit 1, nothing written."""
+        out = tmp_path / "malformed"
+        assert run_cli(command, *BASE, *flag, "--out", out) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("agents", "x"), ("mu", "0.1"), ("signals", "4"), ("test_mode", "false"),
         ("seed_graph", True),
@@ -63,6 +88,54 @@ class TestExperimentCommand:
         assert err.startswith(f"configuration error: {field} must be")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    # One non-default value for every configuration flag, and the field
+    # of the manifest that it sets. BASE_FLAGS sets a threshold, so that
+    # threshold classification is a valid change on its own.
+    FLAG_CASES = [
+        (["--agents", "7"], "agents", 7),
+        (["--states", "4"], "states", 4),
+        (["--signals", "4"], "signals", 4),
+        (["--signals", "3,4,3,3,3,3"], "signals", [3, 4, 3, 3, 3, 3]),
+        (["--edge-prob", "0.75"], "edge_prob", 0.75),
+        (["--delta", "0.2"], "delta", 0.2),
+        (["--mu", "0.02"], "mu", 0.02),
+        (["--iters", "150"], "iterations", 150),
+        (["--seed-graph", "5"], "seed_graph", 5),
+        (["--seed-weights", "6"], "seed_weights", 6),
+        (["--seed-likelihoods", "7"], "seed_likelihoods", 7),
+        (["--seed-signals", "8"], "seed_signals", 8),
+        (["--mode", "known"], "mode", "known"),
+        (["--true-state", "2"], "true_state", 2),
+        (["--reference", "2"], "reference", 2),
+        (["--set-state-at", "30:2"], "schedule",
+         [{"iteration": 30, "action": "set_true_state", "value": 2}]),
+        (["--regen-graph-at", "60:9"], "schedule",
+         [{"iteration": 60, "action": "regenerate_graph", "value": 9}]),
+        (["--test-mode"], "test_mode", True),
+        (["--likelihood-floor", "0.02"], "likelihood_floor", 0.02),
+        (["--kl-floor", "0.002"], "kl_floor", 0.002),
+        (["--max-attempts", "50"], "max_attempts", 50),
+        (["--classify-method", "threshold"], "classify_method", "threshold"),
+        (["--classify-threshold", "0.3"], "classify_threshold", 0.3),
+    ]
+    BASE_FLAGS = [*BASE, "--classify-threshold", "0.25"]
+
+    @pytest.mark.parametrize("flag, field, value", FLAG_CASES,
+                             ids=[" ".join(case[0]) for case in FLAG_CASES])
+    def test_each_flag_sets_its_field_alone(self, tmp_path, flag, field, value):
+        """Every configuration field has a flag, and a flag given a value
+        other than the base's changes that field of the manifest and no
+        other."""
+        assert {case[1] for case in self.FLAG_CASES} == set(
+            ExperimentConfig().to_dict())
+        configs = {}
+        for name, flags in (("base", []), ("flag", flag)):
+            out = tmp_path / name
+            assert run_cli("simulate", *self.BASE_FLAGS, *flags, "--out", out) == 0
+            configs[name] = json.loads((out / "manifest.json").read_text())["config"]
+        assert configs["flag"][field] == value != configs["base"][field]
+        assert {**configs["flag"], field: configs["base"][field]} == configs["base"]
 
     def test_missing_out_exits_one(self):
         assert run_cli("experiment", *BASE) == 1
@@ -238,8 +311,10 @@ class TestSimulateAndLearn:
     @pytest.mark.parametrize("source", ["run", "stream"])
     @pytest.mark.parametrize("flag", [
         ["--reference", "7"], ["--reference", "3"], ["--mu", "-1"], ["--delta", "1.5"],
-        ["--mu", "nan"], ["--mu", "inf"],
-    ], ids=["reference-7", "reference-3", "mu", "delta", "mu-nan", "mu-inf"])
+        ["--mu", "nan"], ["--mu", "inf"], ["--mu", "abc"], ["--mode", "oracle"],
+        ["--reference", "x"],
+    ], ids=["reference-7", "reference-3", "mu", "delta", "mu-nan", "mu-inf", "mu-text",
+            "mode-unknown", "reference-text"])
     def test_learn_rejects_an_invalid_flag(
         self, forward_run, tmp_path, capsys, source, flag
     ):
@@ -765,6 +840,33 @@ class TestSweepCommand:
         assert captured.err.startswith("configuration error") and named in captured.err
         assert captured.out == ""
         assert not (out / "sweep.csv").exists()
+
+
+class TestParser:
+    COMMANDS = ["simulate", "experiment", "sweep", "learn"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_is_that_of_the_full_parser(self, capsys, command):
+        """main builds only the invoked subcommand's parser; its --help
+        exits 0 with the text of the parser of every subcommand."""
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert text == capsys.readouterr().out
+        assert text.startswith(f"usage: beliefgraph {command} [-h]")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), ([], 2), (["bogus"], 2), (["--bogus", "experiment"], 2),
+    ], ids=["help", "missing", "unknown", "option-first"])
+    def test_every_subcommand_is_listed_without_one(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == code
+        captured = capsys.readouterr()
+        assert "{simulate,experiment,sweep,learn}" in captured.out + captured.err
 
 
 class TestManifestRoundTrip:

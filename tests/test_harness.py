@@ -53,45 +53,86 @@ class TestConfigValidation:
     def test_default_config_is_valid(self):
         ExperimentConfig().validate()
 
-    @pytest.mark.parametrize("overrides", [
-        {"agents": 0},
-        {"states": 1},
-        {"signals": 1},
-        {"edge_prob": 0.0},
-        {"edge_prob": 1.2},
-        {"delta": 0.0},
-        {"delta": 1.0},
-        {"mu": 0.0},
-        {"iterations": 0},
-        {"mode": "oracle"},
-        {"true_state": 7},
-        {"reference": -1},
-        {"likelihood_floor": 0.5},
-        {"kl_floor": 0.0},
-        {"classify_method": "median"},
-        {"classify_method": "threshold"},
-        {"schedule": EventSchedule((Event(400, "set_true_state", 1),))},
-        {"schedule": EventSchedule((Event(5, "set_true_state", 9),))},
-        {"mu": np.nan},
-        {"mu": np.inf},
-        {"likelihood_floor": np.nan},
-        {"likelihood_floor": np.inf},
-        {"kl_floor": np.nan},
-        {"kl_floor": np.inf},
-        {"classify_threshold": np.nan},
-        {"classify_method": "threshold", "classify_threshold": np.inf},
-        {"agents": "x"},
-        {"iterations": 200.0},
-        {"true_state": True},
-        {"mu": "0.1"},
-        {"kl_floor": None},
-        {"signals": "4"},
-        {"signals": (3, 3, 3, 3, 3, 3.0)},
-        {"classify_threshold": "0.5"},
-    ])
-    def test_invalid_configs_raise(self, overrides):
-        with pytest.raises(ConfigError):
+    INVALID_CONFIGS = [
+        ({"agents": 0}, "agents must be at least 1"),
+        ({"states": 1}, "states must be at least 2; true_state out of range"),
+        ({"signals": 1}, "signal spaces need at least two outcomes"),
+        ({"edge_prob": 0.0}, "edge_prob must be in (0, 1]"),
+        ({"edge_prob": 1.2}, "edge_prob must be in (0, 1]"),
+        ({"delta": 0.0}, "delta must be in (0, 1)"),
+        ({"delta": 1.0}, "delta must be in (0, 1)"),
+        ({"mu": 0.0}, "mu must be positive and finite"),
+        ({"iterations": 0}, "iterations must be at least 1"),
+        ({"mode": "oracle"}, "mode must be known, estimated or both"),
+        ({"true_state": 7}, "true_state out of range"),
+        ({"reference": -1}, "reference out of range"),
+        ({"likelihood_floor": 0.5}, "likelihood_floor too large for the signal space"),
+        ({"kl_floor": 0.0}, "kl_floor must be positive and finite"),
+        ({"classify_method": "median"}, "classify_method must be two-means or threshold"),
+        ({"classify_method": "threshold"},
+         "threshold classification needs classify_threshold"),
+        ({"schedule": EventSchedule((Event(400, "set_true_state", 1),))},
+         "event at iteration 400 is beyond the run"),
+        ({"schedule": EventSchedule((Event(5, "set_true_state", 9),))},
+         "event state 9 out of range"),
+        ({"mu": np.nan}, "mu must be positive and finite"),
+        ({"mu": np.inf}, "mu must be positive and finite"),
+        ({"likelihood_floor": np.nan}, "likelihood_floor must be positive and finite"),
+        ({"likelihood_floor": np.inf}, "likelihood_floor must be positive and finite"),
+        ({"kl_floor": np.nan}, "kl_floor must be positive and finite"),
+        ({"kl_floor": np.inf}, "kl_floor must be positive and finite"),
+        ({"classify_threshold": np.nan}, "classify_threshold must be finite"),
+        ({"classify_method": "threshold", "classify_threshold": np.inf},
+         "classify_threshold must be finite"),
+        ({"agents": "x"}, "agents must be an integer"),
+        ({"iterations": 200.0}, "iterations must be an integer"),
+        ({"true_state": True}, "true_state must be an integer"),
+        ({"mu": "0.1"}, "mu must be a number"),
+        ({"kl_floor": None}, "kl_floor must be a number"),
+        ({"signals": "4"}, "signals must be an integer or a list of integers"),
+        ({"signals": (3, 3, 3, 3, 3, 3.0)},
+         "signals must be an integer or a list of integers"),
+        ({"classify_threshold": "0.5"}, "classify_threshold must be a number"),
+        ({"signals": (3, 3, 3, 3, 3, True)},
+         "signals must be an integer or a list of integers"),
+        ({"signals": (3, 3, 3)}, "signals must be a scalar or one size per agent"),
+        ({"max_attempts": 0}, "max_attempts must be at least 1"),
+        ({"test_mode": 1}, "test_mode must be true or false"),
+        ({"seed_graph": -1}, "seed_graph must be at least 0"),
+        ({"seed_signals": 1.5}, "seed_signals must be an integer"),
+        ({"seed_weights": True}, "seed_weights must be an integer"),
+        ({"schedule": EventSchedule((Event(5, "regenerate_graph", -3),))},
+         "event seed -3 out of range"),
+        # Several faults are listed in one message: every type fault, or
+        # else every range fault, each in a fixed order.
+        ({"test_mode": "yes", "classify_threshold": "a", "signals": "4",
+          "kl_floor": None, "mu": "0.1", "max_attempts": 1.5, "agents": "x"},
+         "agents must be an integer; max_attempts must be an integer; "
+         "mu must be a number; kl_floor must be a number; "
+         "signals must be an integer or a list of integers; "
+         "classify_threshold must be a number; test_mode must be true or false"),
+        ({"schedule": EventSchedule((Event(5, "set_true_state", 9),)),
+          "classify_method": "x", "max_attempts": 0, "kl_floor": 0.0,
+          "likelihood_floor": 1.5, "reference": 5, "true_state": 3, "mode": "oracle",
+          "iterations": 0, "mu": -1.0, "delta": 1.0, "edge_prob": 0.0,
+          "signals": (1, 1, 1), "agents": 0},
+         "agents must be at least 1; signals must be a scalar or one size per agent; "
+         "signal spaces need at least two outcomes; "
+         "edge_prob must be in (0, 1]; delta must be in (0, 1); "
+         "mu must be positive and finite; iterations must be at least 1; "
+         "mode must be known, estimated or both; true_state out of range; "
+         "reference out of range; likelihood_floor too large for the signal space; "
+         "kl_floor must be positive and finite; max_attempts must be at least 1; "
+         "classify_method must be two-means or threshold; "
+         "event at iteration 5 is beyond the run; event state 9 out of range"),
+    ]
+
+    @pytest.mark.parametrize("overrides, message", INVALID_CONFIGS,
+                             ids=[f"overrides{i}" for i in range(len(INVALID_CONFIGS))])
+    def test_invalid_configs_raise(self, overrides, message):
+        with pytest.raises(ConfigError) as raised:
             desk_config(**overrides).validate()
+        assert str(raised.value) == message
 
     def test_dict_round_trip(self):
         config = desk_config(
@@ -184,6 +225,28 @@ class TestRunExperiment:
         } <= names
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["modes"]) == {"known", "estimated"}
+
+    def test_numpy_scalars_write_the_bundle_of_plain_numbers(self, tmp_path):
+        """A configuration whose numbers are numpy scalars is valid, and
+        its run writes the bytes of the same numbers given as Python
+        ones, manifest included."""
+        schedule = EventSchedule((Event(100, "regenerate_graph", 9),
+                                  Event(150, "set_true_state", 2)))
+        plain = desk_config(test_mode=True, schedule=schedule)
+        typed = {f.name: getattr(plain, f.name) for f in fields(plain)
+                 if f.name not in ("schedule", "test_mode", "mode", "classify_method",
+                                   "classify_threshold", "out")}
+        typed = {name: (np.int64(value) if isinstance(value, int) else
+                        np.float64(value)) for name, value in typed.items()}
+        typed["schedule"] = EventSchedule(tuple(
+            Event(np.int64(e.iteration), e.action, np.int64(e.value))
+            for e in schedule
+        ))
+        run_experiment(replace(plain, out=str(tmp_path / "plain")))
+        run_experiment(replace(plain, **typed, out=str(tmp_path / "typed")))
+        assert bundle_bytes(tmp_path / "typed") == bundle_bytes(tmp_path / "plain")
+        single = replace(plain, mu=np.float32(0.05)).to_dict()
+        assert json.loads(json.dumps(single))["mu"] == float(np.float32(0.05))
 
     def test_private_files_absent_without_test_mode(self, tmp_path):
         out = tmp_path / "plain"

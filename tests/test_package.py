@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import beliefgraph
+from beliefgraph.harness import ExperimentConfig
 
 
 def test_import_loads_no_scipy():
@@ -59,6 +61,14 @@ def test_documented_imports_resolve(name):
     for module, attr in imported:
         loaded = importlib.import_module(module)
         assert attr is None or hasattr(loaded, attr), f"{name}: {module}.{attr}"
+
+
+def test_readme_schema_lists_every_field_with_its_default():
+    """README's configuration schema block is a JSON object of exactly
+    the configuration's fields, each with its default."""
+    section = (ROOT / "README.md").read_text().split("## Configuration schema", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(block) == ExperimentConfig().to_dict()
 
 
 def _benchmark_targets() -> tuple:
