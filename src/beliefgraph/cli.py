@@ -24,16 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .estimator import ESTIMATED, KNOWN, learn_graph
+from .estimator import ESTIMATED, learn_graph
 from .harness import (
     MANIFEST_FORMAT,
     ConfigError,
     ExperimentConfig,
-    mode_result,
+    finish_run,
     run_experiment,
     run_forward,
     sweep,
-    write_report,
 )
 from .model import CombinationMatrix
 from .simulate import CHUNK_STEPS, REGENERATE_GRAPH
@@ -332,6 +331,9 @@ def _cmd_learn(args) -> int:
     stream = Path(args.stream) if args.stream else None
     model_file = Path(args.model_file) if args.model_file else None
     trace_file = Path(args.trace_file) if args.trace_file else None
+    for path in (run_dir, stream, model_file, trace_file):
+        if path is not None and not path.exists():
+            raise FileNotFoundError(f"{path} does not exist")
     if run_dir is not None:
         stream = stream or run_dir / "beliefs.npy"
         model_file = model_file or run_dir / "model.json"
@@ -385,24 +387,15 @@ def _cmd_learn(args) -> int:
     if config.mode != ESTIMATED and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     blocks = _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices)
     learned = learn_graph(blocks, model, config.mu, config.delta, config.mode,
                           config.reference)
-    # Edge accuracy is scored against the graph in force at the end of
-    # the stream, as run_experiment does.
-    final_combination = matrices.get(int(graph_epochs[-1]))
-    results = {}
-    for mode, result in learned.items():
-        results[mode] = mode_result(
-            result, final_combination, config, out, results.get(KNOWN)
-        )
-    write_report(out, results, events)
-    _print_mode_summary(results)
+    out = Path(args.out)
+    modes, run = finish_run(learned, matrices, graph_epochs, true_states, events,
+                            config, out)
+    _print_mode_summary(modes)
     print(f"wrote {out}")
-    diverged = any(mres.diverged_at is not None for mres in results.values())
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return EXIT_DIVERGED if run["divergent"] else EXIT_OK
 
 
 # Each subcommand's help, handler and arguments, in the order --help

@@ -43,6 +43,13 @@ __all__ = [
 # information any more; the learner freezes and flags divergence.
 DIVERGENCE_LIMIT = 1e6
 
+# The rounds of the two-means split, and the share of each sample stack
+# the steady-state diagnostics discard as burn-in and the fewest samples
+# they estimate moments from after it.
+_TWO_MEANS_ITERATIONS = 100
+_BURN_IN_FRACTION = 0.2
+_MIN_SAMPLES = 1000
+
 KNOWN = "known"
 ESTIMATED = "estimated"
 BOTH = "both"
@@ -398,12 +405,12 @@ def msd(true_matrix: np.ndarray, estimate: np.ndarray) -> float:
     return float(np.vdot(diff, diff))
 
 
-def two_means_split(values: np.ndarray, max_iterations: int = 100) -> float:
+def two_means_split(values: np.ndarray) -> float:
     """Boundary of the two-cluster split of scalar values.
 
-    Plain Lloyd iteration with centers initialized at the minimum and
-    maximum; returns the midpoint between the final centers, so that
-    ``value > boundary`` selects the upper cluster.
+    Plain Lloyd iteration, at most 100 rounds, with centers initialized
+    at the minimum and maximum; returns the midpoint between the final
+    centers, so that ``value > boundary`` selects the upper cluster.
 
     Raises
     ------
@@ -414,7 +421,7 @@ def two_means_split(values: np.ndarray, max_iterations: int = 100) -> float:
     low, high = float(values.min()), float(values.max())
     if low == high:
         raise NoSeparationError("all values are identical")
-    for _ in range(max_iterations):
+    for _ in range(_TWO_MEANS_ITERATIONS):
         upper = np.abs(values - high) < np.abs(values - low)
         if not upper.any() or upper.all():
             raise NoSeparationError("a cluster emptied out")
@@ -490,32 +497,30 @@ def steady_state_diagnostics(
     expected_ratios: np.ndarray,
     mu: float,
     delta: float,
-    burn_in_fraction: float = 0.2,
-    min_samples: int = 1000,
 ) -> SteadyStateDiagnostics:
     """Estimate the steady-state deviation bound from sampled streams.
 
     Both sample stacks have shape ``(samples, num_agents,
     num_states - 1)`` and must come from a stationary stretch of a run;
-    the first ``burn_in_fraction`` of each is discarded. The signal
+    the first fifth of each is discarded. The signal
     ratios are private data, so this is a validation tool rather than
     part of the observer pipeline.
 
     Raises
     ------
     ValueError
-        If fewer than ``min_samples`` samples remain after burn-in.
+        If fewer than 1000 samples remain after burn-in.
     """
     # C order, because einsum's order of summation depends on strides.
     lam = np.ascontiguousarray(belief_ratio_samples, dtype=float)
     sig = np.asarray(signal_ratio_samples, dtype=float)
     if lam.ndim != 3 or sig.ndim != 3:
         raise ValueError("sample stacks must be 3-dimensional")
-    lam = lam[int(burn_in_fraction * lam.shape[0]):]
-    sig = sig[int(burn_in_fraction * sig.shape[0]):]
-    if min(lam.shape[0], sig.shape[0]) < min_samples:
+    lam = lam[int(_BURN_IN_FRACTION * lam.shape[0]):]
+    sig = sig[int(_BURN_IN_FRACTION * sig.shape[0]):]
+    if min(lam.shape[0], sig.shape[0]) < _MIN_SAMPLES:
         raise ValueError(
-            f"need at least {min_samples} samples after burn-in, have "
+            f"need at least {_MIN_SAMPLES} samples after burn-in, have "
             f"{min(lam.shape[0], sig.shape[0])}"
         )
     num_agents = lam.shape[1]

@@ -47,8 +47,7 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "run_forward",
-    "mode_result",
-    "write_report",
+    "finish_run",
     "sweep",
     "steady_state_mean",
     "MANIFEST_FORMAT",
@@ -277,23 +276,14 @@ class ExperimentResult:
     combination: CombinationMatrix
     final_combination: CombinationMatrix
     initial_msd: float
+    divergent: bool
+    vote_match_rate: float | None
     graph_attempts: int
     modes: dict[str, ModeResult]
     true_states: np.ndarray
     graph_epochs: np.ndarray
     diagnostics: SteadyStateDiagnostics | None
     out_dir: Path | None
-
-    @property
-    def divergent(self) -> bool:
-        return any(m.diverged_at is not None for m in self.modes.values())
-
-    @property
-    def vote_match_rate(self) -> float | None:
-        est = self.modes.get(ESTIMATED)
-        if est is None or est.votes is None:
-            return None
-        return float((est.votes == self.true_states).mean())
 
 
 def _diagnostics_payload(diag: SteadyStateDiagnostics | None):
@@ -401,77 +391,93 @@ def _simulate(
     return true_states, graph_epochs, events, epochs, private
 
 
-def mode_result(
-    learned: LearnResult,
-    final_combination: CombinationMatrix | None,
+def finish_run(
+    learned: dict[str, LearnResult],
+    matrices: dict[int, CombinationMatrix],
+    graph_epochs: np.ndarray,
+    true_states: np.ndarray | None,
+    events: dict[int, str],
     config: ExperimentConfig,
     out: Path | None,
-    twin: ModeResult | None = None,
-) -> ModeResult:
-    """Classify a learned estimate as ``config`` says and score it.
+    **extra,
+) -> tuple[dict[str, ModeResult], dict]:
+    """Classify and score each mode's learned result and compute the
+    run's values; with ``out`` set, write them there.
 
-    Edge accuracy is taken against ``final_combination``, the graph in
-    force at the end of the stream, and is ``None`` without it or when
-    the classification finds no separation. With ``out`` set, the
-    learned matrix and its classification are written there.
+    ``matrices`` holds the combination matrix of each known graph epoch,
+    and ``graph_epochs`` and ``true_states`` (``None`` when unknown) the
+    epoch and true state of each step. Each estimate is classified as
+    ``config`` says and scored against the matrix in force at the end of
+    the stream. The run's values are the zero estimate's deviation from
+    the matrix in force at step 1 (``initial_msd``), whether a mode
+    diverged (``divergent``) and the share of steps whose vote is the
+    true state (``vote_match_rate``); a value without its data is
+    ``None``. Writes each mode's learned and classified matrices,
+    ``msd.csv`` (the modes with a finite deviation, marked with
+    ``events``) and ``summary.json``: the run's values, ``extra`` and
+    each mode's :meth:`ModeResult.summary` under ``"modes"``.
 
-    ``twin`` is another mode's result from the same call: the same
-    stream, ``final_combination``, ``config`` and ``out``. When its
-    estimate holds the same bytes as ``learned``'s (``-0.0`` and ``0.0``
-    are written apart), its classification is reused and its files are
-    copied, so a trajectory the modes share is classified and formatted
-    once.
+    A mode whose estimate holds the known result's bytes (``-0.0`` and
+    ``0.0`` are written apart) takes over its classification and copies
+    its files, so a trajectory the modes share is classified and
+    formatted once.
     """
-    shared = twin is not None and twin.estimate.tobytes() == learned.estimate.tobytes()
-    classified = classify_error = edge_accuracy = None
-    if shared:
-        classify_error = twin.classify_error
-        if twin.classified is not None:
-            classified = twin.classified.copy()
-    else:
-        try:
-            classified = classify_edges(
-                learned.estimate, config.classify_method, config.classify_threshold
-            )
-        except NoSeparationError as err:
-            classify_error = str(err)
-    if classified is not None and final_combination is not None:
-        edge_accuracy = float((classified == final_combination.adjacency).mean())
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    final = matrices.get(int(graph_epochs[-1]))
+    modes: dict[str, ModeResult] = {}
+    for mode, result in learned.items():
+        twin = modes.get(KNOWN)
+        shared = twin is not None and twin.estimate.tobytes() == result.estimate.tobytes()
+        classified = classify_error = edge_accuracy = None
+        if shared:
+            classify_error = twin.classify_error
+            if twin.classified is not None:
+                classified = twin.classified.copy()
+        else:
+            try:
+                classified = classify_edges(
+                    result.estimate, config.classify_method, config.classify_threshold
+                )
+            except NoSeparationError as err:
+                classify_error = str(err)
+        if classified is not None and final is not None:
+            edge_accuracy = float((classified == final.adjacency).mean())
         for name, matrix, write in (
-            ("learned_matrix", learned.estimate, io.write_matrix),
+            ("learned_matrix", result.estimate, io.write_matrix),
             ("classified_adjacency", classified, io.write_adjacency),
         ):
-            path = out / f"{name}_{learned.mode}.csv"
-            if matrix is None:
+            if out is None or matrix is None:
                 continue
             if shared:
-                shutil.copyfile(out / f"{name}_{twin.mode}.csv", path)
+                shutil.copyfile(out / f"{name}_{KNOWN}.csv", out / f"{name}_{mode}.csv")
             else:
-                write(path, matrix)
-    return ModeResult(
-        **vars(learned),
-        steady_state_msd=steady_state_mean(learned.msd),
-        final_msd=float(learned.msd[-1]),
-        classified=classified,
-        edge_accuracy=edge_accuracy,
-        classify_error=classify_error,
-    )
-
-
-def write_report(
-    out: Path, modes: dict[str, ModeResult], events: dict[int, str], **extra
-) -> None:
-    """Write ``msd.csv``, the modes with a finite deviation marked with
-    ``events`` (iteration to name), and ``summary.json``, each mode's
-    :meth:`ModeResult.summary` under ``"modes"`` plus ``extra``."""
-    deviations = {m: r.msd for m, r in modes.items() if np.isfinite(r.msd).any()}
-    if deviations:
-        T = len(next(iter(deviations.values())))
-        io.write_msd_table(out / "msd.csv", np.arange(1, T + 1), deviations, events)
-    io.save_json(out / "summary.json", {
-        **extra, "modes": {m: r.summary() for m, r in modes.items()},
-    })
+                write(out / f"{name}_{mode}.csv", matrix)
+        modes[mode] = ModeResult(
+            **vars(result),
+            steady_state_msd=steady_state_mean(result.msd),
+            final_msd=float(result.msd[-1]),
+            classified=classified,
+            edge_accuracy=edge_accuracy,
+            classify_error=classify_error,
+        )
+    first = matrices.get(int(graph_epochs[0]))
+    votes = modes[ESTIMATED].votes if ESTIMATED in modes else None
+    run = {
+        "initial_msd": None if first is None else float(np.sum(first.weights**2)),
+        "divergent": any(m.diverged_at is not None for m in modes.values()),
+        "vote_match_rate": None if votes is None or true_states is None
+        else float((votes == true_states).mean()),
+    }
+    if out is not None:
+        deviations = {m: r.msd for m, r in modes.items() if np.isfinite(r.msd).any()}
+        if deviations:
+            T = len(graph_epochs)
+            io.write_msd_table(out / "msd.csv", np.arange(1, T + 1), deviations, events)
+        io.save_json(out / "summary.json", {
+            **run, **extra, "modes": {m: r.summary() for m, r in modes.items()},
+        })
+    return modes, run
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -495,10 +501,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     true_states, graph_epochs, events, epochs, private = _simulate(
         config, combination, model, out, consumers
     )
-    final_combination = epochs[-1]
-    # The zero estimate's deviation at step 1, from the matrix in force
-    # there: epoch 1 after a regenerate_graph event at iteration 1.
-    initial_msd = float(np.sum(epochs[graph_epochs[0]].weights**2))
 
     diagnostics = None
     if private is not None:
@@ -518,36 +520,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except ValueError:
             diagnostics = None  # run too short for moment estimates
 
-    mode_results: dict[str, ModeResult] = {}
-    for mode, learned in learners.results().items():
-        mode_results[mode] = mode_result(
-            learned, final_combination, config, out, mode_results.get(KNOWN)
-        )
-    result = ExperimentResult(
+    modes, run = finish_run(
+        learners.results(), dict(enumerate(epochs)), graph_epochs, true_states,
+        events, config, out, graph_attempts=graph_attempts,
+        diagnostics=_diagnostics_payload(diagnostics),
+    )
+    return ExperimentResult(
         config=config,
         model=model,
         combination=combination,
-        final_combination=final_combination,
-        initial_msd=initial_msd,
+        final_combination=epochs[-1],
         graph_attempts=graph_attempts,
-        modes=mode_results,
+        modes=modes,
         true_states=true_states,
         graph_epochs=graph_epochs,
         diagnostics=diagnostics,
         out_dir=out,
+        **run,
     )
-
-    if out is not None:
-        write_report(
-            out, mode_results, events,
-            initial_msd=initial_msd,
-            graph_attempts=graph_attempts,
-            divergent=result.divergent,
-            vote_match_rate=result.vote_match_rate,
-            diagnostics=_diagnostics_payload(diagnostics),
-        )
-
-    return result
 
 
 def run_forward(config: ExperimentConfig) -> Path:

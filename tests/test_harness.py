@@ -492,9 +492,9 @@ class TestSharedModeOutputs:
                             deviations, None, None)
         estimated = LearnResult("estimated", np.array([[-0.0, 0.5], [0.5, 1.0]]),
                                 deviations.copy(), None, None)
-        config = ExperimentConfig(agents=2)
-        twin = harness.mode_result(known, None, config, tmp_path)
-        harness.mode_result(estimated, None, config, tmp_path, twin)
+        harness.finish_run({"known": known, "estimated": estimated}, {},
+                           np.zeros(2, dtype=int), None, {},
+                           ExperimentConfig(agents=2), tmp_path)
         assert len(classify_calls) == 2
         assert (tmp_path / "learned_matrix_known.csv").read_text() == "0,0.5\n0.5,1\n"
         assert (tmp_path / "learned_matrix_estimated.csv").read_text() == (
