@@ -18,24 +18,17 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import fields
 
-import numpy as np
-
-from . import io
-from .estimator import ESTIMATED, learn_graph
 from .harness import (
-    MANIFEST_FORMAT,
     ConfigError,
     ExperimentConfig,
-    finish_run,
+    read_manifest,
     run_experiment,
     run_forward,
+    run_learn,
     sweep,
 )
-from .model import CombinationMatrix
-from .simulate import CHUNK_STEPS, REGENERATE_GRAPH
 
 __all__ = ["main", "build_parser"]
 
@@ -43,10 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_DIVERGED = 3
-
-# Its bundles hold a probability-domain CSV stream that learn does not
-# read; its manifests still configure a re-run.
-_V1_FORMAT = "beliefgraph-manifest-v1"
 
 
 def _parse_signals(text: str):
@@ -126,21 +115,8 @@ def _parse_timed(text: str, flag: str) -> tuple[int, int | None]:
 def build_config(args) -> ExperimentConfig:
     """Merge dataclass defaults, an optional config file and explicit
     flags into a validated configuration."""
-    base: dict = {}
-    file_out = None
-    if getattr(args, "config", None):
-        payload = io.load_json(args.config)
-        if isinstance(payload, dict) and payload.get("format") in (
-            MANIFEST_FORMAT, _V1_FORMAT
-        ):
-            payload = payload.get("config")
-            if not isinstance(payload, dict):
-                raise ConfigError(f"{args.config}: a manifest needs a 'config' object")
-        if not isinstance(payload, dict):
-            raise ConfigError("config file must hold a JSON object")
-        file_out = payload.pop("out", None)
-        base = payload
-
+    base = read_manifest(args.config)[1] if args.config else {}
+    file_out = base.pop("out", None)
     base.update(_flag_values(args))
 
     events = []
@@ -222,177 +198,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_DIVERGED if any(r["divergent"] for r in rows) else EXIT_OK
 
 
-def _true_matrix(path: Path, num_agents: int) -> tuple[int, CombinationMatrix]:
-    """The graph epoch a bundle's ``true_matrix_NNN.csv`` names and its
-    matrix, on the arcs of the ``true_adjacency_NNN.csv`` beside it or,
-    without one, of its positive weights. A malformed file, or one of
-    another size than ``num_agents``, raises ``ValueError`` naming it."""
-    tag = path.stem.split("_")[-1]
-    try:
-        epoch, weights = int(tag), io.read_matrix(path)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    if weights.shape != (num_agents, num_agents):
-        raise ValueError(f"{path} holds a matrix of shape {weights.shape}, but the "
-                         f"model has {num_agents} agents")
-    adjacency = weights > 0
-    adjacency_path = path.with_name(f"true_adjacency_{tag}.csv")
-    if adjacency_path.exists():
-        adjacency = io.read_adjacency(adjacency_path)
-        if adjacency.shape != weights.shape:
-            raise ValueError(f"{adjacency_path} holds an adjacency of shape "
-                             f"{adjacency.shape}, but the model has {num_agents} "
-                             f"agents")
-    try:
-        return epoch, CombinationMatrix(weights, adjacency)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-
-
-def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
-                num_agents: int, num_states: int, regenerations: int):
-    """Ground truth of a recorded stream: the true state of each step
-    (``None`` without a trace), the graph epoch of each step, the
-    combination matrix of each epoch the bundle holds and the events by
-    iteration.
-
-    A trace must hold iterations ``1..num_steps`` in order, true states
-    in ``0..num_states - 1`` and graph epochs that start at 0 and rise by
-    one at each ``regenerate_graph`` event and nowhere else. In a bundle
-    that holds true matrices, the trace's last epoch must have one or be
-    an epoch of the run, whose schedule holds ``regenerations`` graph
-    regenerations: the steps of a run epoch whose matrix file is missing
-    are only left unscored.
-    """
-    trace = None
-    if trace_file and trace_file.exists():
-        trace = io.read_trace(trace_file)
-        if not np.array_equal(trace["iterations"], np.arange(1, num_steps + 1)):
-            raise ValueError(f"the trace must hold iterations 1..{num_steps} of the "
-                             f"belief stream, one row each, in order")
-        states = trace["true_states"]
-        outside = np.flatnonzero((states < 0) | (states >= num_states))
-        if outside.size:
-            first = outside[0]
-            raise ValueError(f"the trace holds true state {states[first]} at iteration "
-                             f"{first + 1}, outside 0..{num_states - 1}")
-        regenerated = np.zeros(num_steps, dtype=int)
-        for iteration, event in trace["events"].items():
-            regenerated[iteration - 1] = event == REGENERATE_GRAPH
-        expected = np.cumsum(regenerated)
-        wrong = np.flatnonzero(trace["graph_epochs"] != expected)
-        if wrong.size:
-            first = wrong[0]
-            raise ValueError(
-                f"the trace puts iteration {first + 1} in graph epoch "
-                f"{trace['graph_epochs'][first]}, not {expected[first]}: "
-                f"graph epochs start at 0 and rise by one at each "
-                f"{REGENERATE_GRAPH} event and nowhere else"
-            )
-    matrices: dict[int, CombinationMatrix] = {}
-    if run_dir is not None:
-        for path in run_dir.glob("true_matrix_*.csv"):
-            epoch, matrix = _true_matrix(path, num_agents)
-            matrices[epoch] = matrix
-    if trace is None:
-        # The trace says which graph epoch each step belongs to; without
-        # it, only a single-epoch bundle pins the matrix of every step.
-        epochs = np.zeros(num_steps, dtype=int)
-        return None, epochs, matrices if len(matrices) == 1 else {}, {}
-    last = trace["graph_epochs"][-1]
-    if matrices and last > max(max(matrices), regenerations):
-        raise ValueError(f"the trace reaches graph epoch {last}, but the bundle "
-                         f"holds no true_matrix_{last:03d}.csv")
-    return trace["true_states"], trace["graph_epochs"], matrices, trace["events"]
-
-
-def _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices):
-    """The ``(block, true_state, combination)`` triples of a recorded
-    stream, with its ground truth as :func:`_load_truth` gives it. Each
-    block is a view of at most ``CHUNK_STEPS`` snapshots that ends
-    before every change of the true state or the graph epoch, as the
-    simulator's chunks do, so the learners' per-block arrays stay
-    bounded whatever the stream's length."""
-    changed = np.diff(graph_epochs) != 0
-    if true_states is not None:
-        changed |= np.diff(true_states) != 0
-    bounds = [0, *(np.flatnonzero(changed) + 1).tolist(), len(log_beliefs)]
-    for start, end in zip(bounds, bounds[1:]):
-        for first in range(start, end, CHUNK_STEPS):
-            yield (
-                log_beliefs[first:min(first + CHUNK_STEPS, end)],
-                None if true_states is None else int(true_states[first]),
-                matrices.get(int(graph_epochs[first])),
-            )
-
-
 def _cmd_learn(args) -> int:
-    run_dir = Path(args.run) if args.run else None
-    stream = Path(args.stream) if args.stream else None
-    model_file = Path(args.model_file) if args.model_file else None
-    trace_file = Path(args.trace_file) if args.trace_file else None
-    for path in (run_dir, stream, model_file, trace_file):
-        if path is not None and not path.exists():
-            raise FileNotFoundError(f"{path} does not exist")
-    if run_dir is not None:
-        stream = stream or run_dir / "beliefs.npy"
-        model_file = model_file or run_dir / "model.json"
-        trace_file = trace_file or run_dir / "trace.csv"
-    if stream is None or model_file is None:
-        raise ConfigError("learn needs --run DIR or both --stream and --model-file")
-    if not args.out:
-        raise ConfigError("an output directory is required (--out)")
-
-    config = None
-    if run_dir is not None:
-        manifest = run_dir / "manifest.json"
-        payload = io.load_json(manifest) if manifest.exists() else {}
-        if not isinstance(payload, dict):
-            raise ValueError(f"{manifest}: expected a JSON object with 'format' "
-                             f"and 'config'")
-        if payload.get("format") == _V1_FORMAT or (run_dir / "beliefs.csv").exists():
-            raise ConfigError(
-                f"{run_dir} is a {_V1_FORMAT} bundle, whose CSV belief stream "
-                f"learn does not read; re-run `beliefgraph simulate --config "
-                f"{manifest} --out DIR` to write it as {MANIFEST_FORMAT}"
-            )
-        if payload.get("format") == MANIFEST_FORMAT:
-            if not isinstance(payload.get("config"), dict):
-                raise ValueError(f"{manifest}: 'config' must be a JSON object")
-            config = ExperimentConfig.from_dict(payload["config"])
-    if config is None and args.delta is None:
-        raise ConfigError("learn needs --delta (not found in a manifest)")
-    model = io.load_model(model_file)
-    if config is None:
-        config = ExperimentConfig(
-            agents=model.num_agents, states=model.num_states, mode=ESTIMATED
-        )
-    config = replace(config, **_flag_values(args))
-    config.validate()
-
-    log_beliefs = io.read_belief_stream(stream)
-    if log_beliefs.shape[1:] != (model.num_agents, model.num_states):
-        raise ValueError(
-            f"the belief stream has {log_beliefs.shape[1]} agents and "
-            f"{log_beliefs.shape[2]} states, the model {model.num_agents} agents "
-            f"and {model.num_states} states"
-        )
-    if not np.isfinite(log_beliefs).all():
-        raise ValueError("the belief stream holds a non-finite log-belief")
-    regenerations = sum(e.action == REGENERATE_GRAPH for e in config.schedule)
-    true_states, graph_epochs, matrices, events = _load_truth(
-        run_dir, trace_file, len(log_beliefs), model.num_agents, model.num_states,
-        regenerations,
-    )
-    if config.mode != ESTIMATED and true_states is None:
-        raise ConfigError("known mode needs a ground-truth trace")
-
-    blocks = _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices)
-    learned = learn_graph(blocks, model, config.mu, config.delta, config.mode,
-                          config.reference)
-    out = Path(args.out)
-    modes, run = finish_run(learned, matrices, graph_epochs, true_states, events,
-                            config, out)
+    modes, run, out = run_learn(_flag_values(args), args.run, args.stream,
+                                args.model_file, args.trace_file)
     _print_mode_summary(modes)
     print(f"wrote {out}")
     return EXIT_DIVERGED if run["divergent"] else EXIT_OK

@@ -1,11 +1,12 @@
-"""Reproducible end-to-end experiments and parameter sweeps.
+"""Reproducible end-to-end experiments, offline learning and sweeps.
 
 An experiment generates the hidden network and observation models from
 named seeds, runs the forward protocol, feeds the public belief stream
 to the requested estimator variants and persists every artifact along
 with a manifest echoing the full configuration. Re-running a manifest
 reproduces each output file byte for byte; the output directory itself
-is not part of the manifest.
+is not part of the manifest. This module alone also reads the bundle
+back: its manifest as a config, and the whole bundle in :func:`run_learn`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .estimator import (
     SteadyStateDiagnostics,
     belief_log_ratios,
     classify_edges,
+    learn_graph,
     steady_state_diagnostics,
 )
 from .model import (
@@ -38,7 +40,7 @@ from .model import (
     random_combination_matrix,
     random_likelihoods,
 )
-from .simulate import Event, EventSchedule, run_simulation
+from .simulate import CHUNK_STEPS, REGENERATE_GRAPH, Event, EventSchedule, run_simulation
 
 __all__ = [
     "ConfigError",
@@ -47,13 +49,18 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "run_forward",
+    "run_learn",
     "finish_run",
     "sweep",
     "steady_state_mean",
+    "read_manifest",
     "MANIFEST_FORMAT",
 ]
 
 MANIFEST_FORMAT = "beliefgraph-manifest-v2"
+# Its bundles hold a probability-domain CSV stream that learn does not
+# read; its manifests still configure a re-run.
+_V1_FORMAT = "beliefgraph-manifest-v1"
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -235,6 +242,41 @@ class ExperimentConfig:
         if isinstance(payload.get("signals"), list):
             payload["signals"] = tuple(payload["signals"])
         return cls(out=out, **payload)
+
+
+def read_manifest(path, bundle: bool = False) -> tuple[str | None, dict]:
+    """The format and config mapping of the manifest, or the config file
+    (format ``None``, read with ``bundle`` unset and holding no
+    ``format`` or ``config`` key), at ``path``. A manifest needs a
+    ``format`` of v2 or v1 and a ``config`` object; a fault names the
+    file, as bad input (``ValueError``) in a bundle, else as a
+    :class:`ConfigError`."""
+    fault = ValueError if bundle else ConfigError
+    payload = io.load_json(path)
+    if not isinstance(payload, dict):
+        raise fault(f"{path}: expected a JSON object, a config or a manifest with "
+                    f"'format' and 'config'")
+    if not bundle and not {"format", "config"} & payload.keys():
+        return None, payload
+    form = payload.get("format")
+    if form not in (MANIFEST_FORMAT, _V1_FORMAT):
+        raise fault(f"{path}: 'format' must be {MANIFEST_FORMAT} or {_V1_FORMAT}"
+                    + ("" if form is None else f", not {form!r}"))
+    if not isinstance(payload.get("config"), dict):
+        raise fault(f"{path}: a manifest needs a 'config' object")
+    return form, payload["config"]
+
+
+def _out_dir(out) -> Path | None:
+    """``out`` as a path (``None`` when unset), refused if it holds a
+    run's ``manifest.json`` or ``summary.json`` already, so that a run
+    never mixes its files with another's."""
+    if not out:
+        return None
+    out = Path(out)
+    if (out / "manifest.json").exists() or (out / "summary.json").exists():
+        raise ConfigError(f"{out} already holds a run; write to another directory")
+    return out
 
 
 def steady_state_mean(values: np.ndarray) -> float:
@@ -489,7 +531,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``config.test_mode`` is set.
     """
     config.validate()
-    out = Path(config.out) if config.out else None
+    out = _out_dir(config.out)
     combination, model, graph_attempts = _generate(config)
 
     learners = ModeLearners(model, config.mu, config.delta, config.mode,
@@ -549,12 +591,182 @@ def run_forward(config: ExperimentConfig) -> Path:
     which is required here. Returns the output directory.
     """
     config.validate()
-    if not config.out:
+    out = _out_dir(config.out)
+    if out is None:
         raise ConfigError("a forward run needs an output directory")
-    out = Path(config.out)
     combination, model, _ = _generate(config)
     _simulate(config, combination, model, out)
     return out
+
+
+def _true_matrix(path: Path, num_agents: int) -> tuple[int, CombinationMatrix]:
+    """The graph epoch a bundle's ``true_matrix_NNN.csv`` names and its
+    matrix, on the arcs of the ``true_adjacency_NNN.csv`` beside it or,
+    without one, of its positive weights. A malformed file, or one of
+    another size than ``num_agents``, raises ``ValueError`` naming it."""
+    tag = path.stem.split("_")[-1]
+    try:
+        epoch, weights = int(tag), io.read_matrix(path)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if weights.shape != (num_agents, num_agents):
+        raise ValueError(f"{path} holds a matrix of shape {weights.shape}, but the "
+                         f"model has {num_agents} agents")
+    adjacency = weights > 0
+    adjacency_path = path.with_name(f"true_adjacency_{tag}.csv")
+    if adjacency_path.exists():
+        adjacency = io.read_adjacency(adjacency_path)
+        if adjacency.shape != weights.shape:
+            raise ValueError(f"{adjacency_path} holds an adjacency of shape "
+                             f"{adjacency.shape}, but the model has {num_agents} "
+                             f"agents")
+    try:
+        return epoch, CombinationMatrix(weights, adjacency)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
+                model: LikelihoodModel, schedule: EventSchedule):
+    """Ground truth of a recorded stream: the true state of each step
+    (``None`` without a trace), the graph epoch of each step, the
+    combination matrix of each epoch the bundle holds and the events by
+    iteration.
+
+    A trace must hold iterations ``1..num_steps`` in order, true states
+    of the ``model`` and graph epochs that start at 0 and rise by one at
+    each ``regenerate_graph`` event and nowhere else. In a bundle that
+    holds true matrices, the trace's last epoch must have one or be an
+    epoch of the run's ``schedule``: the steps of a run epoch whose
+    matrix file is missing are only left unscored.
+    """
+    num_states, trace = model.num_states, None
+    if trace_file and trace_file.exists():
+        trace = io.read_trace(trace_file)
+        if not np.array_equal(trace["iterations"], np.arange(1, num_steps + 1)):
+            raise ValueError(f"the trace must hold iterations 1..{num_steps} of the "
+                             f"belief stream, one row each, in order")
+        states = trace["true_states"]
+        outside = np.flatnonzero((states < 0) | (states >= num_states))
+        if outside.size:
+            first = outside[0]
+            raise ValueError(f"the trace holds true state {states[first]} at iteration "
+                             f"{first + 1}, outside 0..{num_states - 1}")
+        regenerated = np.zeros(num_steps, dtype=int)
+        for iteration, event in trace["events"].items():
+            regenerated[iteration - 1] = event == REGENERATE_GRAPH
+        expected = np.cumsum(regenerated)
+        wrong = np.flatnonzero(trace["graph_epochs"] != expected)
+        if wrong.size:
+            first = wrong[0]
+            raise ValueError(
+                f"the trace puts iteration {first + 1} in graph epoch "
+                f"{trace['graph_epochs'][first]}, not {expected[first]}: "
+                f"graph epochs start at 0 and rise by one at each "
+                f"{REGENERATE_GRAPH} event and nowhere else"
+            )
+    matrices = dict(_true_matrix(path, model.num_agents)
+                    for path in run_dir.glob("true_matrix_*.csv")) if run_dir else {}
+    if trace is None:
+        # The trace says which graph epoch each step belongs to; without
+        # it, only a single-epoch bundle pins the matrix of every step.
+        epochs = np.zeros(num_steps, dtype=int)
+        return None, epochs, matrices if len(matrices) == 1 else {}, {}
+    last = trace["graph_epochs"][-1]
+    regenerations = sum(e.action == REGENERATE_GRAPH for e in schedule)
+    if matrices and last > max(max(matrices), regenerations):
+        raise ValueError(f"the trace reaches graph epoch {last}, but the bundle "
+                         f"holds no true_matrix_{last:03d}.csv")
+    return trace["true_states"], trace["graph_epochs"], matrices, trace["events"]
+
+
+def _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices):
+    """The ``(block, true_state, combination)`` triples of a recorded
+    stream, with its ground truth as :func:`_load_truth` gives it. Each
+    block is a view of at most ``CHUNK_STEPS`` snapshots that ends
+    before every change of the true state or the graph epoch, as the
+    simulator's chunks do, so the learners' per-block arrays stay
+    bounded whatever the stream's length."""
+    changed = np.diff(graph_epochs) != 0
+    if true_states is not None:
+        changed |= np.diff(true_states) != 0
+    bounds = [0, *(np.flatnonzero(changed) + 1).tolist(), len(log_beliefs)]
+    for start, end in zip(bounds, bounds[1:]):
+        for first in range(start, end, CHUNK_STEPS):
+            yield (
+                log_beliefs[first:min(first + CHUNK_STEPS, end)],
+                None if true_states is None else int(true_states[first]),
+                matrices.get(int(graph_epochs[first])),
+            )
+
+
+def run_learn(flags: dict, run=None, stream=None, model_file=None, trace_file=None):
+    """Learn the graph offline from a recorded belief stream, the bundle
+    in directory ``run`` or the given files, and finish the run in
+    ``flags["out"]``. The bundle's manifest, else the defaults in
+    estimated mode sized to the model, configures it, with ``flags``
+    (config fields by name; without a manifest, ``delta`` among them)
+    applied over it. Returns :func:`finish_run`'s modes and run values
+    and the output directory.
+    """
+    run_dir, stream, model_file, trace_file = (
+        Path(p) if p else None for p in (run, stream, model_file, trace_file))
+    for path in (run_dir, stream, model_file, trace_file):
+        if path is not None and not path.exists():
+            raise FileNotFoundError(f"{path} does not exist")
+    if run_dir is not None:
+        stream = stream or run_dir / "beliefs.npy"
+        model_file = model_file or run_dir / "model.json"
+        trace_file = trace_file or run_dir / "trace.csv"
+    if stream is None or model_file is None:
+        raise ConfigError("learn needs --run DIR or both --stream and --model-file")
+    out = _out_dir(flags.get("out"))
+    if out is None:
+        raise ConfigError("an output directory is required (--out)")
+
+    config = None
+    if run_dir is not None:
+        manifest = run_dir / "manifest.json"
+        form, payload = (read_manifest(manifest, bundle=True) if manifest.exists()
+                         else (None, {}))
+        if form == _V1_FORMAT or (run_dir / "beliefs.csv").exists():
+            raise ConfigError(
+                f"{run_dir} is a {_V1_FORMAT} bundle, whose CSV belief stream "
+                f"learn does not read; re-run `beliefgraph simulate --config "
+                f"{manifest} --out DIR` to write it as {MANIFEST_FORMAT}"
+            )
+        if form is not None:
+            config = ExperimentConfig.from_dict(payload)
+    if config is None and "delta" not in flags:
+        raise ConfigError("learn needs --delta (not found in a manifest)")
+    model = io.load_model(model_file)
+    if config is None:
+        config = ExperimentConfig(
+            agents=model.num_agents, states=model.num_states, mode=ESTIMATED
+        )
+    config = replace(config, **flags)
+    config.validate()
+
+    log_beliefs = io.read_belief_stream(stream)
+    if log_beliefs.shape[1:] != (model.num_agents, model.num_states):
+        raise ValueError(
+            f"the belief stream has {log_beliefs.shape[1]} agents and "
+            f"{log_beliefs.shape[2]} states, the model {model.num_agents} agents "
+            f"and {model.num_states} states"
+        )
+    if not np.isfinite(log_beliefs).all():
+        raise ValueError("the belief stream holds a non-finite log-belief")
+    true_states, graph_epochs, matrices, events = _load_truth(
+        run_dir, trace_file, len(log_beliefs), model, config.schedule)
+    if config.mode != ESTIMATED and true_states is None:
+        raise ConfigError("known mode needs a ground-truth trace")
+
+    blocks = _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices)
+    learned = learn_graph(blocks, model, config.mu, config.delta, config.mode,
+                          config.reference)
+    modes, values = finish_run(learned, matrices, graph_epochs, true_states, events,
+                               config, out)
+    return modes, values, out
 
 
 def sweep(

@@ -216,10 +216,14 @@ class TestExperimentCommand:
          "schedule: unknown event action 'x'"),
         ("experiment", {"seed_graph": "7"}, ["--regen-graph-at", "5"], "seed_graph"),
         ("experiment", {"format": "beliefgraph-manifest-v2"}, [], "'config'"),
+        ("experiment", {"format": "beliefgraph-manifest-v9", "config": {}}, [],
+         "'format'"),
+        ("experiment", {"config": {}}, [], "'format'"),
         ("learn", {"schedule": "x"}, [], "schedule"),
     ], ids=["schedule-not-a-list", "schedule-not-a-list-with-a-flag",
             "event-without-action", "iteration-not-an-integer", "unknown-action",
             "seed-graph-not-an-integer", "manifest-without-config",
+            "manifest-of-an-unknown-format", "manifest-without-format",
             "learn-schedule-not-a-list"])
     def test_a_config_file_of_the_wrong_shape_exits_one(
         self, tmp_path, capsys, command, payload, flags, named
@@ -787,8 +791,12 @@ class TestSimulateAndLearn:
         ("model.json", lambda p: [p], "'tables'"),
         ("manifest.json", lambda p: [p], "'config'"),
         ("manifest.json", lambda p: {"format": p["format"]}, "'config'"),
+        ("manifest.json", lambda p: {**p, "format": "beliefgraph-manifest-v9"},
+         "'format'"),
+        ("manifest.json", lambda p: {"config": p["config"]}, "'format'"),
     ], ids=["model-floor-null", "model-without-tables", "model-list",
-            "manifest-list", "manifest-without-config"])
+            "manifest-list", "manifest-without-config", "manifest-of-an-unknown-format",
+            "manifest-without-format"])
     def test_learn_names_the_file_and_field_of_a_misshapen_bundle(
         self, forward_run, tmp_path, capsys, name, edit, field
     ):
@@ -802,6 +810,26 @@ class TestSimulateAndLearn:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("edit", [lambda p: [p], lambda p: {"format": p["format"]}],
+                             ids=["list", "without-config"])
+    def test_config_and_learn_name_a_misshapen_manifest_alike(
+        self, forward_run, tmp_path, capsys, edit
+    ):
+        """--config and learn --run read a manifest with one reader: the
+        same misshapen manifest gets the same message after each prefix,
+        a configuration error (exit 1) through --config and bad input
+        (exit 2) through --run, and nothing is written."""
+        path = forward_run / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert run_cli("experiment", "--config", path, "--out", tmp_path / "e") == 1
+        config_err = capsys.readouterr().err
+        assert run_cli("learn", "--run", forward_run, "--out", tmp_path / "l") == 2
+        learn_err = capsys.readouterr().err
+        assert config_err.startswith(f"configuration error: {path}: ")
+        assert (config_err.removeprefix("configuration error: ")
+                == learn_err.removeprefix("error: "))
+        assert not (tmp_path / "e").exists() and not (tmp_path / "l").exists()
 
     def test_learn_estimated_without_truth_still_works(self, forward_run, tmp_path):
         (forward_run / "trace.csv").unlink()
@@ -907,3 +935,45 @@ class TestManifestRoundTrip:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestUsedOutputDirectory:
+    @pytest.fixture
+    def runs(self, tmp_path):
+        """An experiment bundle (manifest.json and summary.json) and the
+        output of learn on it (summary.json alone)."""
+        run, learned = tmp_path / "run", tmp_path / "learned"
+        assert run_cli("experiment", *BASE, "--mode", "both", "--test-mode",
+                       "--regen-graph-at", "150", "--out", run) == 0
+        assert run_cli("learn", "--run", run, "--mode", "both", "--out", learned) == 0
+        return run, learned
+
+    @pytest.mark.parametrize("command", [
+        ["experiment", *BASE, "--mode", "known"],
+        ["simulate", *BASE],
+        ["learn", "--mode", "both", "--run"],
+    ], ids=["experiment", "simulate", "learn"])
+    @pytest.mark.parametrize("used", [0, 1], ids=["run", "learned"])
+    def test_a_directory_that_holds_a_run_is_refused(self, runs, capsys, command,
+                                                     used):
+        """A run into a directory that already holds a run's manifest.json
+        or summary.json is a configuration error (exit 1) naming the
+        directory, before anything is written: the files of the first
+        run are left as they were, and no stale one sits beside a new
+        manifest."""
+        before = {run: {p.name: p.read_bytes() for p in run.iterdir()} for run in runs}
+        source = [runs[0]] if command[0] == "learn" else []
+        capsys.readouterr()
+        assert run_cli(*command, *source, "--out", runs[used]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {runs[used]} already holds a run; " \
+                      f"write to another directory\n"
+        assert {run: {p.name: p.read_bytes() for p in run.iterdir()}
+                for run in runs} == before
+
+    def test_sweep_rewrites_its_table_beside_a_run(self, runs):
+        """sweep writes only sweep.csv, so it may share a directory with a
+        run and rewrite its table."""
+        for _ in range(2):
+            assert run_cli("sweep", *BASE, "--mu-grid", "0.05", "--out", runs[0]) == 0
+        assert (runs[0] / "sweep.csv").exists()

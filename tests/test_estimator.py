@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beliefgraph import estimator
-from beliefgraph.cli import _recorded_blocks
 from beliefgraph.estimator import (
     GraphLearner,
     ModeLearners,
@@ -24,7 +23,7 @@ from beliefgraph.estimator import (
     steady_state_diagnostics,
     two_means_split,
 )
-from beliefgraph.harness import ExperimentConfig, _generate
+from beliefgraph.harness import ExperimentConfig, _generate, _recorded_blocks
 from beliefgraph.model import (
     CombinationMatrix,
     erdos_renyi_adjacency,
