@@ -96,11 +96,8 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_learn_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--run", help="directory written by simulate/experiment")
-    parser.add_argument("--stream", help="belief stream: a bundle's beliefs.npy "
-                                         "(float64 log-beliefs)")
-    parser.add_argument("--model-file", help="likelihood model JSON")
-    parser.add_argument("--trace-file", help="ground-truth trace CSV")
+    parser.add_argument("--run", metavar="DIR", help="bundle written by simulate/"
+                        "experiment, or a directory of beliefs.npy and model.json")
     for name in ("mode", "mu", "delta", "reference", "out"):
         _add_field_argument(parser, name)
 
@@ -115,7 +112,7 @@ def _parse_timed(text: str, flag: str) -> tuple[int, int | None]:
 def build_config(args) -> ExperimentConfig:
     """Merge dataclass defaults, an optional config file and explicit
     flags into a validated configuration."""
-    base = read_manifest(args.config)[1] if args.config else {}
+    base = read_manifest(args.config) if args.config else {}
     file_out = base.pop("out", None)
     base.update(_flag_values(args))
 
@@ -199,8 +196,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    modes, run, out = run_learn(_flag_values(args), args.run, args.stream,
-                                args.model_file, args.trace_file)
+    modes, run, out = run_learn(_flag_values(args), args.run)
     _print_mode_summary(modes)
     print(f"wrote {out}")
     return EXIT_DIVERGED if run["divergent"] else EXIT_OK

@@ -58,9 +58,6 @@ __all__ = [
 ]
 
 MANIFEST_FORMAT = "beliefgraph-manifest-v2"
-# Its bundles hold a probability-domain CSV stream that learn does not
-# read; its manifests still configure a re-run.
-_V1_FORMAT = "beliefgraph-manifest-v1"
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -244,27 +241,26 @@ class ExperimentConfig:
         return cls(out=out, **payload)
 
 
-def read_manifest(path, bundle: bool = False) -> tuple[str | None, dict]:
-    """The format and config mapping of the manifest, or the config file
-    (format ``None``, read with ``bundle`` unset and holding no
-    ``format`` or ``config`` key), at ``path``. A manifest needs a
-    ``format`` of v2 or v1 and a ``config`` object; a fault names the
-    file, as bad input (``ValueError``) in a bundle, else as a
-    :class:`ConfigError`."""
+def read_manifest(path, bundle: bool = False) -> dict:
+    """The config mapping of the manifest, or of the config file (read
+    with ``bundle`` unset and holding no ``format`` or ``config`` key),
+    at ``path``. A manifest needs a ``format`` of v2 and a ``config``
+    object; a fault names the file, as bad input (``ValueError``) in a
+    bundle, else as a :class:`ConfigError`."""
     fault = ValueError if bundle else ConfigError
     payload = io.load_json(path)
     if not isinstance(payload, dict):
         raise fault(f"{path}: expected a JSON object, a config or a manifest with "
                     f"'format' and 'config'")
     if not bundle and not {"format", "config"} & payload.keys():
-        return None, payload
+        return payload
     form = payload.get("format")
-    if form not in (MANIFEST_FORMAT, _V1_FORMAT):
-        raise fault(f"{path}: 'format' must be {MANIFEST_FORMAT} or {_V1_FORMAT}"
+    if form != MANIFEST_FORMAT:
+        raise fault(f"{path}: 'format' must be {MANIFEST_FORMAT}"
                     + ("" if form is None else f", not {form!r}"))
     if not isinstance(payload.get("config"), dict):
         raise fault(f"{path}: a manifest needs a 'config' object")
-    return form, payload["config"]
+    return payload["config"]
 
 
 def _out_dir(out) -> Path | None:
@@ -601,37 +597,28 @@ def run_forward(config: ExperimentConfig) -> Path:
 
 def _true_matrix(path: Path, num_agents: int) -> tuple[int, CombinationMatrix]:
     """The graph epoch a bundle's ``true_matrix_NNN.csv`` names and its
-    matrix, on the arcs of the ``true_adjacency_NNN.csv`` beside it or,
-    without one, of its positive weights. A malformed file, or one of
+    matrix, on the arcs of its positive weights (``true_adjacency_NNN.csv``
+    is written for readers, not read back). A malformed file, or one of
     another size than ``num_agents``, raises ``ValueError`` naming it."""
-    tag = path.stem.split("_")[-1]
     try:
-        epoch, weights = int(tag), io.read_matrix(path)
+        epoch, weights = int(path.stem.split("_")[-1]), io.read_matrix(path)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     if weights.shape != (num_agents, num_agents):
         raise ValueError(f"{path} holds a matrix of shape {weights.shape}, but the "
                          f"model has {num_agents} agents")
-    adjacency = weights > 0
-    adjacency_path = path.with_name(f"true_adjacency_{tag}.csv")
-    if adjacency_path.exists():
-        adjacency = io.read_adjacency(adjacency_path)
-        if adjacency.shape != weights.shape:
-            raise ValueError(f"{adjacency_path} holds an adjacency of shape "
-                             f"{adjacency.shape}, but the model has {num_agents} "
-                             f"agents")
     try:
-        return epoch, CombinationMatrix(weights, adjacency)
+        return epoch, CombinationMatrix(weights, weights > 0)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
 
-def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
-                model: LikelihoodModel, schedule: EventSchedule):
-    """Ground truth of a recorded stream: the true state of each step
-    (``None`` without a trace), the graph epoch of each step, the
-    combination matrix of each epoch the bundle holds and the events by
-    iteration.
+def _load_truth(run_dir: Path, num_steps: int, model: LikelihoodModel,
+                schedule: EventSchedule):
+    """Ground truth of the stream recorded in bundle ``run_dir``: the
+    true state of each step (``None`` without a trace), the graph epoch
+    of each step, the combination matrix of each epoch the bundle holds
+    and the events by iteration.
 
     A trace must hold iterations ``1..num_steps`` in order, true states
     of the ``model`` and graph epochs that start at 0 and rise by one at
@@ -641,8 +628,8 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
     matrix file is missing are only left unscored.
     """
     num_states, trace = model.num_states, None
-    if trace_file and trace_file.exists():
-        trace = io.read_trace(trace_file)
+    if (run_dir / "trace.csv").exists():
+        trace = io.read_trace(run_dir / "trace.csv")
         if not np.array_equal(trace["iterations"], np.arange(1, num_steps + 1)):
             raise ValueError(f"the trace must hold iterations 1..{num_steps} of the "
                              f"belief stream, one row each, in order")
@@ -666,7 +653,7 @@ def _load_truth(run_dir: Path | None, trace_file: Path | None, num_steps: int,
                 f"{REGENERATE_GRAPH} event and nowhere else"
             )
     matrices = dict(_true_matrix(path, model.num_agents)
-                    for path in run_dir.glob("true_matrix_*.csv")) if run_dir else {}
+                    for path in run_dir.glob("true_matrix_*.csv"))
     if trace is None:
         # The trace says which graph epoch each step belongs to; without
         # it, only a single-epoch bundle pins the matrix of every step.
@@ -700,46 +687,31 @@ def _recorded_blocks(log_beliefs, true_states, graph_epochs, matrices):
             )
 
 
-def run_learn(flags: dict, run=None, stream=None, model_file=None, trace_file=None):
-    """Learn the graph offline from a recorded belief stream, the bundle
-    in directory ``run`` or the given files, and finish the run in
-    ``flags["out"]``. The bundle's manifest, else the defaults in
-    estimated mode sized to the model, configures it, with ``flags``
-    (config fields by name; without a manifest, ``delta`` among them)
-    applied over it. Returns :func:`finish_run`'s modes and run values
-    and the output directory.
-    """
-    run_dir, stream, model_file, trace_file = (
-        Path(p) if p else None for p in (run, stream, model_file, trace_file))
-    for path in (run_dir, stream, model_file, trace_file):
-        if path is not None and not path.exists():
+def run_learn(flags: dict, run):
+    """Learn the graph offline from the bundle in directory ``run``
+    (``beliefs.npy`` and ``model.json``, with the run's ``manifest.json``,
+    ``trace.csv`` and true matrices where known) and finish the run in
+    ``flags["out"]``. The manifest, else the defaults in estimated mode
+    sized to the model, configures it, with ``flags`` (config fields by
+    name; without a manifest, ``delta`` among them) applied over it.
+    Returns :func:`finish_run`'s modes and run values and the output
+    directory."""
+    if not run:
+        raise ConfigError("learn needs --run DIR")
+    run_dir = Path(run)
+    for path in (run_dir, run_dir / "beliefs.npy", run_dir / "model.json"):
+        if not path.exists():
             raise FileNotFoundError(f"{path} does not exist")
-    if run_dir is not None:
-        stream = stream or run_dir / "beliefs.npy"
-        model_file = model_file or run_dir / "model.json"
-        trace_file = trace_file or run_dir / "trace.csv"
-    if stream is None or model_file is None:
-        raise ConfigError("learn needs --run DIR or both --stream and --model-file")
     out = _out_dir(flags.get("out"))
     if out is None:
         raise ConfigError("an output directory is required (--out)")
 
-    config = None
-    if run_dir is not None:
-        manifest = run_dir / "manifest.json"
-        form, payload = (read_manifest(manifest, bundle=True) if manifest.exists()
-                         else (None, {}))
-        if form == _V1_FORMAT or (run_dir / "beliefs.csv").exists():
-            raise ConfigError(
-                f"{run_dir} is a {_V1_FORMAT} bundle, whose CSV belief stream "
-                f"learn does not read; re-run `beliefgraph simulate --config "
-                f"{manifest} --out DIR` to write it as {MANIFEST_FORMAT}"
-            )
-        if form is not None:
-            config = ExperimentConfig.from_dict(payload)
+    manifest = run_dir / "manifest.json"
+    config = (ExperimentConfig.from_dict(read_manifest(manifest, bundle=True))
+              if manifest.exists() else None)
     if config is None and "delta" not in flags:
         raise ConfigError("learn needs --delta (not found in a manifest)")
-    model = io.load_model(model_file)
+    model = io.load_model(run_dir / "model.json")
     if config is None:
         config = ExperimentConfig(
             agents=model.num_agents, states=model.num_states, mode=ESTIMATED
@@ -747,7 +719,7 @@ def run_learn(flags: dict, run=None, stream=None, model_file=None, trace_file=No
     config = replace(config, **flags)
     config.validate()
 
-    log_beliefs = io.read_belief_stream(stream)
+    log_beliefs = io.read_belief_stream(run_dir / "beliefs.npy")
     if log_beliefs.shape[1:] != (model.num_agents, model.num_states):
         raise ValueError(
             f"the belief stream has {log_beliefs.shape[1]} agents and "
@@ -757,7 +729,7 @@ def run_learn(flags: dict, run=None, stream=None, model_file=None, trace_file=No
     if not np.isfinite(log_beliefs).all():
         raise ValueError("the belief stream holds a non-finite log-belief")
     true_states, graph_epochs, matrices, events = _load_truth(
-        run_dir, trace_file, len(log_beliefs), model, config.schedule)
+        run_dir, len(log_beliefs), model, config.schedule)
     if config.mode != ESTIMATED and true_states is None:
         raise ConfigError("known mode needs a ground-truth trace")
 

@@ -131,6 +131,17 @@ class CombinationMatrix:
             raise ValueError("the weight graph must be strongly connected")
 
 
+def _table(k: int, table) -> np.ndarray:
+    """Agent ``k``'s table as a float array; a ragged table, or an entry
+    that is not a number, raises ``ValueError`` naming the agent."""
+    try:
+        return np.array(table, dtype=float)
+    except (TypeError, ValueError):
+        ragged = np.array(table, dtype=object).ndim < 2
+    raise ValueError(f"table of agent {k} has inconsistent shape" if ragged
+                     else f"agent {k} has an entry that is not a number")
+
+
 class LikelihoodModel:
     """Per-agent categorical observation models.
 
@@ -148,7 +159,7 @@ class LikelihoodModel:
     def __init__(self, tables, floor: float):
         if not 0 < floor < np.inf:
             raise ValueError("floor must be positive and finite")
-        self.tables = [np.array(t, dtype=float) for t in tables]
+        self.tables = [_table(k, t) for k, t in enumerate(tables)]
         self.floor = float(floor)
         self.validate()
         for t in self.tables:

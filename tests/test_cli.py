@@ -1,6 +1,7 @@
 """Command line interface: subcommands, overrides and exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -20,6 +21,15 @@ BASE = [
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def bare_copy(run, path):
+    """A directory holding only ``run``'s belief stream and model, as a
+    blind learn on outside data has them."""
+    path.mkdir()
+    for name in ("beliefs.npy", "model.json"):
+        shutil.copyfile(run / name, path / name)
+    return path
 
 
 class TestExperimentCommand:
@@ -326,47 +336,44 @@ class TestSimulateAndLearn:
     ):
         """learn validates its configuration as experiment does: a flag
         out of range, here for a 3-state stream, is a configuration error
-        (exit 1), with a manifest or with only a stream and a model."""
+        (exit 1), with a manifest or in a directory that holds only a
+        stream and a model."""
         if source == "run":
             inputs = ["--run", forward_run]
         else:
-            inputs = ["--stream", forward_run / "beliefs.npy",
-                      "--model-file", forward_run / "model.json", "--delta", "0.3"]
+            inputs = ["--run", bare_copy(forward_run, tmp_path / "bare"),
+                      "--delta", "0.3"]
         assert run_cli("learn", *inputs, *flag, "--out", tmp_path / "bad") == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("inputs", [
-        ["--run", "{missing}"],
-        ["--run", "{missing}", "--delta", "0.3"],
-        ["--run", "{run}", "--trace-file", "{missing}", "--mode", "estimated"],
-        ["--run", "{run}", "--trace-file", "{missing}", "--mode", "known"],
-        ["--stream", "{missing}", "--model-file", "{run}/model.json", "--delta", "0.3"],
-        ["--stream", "{run}/beliefs.npy", "--model-file", "{missing}", "--delta", "0.3"],
-    ], ids=["run", "run-with-delta", "trace-estimated", "trace-known", "stream",
-            "model"])
+    @pytest.mark.parametrize("removed, flags", [
+        (None, []), (None, ["--delta", "0.3"]), ("beliefs.npy", []), ("model.json", []),
+    ], ids=["run", "run-with-delta", "stream", "model"])
     def test_learn_names_an_input_path_that_does_not_exist(
-        self, forward_run, tmp_path, capsys, inputs
+        self, forward_run, tmp_path, capsys, removed, flags
     ):
-        """A --run directory or an input file given by a flag that does
-        not exist is bad input: exit 2, one line naming the path, nothing
-        written; an explicit trace is never passed over."""
-        missing = tmp_path / "missing"
-        inputs = [a.format(missing=missing, run=forward_run) for a in inputs]
+        """A --run directory that does not exist, or one without its
+        belief stream or its model, is bad input: exit 2, one line
+        naming the path, nothing written."""
+        run = forward_run if removed else tmp_path / "missing"
+        missing = run / removed if removed else run
+        if removed:
+            missing.unlink()
         out = tmp_path / "out"
-        assert run_cli("learn", *inputs, "--out", out) == 2
+        assert run_cli("learn", "--run", run, *flags, "--out", out) == 2
         assert capsys.readouterr().err == f"error: {missing} does not exist\n"
         assert not out.exists()
 
     def test_learn_from_a_stream_and_a_model_alone(self, forward_run, tmp_path):
-        """Without a manifest, learn runs the estimated mode with the
-        default mu; --delta is required. With no truth, nothing diverges
-        and the run's other values are null."""
-        inputs = ["--stream", forward_run / "beliefs.npy",
-                  "--model-file", forward_run / "model.json"]
-        assert run_cli("learn", *inputs, "--out", tmp_path / "nodelta") == 1
+        """In a directory that holds only beliefs.npy and model.json,
+        learn runs the estimated mode with the default mu; --delta is
+        required. With no truth, nothing diverges and the run's other
+        values are null."""
+        bare = bare_copy(forward_run, tmp_path / "bare")
+        assert run_cli("learn", "--run", bare, "--out", tmp_path / "nodelta") == 1
         out = tmp_path / "inv"
-        assert run_cli("learn", *inputs, "--delta", "0.3", "--out", out) == 0
+        assert run_cli("learn", "--run", bare, "--delta", "0.3", "--out", out) == 0
         assert {p.name for p in out.iterdir()} >= {"learned_matrix_estimated.csv"}
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary["modes"]) == ["estimated"]
@@ -505,26 +512,24 @@ class TestSimulateAndLearn:
         err = capsys.readouterr().err
         assert err.startswith("error: beliefs.npy") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("legacy", ["manifest", "stream"])
-    def test_learn_rejects_a_v1_bundle(self, forward_run, tmp_path, capsys, legacy):
-        """A bundle of the CSV stream format (a v1 manifest, or a
-        beliefs.csv in place of beliefs.npy) is a configuration error
-        that names the format and says how to rewrite the bundle; its
-        manifest still configures that re-run."""
+    def test_learn_rejects_a_v1_bundle(self, forward_run, tmp_path, capsys):
+        """A manifest of the older v1 format, whose bundles held a CSV
+        stream, is refused by format through both readers: a
+        configuration error (exit 1) through --config and bad input
+        (exit 2) through learn --run, with the same message after each
+        prefix, and nothing written."""
         manifest = forward_run / "manifest.json"
-        if legacy == "manifest":
-            payload = json.loads(manifest.read_text())
-            payload["format"] = "beliefgraph-manifest-v1"
-            manifest.write_text(json.dumps(payload))
-        else:
-            (forward_run / "beliefs.npy").rename(forward_run / "beliefs.csv")
-        assert run_cli("learn", "--run", forward_run, "--out", tmp_path / "v1") == 1
-        err = capsys.readouterr().err
-        assert "beliefgraph-manifest-v1" in err
-        assert f"beliefgraph simulate --config {manifest}" in err
-        rerun = tmp_path / "rerun"
-        assert run_cli("simulate", "--config", manifest, "--out", rerun) == 0
-        assert run_cli("learn", "--run", rerun, "--out", tmp_path / "v2") == 0
+        payload = json.loads(manifest.read_text())
+        payload["format"] = "beliefgraph-manifest-v1"
+        manifest.write_text(json.dumps(payload))
+        assert run_cli("simulate", "--config", manifest, "--out", tmp_path / "s") == 1
+        config_err = capsys.readouterr().err
+        assert run_cli("learn", "--run", forward_run, "--out", tmp_path / "l") == 2
+        learn_err = capsys.readouterr().err
+        assert learn_err == (f"error: {manifest}: 'format' must be "
+                             f"beliefgraph-manifest-v2, not 'beliefgraph-manifest-v1'\n")
+        assert config_err == "configuration error: " + learn_err.removeprefix("error: ")
+        assert not (tmp_path / "s").exists() and not (tmp_path / "l").exists()
 
     def test_learn_writes_strict_json_without_part_of_the_truth(self, tmp_path):
         """With the last epoch's true matrix missing, the steady-state
@@ -755,18 +760,13 @@ class TestSimulateAndLearn:
          "shape (2, 2), but the model has 6 agents"),
         ("true_matrix_000.csv", lambda text: "1" + text, "columns must sum to one"),
         ("true_matrix_abc.csv", lambda text: text, "invalid literal for int()"),
-        ("true_adjacency_000.csv", lambda text: text.replace("1", "2", 1),
-         "not an adjacency file"),
-        ("true_adjacency_000.csv", lambda text: "1,0\n0,1\n",
-         "shape (2, 2), but the model has 6 agents"),
-    ], ids=["truncated", "empty", "letter", "smaller", "column-sum", "epoch-name",
-            "adjacency-byte", "adjacency-smaller"])
+    ], ids=["truncated", "empty", "letter", "smaller", "column-sum", "epoch-name"])
     def test_learn_names_a_malformed_true_matrix_file(
         self, forward_run, tmp_path, capsys, name, edit, expected
     ):
-        """A true matrix or adjacency file that is malformed, or of another
-        size than the model, is bad input (exit 2) whose one-line message
-        names the file."""
+        """A true matrix file that is malformed, or of another size than
+        the model, is bad input (exit 2) whose one-line message names the
+        file."""
         source = forward_run / name.replace("abc", "000")
         (forward_run / name).write_text(edit(source.read_text()))
         assert run_cli("learn", "--run", forward_run, "--mode", "both",
@@ -774,6 +774,28 @@ class TestSimulateAndLearn:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err and expected in err
+
+    def test_learn_does_not_read_the_true_adjacency_files(self, tmp_path):
+        """Each epoch's arcs are the positive weights of its true matrix,
+        which CombinationMatrix requires its adjacency to be, so
+        true_adjacency_NNN.csv is written for readers and not read back:
+        learn on a bundle whose adjacency files are corrupt writes the
+        same bytes as on the intact bundle."""
+        forward = tmp_path / "fwd"
+        assert run_cli("simulate", *BASE, "--regen-graph-at", "120:9",
+                       "--out", forward) == 0
+        intact = tmp_path / "intact"
+        assert run_cli("learn", "--run", forward, "--mode", "both",
+                       "--out", intact) == 0
+        for path in forward.glob("true_adjacency_*.csv"):
+            path.write_text("2,x\n")
+        corrupt = tmp_path / "corrupt"
+        assert run_cli("learn", "--run", forward, "--mode", "both",
+                       "--out", corrupt) == 0
+        names = sorted(p.name for p in intact.iterdir())
+        assert names == sorted(p.name for p in corrupt.iterdir())
+        for name in names:
+            assert (intact / name).read_bytes() == (corrupt / name).read_bytes(), name
 
     def test_learn_without_inputs_exits_one(self, tmp_path):
         assert run_cli("learn", "--out", tmp_path / "nope") == 1
@@ -794,22 +816,33 @@ class TestSimulateAndLearn:
         ("manifest.json", lambda p: {**p, "format": "beliefgraph-manifest-v9"},
          "'format'"),
         ("manifest.json", lambda p: {"config": p["config"]}, "'format'"),
+        ("model.json", lambda p: {**p, "tables": [*p["tables"][:2], [
+            p["tables"][2][0], p["tables"][2][1][:2], p["tables"][2][2]]]},
+         "table of agent 2 has inconsistent shape"),
+        ("model.json", lambda p: {**p, "tables": [*p["tables"][:2], [
+            p["tables"][2][0], ["x", *p["tables"][2][1][1:]], p["tables"][2][2]]]},
+         "agent 2 has an entry that is not a number"),
     ], ids=["model-floor-null", "model-without-tables", "model-list",
             "manifest-list", "manifest-without-config", "manifest-of-an-unknown-format",
-            "manifest-without-format"])
+            "manifest-without-format", "model-ragged-row", "model-text-entry"])
     def test_learn_names_the_file_and_field_of_a_misshapen_bundle(
         self, forward_run, tmp_path, capsys, name, edit, field
     ):
         """A model.json or manifest.json of the wrong JSON shape is bad
         input (exit 2) whose one-line message names the file and the
-        field."""
+        field; a table that does not read as numbers is named by its
+        agent, as the model's other table faults are (see
+        test_learn_rejects_a_model_with_a_non_finite_entry)."""
         path = forward_run / name
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert run_cli("learn", "--run", forward_run, "--mode", "both",
                        "--out", tmp_path / "bad") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-        assert field in err
+        if "agent 2" in field:
+            assert err == f"error: {field}\n"
+        else:
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+            assert field in err
 
     @pytest.mark.parametrize("edit", [lambda p: [p], lambda p: {"format": p["format"]}],
                              ids=["list", "without-config"])

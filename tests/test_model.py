@@ -327,6 +327,8 @@ class TestLikelihoodModelRejections:
     @pytest.mark.parametrize("fault, message", [
         ("shape", "table of agent {} has inconsistent shape"),
         ("flat", "table of agent {} has inconsistent shape"),
+        ("ragged", "table of agent {} has inconsistent shape"),
+        ("text", "agent {} has an entry that is not a number"),
         ("one-signal", "agent {} needs at least two signals"),
         ("below", "agent {} has entries below the floor"),
         ("unbalanced", "columns of agent {} must sum to one"),
@@ -341,6 +343,11 @@ class TestLikelihoodModelRejections:
             tables[agent] = np.full((t.shape[0], 4), 1.0 / t.shape[0])
         elif fault == "flat":
             tables[agent] = t[:, 0]
+        elif fault == "ragged":
+            tables[agent] = [*t[:-1].tolist(), t[-1, :2].tolist()]
+        elif fault == "text":
+            tables[agent] = t.tolist()
+            tables[agent][1][2] = "x"
         elif fault == "one-signal":
             tables[agent] = np.ones((1, 3))
         elif fault == "below":
