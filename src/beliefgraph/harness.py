@@ -417,7 +417,6 @@ def _simulate(
                 w.append(private)
         for epoch, truth in enumerate(epochs):
             io.write_matrix(out / f"true_matrix_{epoch:03d}.csv", truth.weights)
-            io.write_adjacency(out / f"true_adjacency_{epoch:03d}.csv", truth.adjacency)
         io.save_model(out / "model.json", model)
         io.write_trace(
             out / "trace.csv", np.arange(1, T + 1), true_states, graph_epochs, events
@@ -597,9 +596,8 @@ def run_forward(config: ExperimentConfig) -> Path:
 
 def _true_matrix(path: Path, num_agents: int) -> tuple[int, CombinationMatrix]:
     """The graph epoch a bundle's ``true_matrix_NNN.csv`` names and its
-    matrix, on the arcs of its positive weights (``true_adjacency_NNN.csv``
-    is written for readers, not read back). A malformed file, or one of
-    another size than ``num_agents``, raises ``ValueError`` naming it."""
+    matrix. A malformed file, or one of another size than ``num_agents``,
+    raises ``ValueError`` naming it."""
     try:
         epoch, weights = int(path.stem.split("_")[-1]), io.read_matrix(path)
     except ValueError as err:
@@ -608,7 +606,7 @@ def _true_matrix(path: Path, num_agents: int) -> tuple[int, CombinationMatrix]:
         raise ValueError(f"{path} holds a matrix of shape {weights.shape}, but the "
                          f"model has {num_agents} agents")
     try:
-        return epoch, CombinationMatrix(weights, weights > 0)
+        return epoch, CombinationMatrix(weights)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -727,7 +725,9 @@ def run_learn(flags: dict, run):
             f"and {model.num_states} states"
         )
     if not np.isfinite(log_beliefs).all():
-        raise ValueError("the belief stream holds a non-finite log-belief")
+        step, agent, state = np.argwhere(~np.isfinite(log_beliefs))[0]
+        raise ValueError(f"the belief stream holds a non-finite log-belief at "
+                         f"iteration {step + 1}, agent {agent}, state {state}")
     true_states, graph_epochs, matrices, events = _load_truth(
         run_dir, len(log_beliefs), model, config.schedule)
     if config.mode != ESTIMATED and true_states is None:

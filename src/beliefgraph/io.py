@@ -36,7 +36,6 @@ __all__ = [
     "write_matrix",
     "read_matrix",
     "write_adjacency",
-    "read_adjacency",
     "BeliefStreamWriter",
     "read_belief_stream",
     "write_trace",
@@ -81,24 +80,6 @@ def write_adjacency(path, adjacency: np.ndarray) -> None:
     text[:, ::2] += ord("0")
     text[:, -1] = ord("\n")
     Path(path).write_bytes(text.tobytes())
-
-
-def read_adjacency(path) -> np.ndarray:
-    """The adjacency :func:`write_adjacency` wrote to ``path``, parsed
-    from its bytes. A file of any other layout (empty, with a ragged row
-    or with a cell other than ``0`` and ``1``) raises ``ValueError``."""
-    data = np.frombuffer(Path(path).read_bytes(), np.uint8)
-    rows = np.count_nonzero(data == ord("\n"))
-    # Each row is 2 bytes per cell; with as many rows as newlines, every
-    # row must end in one.
-    if rows and not len(data) % (2 * rows):
-        text = data.reshape(rows, -1)
-        cells = text[:, ::2] - ord("0")
-        if ((cells <= 1).all() and (text[:, 1:-1:2] == ord(",")).all()
-                and (text[:, -1] == ord("\n")).all()):
-            return cells.astype(bool)
-    raise ValueError(f"{Path(path).name} is not an adjacency file: rows of "
-                     f"0/1 cells separated by commas, each ending in a newline")
 
 
 class BeliefStreamWriter:

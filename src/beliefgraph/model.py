@@ -91,18 +91,18 @@ class CombinationMatrix:
     ----------
     weights : ndarray, shape (n, n)
         Nonnegative matrix; entry ``(l, k)`` is the weight agent ``k``
-        places on agent ``l``. Columns must sum to one and the support
-        must coincide with ``adjacency``.
-    adjacency : ndarray of bool, shape (n, n)
-        Directed adjacency, ``adjacency[l, k]`` true iff ``l`` influences
-        ``k``. Must be strongly connected with at least one self-loop.
+        places on agent ``l``. Columns must sum to one, and the graph of
+        the positive weights must be strongly connected with at least
+        one self-loop.
 
-    Instances are immutable after construction and safe to share.
+    The graph is ``adjacency``, derived once as ``weights > 0``:
+    ``adjacency[l, k]`` is true iff ``l`` influences ``k``. Instances
+    are immutable after construction and safe to share.
     """
 
-    def __init__(self, weights: np.ndarray, adjacency: np.ndarray):
+    def __init__(self, weights: np.ndarray):
         self.weights = np.array(weights, dtype=float)
-        self.adjacency = np.array(adjacency, dtype=bool)
+        self.adjacency = self.weights > 0
         self.validate()
         self.weights.flags.writeable = False
         self.adjacency.flags.writeable = False
@@ -115,16 +115,12 @@ class CombinationMatrix:
 
     def validate(self) -> None:
         w, adj = self.weights, self.adjacency
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
             raise ValueError("weights must be a square matrix")
-        if adj.shape != w.shape:
-            raise ValueError("adjacency shape does not match weights")
         if not np.isfinite(w).all() or (w < 0).any():
             raise ValueError("weights must be finite and nonnegative")
         if np.abs(w.sum(axis=0) - 1.0).max() > COLUMN_SUM_TOL:
             raise ValueError("columns must sum to one")
-        if ((w > 0) != adj).any():
-            raise ValueError("positive weights must coincide with the adjacency")
         if not adj.diagonal().any():
             raise ValueError("at least one self-loop is required")
         if not is_strongly_connected(adj):
@@ -327,11 +323,10 @@ def random_combination_matrix(adjacency: np.ndarray, seed) -> CombinationMatrix:
         raise ValueError("adjacency must be strongly connected with a self-loop")
     rng = _as_rng(seed)
     weights = (1.0 - rng.random(adjacency.shape)) * adjacency
-    col_sums = weights.sum(axis=0)
-    if (col_sums == 0).any():
-        raise GenerationError("a column has no support")
-    weights /= col_sums
-    return CombinationMatrix(weights, adjacency)
+    # A strongly connected graph with a self-loop gives every column an
+    # arc, and each arc a weight in (0, 1], so no column sums to zero.
+    weights /= weights.sum(axis=0)
+    return CombinationMatrix(weights)
 
 
 def _floor_column(column: np.ndarray, eps: float) -> np.ndarray:

@@ -50,6 +50,14 @@ def read_msd_table(path) -> dict[str, np.ndarray]:
     return out
 
 
+def per_row_adjacency(adjacency) -> str:
+    """The text of an adjacency file, one join per row: the oracle of
+    :func:`beliefgraph.io.write_adjacency`."""
+    lines = [",".join("1" if x else "0" for x in row)
+             for row in np.asarray(adjacency, dtype=bool)]
+    return "\n".join(lines) + "\n"
+
+
 def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:
     """The known-mode and estimated-mode results of two learners that
     each consume every ``(block, true_state, combination)`` triple on

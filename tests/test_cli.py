@@ -452,7 +452,6 @@ class TestSimulateAndLearn:
         assert run_cli("experiment", *BASE, *events, "--mode", "known",
                        "--out", exp_out) == 0
         (forward / "true_matrix_000.csv").unlink()
-        (forward / "true_adjacency_000.csv").unlink()
         inv_out = tmp_path / "inv"
         assert run_cli("learn", "--run", forward, "--mode", "known",
                        "--out", inv_out) == 0
@@ -479,7 +478,7 @@ class TestSimulateAndLearn:
         assert run_cli("learn", "--run", forward_run, "--mode", "both",
                        "--out", tmp_path / "bad") == 2
         err = capsys.readouterr().err
-        assert "non-finite" in err
+        assert "non-finite log-belief at iteration 14, agent 1, state 1" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -539,7 +538,6 @@ class TestSimulateAndLearn:
         assert run_cli("simulate", *BASE, "--regen-graph-at", "120:9",
                        "--out", forward) == 0
         (forward / "true_matrix_001.csv").unlink()
-        (forward / "true_adjacency_001.csv").unlink()
         out = tmp_path / "inv"
         assert run_cli("learn", "--run", forward, "--mode", "known",
                        "--out", out) == 0
@@ -605,8 +603,7 @@ class TestSimulateAndLearn:
         assert run_cli("experiment", *config, "--regen-graph-at", "1:5",
                        "--mode", "both", "--out", run) == 0
         matrices = sorted(p.name for p in run.glob("true_*.csv"))
-        assert matrices == ["true_adjacency_000.csv", "true_adjacency_001.csv",
-                            "true_matrix_000.csv", "true_matrix_001.csv"]
+        assert matrices == ["true_matrix_000.csv", "true_matrix_001.csv"]
         still = tmp_path / "still"
         assert run_cli("simulate", *config, "--out", still) == 0
         assert ((run / "true_matrix_000.csv").read_bytes()
@@ -760,7 +757,23 @@ class TestSimulateAndLearn:
          "shape (2, 2), but the model has 6 agents"),
         ("true_matrix_000.csv", lambda text: "1" + text, "columns must sum to one"),
         ("true_matrix_abc.csv", lambda text: text, "invalid literal for int()"),
-    ], ids=["truncated", "empty", "letter", "smaller", "column-sum", "epoch-name"])
+        ("true_matrix_000.csv", lambda text: text.replace(",", "\n", 1),
+         "inhomogeneous shape"),
+        ("true_matrix_000.csv", lambda text: text.replace("\n", ",0\n"),
+         "shape (6, 7), but the model has 6 agents"),
+        ("true_matrix_000.csv", lambda text: "-" + text,
+         "weights must be finite and nonnegative"),
+        ("true_matrix_000.csv", lambda text: "nan" + text[text.index(","):],
+         "weights must be finite and nonnegative"),
+        ("true_matrix_000.csv", lambda text: "".join(
+            ",".join("1" if c == (r + 1) % 6 else "0" for c in range(6)) + "\n"
+            for r in range(6)), "at least one self-loop is required"),
+        ("true_matrix_000.csv", lambda text: "".join(
+            ",".join("1" if c == r else "0" for c in range(6)) + "\n"
+            for r in range(6)), "the weight graph must be strongly connected"),
+    ], ids=["truncated", "empty", "letter", "smaller", "column-sum", "epoch-name",
+            "ragged", "wider", "negative", "nan", "no-self-loop",
+            "not-strongly-connected"])
     def test_learn_names_a_malformed_true_matrix_file(
         self, forward_run, tmp_path, capsys, name, edit, expected
     ):
@@ -777,18 +790,19 @@ class TestSimulateAndLearn:
 
     def test_learn_does_not_read_the_true_adjacency_files(self, tmp_path):
         """Each epoch's arcs are the positive weights of its true matrix,
-        which CombinationMatrix requires its adjacency to be, so
-        true_adjacency_NNN.csv is written for readers and not read back:
-        learn on a bundle whose adjacency files are corrupt writes the
-        same bytes as on the intact bundle."""
+        so a bundle written before true_adjacency_NNN.csv was dropped
+        still learns, and its adjacency files are not read: learn on a
+        bundle that holds corrupt ones writes the same bytes as without
+        them."""
         forward = tmp_path / "fwd"
         assert run_cli("simulate", *BASE, "--regen-graph-at", "120:9",
                        "--out", forward) == 0
+        assert not list(forward.glob("true_adjacency_*.csv"))
         intact = tmp_path / "intact"
         assert run_cli("learn", "--run", forward, "--mode", "both",
                        "--out", intact) == 0
-        for path in forward.glob("true_adjacency_*.csv"):
-            path.write_text("2,x\n")
+        for epoch in range(2):
+            (forward / f"true_adjacency_{epoch:03d}.csv").write_text("2,x\n")
         corrupt = tmp_path / "corrupt"
         assert run_cli("learn", "--run", forward, "--mode", "both",
                        "--out", corrupt) == 0
@@ -889,8 +903,7 @@ class TestForwardBundle:
         names = sorted(p.name for p in forward.iterdir())
         assert names == sorted([
             "beliefs.npy", "manifest.json", "model.json", "private_ratios.npy",
-            "trace.csv", "true_adjacency_000.csv", "true_adjacency_001.csv",
-            "true_matrix_000.csv", "true_matrix_001.csv",
+            "trace.csv", "true_matrix_000.csv", "true_matrix_001.csv",
         ])
         for name in names:
             assert (forward / name).read_bytes() == (full / name).read_bytes(), name

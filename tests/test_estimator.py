@@ -114,7 +114,7 @@ def cycle_matrix(n):
     weights = np.zeros((n, n))
     weights[np.arange(n) - 1, np.arange(n)] = 1.0
     weights[[0, n - 1], 0] = 0.5
-    return CombinationMatrix(weights, weights > 0)
+    return CombinationMatrix(weights)
 
 
 def best_two_partition(values):

@@ -32,7 +32,7 @@ from beliefgraph.harness import (
 from beliefgraph.simulate import Event, EventSchedule, run_simulation
 from beliefgraph.model import CombinationMatrix, mean_likelihood_matrix
 
-from helpers import read_msd_table
+from helpers import per_row_adjacency, read_msd_table
 
 
 def desk_config(**overrides):
@@ -219,8 +219,7 @@ class TestRunExperiment:
         names = {p.name for p in out.iterdir()}
         assert {
             "beliefs.npy", "trace.csv", "private_ratios.npy", "model.json",
-            "manifest.json", "summary.json", "msd.csv",
-            "true_matrix_000.csv", "true_adjacency_000.csv",
+            "manifest.json", "summary.json", "msd.csv", "true_matrix_000.csv",
             "learned_matrix_known.csv", "learned_matrix_estimated.csv",
         } <= names
         summary = json.loads((out / "summary.json").read_text())
@@ -478,10 +477,8 @@ class TestSharedModeOutputs:
         for mode, mres in result.modes.items():
             assert io.read_matrix(out / f"learned_matrix_{mode}.csv").tobytes() == (
                 mres.estimate.tobytes())
-            assert np.array_equal(
-                io.read_adjacency(out / f"classified_adjacency_{mode}.csv"),
-                harness.classify_edges(mres.estimate),
-            )
+            assert (out / f"classified_adjacency_{mode}.csv").read_text() == (
+                per_row_adjacency(harness.classify_edges(mres.estimate)))
 
     def test_a_signed_zero_gets_its_own_text(self, tmp_path, classify_calls):
         """Estimates equal in value but not in the sign of a zero are
@@ -528,16 +525,13 @@ class TestForwardAndLearn:
         run_forward(config)
         assert {p.name for p in out.iterdir()} >= {
             "beliefs.npy", "trace.csv", "model.json", "manifest.json",
-            "true_matrix_000.csv", "true_adjacency_000.csv",
+            "true_matrix_000.csv",
         }
 
         model = io.load_model(out / "model.json")
         logs = io.read_belief_stream(out / "beliefs.npy")
         trace = io.read_trace(out / "trace.csv")
-        truth = CombinationMatrix(
-            io.read_matrix(out / "true_matrix_000.csv"),
-            io.read_adjacency(out / "true_adjacency_000.csv"),
-        )
+        truth = CombinationMatrix(io.read_matrix(out / "true_matrix_000.csv"))
         blocks = [
             (logs[i:i + 1], int(trace["true_states"][i]), truth)
             for i in range(len(logs))

@@ -167,25 +167,30 @@ class TestRandomCombinationMatrix:
         with pytest.raises(ValueError):
             random_combination_matrix(mask, seed=0)
 
-    @pytest.mark.parametrize("weights, adjacency, message", [
-        ([[0.5, 0.5]], [[1, 1]], "weights must be a square matrix"),
-        ([[0.5, 0.5], [0.5, 0.5]], [[1, 1, 1]] * 3,
-         "adjacency shape does not match weights"),
-        ([[1.5, 0.5], [-0.5, 0.5]], [[1, 1]] * 2,
-         "weights must be finite and nonnegative"),
-        ([[np.nan, 0.5], [0.5, 0.5]], [[1, 1]] * 2,
-         "weights must be finite and nonnegative"),
-        ([[0.6, 0.5], [0.5, 0.5]], [[1, 1]] * 2, "columns must sum to one"),
-        ([[1.0, 0.5], [0.0, 0.5]], [[1, 1]] * 2,
-         "positive weights must coincide with the adjacency"),
-        ([[0.0, 1.0], [1.0, 0.0]], [[0, 1], [1, 0]], "at least one self-loop is required"),
-        ([[1.0, 0.5], [0.0, 0.5]], [[1, 1], [0, 1]],
-         "the weight graph must be strongly connected"),
-    ], ids=["not-square", "adjacency-shape", "negative", "nan", "column-sum",
-            "support", "no-self-loop", "not-strongly-connected"])
-    def test_validation_catches_bad_matrices(self, weights, adjacency, message):
+    @pytest.mark.parametrize("weights, message", [
+        ([[0.5, 0.5]], "weights must be a square matrix"),
+        ([1.0], "weights must be a square matrix"),
+        ([[[1.0]]], "weights must be a square matrix"),
+        (np.zeros((0, 0)), "weights must be a square matrix"),
+        ([[1.5, 0.5], [-0.5, 0.5]], "weights must be finite and nonnegative"),
+        ([[np.nan, 0.5], [0.5, 0.5]], "weights must be finite and nonnegative"),
+        ([[np.inf, 0.5], [0.0, 0.5]], "weights must be finite and nonnegative"),
+        ([[0.6, 0.5], [0.5, 0.5]], "columns must sum to one"),
+        ([[0.0, 1.0], [1.0, 0.0]], "at least one self-loop is required"),
+        ([[1.0, 0.5], [0.0, 0.5]], "the weight graph must be strongly connected"),
+    ], ids=["not-square", "one-dimensional", "three-dimensional", "empty", "negative",
+            "nan", "infinite", "column-sum", "no-self-loop", "not-strongly-connected"])
+    def test_validation_catches_bad_matrices(self, weights, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            CombinationMatrix(np.array(weights), np.array(adjacency, dtype=bool))
+            CombinationMatrix(np.array(weights))
+
+    def test_adjacency_is_the_read_only_support_of_the_weights(self):
+        weights = np.array([[0.5, 0.0, 1.0], [0.5, 0.25, 0.0], [0.0, 0.75, 0.0]])
+        matrix = CombinationMatrix(weights)
+        assert matrix.adjacency.dtype == bool
+        np.testing.assert_array_equal(matrix.adjacency, weights > 0)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.adjacency[0, 1] = True
 
 
 def identifiability_gap_oracle(model):

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import json
+import math
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import beliefgraph
+from beliefgraph.cli import main
 from beliefgraph.harness import ExperimentConfig
 
 
@@ -69,6 +72,45 @@ def test_readme_schema_lists_every_field_with_its_default():
     section = (ROOT / "README.md").read_text().split("## Configuration schema", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     assert json.loads(block) == ExperimentConfig().to_dict()
+
+
+def test_readme_python_example_runs_clean(tmp_path):
+    """README's Python API example runs with a RuntimeWarning as an
+    error and prints a finite deviation, so a renamed result attribute
+    fails here and not only for a reader."""
+    script = tmp_path / "example.py"
+    script.write_text(_python_source("README.md"))
+    source = str(Path(beliefgraph.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert math.isfinite(float(proc.stdout))
+
+
+def test_readme_bundle_table_names_every_file_a_run_writes(tmp_path):
+    """README's output bundle table names exactly the files a run
+    writes: those of a test-mode run of both modes whose graph is
+    regenerated once, with NNN its two graph epochs and MODE its two
+    modes, and, of a sweep, sweep.csv."""
+    section = (ROOT / "README.md").read_text().split("## Output bundle", 1)[1]
+    rows = re.findall(r"^\| (.+?) \|", section.split("\n## ", 1)[0], re.M)
+    documented = {
+        name.replace("NNN", epoch).replace("MODE", mode)
+        for row in rows for name in re.findall(r"`([^`]+)`", row)
+        for epoch in ("000", "001") for mode in ("known", "estimated")
+    }
+    config = ["--agents", "6", "--states", "3", "--edge-prob", "0.5",
+              "--delta", "0.3", "--mu", "0.05", "--iters", "200"]
+    run, grid = tmp_path / "run", tmp_path / "sweep"
+    assert main(["experiment", *config, "--mode", "both", "--test-mode",
+                 "--regen-graph-at", "120:9", "--out", str(run)]) == 0
+    assert main(["sweep", *config, "--mode", "known", "--mu-grid", "0.05",
+                 "--out", str(grid)]) == 0
+    assert {p.name for p in run.iterdir()} == documented - {"sweep.csv"}
+    assert {p.name for p in grid.iterdir()} == {"sweep.csv"}
 
 
 def _benchmark_targets() -> tuple:

@@ -334,7 +334,7 @@ class TestCombineStep:
         np.testing.assert_array_equal(combine_step(ratios, matrix), ratios)
 
     def test_balanced_weights_cancel_opposite_beliefs(self):
-        matrix = CombinationMatrix(np.full((2, 2), 0.5), np.ones((2, 2), dtype=bool))
+        matrix = CombinationMatrix(np.full((2, 2), 0.5))
         ratios = np.array([[np.log(4.0)], [-np.log(4.0)]])
         combined = combine_step(ratios, matrix)
         np.testing.assert_array_equal(combined, np.zeros((2, 1)))
@@ -344,7 +344,7 @@ class TestCombineStep:
 
     def test_weighted_geometric_mean_hand_value(self):
         weights = np.array([[0.75, 0.25], [0.25, 0.75]])
-        matrix = CombinationMatrix(weights, np.ones((2, 2), dtype=bool))
+        matrix = CombinationMatrix(weights)
         shared = np.log(np.array([[0.9, 0.1], [0.5, 0.5]]))
         combined = combine_step(belief_log_ratios(shared), matrix)
         assert combined[0, 0] == pytest.approx(0.75 * np.log(9.0), abs=1e-15)
