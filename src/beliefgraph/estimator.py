@@ -142,13 +142,30 @@ def gradient_step(
 
 @dataclass
 class LearnResult:
-    """Outcome of feeding a belief stream through one learner."""
+    """Outcome of feeding a belief stream through one learner: its final
+    estimate, its squared deviation at every step, its votes (estimated
+    mode) and the step it diverged at. A finished run also holds the
+    estimate's classified arcs, their accuracy against the final true
+    matrix and why classification failed, each ``None`` until then."""
 
     mode: str
     estimate: np.ndarray
     msd: np.ndarray
     votes: np.ndarray | None
     diverged_at: int | None
+    classified: np.ndarray | None = None
+    edge_accuracy: float | None = None
+    classify_error: str | None = None
+
+    @property
+    def steady_state_msd(self) -> float:
+        """Mean deviation over the final tenth of the steps (at least one)."""
+        return float(self.msd[-max(1, len(self.msd) // 10):].mean())
+
+    @property
+    def final_msd(self) -> float:
+        """Deviation at the last step."""
+        return float(self.msd[-1])
 
 
 @dataclass

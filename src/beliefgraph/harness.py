@@ -45,19 +45,21 @@ from .simulate import CHUNK_STEPS, REGENERATE_GRAPH, Event, EventSchedule, run_s
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "ModeResult",
     "ExperimentResult",
     "run_experiment",
     "run_forward",
     "run_learn",
     "finish_run",
     "sweep",
-    "steady_state_mean",
     "read_manifest",
     "MANIFEST_FORMAT",
 ]
 
 MANIFEST_FORMAT = "beliefgraph-manifest-v2"
+# A mode's entry in summary.json, where a deviation without ground truth
+# (NaN) or diverged (inf) is null.
+_SUMMARY_KEYS = ("steady_state_msd", "final_msd", "diverged_at", "edge_accuracy",
+                 "classify_error")
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -275,36 +277,6 @@ def _out_dir(out) -> Path | None:
     return out
 
 
-def steady_state_mean(values: np.ndarray) -> float:
-    """Mean over the final tenth of a trajectory (at least one point)."""
-    values = np.asarray(values, dtype=float)
-    window = max(1, values.shape[0] // 10)
-    return float(values[-window:].mean())
-
-
-@dataclass
-class ModeResult(LearnResult):
-    """Estimator outcome for one variant: the learner's record plus its
-    summary and edge classification."""
-
-    steady_state_msd: float
-    final_msd: float
-    classified: np.ndarray | None
-    edge_accuracy: float | None
-    classify_error: str | None
-
-    def summary(self) -> dict:
-        """The mode's entry in ``summary.json``, where a deviation
-        without ground truth (NaN) or diverged (inf) is null."""
-        return {
-            "steady_state_msd": self.steady_state_msd,
-            "final_msd": self.final_msd,
-            "diverged_at": self.diverged_at,
-            "edge_accuracy": self.edge_accuracy,
-            "classify_error": self.classify_error,
-        }
-
-
 @dataclass
 class ExperimentResult:
     """Everything produced by one experiment."""
@@ -317,7 +289,7 @@ class ExperimentResult:
     divergent: bool
     vote_match_rate: float | None
     graph_attempts: int
-    modes: dict[str, ModeResult]
+    modes: dict[str, LearnResult]
     true_states: np.ndarray
     graph_epochs: np.ndarray
     diagnostics: SteadyStateDiagnostics | None
@@ -437,7 +409,7 @@ def finish_run(
     config: ExperimentConfig,
     out: Path | None,
     **extra,
-) -> tuple[dict[str, ModeResult], dict]:
+) -> tuple[dict[str, LearnResult], dict]:
     """Classify and score each mode's learned result and compute the
     run's values; with ``out`` set, write them there.
 
@@ -452,7 +424,8 @@ def finish_run(
     ``None``. Writes each mode's learned and classified matrices,
     ``msd.csv`` (the modes with a finite deviation, marked with
     ``events``) and ``summary.json``: the run's values, ``extra`` and
-    each mode's :meth:`ModeResult.summary` under ``"modes"``.
+    each mode's ``_SUMMARY_KEYS`` under ``"modes"``. Each mode's result
+    comes back with its classification filled in.
 
     A mode whose estimate holds the known result's bytes (``-0.0`` and
     ``0.0`` are written apart) takes over its classification and copies
@@ -462,7 +435,7 @@ def finish_run(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     final = matrices.get(int(graph_epochs[-1]))
-    modes: dict[str, ModeResult] = {}
+    modes: dict[str, LearnResult] = {}
     for mode, result in learned.items():
         twin = modes.get(KNOWN)
         shared = twin is not None and twin.estimate.tobytes() == result.estimate.tobytes()
@@ -490,14 +463,8 @@ def finish_run(
                 shutil.copyfile(out / f"{name}_{KNOWN}.csv", out / f"{name}_{mode}.csv")
             else:
                 write(out / f"{name}_{mode}.csv", matrix)
-        modes[mode] = ModeResult(
-            **vars(result),
-            steady_state_msd=steady_state_mean(result.msd),
-            final_msd=float(result.msd[-1]),
-            classified=classified,
-            edge_accuracy=edge_accuracy,
-            classify_error=classify_error,
-        )
+        modes[mode] = replace(result, classified=classified,
+                              edge_accuracy=edge_accuracy, classify_error=classify_error)
     first = matrices.get(int(graph_epochs[0]))
     votes = modes[ESTIMATED].votes if ESTIMATED in modes else None
     run = {
@@ -511,9 +478,9 @@ def finish_run(
         if deviations:
             T = len(graph_epochs)
             io.write_msd_table(out / "msd.csv", np.arange(1, T + 1), deviations, events)
-        io.save_json(out / "summary.json", {
-            **run, **extra, "modes": {m: r.summary() for m, r in modes.items()},
-        })
+        io.save_json(out / "summary.json", {**run, **extra, "modes": {
+            m: {key: getattr(r, key) for key in _SUMMARY_KEYS} for m, r in modes.items()
+        }})
     return modes, run
 
 
@@ -595,11 +562,14 @@ def run_forward(config: ExperimentConfig) -> Path:
 
 
 def _true_matrix(path: Path, num_agents: int) -> tuple[int, CombinationMatrix]:
-    """The graph epoch a bundle's ``true_matrix_NNN.csv`` names and its
-    matrix. A malformed file, or one of another size than ``num_agents``,
-    raises ``ValueError`` naming it."""
+    """The graph epoch a bundle's ``true_matrix_NNN.csv`` names, in
+    digits, and its matrix. A malformed file or name, or a matrix of
+    another size than ``num_agents``, raises ``ValueError`` naming it."""
+    epoch = path.stem.removeprefix("true_matrix_")
     try:
-        epoch, weights = int(path.stem.split("_")[-1]), io.read_matrix(path)
+        if not (epoch.isascii() and epoch.isdigit()):
+            raise ValueError(f"the graph epoch {epoch!r} is not a number in digits")
+        epoch, weights = int(epoch), io.read_matrix(path)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     if weights.shape != (num_agents, num_agents):
@@ -616,7 +586,7 @@ def _load_truth(run_dir: Path, num_steps: int, model: LikelihoodModel,
     """Ground truth of the stream recorded in bundle ``run_dir``: the
     true state of each step (``None`` without a trace), the graph epoch
     of each step, the combination matrix of each epoch the bundle holds
-    and the events by iteration.
+    and the events by iteration. Two matrix files of one epoch are refused.
 
     A trace must hold iterations ``1..num_steps`` in order, true states
     of the ``model`` and graph epochs that start at 0 and rise by one at
@@ -650,8 +620,12 @@ def _load_truth(run_dir: Path, num_steps: int, model: LikelihoodModel,
                 f"graph epochs start at 0 and rise by one at each "
                 f"{REGENERATE_GRAPH} event and nowhere else"
             )
-    matrices = dict(_true_matrix(path, model.num_agents)
-                    for path in run_dir.glob("true_matrix_*.csv"))
+    matrices, paths = {}, {}
+    for path in sorted(run_dir.glob("true_matrix_*.csv")):
+        epoch, matrix = _true_matrix(path, model.num_agents)
+        if epoch in matrices:
+            raise ValueError(f"{paths[epoch]} and {path} both hold graph epoch {epoch}")
+        matrices[epoch], paths[epoch] = matrix, path
     if trace is None:
         # The trace says which graph epoch each step belongs to; without
         # it, only a single-epoch bundle pins the matrix of every step.

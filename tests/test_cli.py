@@ -324,6 +324,24 @@ class TestSimulateAndLearn:
         assert offline["modes"]["known"]["final_msd"] is not None
         assert offline["vote_match_rate"] is not None
 
+    def test_summary_keys(self, tmp_path):
+        """summary.json holds the run's values, the experiment's
+        graph_attempts and diagnostics, and one entry per mode, each
+        with these keys, for experiment and learn alike."""
+        run = tmp_path / "run"
+        assert run_cli("experiment", *BASE, "--mode", "both", "--test-mode",
+                       "--out", run) == 0
+        learned = tmp_path / "learned"
+        assert run_cli("learn", "--run", run, "--out", learned) == 0
+        for out, extra in ((run, ["graph_attempts", "diagnostics"]), (learned, [])):
+            summary = json.loads((out / "summary.json").read_text())
+            assert set(summary) == {"initial_msd", "divergent", "vote_match_rate",
+                                    *extra, "modes"}
+            assert set(summary["modes"]) == {"known", "estimated"}
+            for entry in summary["modes"].values():
+                assert set(entry) == {"steady_state_msd", "final_msd", "diverged_at",
+                                      "edge_accuracy", "classify_error"}
+
     @pytest.mark.parametrize("source", ["run", "stream"])
     @pytest.mark.parametrize("flag", [
         ["--reference", "7"], ["--reference", "3"], ["--mu", "-1"], ["--delta", "1.5"],
@@ -756,7 +774,7 @@ class TestSimulateAndLearn:
         ("true_matrix_000.csv", lambda text: "1,0\n0,1\n",
          "shape (2, 2), but the model has 6 agents"),
         ("true_matrix_000.csv", lambda text: "1" + text, "columns must sum to one"),
-        ("true_matrix_abc.csv", lambda text: text, "invalid literal for int()"),
+        ("true_matrix_abc.csv", lambda text: text, "graph epoch 'abc' is not a number"),
         ("true_matrix_000.csv", lambda text: text.replace(",", "\n", 1),
          "inhomogeneous shape"),
         ("true_matrix_000.csv", lambda text: text.replace("\n", ",0\n"),
@@ -771,16 +789,20 @@ class TestSimulateAndLearn:
         ("true_matrix_000.csv", lambda text: "".join(
             ",".join("1" if c == r else "0" for c in range(6)) + "\n"
             for r in range(6)), "the weight graph must be strongly connected"),
+        ("true_matrix_-1.csv", lambda text: text, "graph epoch '-1' is not a number"),
+        ("true_matrix_0.csv", lambda text: text,
+         "true_matrix_000.csv both hold graph epoch 0"),
     ], ids=["truncated", "empty", "letter", "smaller", "column-sum", "epoch-name",
             "ragged", "wider", "negative", "nan", "no-self-loop",
-            "not-strongly-connected"])
+            "not-strongly-connected", "negative-epoch", "duplicate-epoch"])
     def test_learn_names_a_malformed_true_matrix_file(
         self, forward_run, tmp_path, capsys, name, edit, expected
     ):
-        """A true matrix file that is malformed, or of another size than
-        the model, is bad input (exit 2) whose one-line message names the
+        """A true matrix file that is malformed, of another size than the
+        model, not named by an epoch in digits or a second file of an
+        epoch, is bad input (exit 2) whose one-line message names the
         file."""
-        source = forward_run / name.replace("abc", "000")
+        source = forward_run / "true_matrix_000.csv"
         (forward_run / name).write_text(edit(source.read_text()))
         assert run_cli("learn", "--run", forward_run, "--mode", "both",
                        "--out", tmp_path / "bad") == 2
@@ -813,6 +835,19 @@ class TestSimulateAndLearn:
 
     def test_learn_without_inputs_exits_one(self, tmp_path):
         assert run_cli("learn", "--out", tmp_path / "nope") == 1
+
+    def test_learn_without_an_output_directory_exits_one(
+        self, forward_run, tmp_path, capsys, monkeypatch
+    ):
+        """learn --run DIR without --out is a configuration error, and
+        writes nothing: neither into the bundle nor where it runs."""
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli("learn", "--run", forward_run, "--mode", "both") == 1
+        assert capsys.readouterr().err == (
+            "configuration error: an output directory is required (--out)\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("mode", ["known", "both"])
     def test_learn_known_mode_needs_trace(self, forward_run, tmp_path, mode):

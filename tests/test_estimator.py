@@ -596,6 +596,12 @@ class TestGraphLearner:
         with pytest.raises(ValueError):
             GraphLearner(model, mu, 0.3, "known")
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, np.nan])
+    def test_rejects_a_step_size_outside_the_unit_interval(self, small_setup, delta):
+        model, _ = small_setup
+        with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\)$"):
+            GraphLearner(model, 0.05, delta, "known")
+
     def test_learn_without_truth_reports_nan(self, small_setup):
         model, combination = small_setup
         blocks = [
@@ -726,6 +732,12 @@ class TestSteadyStateDiagnostics:
         lam, sig, expected = self._streams(scale=0.5, samples=500)
         with pytest.raises(ValueError):
             steady_state_diagnostics(lam, sig, expected, mu=0.01, delta=0.2)
+
+    def test_rejects_stacks_that_are_not_3_dimensional(self):
+        lam, sig, expected = self._streams(scale=0.5)
+        for lam_in, sig_in in ((lam[:, 0], sig), (lam, sig[:, 0])):
+            with pytest.raises(ValueError, match="^sample stacks must be 3-dimensional$"):
+                steady_state_diagnostics(lam_in, sig_in, expected, mu=0.01, delta=0.2)
 
 
 class TestObserverAgainstSimulator:

@@ -26,7 +26,6 @@ from beliefgraph.harness import (
     ExperimentConfig,
     run_experiment,
     run_forward,
-    steady_state_mean,
     sweep,
 )
 from beliefgraph.simulate import Event, EventSchedule, run_simulation
@@ -194,13 +193,46 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"agents": 3, "bogus": 1})
 
 
+def _record(deviations) -> LearnResult:
+    return LearnResult("known", np.zeros((2, 2)), np.asarray(deviations, dtype=float),
+                       None, None)
+
+
 class TestSteadyStateMean:
     def test_final_tenth(self):
         values = np.arange(100, dtype=float)
-        assert steady_state_mean(values) == np.mean(np.arange(90, 100))
+        assert _record(values).steady_state_msd == np.mean(np.arange(90, 100))
 
     def test_short_series_uses_last_point(self):
-        assert steady_state_mean(np.array([3.0, 7.0])) == 7.0
+        assert _record([3.0, 7.0]).steady_state_msd == 7.0
+
+    @pytest.mark.parametrize("length", [1, 2, 9, 10, 11, 99, 1001])
+    def test_properties_follow_the_record(self, length):
+        """Both values are the record's: the mean of its final tenth (at
+        least one step) and its last step, as plain floats."""
+        values = np.random.default_rng(length).random(length)
+        result = _record(values)
+        window = max(1, length // 10)
+        assert result.steady_state_msd == float(values[-window:].mean())
+        assert result.final_msd == float(values[-1])
+        assert type(result.steady_state_msd) is float and type(result.final_msd) is float
+
+    def test_properties_are_read_only(self):
+        result = _record([1.0, 2.0])
+        for name in ("steady_state_msd", "final_msd"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, 0.0)
+        assert "steady_state_msd" not in {f.name for f in fields(LearnResult)}
+
+    def test_learned_results_are_not_yet_classified(self):
+        config = desk_config(iterations=40, mode="both")
+        model = harness._generate(config)[1]
+        beliefs = np.zeros((40, config.agents, config.states))
+        learned = learn_graph([(beliefs, 0, None)], model, config.mu, config.delta, "both")
+        assert set(learned) == {"known", "estimated"}
+        for result in learned.values():
+            assert (result.classified, result.edge_accuracy, result.classify_error) == (
+                None, None, None)
 
 
 class TestRunExperiment:
@@ -519,6 +551,10 @@ class TestVotes:
 
 
 class TestForwardAndLearn:
+    def test_forward_run_needs_an_output_directory(self):
+        with pytest.raises(ConfigError, match="^a forward run needs an output directory$"):
+            run_forward(desk_config())
+
     def test_forward_bundle_then_learn_matches_in_memory(self, tmp_path):
         out = tmp_path / "fwd"
         config = desk_config(iterations=400, out=str(out))

@@ -295,6 +295,10 @@ class TestRandomLikelihoods:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             random_likelihoods(2, 3, 1, seed=0)
+        with pytest.raises(ValueError, match="^num_agents must be at least 1$"):
+            random_likelihoods(0, 3, 4, seed=0)
+        with pytest.raises(ValueError, match="^one signal size per agent is required$"):
+            random_likelihoods(3, 3, [2, 3], seed=0)
         with pytest.raises(ValueError):
             random_likelihoods(2, 3, 4, seed=0, floor=0.3)
         with pytest.raises(ValueError):
@@ -644,6 +648,12 @@ class TestMeanLikelihoodMatrix:
         model = LikelihoodModel(tables, floor=0.1)
         out = mean_likelihood_matrix(model, 2)
         np.testing.assert_array_equal(out, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_sampling_cdf_rejects_a_state_outside_the_model(self, state):
+        model = random_likelihoods(4, 3, 4, seed=8)
+        with pytest.raises(ValueError, match="^state out of range$"):
+            model.sampling_cdf(state)
 
     def test_monte_carlo_mean(self):
         """The sampled mean of the ratio matrices must approach the

@@ -521,6 +521,23 @@ class TestRunSimulation:
             list(run_simulation(model, combination, 9, 0.3, 5, seed=0))
         with pytest.raises(ValueError):
             list(run_simulation(model, combination, 0, 1.0, 5, seed=0))
+        with pytest.raises(ValueError, match="^num_iterations must be nonnegative$"):
+            list(run_simulation(model, combination, 0, 0.3, -1, seed=0))
+        adjacency, _ = erdos_renyi_adjacency(4, 0.5, seed=30)
+        other = random_combination_matrix(adjacency, seed=31)
+        with pytest.raises(ValueError,
+                           match="^combination matrix does not match the model$"):
+            list(run_simulation(model, other, 0, 0.3, 5, seed=0))
+
+    def test_an_event_state_outside_the_model_is_named(self, small_setup):
+        """The state of a set_true_state event is checked when the event
+        is due: the steps before it run."""
+        model, combination = small_setup
+        steps = run_simulation(model, combination, 0, 0.3, 10, seed=0,
+                               schedule=EventSchedule((Event(5, "set_true_state", 3),)))
+        assert [next(steps).iteration for _ in range(4)] == [1, 2, 3, 4]
+        with pytest.raises(ValueError, match="^event state 3 out of range$"):
+            next(steps)
 
 
 class TestForwardPassAgainstOracle:
