@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import CombinationMatrix, LikelihoodModel, mean_likelihood_matrix
+from .simulate import CHUNK_STEPS
 
 __all__ = [
     "NoSeparationError",
@@ -111,9 +112,11 @@ def gradient_step(
     regressors: np.ndarray,
     targets: np.ndarray,
     mu: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One stochastic-gradient update of the combination-matrix estimate,
-    in regression form.
+    in regression form, written into ``out`` when given: a C-contiguous
+    float array of the estimate's shape that is not the estimate.
 
     The ratio recursion is the linear regression ``Z = A^T Phi + noise``
     with regressors ``Phi = (1 - delta) lam_{i-1}`` and targets
@@ -135,9 +138,16 @@ def gradient_step(
     residual = regressors.dot(estimate)
     np.subtract(targets, residual, out=residual)
     residual *= mu
-    updated = regressors.T.dot(residual)
+    updated = regressors.T.dot(residual, out=out)
     updated += estimate
     return updated
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a 2-d array as one stacked
+    ``1 x N`` by ``N x 1`` product: per row, the bits of ``np.vdot(row,
+    row)``."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -185,11 +195,12 @@ class GraphLearner:
     hypotheses and the combination matrix of all its rows. Per block it
     forms the belief log-ratios, the regressors and the targets (see
     :func:`gradient_step`), all agents last, the targets from a table of
-    ``delta lbar^T`` per hypothesis built once per learner; only
-    :meth:`step` runs per row. The step also forms the row's squared
-    deviation from the block's matrix (the zero matrix without one),
-    which doubles as its divergence test. ``deviations`` holds one array
-    per block.
+    ``delta lbar^T`` per hypothesis built once per learner. Per row,
+    :meth:`step` forms only the update, into the next slot of a scratch
+    buffer of ``CHUNK_STEPS`` updates; per run of at most that many rows,
+    :meth:`consume` settles the divergence test and the squared
+    deviations from the block's matrix as stacked products over the
+    buffer. ``deviations`` holds one array per block.
     """
 
     model: LikelihoodModel
@@ -223,63 +234,54 @@ class GraphLearner:
             for state in range(S)
         ])
         self._offsets.flags.writeable = False
-        self._zero = np.zeros((n, n))
-        self._difference = np.empty((n, n))
-        # The squared deviation of the last update step() formed; inf
-        # before the first.
-        self._deviation = np.inf
-        # Proof that a computed deviation d = vdot(W - U, W - U) below
-        # _bound puts every entry of the update U within DIVERGENCE_LIMIT.
+        # The updates step() has formed since the last settle, flattened,
+        # and each row as an (n, n) view, so that a step indexes a list.
+        self._updates = np.empty((CHUNK_STEPS, n * n))
+        self._slots = list(self._updates.reshape(CHUNK_STEPS, n, n))
+        self._filled = 0
+        # Proof that a computed d = vdot(W - U, W - U) below _bound puts
+        # every entry of the update U within DIVERGENCE_LIMIT. The settle's
+        # pretest is its zero-matrix case: W = 0, d the stacked product of
+        # the flattened U with itself.
         # With u = 2**-53 the unit roundoff and N = n**2 terms:
         # - each computed difference D_ij is (W_ij - U_ij)(1 + e) with
-        #   |e| <= u, so |W_ij - U_ij| <= |D_ij| / (1 - u);
+        #   |e| <= u, so |W_ij - U_ij| <= |D_ij| / (1 - u); for W = 0,
+        #   D_ij = -U_ij exactly;
         # - a computed sum of N squares, in any order, is within
         #   gamma = N u / (1 - N u) of the exact sum relatively (Higham,
         #   Accuracy and Stability of Numerical Algorithms, 2002, 3.1), so
         #   sum D_ij**2 <= d / (1 - gamma) = d (1 - N u) / (1 - 2 N u), and
         #   d < (L - 2)**2 (1 - 4 N u) keeps that below (L - 2)**2 for
         #   N u <= 3/4. Squares that underflow add at most N 2**-1074 more;
-        # - W is a validated CombinationMatrix, or the zero matrix step()
-        #   takes without one: entries in [0, 1 + 1e-12].
+        # - W is a validated CombinationMatrix or the zero matrix: entries
+        #   in [0, 1 + 1e-12].
         # So |U_ij| <= |W_ij| + |W_ij - U_ij| <= 1 + 1e-12 + (L - 2)(1 + 2u),
         # below L = DIVERGENCE_LIMIT; the spare 1 - 1e-12 also absorbs the
         # rounding of _bound itself. A NaN or inf d fails the comparison.
         eps = np.finfo(float).eps  # 2 u
         self._bound = (DIVERGENCE_LIMIT - 2.0) ** 2 * (1.0 - 2.0 * n * n * eps)
 
-    def step(self, regressors: np.ndarray, targets: np.ndarray,
-             combination: CombinationMatrix | None = None) -> np.ndarray:
-        """Update from one snapshot and return the estimate.
+    def step(self, regressors: np.ndarray, targets: np.ndarray) -> None:
+        """Form the update from one snapshot in the next slot of the
+        scratch buffer and step the estimate to it; :meth:`consume` runs
+        the divergence test on it and keeps or discards it.
 
         ``regressors`` is ``Phi^T = (1 - delta) lam_{i-1}^T`` and
         ``targets`` is ``Z^T = lam_i^T - delta lbar_i^T``, each
         ``(num_states - 1, num_agents)``: the paper's recursion
         ``lam_i = (1 - delta) A^T lam_{i-1} + delta lbar_i + noise`` read
         as a regression of ``Z`` on ``Phi`` (see :func:`gradient_step`).
-        Once the learner has diverged, the step changes nothing.
-
-        The squared deviation of the update from the true
-        ``combination`` (the zero matrix without one) is formed as
-        :func:`msd` does and kept for :meth:`consume`; below a bound it
-        also certifies that the update is within ``DIVERGENCE_LIMIT`` (see
-        ``__post_init__``), and only an update at or above the bound pays
-        for the exact entrywise test. NaN and inf fail both tests.
+        Once the learner has diverged, the step only counts the row.
         """
         self.iterations += 1
         if self.diverged_at is None:
-            # The kept estimate is within DIVERGENCE_LIMIT, so no errstate
-            # is needed: only a mu near the float64 range could overflow.
-            updated = gradient_step(self.estimate, regressors, targets, self._rate)
-            weights = self._zero if combination is None else combination.weights
-            difference = self._difference
-            np.subtract(weights, updated, out=difference)
-            self._deviation = np.vdot(difference, difference)
-            if (self._deviation < self._bound
-                    or np.abs(updated).max() <= DIVERGENCE_LIMIT):
-                self.estimate = updated
-            else:
-                self.diverged_at = self.iterations
-        return self.estimate
+            slot = self._slots[self._filled]
+            updated = gradient_step(self.estimate, regressors, targets, self._rate,
+                                    out=slot)
+            if updated is not slot:  # a kernel wrapped or replaced by name
+                slot[...] = updated
+            self.estimate = slot
+            self._filled += 1
 
     def consume(self, block: np.ndarray, states: int | np.ndarray | None = None,
                 combination: CombinationMatrix | None = None) -> None:
@@ -287,7 +289,13 @@ class GraphLearner:
         num_states)`` shared log-beliefs, on ``states``, one hypothesis
         for the block or one per row, and record its squared deviation
         from ``combination``: NaN without a matrix, ``inf`` from the
-        diverging snapshot on."""
+        diverging snapshot on.
+
+        The rows are stepped in runs of at most ``CHUNK_STEPS``, each
+        settled by :meth:`_settle` before the next, so the scratch
+        buffer is filled and read within one call. A row after a
+        diverging one in its run steps on a trajectory that is thrown
+        away, so overflow and invalid operations are not reported."""
         if np.shape(states) not in ((), (len(block),)):
             raise ValueError(f"{len(states)} hypotheses for a block of {len(block)} rows")
         if np.ndim(states) == 0 and states not in range(self.model.num_states):
@@ -304,15 +312,42 @@ class GraphLearner:
         targets = lagged[1:] - self._offsets[states]
         deviations = np.empty(len(block))
         self.deviations.append(deviations)
-        first = self.iterations
         step = self.step
-        for row, (regressor, target) in enumerate(zip(regressors, targets)):
-            step(regressor, target, combination)
-            deviations[row] = self._deviation
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first in range(0, len(block), CHUNK_STEPS):
+                run = slice(first, first + CHUNK_STEPS)
+                start = self.estimate
+                for regressor, target in zip(regressors[run], targets[run]):
+                    step(regressor, target)
+                self._settle(start, deviations[run], combination)
+
+    def _settle(self, start: np.ndarray, deviations: np.ndarray,
+                combination: CombinationMatrix | None) -> None:
+        """Test the run's updates in the buffer for divergence, keep the
+        last good one (``start`` if there is none) as a copy, and write
+        each row's squared deviation into ``deviations``.
+
+        The pretest is the updates' squared norms: below ``_bound`` they
+        certify the update (see ``__post_init__``), so only an update at
+        or above it pays for the exact entrywise test, and the verdicts
+        are those of the exact test. The deviations are formed in the
+        buffer, with the bits :func:`msd` gives them."""
+        filled, self._filled = self._filled, 0
+        updates = self._updates[:filled]
+        kept = filled
+        for row in np.flatnonzero(~(_squared_norms(updates) < self._bound)):
+            if not np.abs(updates[row]).max() <= DIVERGENCE_LIMIT:
+                kept = int(row)
+                self.diverged_at = self.iterations - len(deviations) + kept + 1
+                break
+        self.estimate = self._slots[kept - 1].copy() if kept else start
+        good = updates[:kept]
         if combination is None:
-            deviations[:] = np.nan
-        if self.diverged_at is not None:
-            deviations[max(self.diverged_at - first - 1, 0):] = np.inf
+            deviations[:kept] = np.nan
+        else:
+            np.subtract(combination.weights.reshape(-1), good, out=good)
+            deviations[:kept] = _squared_norms(good)
+        deviations[kept:] = np.inf
 
     def result(self) -> LearnResult:
         """The final estimate, as a copy, and the record of every
@@ -376,7 +411,8 @@ class ModeLearners:
         copy with its own records. The rest stays shared: a learner
         replaces its estimate and register, never writes into them, only
         reads the target table, and fills and reads its scratch buffer
-        within one step."""
+        within one :meth:`GraphLearner.consume`, copying its estimate out
+        before it returns."""
         fork = copy.copy(self.known)
         fork.mode = ESTIMATED
         fork.deviations = list(fork.deviations)

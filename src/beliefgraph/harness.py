@@ -265,14 +265,19 @@ def read_manifest(path, bundle: bool = False) -> dict:
     return payload["config"]
 
 
+# The files whose presence marks a directory as holding a run: a bundle,
+# the output of learn, or a sweep's table.
+_RUN_FILES = ("manifest.json", "summary.json", "sweep.csv")
+
+
 def _out_dir(out) -> Path | None:
     """``out`` as a path (``None`` when unset), refused if it holds a
-    run's ``manifest.json`` or ``summary.json`` already, so that a run
-    never mixes its files with another's."""
+    run's ``manifest.json``, ``summary.json`` or ``sweep.csv`` already,
+    so that a run never mixes its files with another's."""
     if not out:
         return None
     out = Path(out)
-    if (out / "manifest.json").exists() or (out / "summary.json").exists():
+    if any((out / name).exists() for name in _RUN_FILES):
         raise ConfigError(f"{out} already holds a run; write to another directory")
     return out
 
@@ -728,10 +733,12 @@ def sweep(
     (mu, delta, mode) and are written to ``sweep.csv`` under the base
     configuration's output directory, when one is set.
 
-    Every grid point is validated before any runs; an invalid one raises
-    :class:`ConfigError`, a failure while running a valid one
-    ``RuntimeError``, each with the point named. Divergent runs are
-    flagged in their row, not raised.
+    Every grid point is validated, and the output directory checked,
+    before any runs: an invalid point raises :class:`ConfigError` with the
+    point named, as does a directory that already holds a run or a sweep
+    (see ``_out_dir``); a failure while running a valid point raises
+    ``RuntimeError`` with the point named. Divergent runs are flagged in
+    their row, not raised.
     """
     config.validate()
     mu_list = (
@@ -756,6 +763,7 @@ def sweep(
             raise ConfigError(
                 f"grid point mu={point.mu}, delta={point.delta}: {err}"
             ) from err
+    out = _out_dir(config.out)
 
     rows: list[dict] = []
     for point in points:
@@ -775,8 +783,7 @@ def sweep(
                 "divergent": mres.diverged_at is not None,
             })
 
-    if config.out:
-        out = Path(config.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         lines = ["mu,delta,mode,steady_state_msd,divergent"]
         for row in rows:

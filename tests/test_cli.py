@@ -1052,9 +1052,25 @@ class TestUsedOutputDirectory:
         assert {run: {p.name: p.read_bytes() for p in run.iterdir()}
                 for run in runs} == before
 
-    def test_sweep_rewrites_its_table_beside_a_run(self, runs):
-        """sweep writes only sweep.csv, so it may share a directory with a
-        run and rewrite its table."""
-        for _ in range(2):
-            assert run_cli("sweep", *BASE, "--mu-grid", "0.05", "--out", runs[0]) == 0
-        assert (runs[0] / "sweep.csv").exists()
+    @pytest.mark.parametrize("command, into", [
+        (["sweep", *BASE, "--mu-grid", "0.01,0.02"], "run"),
+        (["sweep", *BASE, "--mu-grid", "0.01,0.02"], "sweep"),
+        (["experiment", *BASE, "--mode", "known"], "sweep"),
+    ], ids=["sweep-into-a-run", "sweep-into-a-sweep", "experiment-into-a-sweep"])
+    def test_sweep_refuses_a_used_directory_and_marks_one(
+            self, runs, tmp_path, capsys, command, into):
+        """A sweep.csv marks a directory as used, as a manifest.json does,
+        and sweep checks its --out before its first grid point: a sweep
+        into a run's or a sweep's directory, and an experiment into a
+        sweep's, exit 1 and leave every file there byte for byte."""
+        swept = tmp_path / "swept"
+        assert run_cli("sweep", *BASE, "--mu-grid", "0.05", "--out", swept) == 0
+        used = {"run": runs[0], "sweep": swept}[into]
+        before = {p.name: p.read_bytes() for p in used.iterdir()}
+        capsys.readouterr()
+        assert run_cli(*command, "--out", used) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"configuration error: {used} already holds a run; "
+                                f"write to another directory\n")
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in used.iterdir()} == before

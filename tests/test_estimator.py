@@ -1,6 +1,7 @@
 """Observer side: ratios, voting, the gradient update, classification
 and the steady-state diagnostics."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -490,7 +491,8 @@ class TestGraphLearner:
     ])
     def test_divergence_test_on_one_entry(self, small_setup, monkeypatch, bad, diverges):
         """A single NaN, infinite or over-limit entry in an update trips
-        the divergence test; a large entry within the limit does not."""
+        the divergence test that consume settles a one-row block with; a
+        large entry within the limit does not."""
         model, _ = small_setup
 
         def update(estimate, *args, **kwargs):
@@ -500,7 +502,8 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        estimate = learner.step(np.zeros((2, 6)), np.zeros((2, 6)))
+        learner.consume(np.full((1, 6, 3), -np.log(3)), 0)
+        estimate = learner.estimate
         if diverges:
             assert learner.diverged_at == 1
             np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
@@ -522,7 +525,8 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        estimate = learner.step(np.zeros((2, 30)), np.zeros((2, 30)))
+        learner.consume(np.full((1, 30, 3), -np.log(3)), 0)
+        estimate = learner.estimate
         assert (learner.diverged_at == 1) == diverges
         assert (estimate == (0.0 if diverges else fill)).all()
 
@@ -533,11 +537,12 @@ class TestGraphLearner:
     ])
     def test_divergence_test_with_a_matrix_on_one_entry(self, monkeypatch, bad,
                                                         diverges):
-        """Given the true matrix, the step gives the verdicts of the test
+        """Given the true matrix, the settle gives the verdicts of the test
         without it. The bad entry sits where the matrix holds 1, so the
         deviation of an update just over the limit is just under the
-        squared limit: only the bound's margin sends it to the exact
-        test, which also keeps an update at the limit."""
+        squared limit: the pretest reads the update's own squared norm,
+        not its deviation, and the exact test keeps an update at the
+        limit."""
         truth = cycle_matrix(6)
         assert truth.weights[2, 3] == 1.0
 
@@ -548,7 +553,8 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(random_likelihoods(6, 3, 4, seed=32), 0.05, 0.3, "known")
-        estimate = learner.step(np.zeros((2, 6)), np.zeros((2, 6)), truth)
+        learner.consume(np.full((1, 6, 3), -np.log(3)), 0, truth)
+        estimate = learner.estimate
         if diverges:
             assert learner.diverged_at == 1
             np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
@@ -572,9 +578,46 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        estimate = learner.step(np.zeros((2, 30)), np.zeros((2, 30)), truth)
+        learner.consume(np.full((1, 30, 3), -np.log(3)), 0, truth)
+        estimate = learner.estimate
         assert (learner.diverged_at == 1) == diverges
         assert (estimate == (0.0 if diverges else fill)).all()
+
+    @pytest.mark.parametrize("rows, bad", [(64, 40), (150, 100), (150, 64), (150, 0)],
+                             ids=["row-40", "second-run", "first-of-a-run", "row-0"])
+    def test_a_divergence_inside_a_block(self, small_setup, monkeypatch, rows, bad):
+        """A kernel that adds 1e300 to every entry of the update from row
+        ``bad`` of one block on: the learner diverges at that row, keeps
+        the update before it bit for bit (the zero matrix before row 0),
+        records each earlier row's deviation as msd() gives it and inf
+        from that row on. The rows after it step on an overflowing
+        trajectory, yet no floating-point warning is raised."""
+        model, combination = small_setup
+        kernel, updates = estimator.gradient_step, []
+
+        def overflowing(*args, **kwargs):
+            updated = kernel(*args, **kwargs)
+            if len(updates) >= bad:
+                updated += 1e300
+            updates.append(updated.copy())
+            return updated
+
+        monkeypatch.setattr(estimator, "gradient_step", overflowing)
+        block = np.stack([s.shared_log_beliefs for s in
+                          run_simulation(model, combination, 1, 0.3, rows, seed=44)])
+        learner = GraphLearner(model, 0.05, 0.3, "known")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            learner.consume(block, 1, combination)
+        assert learner.diverged_at == bad + 1
+        assert learner.iterations == rows
+        kept = updates[bad - 1] if bad else np.zeros((6, 6))
+        assert learner.estimate.tobytes() == kept.tobytes()
+        deviations = learner.result().msd
+        assert deviations.tolist() == (
+            [msd(combination.weights, u) for u in updates[:bad]] + [np.inf] * (rows - bad))
+        # the rows of the block's later runs are counted, not stepped
+        assert len(updates) == min(rows, -(-(bad + 1) // CHUNK_STEPS) * CHUNK_STEPS)
 
     @pytest.mark.parametrize("mode", ["known", "estimated"])
     def test_each_deviation_is_the_msd_of_its_estimate(self, small_setup, mode):
@@ -857,6 +900,45 @@ class TestBlockwiseLearner:
             )
             previous = ratios
             deviations.append(msd(step.combination.weights, estimate))
+        assert np.array_equal(learned.estimate, estimate)
+        assert np.array_equal(learned.msd, deviations)
+
+    @pytest.fixture(scope="class")
+    def reference_steps(self):
+        """300 steps of a 30-agent, 4-state world at delta 0.05."""
+        adjacency, _ = erdos_renyi_adjacency(30, 0.2, seed=31)
+        combination = random_combination_matrix(adjacency, seed=32)
+        model = random_likelihoods(30, 4, 5, seed=33)
+        return model, list(run_simulation(model, combination, 2, 0.05, 300, seed=34))
+
+    @pytest.mark.parametrize("feed", ["chunks", "one-block"])
+    @pytest.mark.parametrize("mode", ["known", "estimated"])
+    def test_30_agents_equal_a_plain_loop(self, reference_steps, mode, feed):
+        """At 30 agents, fed the simulator's chunks or the whole stream
+        as one block of more than CHUNK_STEPS rows, the learner's
+        estimate and deviations equal a plain loop of the kernel and
+        msd() bit for bit."""
+        model, steps = reference_steps
+        mu, delta = 0.01, 0.05
+        if feed == "chunks":
+            blocks = simulator_blocks(steps)
+        else:
+            block = np.stack([s.shared_log_beliefs for s in steps])
+            blocks = [(block, steps[0].true_state, steps[0].combination)]
+            assert len(block) > CHUNK_STEPS
+        learned = learn_graph(blocks, model, mu, delta, mode)[mode]
+        estimate = np.zeros((30, 30))
+        previous = np.zeros((3, 30))
+        deviations = []
+        for step in steps:
+            ratios = belief_log_ratios(step.shared_log_beliefs).T
+            state = (step.true_state if mode == "known"
+                     else majority_vote(step.shared_log_beliefs))
+            targets = ratios - delta * mean_likelihood_matrix(model, state).T
+            estimate = gradient_step(estimate, (1.0 - delta) * previous, targets, mu)
+            previous = ratios
+            deviations.append(msd(step.combination.weights, estimate))
+        assert learned.diverged_at is None
         assert np.array_equal(learned.estimate, estimate)
         assert np.array_equal(learned.msd, deviations)
 

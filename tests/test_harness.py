@@ -371,8 +371,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mu", [5.0, 50.0, 1e3, 1e6, 1e300])
     def test_divergence_raises_no_floating_point_warning(self, mu):
-        """The learner stops at the first update that leaves the
-        divergence limit, before any arithmetic can overflow, so no
+        """The learner keeps the last update before the first that
+        leaves the divergence limit. The rows after that one in its run
+        step on a discarded trajectory that may overflow, and run under
+        np.errstate, which ignores overflow and invalid operations; so no
         learning rate makes numpy warn."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
