@@ -17,6 +17,7 @@ the same snapshot by a majority vote (``estimated`` mode).
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,8 @@ def majority_vote(shared_log_beliefs: np.ndarray) -> int | np.ndarray:
     argmax. Ties, per agent and across agents, go to the lowest index.
 
     A ``(num_agents, num_states)`` snapshot gives an ``int``; a stack
-    ``(steps, num_agents, num_states)`` gives one vote per snapshot.
+    ``(..., num_agents, num_states)`` gives one vote per snapshot, of
+    the stack's leading shape.
     """
     shared_log_beliefs = np.asarray(shared_log_beliefs)
     num_states = shared_log_beliefs.shape[-1]
@@ -101,10 +103,11 @@ def majority_vote(shared_log_beliefs: np.ndarray) -> int | np.ndarray:
         return int(np.argmax(np.bincount(per_agent, minlength=num_states)))
     # One bincount over the whole stack: snapshot t counts into bins
     # t * num_states ... t * num_states + num_states - 1.
-    steps = per_agent.shape[0]
-    per_agent += num_states * np.arange(steps)[:, None]
-    counts = np.bincount(per_agent.ravel(), minlength=steps * num_states)
-    return np.argmax(counts.reshape(steps, num_states), axis=1)
+    snapshots = per_agent.reshape(-1, per_agent.shape[-1])
+    steps = len(snapshots)
+    snapshots += num_states * np.arange(steps)[:, None]
+    counts = np.bincount(snapshots.ravel(), minlength=steps * num_states)
+    return np.argmax(counts.reshape(steps, num_states), axis=1).reshape(per_agent.shape[:-1])
 
 
 def gradient_step(
@@ -131,10 +134,24 @@ def gradient_step(
     ``A^T`` is ``A^T + mu * (1 - delta) * (lam_i - (1 - delta) A^T
     lam_{i-1} - delta lbar_i) lam_{i-1}^T``. No projection is applied;
     the iterate is free to leave the set of stochastic matrices.
+
+    A stack of K trajectories steps in one call: estimates ``(K, n, n)``,
+    regressors and targets ``(K, m, n)``, ``mu`` a scalar or ``(K, 1,
+    1)``. It goes through ``np.matmul``, which gives each trajectory the
+    bits of its own 2-d call; a 2-d call keeps ``ndarray.dot``, which
+    skips matmul's dispatch.
     """
     shape = regressors.shape
     if targets.shape != shape or len(shape) != 2 or estimate.shape != (shape[1],) * 2:
-        raise ValueError("estimate, regressors and targets have mismatched shapes")
+        if targets.shape != shape or len(shape) != 3 or estimate.shape != (
+                shape[0], shape[2], shape[2]):
+            raise ValueError("estimate, regressors and targets have mismatched shapes")
+        residual = np.matmul(regressors, estimate)
+        np.subtract(targets, residual, out=residual)
+        residual *= mu
+        updated = np.matmul(regressors.transpose(0, 2, 1), residual, out=out)
+        updated += estimate
+        return updated
     residual = regressors.dot(estimate)
     np.subtract(targets, residual, out=residual)
     residual *= mu
@@ -180,16 +197,26 @@ class LearnResult:
 
 @dataclass
 class GraphLearner:
-    """One LMS trajectory of the online graph estimator, stepping on
-    the hypotheses it is given: the true state or the votes, as
-    :class:`ModeLearners` decides. ``mode`` only names it and its result.
+    """One LMS trajectory of the online graph estimator, or a stack of K
+    of them, stepping on the hypotheses it is given: the true state or
+    the votes, as :class:`ModeLearners` decides. ``mode`` only names it
+    and its result.
+
+    ``mu`` and ``delta`` are each one value, or one value per trajectory
+    of a stack (a sequence of K; a single value is then shared). A stack
+    takes everything :meth:`consume` takes with a leading K axis and
+    steps all its trajectories with one kernel call per row (see
+    :func:`gradient_step`); each trajectory records the bits of a single
+    learner of its own ``mu`` and ``delta``.
 
     The estimate starts at the zero matrix and the previous-ratio
     register at zero, which makes the very first update a no-op.
 
     When an update stops being finite (or leaves ``DIVERGENCE_LIMIT``),
-    the learner keeps its last good estimate, records the iteration in
-    ``diverged_at`` and makes no further updates.
+    its trajectory keeps its last good estimate, records the iteration in
+    ``diverged_at`` (for a stack, a tuple of one entry per trajectory)
+    and makes no further updates; the other trajectories of a stack step
+    on.
 
     :meth:`consume` takes blocks of consecutive snapshots, each with its
     hypotheses and the combination matrix of all its rows. Per block it
@@ -197,47 +224,62 @@ class GraphLearner:
     :func:`gradient_step`), all agents last, the targets from a table of
     ``delta lbar^T`` per hypothesis built once per learner. Per row,
     :meth:`step` forms only the update, into the next slot of a scratch
-    buffer of ``CHUNK_STEPS`` updates; per run of at most that many rows,
-    :meth:`consume` settles the divergence test and the squared
-    deviations from the block's matrix as stacked products over the
-    buffer. ``deviations`` holds one array per block.
+    buffer of ``CHUNK_STEPS`` updates (``CHUNK_STEPS x K x n^2`` doubles
+    for a stack); per run of at most that many rows, :meth:`consume`
+    settles the divergence test and the squared deviations from the
+    block's matrix as stacked products over the buffer. ``deviations``
+    holds one array per block, of one column per trajectory for a stack.
     """
 
     model: LikelihoodModel
-    mu: float
-    delta: float
+    mu: float | Sequence[float]
+    delta: float | Sequence[float]
     mode: str
     reference: int = 0
     estimate: np.ndarray = field(init=False)
     iterations: int = field(init=False, default=0)
-    diverged_at: int | None = field(init=False, default=None)
+    diverged_at: int | None | tuple[int | None, ...] = field(init=False, default=None)
     deviations: list[np.ndarray] = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        if not 0 < self.mu < np.inf:
+        rates = np.array(self.mu, dtype=float)
+        steps = np.asarray(self.delta, dtype=float)
+        if not ((0 < rates) & (rates < np.inf)).all():
             raise ValueError("mu must be positive and finite")
-        if not 0 < self.delta < 1:
+        if not ((0 < steps) & (steps < 1)).all():
             raise ValueError("delta must be in (0, 1)")
+        # The trajectories' leading shape: () for one, (K,) for a stack.
+        lead = np.broadcast_shapes(rates.shape, steps.shape)
+        if len(lead) > 1:
+            raise ValueError("mu and delta must each be one value or one per trajectory")
         n, S = self.model.num_agents, self.model.num_states
-        self.estimate = np.zeros((n, n))
-        # mu as a 0-d array: numpy scales by one on its fast path, by a
-        # Python float on a slower one, with the same result.
-        self._rate = np.array(self.mu, dtype=float)
+        self.estimate = np.zeros(lead + (n, n))
+        if lead:
+            self.diverged_at = (None,) * lead[0]
+        self._stepping = True
+        # mu as an array: 0-d for one trajectory (numpy scales by one on
+        # its fast path, by a Python float on a slower one, with the same
+        # result), one (1, 1) matrix per trajectory of a stack.
+        column = lead + (1, 1)
+        self._rate = np.broadcast_to(rates, lead).reshape(column) if lead else rates
+        self._keep = np.broadcast_to(1.0 - steps, lead).reshape(column)
         # The last log-ratios of the previous block, agents last: the
         # next block's first regressor.
-        self._register = np.zeros((S - 1, n))
-        # delta * lbar^T per hypothesis, agents last: a block's targets
-        # are its ratios less one row of this table per snapshot. Read-only,
-        # so a fork (see ModeLearners) shares it.
-        self._offsets = self.delta * np.stack([
+        self._register = np.zeros(lead + (S - 1, n))
+        # delta * lbar^T per hypothesis (per trajectory and hypothesis for
+        # a stack), agents last: a block's targets are its ratios less one
+        # entry of this table per snapshot. Read-only, so a fork (see
+        # ModeLearners) shares it.
+        self._offsets = np.broadcast_to(steps, lead).reshape(column + (1,)) * np.stack([
             mean_likelihood_matrix(self.model, state, self.reference).T
             for state in range(S)
         ])
         self._offsets.flags.writeable = False
         # The updates step() has formed since the last settle, flattened,
-        # and each row as an (n, n) view, so that a step indexes a list.
-        self._updates = np.empty((CHUNK_STEPS, n * n))
-        self._slots = list(self._updates.reshape(CHUNK_STEPS, n, n))
+        # and each row as an (n, n) view ((K, n, n) for a stack), so that
+        # a step indexes a list.
+        self._updates = np.empty((CHUNK_STEPS,) + lead + (n * n,))
+        self._slots = list(self._updates.reshape((CHUNK_STEPS,) + lead + (n, n)))
         self._filled = 0
         # Proof that a computed d = vdot(W - U, W - U) below _bound puts
         # every entry of the update U within DIVERGENCE_LIMIT. The settle's
@@ -268,13 +310,14 @@ class GraphLearner:
 
         ``regressors`` is ``Phi^T = (1 - delta) lam_{i-1}^T`` and
         ``targets`` is ``Z^T = lam_i^T - delta lbar_i^T``, each
-        ``(num_states - 1, num_agents)``: the paper's recursion
-        ``lam_i = (1 - delta) A^T lam_{i-1} + delta lbar_i + noise`` read
-        as a regression of ``Z`` on ``Phi`` (see :func:`gradient_step`).
-        Once the learner has diverged, the step only counts the row.
+        ``(num_states - 1, num_agents)`` (with a leading K axis for a
+        stack): the paper's recursion ``lam_i = (1 - delta) A^T lam_{i-1}
+        + delta lbar_i + noise`` read as a regression of ``Z`` on ``Phi``
+        (see :func:`gradient_step`). Once every trajectory has diverged,
+        the step only counts the row.
         """
         self.iterations += 1
-        if self.diverged_at is None:
+        if self._stepping:
             slot = self._slots[self._filled]
             updated = gradient_step(self.estimate, regressors, targets, self._rate,
                                     out=slot)
@@ -284,33 +327,52 @@ class GraphLearner:
             self._filled += 1
 
     def consume(self, block: np.ndarray, states: int | np.ndarray | None = None,
-                combination: CombinationMatrix | None = None) -> None:
+                combination: CombinationMatrix | Sequence[CombinationMatrix] | None = None
+                ) -> None:
         """Update from each snapshot of ``block``, ``(steps, num_agents,
         num_states)`` shared log-beliefs, on ``states``, one hypothesis
         for the block or one per row, and record its squared deviation
         from ``combination``: NaN without a matrix, ``inf`` from the
-        diverging snapshot on.
+        diverging snapshot on. For a stack of K trajectories, the block
+        is ``(K, steps, num_agents, num_states)``, the hypotheses ``(K,)``
+        or ``(K, steps)`` and the matrices a sequence of K (or ``None``).
 
         The rows are stepped in runs of at most ``CHUNK_STEPS``, each
         settled by :meth:`_settle` before the next, so the scratch
         buffer is filled and read within one call. A row after a
         diverging one in its run steps on a trajectory that is thrown
         away, so overflow and invalid operations are not reported."""
-        if np.shape(states) not in ((), (len(block),)):
-            raise ValueError(f"{len(states)} hypotheses for a block of {len(block)} rows")
-        if np.ndim(states) == 0 and states not in range(self.model.num_states):
+        lead, num_states = self.estimate.shape[:-2], self.model.num_states
+        shape, size = np.shape(states), block.shape[:-2]
+        if shape not in (lead, size):
+            raise ValueError(f"{' x '.join(map(str, shape)) or 'no'} hypotheses for a "
+                             f"block of {' x '.join(map(str, size))} rows")
+        if shape == lead and not all(s in range(num_states)
+                                     for s in (states if lead else (states,))):
             raise ValueError(f"known mode needs the current true state in "
-                             f"0..{self.model.num_states - 1}, got {states}")
+                             f"0..{num_states - 1}, got {states}")
+        weights = None
+        if lead:
+            # The rows first, so that each row of the arrays below holds
+            # every trajectory's snapshot.
+            block, states = block.swapaxes(0, 1), np.transpose(states)
+            offsets = self._offsets[np.arange(lead[0]), states]
+            if combination is not None:
+                weights = np.stack([c.weights.reshape(-1) for c in combination])
+        else:
+            offsets = self._offsets[states]
+            if combination is not None:
+                weights = combination.weights.reshape(-1)
         # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
         # register. Every operation is elementwise per row, so the
         # update does not depend on where blocks begin and end.
         lagged = np.empty((len(block) + 1,) + self._register.shape)
         lagged[0] = self._register
-        belief_log_ratios(block, self.reference, out=lagged[1:].transpose(0, 2, 1))
+        belief_log_ratios(block, self.reference, out=lagged[1:].swapaxes(-1, -2))
         self._register = lagged[-1]
-        regressors = (1.0 - self.delta) * lagged[:-1]
-        targets = lagged[1:] - self._offsets[states]
-        deviations = np.empty(len(block))
+        regressors = self._keep * lagged[:-1]
+        targets = lagged[1:] - offsets
+        deviations = np.empty((len(block),) + lead)
         self.deviations.append(deviations)
         step = self.step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -319,65 +381,86 @@ class GraphLearner:
                 start = self.estimate
                 for regressor, target in zip(regressors[run], targets[run]):
                     step(regressor, target)
-                self._settle(start, deviations[run], combination)
+                self._settle(start, deviations[run], weights)
 
     def _settle(self, start: np.ndarray, deviations: np.ndarray,
-                combination: CombinationMatrix | None) -> None:
-        """Test the run's updates in the buffer for divergence, keep the
-        last good one (``start`` if there is none) as a copy, and write
-        each row's squared deviation into ``deviations``.
+                weights: np.ndarray | None) -> None:
+        """Test the run's updates in the buffer for divergence, keep each
+        trajectory's last good one (its row of ``start`` if there is none)
+        as a copy, and write each row's squared deviation from the
+        flattened matrix ``weights`` (one row per trajectory of a stack)
+        into ``deviations``.
 
         The pretest is the updates' squared norms: below ``_bound`` they
         certify the update (see ``__post_init__``), so only an update at
         or above it pays for the exact entrywise test, and the verdicts
         are those of the exact test. The deviations are formed in the
         buffer, with the bits :func:`msd` gives them."""
-        filled, self._filled = self._filled, 0
+        stack = start.ndim == 3
+        filled, self._filled, size = self._filled, 0, self._updates.shape[-1]
         updates = self._updates[:filled]
-        kept = filled
-        for row in np.flatnonzero(~(_squared_norms(updates) < self._bound)):
-            if not np.abs(updates[row]).max() <= DIVERGENCE_LIMIT:
-                kept = int(row)
-                self.diverged_at = self.iterations - len(deviations) + kept + 1
-                break
-        self.estimate = self._slots[kept - 1].copy() if kept else start
-        good = updates[:kept]
-        if combination is None:
-            deviations[:kept] = np.nan
+        rows = updates.reshape(-1, size)  # row-major: by row, then by trajectory
+        diverged = self.diverged_at if stack else (self.diverged_at,)
+        # Rows kept per trajectory; none of one that diverged before.
+        kept = [filled if at is None else 0 for at in diverged]
+        for index in np.flatnonzero(~(_squared_norms(rows) < self._bound)):
+            row, k = divmod(int(index), len(kept))
+            if row < kept[k] and not np.abs(rows[index]).max() <= DIVERGENCE_LIMIT:
+                kept[k] = row
+        stopped = min(kept) < len(deviations)
+        estimate = (self._slots[filled - 1] if filled else start).copy()
+        if stopped:
+            first = self.iterations - len(deviations) + 1
+            diverged = tuple(first + row if at is None and row < filled else at
+                             for at, row in zip(diverged, kept))
+            self.diverged_at = diverged if stack else diverged[0]
+            self._stepping = None in diverged
+            flat, begun = estimate.reshape(-1, size), start.reshape(-1, size)
+            for k, row in enumerate(kept):
+                if row < filled:
+                    flat[k] = rows[(row - 1) * len(kept) + k] if row else begun[k]
+        self.estimate = estimate
+        if weights is None:
+            deviations[:] = np.nan
         else:
-            np.subtract(combination.weights.reshape(-1), good, out=good)
-            deviations[:kept] = _squared_norms(good)
-        deviations[kept:] = np.inf
+            np.subtract(weights, updates, out=updates)
+            deviations[:filled] = _squared_norms(rows).reshape(updates.shape[:-1])
+        if stopped:
+            for k, row in enumerate(kept):
+                deviations.reshape(len(deviations), -1)[row:, k] = np.inf
 
-    def result(self) -> LearnResult:
+    def result(self) -> LearnResult | list[LearnResult]:
         """The final estimate, as a copy, and the record of every
-        consumed step."""
-        return LearnResult(
-            mode=self.mode,
-            estimate=self.estimate.copy(),
-            msd=np.concatenate([np.empty(0), *self.deviations]),
-            votes=None,
-            diverged_at=self.diverged_at,
-        )
+        consumed step; for a stack, one such result per trajectory."""
+        lead = self.estimate.shape[:-2]
+        msd = np.concatenate([np.empty((0,) + lead), *self.deviations])
+        if not lead:
+            return LearnResult(self.mode, self.estimate.copy(), msd, None,
+                               self.diverged_at)
+        return [LearnResult(self.mode, estimate.copy(), msd[:, k].copy(), None, at)
+                for k, (estimate, at) in enumerate(zip(self.estimate, self.diverged_at))]
 
 
 class ModeLearners:
     """The learners of one run in ``mode``: ``known``, ``estimated`` or
     ``both``, fed together by :meth:`consume`: the known learner on each
     block's true state, the estimated one on the block's votes, which
-    are formed and recorded here.
+    are formed and recorded here. With ``mu`` and ``delta`` of one value
+    per trajectory, each learner is a stack of K trajectories (see
+    :class:`GraphLearner`), fed blocks with a leading K axis.
 
     In ``both`` the two learners share one trajectory until a vote
     differs: while every vote of a block equals the block's true state,
     the two updates are bit-identical, so only the known learner steps.
     The run's first row is exempt, because the register starts at zero
     and its update is a no-op whatever the target. At the first block
-    with any other differing vote, the estimated learner forks from the
-    known learner's state before that block.
+    with any other differing vote (in any trajectory of a stack), the
+    estimated learner forks from the known learner's state before that
+    block.
     """
 
-    def __init__(self, model: LikelihoodModel, mu: float, delta: float,
-                 mode: str, reference: int = 0):
+    def __init__(self, model: LikelihoodModel, mu: float | Sequence[float],
+                 delta: float | Sequence[float], mode: str, reference: int = 0):
         if mode not in (KNOWN, ESTIMATED, BOTH):
             raise ValueError(f"unknown mode {mode!r}")
         self.known: GraphLearner | None = None
@@ -389,8 +472,9 @@ class ModeLearners:
         # The votes of each block, in the modes that vote.
         self._votes: list[np.ndarray] | None = None if mode == KNOWN else []
 
-    def consume(self, block: np.ndarray, true_state: int | None = None,
-                combination: CombinationMatrix | None = None) -> None:
+    def consume(self, block: np.ndarray, true_state: int | np.ndarray | None = None,
+                combination: CombinationMatrix | Sequence[CombinationMatrix] | None = None
+                ) -> None:
         """Feed one block to each learner; see :meth:`GraphLearner.consume`."""
         votes = None
         if self._votes is not None:
@@ -398,8 +482,8 @@ class ModeLearners:
             self._votes.append(votes)
             if self.estimated is None:
                 # The run's first update is a no-op (see the class docstring).
-                checked = votes[1:] if self.known.iterations == 0 else votes
-                if (checked != true_state).any():
+                checked = votes[..., 1:] if self.known.iterations == 0 else votes
+                if (checked.T != true_state).any():
                     self.estimated = self._fork()
         if self.known is not None:
             self.known.consume(block, true_state, combination)
@@ -409,25 +493,33 @@ class ModeLearners:
     def _fork(self) -> GraphLearner:
         """The estimated learner at the known learner's state: a shallow
         copy with its own records. The rest stays shared: a learner
-        replaces its estimate and register, never writes into them, only
-        reads the target table, and fills and reads its scratch buffer
-        within one :meth:`GraphLearner.consume`, copying its estimate out
-        before it returns."""
+        replaces its estimate, register and divergence record, never
+        writes into them, only reads the target table, and fills and
+        reads its scratch buffer within one :meth:`GraphLearner.consume`,
+        copying its estimate out before it returns."""
         fork = copy.copy(self.known)
         fork.mode = ESTIMATED
         fork.deviations = list(fork.deviations)
         return fork
 
-    def results(self) -> dict[str, LearnResult]:
+    def results(self) -> dict[str, LearnResult] | list[dict[str, LearnResult]]:
         """Each learner's result by mode, the known one first, with the
-        votes on the estimated one. An estimated learner that never
-        forked reports the known trajectory."""
+        votes on the estimated one; for a stack, one such mapping per
+        trajectory. An estimated learner that never forked reports the
+        known trajectory."""
+        learner = self.known or self.estimated
+        lead = learner.estimate.shape[:-2]
         results = {} if self.known is None else {KNOWN: self.known.result()}
         if self._votes is not None:
             estimated = (self.estimated or self._fork()).result()
-            estimated.votes = np.concatenate([np.empty(0, dtype=np.intp), *self._votes])
+            votes = np.concatenate([np.empty(lead + (0,), dtype=np.intp), *self._votes],
+                                   axis=-1)
+            for result, row in zip(estimated, votes) if lead else [(estimated, votes)]:
+                result.votes = row
             results[ESTIMATED] = estimated
-        return results
+        if not lead:
+            return results
+        return [dict(zip(results, point)) for point in zip(*results.values())]
 
 
 def learn_graph(

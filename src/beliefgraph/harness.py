@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import numbers
 import shutil
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -326,24 +328,23 @@ def _generate(config: ExperimentConfig):
     return combination, model, graph_attempts
 
 
-def _simulate(
-    config: ExperimentConfig,
-    combination: CombinationMatrix,
-    model: LikelihoodModel,
-    out: Path | None,
-    consumers=(),
-):
-    """Run the forward protocol once, hand every chunk to each of
-    ``consumers`` as ``(block, true_state, combination)`` and, with
-    ``out`` set, write the forward bundle there. A chunk's truth is
-    recorded and its block appended to the stream once per chunk; only
-    the private rows of test mode are copied step by step.
+def _simulate(runs, out: Path | None = None, consumers=()):
+    """Run the forward protocol of each ``(config, combination, model)``
+    of ``runs`` in lockstep, hand every chunk to each of ``consumers`` as
+    ``(blocks, true_states, combinations)``, one of each per run, and,
+    with ``out`` set, write the forward bundle of the first run there. A
+    chunk's truth is recorded and its block appended to the stream once
+    per chunk; only the private rows of test mode are copied step by
+    step.
 
-    Returns the true state and graph epoch of every iteration, the
-    events by iteration, the combination matrix of every graph epoch and
-    the private signal ratios of every iteration (``None`` unless
-    ``config.test_mode``).
+    The runs must share their length and schedule (a sweep's grid points
+    differ only in mu and delta), so that their chunks end at the same
+    iterations. Returns the first run's true state and graph epoch of
+    every iteration, its events by iteration, the combination matrix of
+    every graph epoch and the private signal ratios of every iteration
+    (``None`` unless its ``test_mode``).
     """
+    config, combination, model = runs[0]
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     T = config.iterations
@@ -358,24 +359,33 @@ def _simulate(
     with (
         io.BeliefStreamWriter(out / "beliefs.npy", (T, n, S)) if out else nullcontext()
     ) as beliefs:
-        steps = run_simulation(
-            model,
-            combination,
-            config.true_state,
-            config.delta,
-            T,
-            config.seed_signals,
-            schedule=config.schedule,
-            record_private=config.test_mode,
-            edge_prob=config.edge_prob,
-            regen_max_attempts=config.max_attempts,
-            reference=config.reference,
-        )
-        for step in steps:
+        streams = [
+            run_simulation(
+                world,
+                initial,
+                point.true_state,
+                point.delta,
+                T,
+                point.seed_signals,
+                schedule=point.schedule,
+                record_private=point.test_mode,
+                edge_prob=point.edge_prob,
+                regen_max_attempts=point.max_attempts,
+                reference=point.reference,
+            )
+            for point, initial, world in runs
+        ]
+        first, others = streams[0], streams[1:]
+        for step in first:
             if private is not None:
                 private[step.iteration - 1] = step.signal_log_ratios
             if step.row:
                 continue
+            # The other runs' steps of this chunk: row 0 here, the rest
+            # drawn and dropped at once.
+            steps = [step, *(next(stream) for stream in others)]
+            for stream in others:
+                deque(islice(stream, len(step.block) - 1), maxlen=0)
             rows = slice(step.iteration - 1, step.iteration - 1 + len(step.block))
             true_states[rows] = step.true_state
             graph_epochs[rows] = step.graph_epoch
@@ -385,8 +395,10 @@ def _simulate(
                 epochs.append(step.combination)
             if beliefs is not None:
                 beliefs.append(step.block)
+            chunk = ([s.block for s in steps], [s.true_state for s in steps],
+                     [s.combination for s in steps])
             for consume in consumers:
-                consume(step.block, step.true_state, step.combination)
+                consume(*chunk)
 
     if out is not None:
         if private is not None:
@@ -503,12 +515,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     learners = ModeLearners(model, config.mu, config.delta, config.mode,
                             config.reference)
-    consumers = [learners.consume]
+    consumers = [lambda blocks, states, matrices:
+                 learners.consume(blocks[0], states[0], matrices[0])]
     blocks: list[np.ndarray] = []
     if config.test_mode:
-        consumers.append(lambda block, *_: blocks.append(block))
+        consumers.append(lambda chunk, *_: blocks.append(chunk[0]))
     true_states, graph_epochs, events, epochs, private = _simulate(
-        config, combination, model, out, consumers
+        [(config, combination, model)], out, consumers
     )
 
     diagnostics = None
@@ -562,7 +575,7 @@ def run_forward(config: ExperimentConfig) -> Path:
     if out is None:
         raise ConfigError("a forward run needs an output directory")
     combination, model, _ = _generate(config)
-    _simulate(config, combination, model, out)
+    _simulate([(config, combination, model)], out)
     return out
 
 
@@ -728,16 +741,23 @@ def sweep(
     """Run one experiment per grid point over ``mu`` and/or ``delta``.
 
     Each grid point reruns the base configuration, in memory, with the
-    substituted parameters; the steady-state deviation is the mean over
-    the final tenth of each trajectory. Rows come back sorted by
-    (mu, delta, mode) and are written to ``sweep.csv`` under the base
-    configuration's output directory, when one is set.
+    substituted parameters and without test mode's private stream. The
+    points run in lockstep (see ``_simulate``), each on its own world and
+    forward pass, into one stack of learners with a trajectory per point
+    (see :class:`ModeLearners`), whose scratch holds ``CHUNK_STEPS x K x
+    n^2`` doubles for K points. Each point's deviations equal those of
+    :func:`run_experiment` on it, bit for bit; no estimate is classified.
+    The steady-state deviation is the mean over the final tenth of each
+    trajectory. Rows come back sorted by (mu, delta, mode) and are written
+    to ``sweep.csv`` under the base configuration's output directory, when
+    one is set.
 
     Every grid point is validated, and the output directory checked,
     before any runs: an invalid point raises :class:`ConfigError` with the
     point named, as does a directory that already holds a run or a sweep
-    (see ``_out_dir``); a failure while running a valid point raises
-    ``RuntimeError`` with the point named. Divergent runs are flagged in
+    (see ``_out_dir``). A failure while drawing a valid point's world
+    raises ``RuntimeError`` with the point named, and one while the
+    points run, with every point named. Divergent runs are flagged in
     their row, not raised.
     """
     config.validate()
@@ -753,7 +773,7 @@ def sweep(
         raise ConfigError("the sweep grid is empty")
 
     points = [
-        replace(config, mu=mu, delta=delta, out=None)
+        replace(config, mu=mu, delta=delta, out=None, test_mode=False)
         for mu in mu_list for delta in delta_list
     ]
     for point in points:
@@ -765,22 +785,36 @@ def sweep(
             ) from err
     out = _out_dir(config.out)
 
-    rows: list[dict] = []
+    def failure(failed, err):
+        names = "; ".join(f"mu={p.mu}, delta={p.delta}" for p in failed)
+        plural = "s" if len(failed) > 1 else ""
+        return RuntimeError(f"grid point{plural} {names} failed: {err}")
+
+    runs = []
     for point in points:
         try:
-            result = run_experiment(point)
+            combination, model, _ = _generate(point)
         except Exception as err:
-            raise RuntimeError(
-                f"grid point mu={point.mu}, delta={point.delta} failed: {err}"
-            ) from err
-        for mode in sorted(result.modes):
-            mres = result.modes[mode]
+            raise failure([point], err) from err
+        runs.append((point, combination, model))
+    # The grid varies only mu and delta, so every point draws one model.
+    learners = ModeLearners(model, [p.mu for p in points], [p.delta for p in points],
+                            config.mode, config.reference)
+    try:
+        _simulate(runs, consumers=[lambda blocks, states, matrices: learners.consume(
+            np.stack(blocks), np.array(states), matrices)])
+    except Exception as err:
+        raise failure(points, err) from err
+
+    rows: list[dict] = []
+    for point, results in zip(points, learners.results()):
+        for mode in sorted(results):
             rows.append({
                 "mu": point.mu,
                 "delta": point.delta,
                 "mode": mode,
-                "steady_state_msd": mres.steady_state_msd,
-                "divergent": mres.diverged_at is not None,
+                "steady_state_msd": results[mode].steady_state_msd,
+                "divergent": results[mode].diverged_at is not None,
             })
 
     if out is not None:

@@ -316,9 +316,14 @@ class TestGradientStep:
     def test_shape_check_rejects_what_the_former_check_rejected(self):
         """Over operands of rank 0 to 3, the one-chain shape check rejects
         exactly the shapes the former three-part check rejected (an
-        estimate of rank 0 made that one fail with an IndexError)."""
+        estimate of rank 0 made that one fail with an IndexError), but for
+        a stack: a ``(K, n, n)`` estimate with ``(K, m, n)`` regressors and
+        targets."""
 
         def former_rejects(estimate, regressors, targets):
+            if len(regressors) == 3 and targets == regressors and estimate == (
+                    regressors[0], regressors[2], regressors[2]):
+                return False
             try:
                 n = estimate[0]
             except IndexError:
@@ -1158,3 +1163,107 @@ class TestFollower:
     def test_an_unknown_mode_is_rejected(self, desk):
         with pytest.raises(ValueError, match="unknown mode 'all'"):
             ModeLearners(desk[0], 0.01, 0.3, "all")
+
+
+class TestStackedLearners:
+    """A stack of K trajectories, one ``mu`` and ``delta`` each, fed the
+    blocks of K streams with a leading K axis, records per trajectory
+    what a separate learner of that ``mu`` and ``delta`` records on its
+    own stream, bit for bit, in every mode: the estimate, every step's
+    deviation, the divergence and the votes. At mu 50 one trajectory
+    diverges inside a block while the others step on."""
+
+    T = 300
+    POINTS = ((0.01, 0.3), (50.0, 0.3), (0.02, 0.2))
+    SCHEDULE = EventSchedule((Event(100, "set_true_state", 0),
+                              Event(200, "regenerate_graph", 900)))
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        """The desk world's blocks at each delta of ``POINTS``."""
+        adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
+        combination = random_combination_matrix(adjacency, seed=22)
+        model = random_likelihoods(10, 3, 4, seed=23)
+        streams = {delta: simulator_blocks(run_simulation(
+            model, combination, 1, delta, self.T, seed=20, schedule=self.SCHEDULE,
+            edge_prob=0.35)) for delta in {delta for _, delta in self.POINTS}}
+        return model, streams
+
+    @staticmethod
+    def feed(learners, streams):
+        """Feed the learners each chunk of every stream at once."""
+        for chunk in zip(*streams):
+            blocks, states, matrices = zip(*chunk)
+            learners.consume(np.stack(blocks), np.array(states), list(matrices))
+
+    def test_the_diverging_trajectory_diverges_inside_a_block(self, desk):
+        model, streams = desk
+        blocks = streams[0.3]
+        starts = np.cumsum([0] + [len(block) for block, _, _ in blocks])
+        diverged = learn_graph(blocks, model, 50.0, 0.3, "known")["known"].diverged_at
+        assert diverged is not None and diverged - 1 not in starts
+
+    @pytest.mark.parametrize("points", [POINTS, POINTS[:1], POINTS[1:2]],
+                             ids=["K=3", "K=1", "K=1-diverging"])
+    @pytest.mark.parametrize("mode", ["known", "estimated", "both"])
+    def test_a_stack_records_what_separate_learners_record(self, desk, mode, points):
+        model, streams = desk
+        stack = ModeLearners(model, [mu for mu, _ in points],
+                             [delta for _, delta in points], mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.feed(stack, [streams[delta] for _, delta in points])
+        stacked = stack.results()
+        assert len(stacked) == len(points)
+        for (mu, delta), got in zip(points, stacked):
+            want = learn_graph(streams[delta], model, mu, delta, mode)
+            assert list(got) == list(want)
+            for name, result in want.items():
+                assert got[name].mode == name
+                assert got[name].estimate.tobytes() == result.estimate.tobytes()
+                assert got[name].msd.tobytes() == result.msd.tobytes()
+                assert got[name].diverged_at == result.diverged_at
+                if result.votes is None:
+                    assert got[name].votes is None
+                else:
+                    assert np.array_equal(got[name].votes, result.votes)
+
+    @pytest.mark.parametrize("points, calls", [(POINTS, T), (((50.0, 0.3),) * 2, 64)],
+                             ids=["one-diverges", "all-diverge"])
+    def test_one_kernel_call_per_row_for_the_stack(self, desk, monkeypatch, points,
+                                                    calls):
+        """The stack steps while any trajectory does: every row, or the
+        rows up to the end of the run in which the last one diverged."""
+        model, streams = desk
+        count = Counter()
+        kernel = estimator.gradient_step
+
+        def counting(*args, **kwargs):
+            count["gradient_step"] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "gradient_step", counting)
+        stack = ModeLearners(model, [mu for mu, _ in points],
+                             [delta for _, delta in points], "known")
+        self.feed(stack, [streams[delta] for _, delta in points])
+        assert count == {"gradient_step": calls}
+        assert stack.known.iterations == self.T
+
+    def test_a_stack_rejects_hypotheses_of_another_shape(self, desk):
+        model, streams = desk
+        learner = GraphLearner(model, [0.01, 0.02], 0.3, "known")
+        block, _, matrix = streams[0.3][0]
+        with pytest.raises(ValueError, match="3 hypotheses for a block of 2 x 64"):
+            learner.consume(np.stack([block, block]), np.ones(3, dtype=int))
+        with pytest.raises(ValueError, match=r"true state in 0\.\.2, got \[1 3\]"):
+            learner.consume(np.stack([block, block]), np.array([1, 3]))
+        assert learner.iterations == 0 and not learner.deviations
+
+    def test_rates_and_step_sizes_are_checked_per_trajectory(self, desk):
+        model, _ = desk
+        with pytest.raises(ValueError, match="mu must be positive"):
+            GraphLearner(model, [0.01, 0.0], 0.3, "known")
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            GraphLearner(model, 0.01, [0.3, 1.0], "known")
+        with pytest.raises(ValueError, match="one per trajectory"):
+            GraphLearner(model, [[0.01]], 0.3, "known")

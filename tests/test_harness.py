@@ -589,6 +589,40 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0]["steady_state_msd"] == result.modes["known"].steady_state_msd
 
+    @pytest.mark.parametrize("mode", ["known", "estimated", "both"])
+    def test_every_row_equals_its_point_run_alone(self, mode):
+        """The grid points run in lockstep, through a state switch and a
+        graph regeneration, with test mode on; each row holds what
+        run_experiment of its point gives, bit for bit."""
+        schedule = EventSchedule((Event(120, "set_true_state", 0),
+                                  Event(200, "regenerate_graph", 77)))
+        config = desk_config(mode=mode, schedule=schedule, test_mode=True)
+        rows = sweep(config, mu_values=[0.05, 0.01], delta_values=[0.3, 0.2])
+        assert len(rows) == 4 * (2 if mode == "both" else 1)
+        for row in rows:
+            result = run_experiment(replace(config, mu=row["mu"], delta=row["delta"]))
+            learned = result.modes[row["mode"]]
+            assert row["steady_state_msd"] == learned.steady_state_msd
+            assert row["divergent"] == (learned.diverged_at is not None)
+
+    def test_one_kernel_call_per_row_for_the_grid(self, monkeypatch):
+        """Every grid point's trajectory advances in one stacked step per
+        row; no point's estimate is classified."""
+        counts = Counter()
+        kernel, classify = estimator.gradient_step, harness.classify_edges
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(estimator, "gradient_step", counting("kernel", kernel))
+        monkeypatch.setattr(harness, "classify_edges", counting("classify", classify))
+        sweep(desk_config(mode="known", iterations=200), mu_values=[0.05, 0.01],
+              delta_values=[0.3, 0.2])
+        assert counts == {"kernel": 200}
+
     def test_rows_sorted_and_written(self, tmp_path):
         out = tmp_path / "sweep"
         config = desk_config(mode="known", iterations=200, out=str(out))
@@ -614,19 +648,34 @@ class TestSweep:
             sweep(config, mu_values=[-0.1])
 
     def test_every_grid_point_is_validated_before_any_runs(self, monkeypatch):
+        """A point's run starts with the draw of its world."""
         runs = []
-        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        monkeypatch.setattr(harness, "_generate", runs.append)
         with pytest.raises(ConfigError, match="mu=0.05, delta=1.5"):
             sweep(desk_config(mode="known"), mu_values=[0.05], delta_values=[0.3, 1.5])
         assert runs == []
 
     def test_runtime_failure_names_the_grid_point(self, monkeypatch):
-        def failing(config):
+        """A failure in the lockstep loop names the points it runs."""
+        def failing(*args, **kwargs):
             raise FloatingPointError("overflow")
 
-        monkeypatch.setattr(harness, "run_experiment", failing)
+        monkeypatch.setattr(harness, "_simulate", failing)
         with pytest.raises(RuntimeError, match="mu=0.05, delta=0.3 failed: overflow"):
             sweep(desk_config(mode="known"), mu_values=[0.05])
+
+    def test_a_failing_world_names_its_grid_point(self):
+        """A graph that cannot be drawn fails the first point's draw; a
+        failure in the lockstep run names every point."""
+        config = desk_config(mode="known", edge_prob=0.05, max_attempts=1)
+        with pytest.raises(RuntimeError, match=r"^grid point mu=0.01, delta=0.3 "
+                                               r"failed: "):
+            sweep(config, mu_values=[0.05, 0.01])
+        config = desk_config(mode="known", edge_prob=0.5, max_attempts=1, schedule=
+                             EventSchedule((Event(50, "regenerate_graph", 0),)))
+        with pytest.raises(RuntimeError, match=r"^grid points mu=0.01, delta=0.3; "
+                                               r"mu=0.05, delta=0.3 failed: "):
+            sweep(config, mu_values=[0.05, 0.01])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
