@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import CombinationMatrix, LikelihoodModel, mean_likelihood_matrix
-from .simulate import CHUNK_STEPS
 
 __all__ = [
     "NoSeparationError",
@@ -44,6 +43,13 @@ __all__ = [
 # Estimates this far outside the stochastic-matrix range carry no
 # information any more; the learner freezes and flags divergence.
 DIVERGENCE_LIMIT = 1e6
+
+# Rows a learner steps before it settles them (see GraphLearner.consume).
+# Its scratch buffer holds one K x n^2 update per row, 7.2 KB for one
+# trajectory at 30 agents, so 64 rows keep it at 460 KB. It is not the
+# simulator's chunk length: on the reference run, a 256-row settle run
+# measured no faster than 64 rows and peaked 1.4 MB higher.
+SETTLE_STEPS = 64
 
 # The rounds of the two-means split, and the share of each sample stack
 # the steady-state diagnostics discard as burn-in and the fewest samples
@@ -224,11 +230,14 @@ class GraphLearner:
     :func:`gradient_step`), all agents last, the targets from a table of
     ``delta lbar^T`` per hypothesis built once per learner. Per row,
     :meth:`step` forms only the update, into the next slot of a scratch
-    buffer of ``CHUNK_STEPS`` updates (``CHUNK_STEPS x K x n^2`` doubles
-    for a stack); per run of at most that many rows, :meth:`consume`
-    settles the divergence test and the squared deviations from the
-    block's matrix as stacked products over the buffer. ``deviations``
-    holds one array per block, of one column per trajectory for a stack.
+    buffer of ``SETTLE_STEPS`` updates (``SETTLE_STEPS x K x n^2``
+    doubles for a stack, 460 KB for one trajectory at 30 agents); per
+    run of at most that many rows, :meth:`consume` settles the
+    divergence test and the squared deviations from the block's matrix
+    as stacked products over the buffer. A block may be longer than a
+    run: the simulator's chunks hold up to ``simulate.CHUNK_STEPS`` rows.
+    ``deviations`` holds one array per block, of one column per
+    trajectory for a stack.
     """
 
     model: LikelihoodModel
@@ -278,8 +287,8 @@ class GraphLearner:
         # The updates step() has formed since the last settle, flattened,
         # and each row as an (n, n) view ((K, n, n) for a stack), so that
         # a step indexes a list.
-        self._updates = np.empty((CHUNK_STEPS,) + lead + (n * n,))
-        self._slots = list(self._updates.reshape((CHUNK_STEPS,) + lead + (n, n)))
+        self._updates = np.empty((SETTLE_STEPS,) + lead + (n * n,))
+        self._slots = list(self._updates.reshape((SETTLE_STEPS,) + lead + (n, n)))
         self._filled = 0
         # Proof that a computed d = vdot(W - U, W - U) below _bound puts
         # every entry of the update U within DIVERGENCE_LIMIT. The settle's
@@ -337,7 +346,7 @@ class GraphLearner:
         is ``(K, steps, num_agents, num_states)``, the hypotheses ``(K,)``
         or ``(K, steps)`` and the matrices a sequence of K (or ``None``).
 
-        The rows are stepped in runs of at most ``CHUNK_STEPS``, each
+        The rows are stepped in runs of at most ``SETTLE_STEPS``, each
         settled by :meth:`_settle` before the next, so the scratch
         buffer is filled and read within one call. A row after a
         diverging one in its run steps on a trajectory that is thrown
@@ -369,15 +378,18 @@ class GraphLearner:
         lagged = np.empty((len(block) + 1,) + self._register.shape)
         lagged[0] = self._register
         belief_log_ratios(block, self.reference, out=lagged[1:].swapaxes(-1, -2))
-        self._register = lagged[-1]
-        regressors = self._keep * lagged[:-1]
+        # A copy, so that the block's arrays go with the block. The
+        # regressors are scaled in place once the targets are formed.
+        self._register = lagged[-1].copy()
         targets = lagged[1:] - offsets
+        regressors = lagged[:-1]
+        regressors *= self._keep
         deviations = np.empty((len(block),) + lead)
         self.deviations.append(deviations)
         step = self.step
         with np.errstate(over="ignore", invalid="ignore"):
-            for first in range(0, len(block), CHUNK_STEPS):
-                run = slice(first, first + CHUNK_STEPS)
+            for first in range(0, len(block), SETTLE_STEPS):
+                run = slice(first, first + SETTLE_STEPS)
                 start = self.estimate
                 for regressor, target in zip(regressors[run], targets[run]):
                     step(regressor, target)

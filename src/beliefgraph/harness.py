@@ -744,13 +744,14 @@ def sweep(
     substituted parameters and without test mode's private stream. The
     points run in lockstep (see ``_simulate``), each on its own world and
     forward pass, into one stack of learners with a trajectory per point
-    (see :class:`ModeLearners`), whose scratch holds ``CHUNK_STEPS x K x
-    n^2`` doubles for K points. Each point's deviations equal those of
-    :func:`run_experiment` on it, bit for bit; no estimate is classified.
-    The steady-state deviation is the mean over the final tenth of each
-    trajectory. Rows come back sorted by (mu, delta, mode) and are written
-    to ``sweep.csv`` under the base configuration's output directory, when
-    one is set.
+    (see :class:`ModeLearners`), in chunks of at most ``CHUNK_STEPS`` rows
+    per point; the learners' scratch holds ``SETTLE_STEPS x K x n^2``
+    doubles for K points (see :class:`GraphLearner`). Each point's
+    deviations equal those of :func:`run_experiment` on it, bit for bit;
+    no estimate is classified. The steady-state deviation is the mean
+    over the final tenth of each trajectory. Rows come back sorted by
+    (mu, delta, mode) and are written to ``sweep.csv`` under the base
+    configuration's output directory, when one is set.
 
     Every grid point is validated, and the output directory checked,
     before any runs: an invalid point raises :class:`ConfigError` with the

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from beliefgraph import estimator
 from beliefgraph.estimator import (
+    SETTLE_STEPS,
     GraphLearner,
     ModeLearners,
     NoSeparationError,
@@ -588,8 +589,10 @@ class TestGraphLearner:
         assert (learner.diverged_at == 1) == diverges
         assert (estimate == (0.0 if diverges else fill)).all()
 
-    @pytest.mark.parametrize("rows, bad", [(64, 40), (150, 100), (150, 64), (150, 0)],
-                             ids=["row-40", "second-run", "first-of-a-run", "row-0"])
+    @pytest.mark.parametrize("rows, bad", [
+        (SETTLE_STEPS, 40), (2 * SETTLE_STEPS + 22, SETTLE_STEPS + 36),
+        (2 * SETTLE_STEPS + 22, SETTLE_STEPS), (2 * SETTLE_STEPS + 22, 0),
+    ], ids=["row-40", "second-run", "first-of-a-run", "row-0"])
     def test_a_divergence_inside_a_block(self, small_setup, monkeypatch, rows, bad):
         """A kernel that adds 1e300 to every entry of the update from row
         ``bad`` of one block on: the learner diverges at that row, keeps
@@ -621,8 +624,8 @@ class TestGraphLearner:
         deviations = learner.result().msd
         assert deviations.tolist() == (
             [msd(combination.weights, u) for u in updates[:bad]] + [np.inf] * (rows - bad))
-        # the rows of the block's later runs are counted, not stepped
-        assert len(updates) == min(rows, -(-(bad + 1) // CHUNK_STEPS) * CHUNK_STEPS)
+        # the rows of the block's later settle runs are counted, not stepped
+        assert len(updates) == min(rows, -(-(bad + 1) // SETTLE_STEPS) * SETTLE_STEPS)
 
     @pytest.mark.parametrize("mode", ["known", "estimated"])
     def test_each_deviation_is_the_msd_of_its_estimate(self, small_setup, mode):
@@ -827,8 +830,8 @@ class TestBlockwiseLearner:
             Event(2 * CHUNK_STEPS, "set_true_state", 0),
         ))
         steps = list(run_simulation(
-            model, combination, 1, 0.3, 300, seed=24, schedule=schedule,
-            edge_prob=0.35,
+            model, combination, 1, 0.3, 4 * CHUNK_STEPS + 44, seed=24,
+            schedule=schedule, edge_prob=0.35,
         ))
         return model, steps
 
@@ -1011,20 +1014,23 @@ class TestBlockwiseLearner:
             assert result.votes is None
 
     def test_recorded_blocks_are_bounded_and_end_before_changes(self):
-        """`learn` cuts a 300-step stream at a state switch (step 100)
-        and a regeneration (step 230), then every CHUNK_STEPS steps from
-        each cut; without a trace, only the length bound cuts."""
-        stream = np.zeros((300, 2, 2))
-        true_states = np.where(np.arange(300) < 99, 1, 0)
-        epochs = np.where(np.arange(300) < 229, 0, 1)
+        """`learn` cuts a stream of T = 4 C + 44 steps, C = CHUNK_STEPS,
+        at a state switch (step C + 36) and a regeneration (step 3 C +
+        38), then every C steps from each cut; without a trace, only the
+        length bound cuts."""
+        C = CHUNK_STEPS
+        T = 4 * C + 44
+        stream = np.zeros((T, 2, 2))
+        true_states = np.where(np.arange(T) < C + 35, 1, 0)
+        epochs = np.where(np.arange(T) < 3 * C + 37, 0, 1)
         matrices = {0: "first", 1: "second"}
         blocks = list(_recorded_blocks(stream, true_states, epochs, matrices))
-        assert [len(b) for b, _, _ in blocks] == [64, 35, 64, 64, 2, 64, 7]
+        assert [len(b) for b, _, _ in blocks] == [C, 35, C, C, 2, C, 7]
         assert [(s, m) for _, s, m in blocks] == (
             [(1, "first")] * 2 + [(0, "first")] * 3 + [(0, "second")] * 2
         )
-        blind = list(_recorded_blocks(stream, None, np.zeros(300, int), {}))
-        assert [len(b) for b, _, _ in blind] == [64] * 4 + [44]
+        blind = list(_recorded_blocks(stream, None, np.zeros(T, int), {}))
+        assert [len(b) for b, _, _ in blind] == [C] * 4 + [44]
         assert {(s, m) for _, s, m in blind} == {(None, None)}
 
 
@@ -1035,18 +1041,19 @@ class TestFollower:
     ``learn_graph(..., "both")``, whether it follows to the end, forks at
     a block whose votes differ from its true state, or follows through a
     divergence. The desk stream's votes differ from its true state at
-    iteration 1 only."""
+    iteration 1 only; at delta 0.2 that holds over its five chunks."""
 
-    T = 300
+    T = 4 * CHUNK_STEPS + 44
+    DELTA = 0.2
 
     @pytest.fixture(scope="class")
     def desk(self):
         adjacency, _ = erdos_renyi_adjacency(10, 0.35, seed=21)
         combination = random_combination_matrix(adjacency, seed=22)
         model = random_likelihoods(10, 3, 4, seed=23)
-        steps = list(run_simulation(model, combination, 1, 0.3, self.T, seed=20))
+        steps = list(run_simulation(model, combination, 1, self.DELTA, self.T, seed=20))
         votes = np.array([majority_vote(s.shared_log_beliefs) for s in steps])
-        assert (np.flatnonzero(votes != 1) == [0]).all()
+        assert np.flatnonzero(votes != 1).tolist() == [0]
         return model, simulator_blocks(steps)
 
     @pytest.fixture
@@ -1061,10 +1068,10 @@ class TestFollower:
         monkeypatch.setattr(GraphLearner, "step", counting_step)
         return counts
 
-    @staticmethod
-    def follow(blocks, model, mu):
+    @classmethod
+    def follow(cls, blocks, model, mu):
         """Feed the learners of a ``both`` run online."""
-        learners = ModeLearners(model, mu, 0.3, "both")
+        learners = ModeLearners(model, mu, cls.DELTA, "both")
         for block, true_state, combination in blocks:
             learners.consume(block, true_state, combination)
         return learners
@@ -1085,11 +1092,11 @@ class TestFollower:
 
     def check(self, blocks, model, mu):
         """Compare both feeds with the oracle; return the online learners."""
-        oracle = independent_learners(blocks, model, mu, 0.3)
+        oracle = independent_learners(blocks, model, mu, self.DELTA)
         learners = self.follow(blocks, model, mu)
         self.assert_matches_the_oracle(learners.results(), oracle)
-        self.assert_matches_the_oracle(learn_graph(blocks, model, mu, 0.3, "both"),
-                                       oracle)
+        self.assert_matches_the_oracle(
+            learn_graph(blocks, model, mu, self.DELTA, "both"), oracle)
         return learners
 
     def test_a_differing_vote_at_iteration_1_only_does_not_fork(self, desk,
@@ -1133,7 +1140,7 @@ class TestFollower:
 
     def test_results_share_no_memory(self, desk):
         model, blocks = desk
-        results = learn_graph(blocks, model, 0.01, 0.3, "both")
+        results = learn_graph(blocks, model, 0.01, self.DELTA, "both")
         kept = results["estimated"].estimate.copy()
         assert np.array_equal(results["known"].estimate, kept)
         results["known"].estimate += 1.0
@@ -1153,7 +1160,7 @@ class TestFollower:
             return mean(*args)
 
         monkeypatch.setattr(estimator, "mean_likelihood_matrix", counted)
-        learners = ModeLearners(model, 0.01, 0.3, "both")
+        learners = ModeLearners(model, 0.01, self.DELTA, "both")
         assert len(calls) == model.num_states
         block, _, matrix = blocks[1]
         learners.consume(block, 2, matrix)
@@ -1162,7 +1169,7 @@ class TestFollower:
 
     def test_an_unknown_mode_is_rejected(self, desk):
         with pytest.raises(ValueError, match="unknown mode 'all'"):
-            ModeLearners(desk[0], 0.01, 0.3, "all")
+            ModeLearners(desk[0], 0.01, self.DELTA, "all")
 
 
 class TestStackedLearners:
@@ -1253,7 +1260,8 @@ class TestStackedLearners:
         model, streams = desk
         learner = GraphLearner(model, [0.01, 0.02], 0.3, "known")
         block, _, matrix = streams[0.3][0]
-        with pytest.raises(ValueError, match="3 hypotheses for a block of 2 x 64"):
+        with pytest.raises(ValueError,
+                           match=f"3 hypotheses for a block of 2 x {len(block)} rows"):
             learner.consume(np.stack([block, block]), np.ones(3, dtype=int))
         with pytest.raises(ValueError, match=r"true state in 0\.\.2, got \[1 3\]"):
             learner.consume(np.stack([block, block]), np.array([1, 3]))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefgraph import estimator, harness, io
+from beliefgraph import estimator, harness, io, simulate
 from beliefgraph.cli import main
 from beliefgraph.estimator import (
     GraphLearner,
@@ -26,6 +26,7 @@ from beliefgraph.harness import (
     ExperimentConfig,
     run_experiment,
     run_forward,
+    run_learn,
     sweep,
 )
 from beliefgraph.simulate import Event, EventSchedule, run_simulation
@@ -680,3 +681,58 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep(desk_config(), mu_values=[])
+
+
+class TestChunkLengths:
+    """The simulator's chunk length (``CHUNK_STEPS``, which also cuts
+    ``learn``'s blocks) and the learners' settle run (``SETTLE_STEPS``)
+    only batch the work: every operation is per row. So a test-mode run
+    in both modes through a state switch and a graph regeneration, the
+    learn on its bundle and a two-point sweep with a diverging point
+    give the same bytes, estimates, deviations and votes at any of
+    them."""
+
+    SCHEDULE = EventSchedule((Event(170, "set_true_state", 2),
+                              Event(300, "regenerate_graph", 77)))
+
+    @staticmethod
+    def records(modes):
+        return {mode: (r.estimate.tobytes(), r.msd.tobytes(),
+                       None if r.votes is None else r.votes.tobytes(), r.diverged_at)
+                for mode, r in modes.items()}
+
+    def outputs(self, path):
+        config = desk_config(iterations=600, mode="both", test_mode=True,
+                             schedule=self.SCHEDULE)
+        result = run_experiment(replace(config, out=str(path / "run")))
+        modes, values, _ = run_learn({"mode": "both", "out": str(path / "learned")},
+                                     path / "run")
+        rows = sweep(config, mu_values=[0.05, 50.0])
+        return {
+            "run": bundle_bytes(path / "run"),
+            "run modes": self.records(result.modes),
+            "learned": bundle_bytes(path / "learned"),
+            "learned modes": self.records(modes),
+            "learned values": values,
+            "sweep": rows,
+        }
+
+    @pytest.fixture(scope="class")
+    def default(self, tmp_path_factory):
+        """The outputs at the package's own lengths."""
+        return self.outputs(tmp_path_factory.mktemp("default"))
+
+    def test_the_run_forks_and_the_sweep_diverges(self, default):
+        run = default["run modes"]
+        assert run["known"][:2] != run["estimated"][:2]
+        divergent = [row["divergent"] for row in default["sweep"]]
+        assert divergent == [False, False, True, True]
+
+    @pytest.mark.parametrize("settle", [1, 7, 64])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 256])
+    def test_outputs_do_not_depend_on_the_lengths(self, default, tmp_path, monkeypatch,
+                                                 chunk, settle):
+        monkeypatch.setattr(simulate, "CHUNK_STEPS", chunk)
+        monkeypatch.setattr(harness, "CHUNK_STEPS", chunk)
+        monkeypatch.setattr(estimator, "SETTLE_STEPS", settle)
+        assert self.outputs(tmp_path) == default

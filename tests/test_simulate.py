@@ -761,7 +761,8 @@ class TestForwardPassAgainstOracle:
             assert step.combination is first.combination
             assert step.graph_epoch == first.graph_epoch
         lengths = [len(s.block) for s in steps if s.row == 0]
-        assert lengths == [62, 1, 1, CHUNK_STEPS, 4, CHUNK_STEPS, 63]
+        C = CHUNK_STEPS
+        assert lengths == [C - 2, 1, 1, C, 4, C, C - 1]
         assert {s.iteration for s in steps if s.event} == {
             e.iteration for e in schedule
         }
