@@ -145,7 +145,8 @@ def gradient_step(
     regressors and targets ``(K, m, n)``, ``mu`` a scalar or ``(K, 1,
     1)``. It goes through ``np.matmul``, which gives each trajectory the
     bits of its own 2-d call; a 2-d call keeps ``ndarray.dot``, which
-    skips matmul's dispatch.
+    skips matmul's dispatch, and is what :class:`GraphLearner` makes at
+    K = 1.
     """
     shape = regressors.shape
     if targets.shape != shape or len(shape) != 2 or estimate.shape != (shape[1],) * 2:
@@ -203,41 +204,37 @@ class LearnResult:
 
 @dataclass
 class GraphLearner:
-    """One LMS trajectory of the online graph estimator, or a stack of K
-    of them, stepping on the hypotheses it is given: the true state or
-    the votes, as :class:`ModeLearners` decides. ``mode`` only names it
-    and its result.
+    """A stack of K LMS trajectories of the online graph estimator, a
+    single run being K = 1, stepping on the hypotheses it is given: the
+    true states or the votes, as :class:`ModeLearners` decides. ``mode``
+    only names it and its results.
 
-    ``mu`` and ``delta`` are each one value, or one value per trajectory
-    of a stack (a sequence of K; a single value is then shared). A stack
-    takes everything :meth:`consume` takes with a leading K axis and
-    steps all its trajectories with one kernel call per row (see
-    :func:`gradient_step`); each trajectory records the bits of a single
-    learner of its own ``mu`` and ``delta``.
+    ``mu`` and ``delta`` are each one value, or a sequence of one value
+    per trajectory (K of them; a single value is then shared). All K
+    trajectories step with one kernel call per row (see
+    :func:`gradient_step`), and each records the bits of a learner of
+    its own ``mu`` and ``delta`` alone.
 
-    The estimate starts at the zero matrix and the previous-ratio
-    register at zero, which makes the very first update a no-op.
+    The ``(K, n, n)`` estimates start at the zero matrix and the
+    previous-ratio register at zero, which makes the very first update a
+    no-op. When an update stops being finite (or leaves
+    ``DIVERGENCE_LIMIT``), its trajectory keeps its last good estimate,
+    records the iteration in its entry of the tuple ``diverged_at`` and
+    makes no further updates; the others step on.
 
-    When an update stops being finite (or leaves ``DIVERGENCE_LIMIT``),
-    its trajectory keeps its last good estimate, records the iteration in
-    ``diverged_at`` (for a stack, a tuple of one entry per trajectory)
-    and makes no further updates; the other trajectories of a stack step
-    on.
-
-    :meth:`consume` takes blocks of consecutive snapshots, each with its
-    hypotheses and the combination matrix of all its rows. Per block it
-    forms the belief log-ratios, the regressors and the targets (see
+    :meth:`consume` takes blocks of consecutive snapshots, one per
+    trajectory, with their hypotheses and matrices. Per block it forms
+    the belief log-ratios, the regressors and the targets (see
     :func:`gradient_step`), all agents last, the targets from a table of
-    ``delta lbar^T`` per hypothesis built once per learner. Per row,
-    :meth:`step` forms only the update, into the next slot of a scratch
-    buffer of ``SETTLE_STEPS`` updates (``SETTLE_STEPS x K x n^2``
-    doubles for a stack, 460 KB for one trajectory at 30 agents); per
-    run of at most that many rows, :meth:`consume` settles the
-    divergence test and the squared deviations from the block's matrix
-    as stacked products over the buffer. A block may be longer than a
-    run: the simulator's chunks hold up to ``simulate.CHUNK_STEPS`` rows.
-    ``deviations`` holds one array per block, of one column per
-    trajectory for a stack.
+    ``delta lbar^T`` per trajectory and hypothesis built once per
+    learner. Per row, :meth:`step` forms only the update, into the next
+    slot of a scratch buffer of ``SETTLE_STEPS x K x n^2`` doubles (460
+    KB at K = 1 and 30 agents); per run of at most that many rows,
+    :meth:`consume` settles the divergence test and the squared
+    deviations as stacked products over the buffer. A block may be
+    longer than a run: the simulator's chunks hold up to
+    ``simulate.CHUNK_STEPS`` rows. ``deviations`` holds one ``(steps,
+    K)`` array per block.
     """
 
     model: LikelihoodModel
@@ -247,7 +244,7 @@ class GraphLearner:
     reference: int = 0
     estimate: np.ndarray = field(init=False)
     iterations: int = field(init=False, default=0)
-    diverged_at: int | None | tuple[int | None, ...] = field(init=False, default=None)
+    diverged_at: tuple[int | None, ...] = field(init=False)
     deviations: list[np.ndarray] = field(init=False, default_factory=list)
 
     def __post_init__(self):
@@ -257,38 +254,40 @@ class GraphLearner:
             raise ValueError("mu must be positive and finite")
         if not ((0 < steps) & (steps < 1)).all():
             raise ValueError("delta must be in (0, 1)")
-        # The trajectories' leading shape: () for one, (K,) for a stack.
-        lead = np.broadcast_shapes(rates.shape, steps.shape)
-        if len(lead) > 1:
+        K = max(rates.size, steps.size)
+        if rates.ndim > 1 or steps.ndim > 1 or not K or {rates.size, steps.size} - {1, K}:
             raise ValueError("mu and delta must each be one value or one per trajectory")
         n, S = self.model.num_agents, self.model.num_states
-        self.estimate = np.zeros(lead + (n, n))
-        if lead:
-            self.diverged_at = (None,) * lead[0]
+        self.estimate = np.zeros((K, n, n))
+        self.diverged_at = (None,) * K
         self._stepping = True
-        # mu as an array: 0-d for one trajectory (numpy scales by one on
-        # its fast path, by a Python float on a slower one, with the same
-        # result), one (1, 1) matrix per trajectory of a stack.
-        column = lead + (1, 1)
-        self._rate = np.broadcast_to(rates, lead).reshape(column) if lead else rates
-        self._keep = np.broadcast_to(1.0 - steps, lead).reshape(column)
+        # mu and 1 - delta as one (1, 1) matrix per trajectory.
+        column = (K, 1, 1)
+        self._rate = np.broadcast_to(rates, K).reshape(column)
+        self._keep = np.broadcast_to(1.0 - steps, K).reshape(column)
+        # At K = 1 the kernel takes trajectory 0's 2-d views and a 0-d mu:
+        # its ndarray.dot path and numpy's fast scaling took 3.9 us per
+        # call at 30 agents, np.matmul 7.9 us and a (1, 1) mu 6.9 us.
+        self._trajectory = slice(None)
+        if K == 1:
+            self._trajectory, self._rate = 0, self._rate.reshape(())
         # The last log-ratios of the previous block, agents last: the
         # next block's first regressor.
-        self._register = np.zeros(lead + (S - 1, n))
-        # delta * lbar^T per hypothesis (per trajectory and hypothesis for
-        # a stack), agents last: a block's targets are its ratios less one
-        # entry of this table per snapshot. Read-only, so a fork (see
-        # ModeLearners) shares it.
-        self._offsets = np.broadcast_to(steps, lead).reshape(column + (1,)) * np.stack([
+        self._register = np.zeros((K, S - 1, n))
+        # delta * lbar^T per trajectory and hypothesis, agents last: a
+        # block's targets are its ratios less one entry of this table per
+        # snapshot. Read-only, so a fork (see ModeLearners) shares it.
+        self._offsets = np.broadcast_to(steps, K).reshape(column + (1,)) * np.stack([
             mean_likelihood_matrix(self.model, state, self.reference).T
             for state in range(S)
         ])
         self._offsets.flags.writeable = False
         # The updates step() has formed since the last settle, flattened,
-        # and each row as an (n, n) view ((K, n, n) for a stack), so that
-        # a step indexes a list.
-        self._updates = np.empty((SETTLE_STEPS,) + lead + (n * n,))
-        self._slots = list(self._updates.reshape((SETTLE_STEPS,) + lead + (n, n)))
+        # and each row as the kernel's view of its slot, so that a step
+        # indexes a list. _current is the kernel's view of the estimate.
+        self._updates = np.empty((SETTLE_STEPS, K, n * n))
+        self._slots = list(self._updates.reshape(-1, K, n, n)[:, self._trajectory])
+        self._current = self.estimate[self._trajectory]
         self._filled = 0
         # Proof that a computed d = vdot(W - U, W - U) below _bound puts
         # every entry of the update U within DIVERGENCE_LIMIT. The settle's
@@ -313,14 +312,15 @@ class GraphLearner:
         self._bound = (DIVERGENCE_LIMIT - 2.0) ** 2 * (1.0 - 2.0 * n * n * eps)
 
     def step(self, regressors: np.ndarray, targets: np.ndarray) -> None:
-        """Form the update from one snapshot in the next slot of the
-        scratch buffer and step the estimate to it; :meth:`consume` runs
-        the divergence test on it and keeps or discards it.
+        """Form the update from one snapshot of each trajectory in the
+        next slot of the scratch buffer and step the estimates to it;
+        :meth:`consume` runs the divergence test on it and keeps or
+        discards it.
 
         ``regressors`` is ``Phi^T = (1 - delta) lam_{i-1}^T`` and
         ``targets`` is ``Z^T = lam_i^T - delta lbar_i^T``, each
-        ``(num_states - 1, num_agents)`` (with a leading K axis for a
-        stack): the paper's recursion ``lam_i = (1 - delta) A^T lam_{i-1}
+        ``(K, num_states - 1, num_agents)``, or that of the one trajectory
+        at K = 1: the paper's recursion ``lam_i = (1 - delta) A^T lam_{i-1}
         + delta lbar_i + noise`` read as a regression of ``Z`` on ``Phi``
         (see :func:`gradient_step`). Once every trajectory has diverged,
         the step only counts the row.
@@ -328,50 +328,55 @@ class GraphLearner:
         self.iterations += 1
         if self._stepping:
             slot = self._slots[self._filled]
-            updated = gradient_step(self.estimate, regressors, targets, self._rate,
+            updated = gradient_step(self._current, regressors, targets, self._rate,
                                     out=slot)
             if updated is not slot:  # a kernel wrapped or replaced by name
                 slot[...] = updated
-            self.estimate = slot
+            self._current = slot
             self._filled += 1
 
-    def consume(self, block: np.ndarray, states: int | np.ndarray | None = None,
-                combination: CombinationMatrix | Sequence[CombinationMatrix] | None = None
-                ) -> None:
-        """Update from each snapshot of ``block``, ``(steps, num_agents,
-        num_states)`` shared log-beliefs, on ``states``, one hypothesis
-        for the block or one per row, and record its squared deviation
-        from ``combination``: NaN without a matrix, ``inf`` from the
-        diverging snapshot on. For a stack of K trajectories, the block
-        is ``(K, steps, num_agents, num_states)``, the hypotheses ``(K,)``
-        or ``(K, steps)`` and the matrices a sequence of K (or ``None``).
+    def consume(self, block: np.ndarray, states: Sequence[int] | np.ndarray | None = None,
+                combinations: Sequence[CombinationMatrix] | None = None) -> None:
+        """Update each trajectory from each snapshot of its block and
+        record its squared deviation from its matrix: NaN without
+        matrices, ``inf`` from the diverging snapshot on. ``block`` is
+        ``(K, steps, num_agents, num_states)`` shared log-beliefs,
+        ``states`` the integer hypotheses, one per trajectory (``(K,)``)
+        or one per trajectory and row (``(K, steps)``), and
+        ``combinations`` a sequence of K matrices (or ``None``).
 
         The rows are stepped in runs of at most ``SETTLE_STEPS``, each
         settled by :meth:`_settle` before the next, so the scratch
         buffer is filled and read within one call. A row after a
         diverging one in its run steps on a trajectory that is thrown
         away, so overflow and invalid operations are not reported."""
-        lead, num_states = self.estimate.shape[:-2], self.model.num_states
-        shape, size = np.shape(states), block.shape[:-2]
-        if shape not in (lead, size):
-            raise ValueError(f"{' x '.join(map(str, shape)) or 'no'} hypotheses for a "
-                             f"block of {' x '.join(map(str, size))} rows")
-        if shape == lead and not all(s in range(num_states)
-                                     for s in (states if lead else (states,))):
-            raise ValueError(f"known mode needs the current true state in "
-                             f"0..{num_states - 1}, got {states}")
+        (K, n, _), num_states = self.estimate.shape, self.model.num_states
+        if block.shape[:1] + block.shape[2:] != (K, n, num_states):
+            raise ValueError(f"blocks must be {K} x steps x {n} x {num_states}, not "
+                             f"{' x '.join(map(str, block.shape))}")
+        hypotheses, size = np.asarray(states), block.shape[:2]
+        if hypotheses.shape not in (size[:1], size):
+            shape = " x ".join(map(str, hypotheses.shape)) or "no"
+            raise ValueError(f"{shape} hypotheses for a block of "
+                             f"{' x '.join(map(str, size))} rows")
+        # Integers in 0..S-1 only: the targets index a table by them, where
+        # -1 would silently pick the last hypothesis.
+        wrong = ((hypotheses < 0) | (hypotheses >= num_states)
+                 | (hypotheses.dtype.kind not in "iu"))
+        if wrong.any():
+            if hypotheses.ndim == 1:
+                raise ValueError(f"known mode needs the current true state in "
+                                 f"0..{num_states - 1}, got {states}")
+            k, row = np.argwhere(wrong)[0]
+            raise ValueError(f"hypothesis {hypotheses[k, row]} at row {row} of "
+                             f"trajectory {k} is not a state in 0..{num_states - 1}")
+        # The rows first, so that each row of the arrays below holds every
+        # trajectory's snapshot.
+        block, hypotheses = block.swapaxes(0, 1), hypotheses.T
+        offsets = self._offsets[np.arange(K), hypotheses]
         weights = None
-        if lead:
-            # The rows first, so that each row of the arrays below holds
-            # every trajectory's snapshot.
-            block, states = block.swapaxes(0, 1), np.transpose(states)
-            offsets = self._offsets[np.arange(lead[0]), states]
-            if combination is not None:
-                weights = np.stack([c.weights.reshape(-1) for c in combination])
-        else:
-            offsets = self._offsets[states]
-            if combination is not None:
-                weights = combination.weights.reshape(-1)
+        if combinations is not None:
+            weights = np.array([c.weights for c in combinations]).reshape(K, -1)
         # Row t + 1 holds the snapshot t ratios, agents last; row 0 the
         # register. Every operation is elementwise per row, so the
         # update does not depend on where blocks begin and end.
@@ -381,10 +386,11 @@ class GraphLearner:
         # A copy, so that the block's arrays go with the block. The
         # regressors are scaled in place once the targets are formed.
         self._register = lagged[-1].copy()
-        targets = lagged[1:] - offsets
+        targets = (lagged[1:] - offsets)[:, self._trajectory]
         regressors = lagged[:-1]
         regressors *= self._keep
-        deviations = np.empty((len(block),) + lead)
+        regressors = regressors[:, self._trajectory]
+        deviations = np.empty(block.shape[:2])
         self.deviations.append(deviations)
         step = self.step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -400,75 +406,66 @@ class GraphLearner:
         """Test the run's updates in the buffer for divergence, keep each
         trajectory's last good one (its row of ``start`` if there is none)
         as a copy, and write each row's squared deviation from the
-        flattened matrix ``weights`` (one row per trajectory of a stack)
-        into ``deviations``.
+        flattened matrices ``weights``, one row per trajectory, into
+        ``deviations``.
 
         The pretest is the updates' squared norms: below ``_bound`` they
         certify the update (see ``__post_init__``), so only an update at
         or above it pays for the exact entrywise test, and the verdicts
         are those of the exact test. The deviations are formed in the
         buffer, with the bits :func:`msd` gives them."""
-        stack = start.ndim == 3
         filled, self._filled, size = self._filled, 0, self._updates.shape[-1]
         updates = self._updates[:filled]
         rows = updates.reshape(-1, size)  # row-major: by row, then by trajectory
-        diverged = self.diverged_at if stack else (self.diverged_at,)
         # Rows kept per trajectory; none of one that diverged before.
-        kept = [filled if at is None else 0 for at in diverged]
+        kept = [filled if at is None else 0 for at in self.diverged_at]
         for index in np.flatnonzero(~(_squared_norms(rows) < self._bound)):
             row, k = divmod(int(index), len(kept))
             if row < kept[k] and not np.abs(rows[index]).max() <= DIVERGENCE_LIMIT:
                 kept[k] = row
         stopped = min(kept) < len(deviations)
-        estimate = (self._slots[filled - 1] if filled else start).copy()
+        estimate = (updates[filled - 1] if filled else start).reshape(start.shape).copy()
         if stopped:
             first = self.iterations - len(deviations) + 1
-            diverged = tuple(first + row if at is None and row < filled else at
-                             for at, row in zip(diverged, kept))
-            self.diverged_at = diverged if stack else diverged[0]
-            self._stepping = None in diverged
+            self.diverged_at = tuple(first + row if at is None and row < filled else at
+                                     for at, row in zip(self.diverged_at, kept))
+            self._stepping = None in self.diverged_at
             flat, begun = estimate.reshape(-1, size), start.reshape(-1, size)
             for k, row in enumerate(kept):
                 if row < filled:
-                    flat[k] = rows[(row - 1) * len(kept) + k] if row else begun[k]
-        self.estimate = estimate
+                    flat[k] = updates[row - 1, k] if row else begun[k]
+        self.estimate, self._current = estimate, estimate[self._trajectory]
         if weights is None:
             deviations[:] = np.nan
         else:
             np.subtract(weights, updates, out=updates)
             deviations[:filled] = _squared_norms(rows).reshape(updates.shape[:-1])
         if stopped:
-            for k, row in enumerate(kept):
-                deviations.reshape(len(deviations), -1)[row:, k] = np.inf
+            deviations[np.arange(len(deviations))[:, None] >= kept] = np.inf
 
-    def result(self) -> LearnResult | list[LearnResult]:
-        """The final estimate, as a copy, and the record of every
-        consumed step; for a stack, one such result per trajectory."""
-        lead = self.estimate.shape[:-2]
-        msd = np.concatenate([np.empty((0,) + lead), *self.deviations])
-        if not lead:
-            return LearnResult(self.mode, self.estimate.copy(), msd, None,
-                               self.diverged_at)
+    def result(self) -> list[LearnResult]:
+        """Each trajectory's final estimate, as a copy, and the record of
+        every step it consumed."""
+        msd = np.concatenate([np.empty((0, len(self.estimate))), *self.deviations])
         return [LearnResult(self.mode, estimate.copy(), msd[:, k].copy(), None, at)
                 for k, (estimate, at) in enumerate(zip(self.estimate, self.diverged_at))]
 
 
 class ModeLearners:
-    """The learners of one run in ``mode``: ``known``, ``estimated`` or
-    ``both``, fed together by :meth:`consume`: the known learner on each
-    block's true state, the estimated one on the block's votes, which
-    are formed and recorded here. With ``mu`` and ``delta`` of one value
-    per trajectory, each learner is a stack of K trajectories (see
-    :class:`GraphLearner`), fed blocks with a leading K axis.
+    """The learners of one run, or of K runs in lockstep, in ``mode``:
+    ``known``, ``estimated`` or ``both``, fed together by
+    :meth:`consume`: the known learner on each block's true states, the
+    estimated one on the block's votes, which are formed and recorded
+    here. Each learner is a stack of K trajectories, one per run (see
+    :class:`GraphLearner`); a single run is K = 1.
 
-    In ``both`` the two learners share one trajectory until a vote
+    In ``both`` the two learners share their trajectories until a vote
     differs: while every vote of a block equals the block's true state,
     the two updates are bit-identical, so only the known learner steps.
     The run's first row is exempt, because the register starts at zero
     and its update is a no-op whatever the target. At the first block
-    with any other differing vote (in any trajectory of a stack), the
-    estimated learner forks from the known learner's state before that
-    block.
+    with any other differing vote (in any trajectory), the estimated
+    learner forks from the known learner's state before that block.
     """
 
     def __init__(self, model: LikelihoodModel, mu: float | Sequence[float],
@@ -484,23 +481,25 @@ class ModeLearners:
         # The votes of each block, in the modes that vote.
         self._votes: list[np.ndarray] | None = None if mode == KNOWN else []
 
-    def consume(self, block: np.ndarray, true_state: int | np.ndarray | None = None,
-                combination: CombinationMatrix | Sequence[CombinationMatrix] | None = None
-                ) -> None:
-        """Feed one block to each learner; see :meth:`GraphLearner.consume`."""
+    def consume(self, block: np.ndarray,
+                true_states: Sequence[int] | np.ndarray | None = None,
+                combinations: Sequence[CombinationMatrix] | None = None) -> None:
+        """Feed one ``(K, steps, num_agents, num_states)`` block, its K
+        true states (or ``None``) and K matrices (or ``None``) to each
+        learner; see :meth:`GraphLearner.consume`."""
         votes = None
         if self._votes is not None:
             votes = majority_vote(block)
             self._votes.append(votes)
             if self.estimated is None:
                 # The run's first update is a no-op (see the class docstring).
-                checked = votes[..., 1:] if self.known.iterations == 0 else votes
-                if (checked.T != true_state).any():
+                checked = votes[:, 1:] if self.known.iterations == 0 else votes
+                if (checked.T != true_states).any():
                     self.estimated = self._fork()
         if self.known is not None:
-            self.known.consume(block, true_state, combination)
+            self.known.consume(block, true_states, combinations)
         if self.estimated is not None:
-            self.estimated.consume(block, votes, combination)
+            self.estimated.consume(block, votes, combinations)
 
     def _fork(self) -> GraphLearner:
         """The estimated learner at the known learner's state: a shallow
@@ -514,23 +513,18 @@ class ModeLearners:
         fork.deviations = list(fork.deviations)
         return fork
 
-    def results(self) -> dict[str, LearnResult] | list[dict[str, LearnResult]]:
-        """Each learner's result by mode, the known one first, with the
-        votes on the estimated one; for a stack, one such mapping per
-        trajectory. An estimated learner that never forked reports the
-        known trajectory."""
-        learner = self.known or self.estimated
-        lead = learner.estimate.shape[:-2]
+    def results(self) -> list[dict[str, LearnResult]]:
+        """Each trajectory's results by mode, the known one first, with
+        the votes on the estimated one. An estimated learner that never
+        forked reports the known trajectory."""
         results = {} if self.known is None else {KNOWN: self.known.result()}
         if self._votes is not None:
             estimated = (self.estimated or self._fork()).result()
-            votes = np.concatenate([np.empty(lead + (0,), dtype=np.intp), *self._votes],
-                                   axis=-1)
-            for result, row in zip(estimated, votes) if lead else [(estimated, votes)]:
+            votes = np.concatenate([np.empty((len(estimated), 0), dtype=np.intp),
+                                    *self._votes], axis=1)
+            for result, row in zip(estimated, votes):
                 result.votes = row
             results[ESTIMATED] = estimated
-        if not lead:
-            return results
         return [dict(zip(results, point)) for point in zip(*results.values())]
 
 
@@ -542,14 +536,17 @@ def learn_graph(
     mode: str = ESTIMATED,
     reference: int = 0,
 ) -> dict[str, LearnResult]:
-    """Run the learners of ``mode`` over ``(block, true_state,
-    combination)`` triples: consecutive blocks of a belief stream, each
-    with the true state and matrix of all its rows or ``None``. Returns
-    the result of each mode by mode; see :class:`ModeLearners`."""
+    """Run the learners of ``mode`` over one recorded stream: its
+    ``(block, true_state, combination)`` triples, consecutive blocks of
+    ``(steps, num_agents, num_states)`` log-beliefs, each with the true
+    state and matrix of all its rows or ``None``. The learners are a
+    stack of one trajectory (see :class:`ModeLearners`); returns its
+    result of each mode by mode."""
     learners = ModeLearners(model, mu, delta, mode, reference)
     for block, true_state, combination in blocks:
-        learners.consume(block, true_state, combination)
-    return learners.results()
+        learners.consume(block[None], None if true_state is None else [true_state],
+                         None if combination is None else [combination])
+    return learners.results()[0]
 
 
 def msd(true_matrix: np.ndarray, estimate: np.ndarray) -> float:

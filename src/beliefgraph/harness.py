@@ -328,21 +328,23 @@ def _generate(config: ExperimentConfig):
     return combination, model, graph_attempts
 
 
-def _simulate(runs, out: Path | None = None, consumers=()):
-    """Run the forward protocol of each ``(config, combination, model)``
-    of ``runs`` in lockstep, hand every chunk to each of ``consumers`` as
-    ``(blocks, true_states, combinations)``, one of each per run, and,
-    with ``out`` set, write the forward bundle of the first run there. A
-    chunk's truth is recorded and its block appended to the stream once
-    per chunk; only the private rows of test mode are copied step by
-    step.
+def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = None):
+    """Run the forward protocol of each of the K ``(config, combination,
+    model)`` of ``runs`` in lockstep, feed every chunk to ``learners``
+    (a stack of K trajectories, one per run, as :class:`ModeLearners`
+    takes it) as one ``(K, steps, n, S)`` block with the runs' true
+    states and matrices, and, with ``out`` set, write the forward bundle
+    of the first run there. A chunk's truth is recorded and its block
+    appended to the stream once per chunk; only the private rows of test
+    mode are copied step by step.
 
     The runs must share their length and schedule (a sweep's grid points
     differ only in mu and delta), so that their chunks end at the same
     iterations. Returns the first run's true state and graph epoch of
     every iteration, its events by iteration, the combination matrix of
-    every graph epoch and the private signal ratios of every iteration
-    (``None`` unless its ``test_mode``).
+    every graph epoch, and its public log-beliefs (given ``learners``)
+    and private signal ratios of every iteration, each ``None`` unless
+    its ``test_mode``.
     """
     config, combination, model = runs[0]
     if out is not None:
@@ -355,6 +357,8 @@ def _simulate(runs, out: Path | None = None, consumers=()):
     # event at iteration 1 means no step runs under it.
     epochs = [combination]
     n, S = model.num_agents, model.num_states
+    # The diagnostics of test mode read the public stream of a learning run.
+    public = np.empty((T, n, S)) if config.test_mode and learners is not None else None
     private = np.empty((T, n, S - 1)) if config.test_mode else None
     with (
         io.BeliefStreamWriter(out / "beliefs.npy", (T, n, S)) if out else nullcontext()
@@ -395,10 +399,12 @@ def _simulate(runs, out: Path | None = None, consumers=()):
                 epochs.append(step.combination)
             if beliefs is not None:
                 beliefs.append(step.block)
-            chunk = ([s.block for s in steps], [s.true_state for s in steps],
-                     [s.combination for s in steps])
-            for consume in consumers:
-                consume(*chunk)
+            if public is not None:
+                public[rows] = step.block
+            if learners is not None:
+                learners.consume(np.array([s.block for s in steps]),
+                                 np.array([s.true_state for s in steps]),
+                                 [s.combination for s in steps])
 
     if out is not None:
         if private is not None:
@@ -414,7 +420,7 @@ def _simulate(runs, out: Path | None = None, consumers=()):
             "format": MANIFEST_FORMAT,
             "config": config.to_dict(),
         })
-    return true_states, graph_epochs, events, epochs, private
+    return true_states, graph_epochs, events, epochs, public, private
 
 
 def finish_run(
@@ -515,17 +521,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     learners = ModeLearners(model, config.mu, config.delta, config.mode,
                             config.reference)
-    consumers = [lambda blocks, states, matrices:
-                 learners.consume(blocks[0], states[0], matrices[0])]
-    blocks: list[np.ndarray] = []
-    if config.test_mode:
-        consumers.append(lambda chunk, *_: blocks.append(chunk[0]))
-    true_states, graph_epochs, events, epochs, private = _simulate(
-        [(config, combination, model)], out, consumers
+    true_states, graph_epochs, events, epochs, public, private = _simulate(
+        [(config, combination, model)], out, learners
     )
 
     diagnostics = None
-    if private is not None:
+    if public is not None:
         # The stationary stretch runs from the last event on.
         first = max(1, config.schedule.last_iteration()) - 1
         expected = mean_likelihood_matrix(
@@ -533,7 +534,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         try:
             diagnostics = steady_state_diagnostics(
-                belief_log_ratios(np.concatenate(blocks)[first:], config.reference),
+                belief_log_ratios(public[first:], config.reference),
                 private[first:],
                 expected,
                 config.mu,
@@ -543,7 +544,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             diagnostics = None  # run too short for moment estimates
 
     modes, run = finish_run(
-        learners.results(), dict(enumerate(epochs)), graph_epochs, true_states,
+        learners.results()[0], dict(enumerate(epochs)), graph_epochs, true_states,
         events, config, out, graph_attempts=graph_attempts,
         diagnostics=_diagnostics_payload(diagnostics),
     )
@@ -742,16 +743,17 @@ def sweep(
 
     Each grid point reruns the base configuration, in memory, with the
     substituted parameters and without test mode's private stream. The
-    points run in lockstep (see ``_simulate``), each on its own world and
-    forward pass, into one stack of learners with a trajectory per point
-    (see :class:`ModeLearners`), in chunks of at most ``CHUNK_STEPS`` rows
-    per point; the learners' scratch holds ``SETTLE_STEPS x K x n^2``
-    doubles for K points (see :class:`GraphLearner`). Each point's
-    deviations equal those of :func:`run_experiment` on it, bit for bit;
-    no estimate is classified. The steady-state deviation is the mean
-    over the final tenth of each trajectory. Rows come back sorted by
-    (mu, delta, mode) and are written to ``sweep.csv`` under the base
-    configuration's output directory, when one is set.
+    K points run in lockstep (see ``_simulate``), each on its own world
+    and forward pass, into one :class:`ModeLearners` of K trajectories,
+    one per point, where :func:`run_experiment` feeds one of K = 1. They
+    go in chunks of at most ``CHUNK_STEPS`` rows per point; the learners'
+    scratch holds ``SETTLE_STEPS x K x n^2`` doubles (see
+    :class:`GraphLearner`). Each point's deviations equal those of
+    :func:`run_experiment` on it, bit for bit; no estimate is classified.
+    The steady-state deviation is the mean over the final tenth of each
+    trajectory. Rows come back sorted by (mu, delta, mode) and are
+    written to ``sweep.csv`` under the base configuration's output
+    directory, when one is set.
 
     Every grid point is validated, and the output directory checked,
     before any runs: an invalid point raises :class:`ConfigError` with the
@@ -802,8 +804,7 @@ def sweep(
     learners = ModeLearners(model, [p.mu for p in points], [p.delta for p in points],
                             config.mode, config.reference)
     try:
-        _simulate(runs, consumers=[lambda blocks, states, matrices: learners.consume(
-            np.stack(blocks), np.array(states), matrices)])
+        _simulate(runs, learners=learners)
     except Exception as err:
         raise failure(points, err) from err
 

@@ -70,9 +70,10 @@ def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:
         votes = []
         for block, true_state, combination in blocks:
             votes.append(majority_vote(block))
-            learner.consume(block, true_state if mode == "known" else votes[-1],
-                            combination)
-        results[mode] = learner.result()
+            states = [true_state] if mode == "known" else votes[-1][None]
+            learner.consume(block[None], states,
+                            None if combination is None else [combination])
+        results[mode] = learner.result()[0]
     results["estimated"].votes = np.concatenate(votes)
     return results
 

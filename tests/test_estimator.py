@@ -416,11 +416,11 @@ class TestGraphLearner:
         shared = np.log(np.tile([0.02, 0.08, 0.9], (6, 1)))
         shared -= np.log(np.exp(shared).sum(axis=1, keepdims=True))
         for _ in range(3):
-            known.consume(shared[None], 2)
-            estimated.consume(shared[None])
-        result = estimated.results()["estimated"]
+            known.consume(shared[None, None], [2])
+            estimated.consume(shared[None, None])
+        result = estimated.results()[0]["estimated"]
         assert result.votes.tolist() == [2, 2, 2]
-        np.testing.assert_array_equal(known.estimate, result.estimate)
+        np.testing.assert_array_equal(known.estimate[0], result.estimate)
 
     def test_steps_on_one_hypothesis_per_row(self, small_setup):
         """A block's hypotheses, one per row, give the update of one-row
@@ -431,46 +431,54 @@ class TestGraphLearner:
                           run_simulation(model, combination, 1, 0.3, 6, seed=43)])
         states = np.array([0, 2, 1, 1, 0, 2])
         per_row = GraphLearner(model, 0.05, 0.3, "estimated")
-        per_row.consume(block, states, combination)
+        per_row.consume(block[None], states[None], [combination])
         one_row = GraphLearner(model, 0.05, 0.3, "estimated")
         for row, state in zip(block, states):
-            one_row.consume(row[None], state, combination)
+            one_row.consume(row[None, None], [state], [combination])
         assert np.array_equal(per_row.estimate, one_row.estimate)
-        assert np.array_equal(per_row.result().msd, one_row.result().msd)
+        assert np.array_equal(per_row.result()[0].msd, one_row.result()[0].msd)
         voted = GraphLearner(model, 0.05, 0.3, "estimated")
-        voted.consume(block, majority_vote(block), combination)
+        voted.consume(block[None], majority_vote(block)[None], [combination])
         assert not np.array_equal(per_row.estimate, voted.estimate)
         scalar = GraphLearner(model, 0.05, 0.3, "known")
-        scalar.consume(block, 1, combination)
+        scalar.consume(block[None], [1], [combination])
         repeated = GraphLearner(model, 0.05, 0.3, "known")
-        repeated.consume(block, np.ones(6, dtype=int), combination)
+        repeated.consume(block[None], np.ones((1, 6), dtype=int), [combination])
         assert np.array_equal(scalar.estimate, repeated.estimate)
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_rejects_hypotheses_of_another_length(self, small_setup, count):
         model, combination = small_setup
         learner = GraphLearner(model, 0.05, 0.3, "estimated")
-        with pytest.raises(ValueError, match=f"{count} hypotheses for a block of 6"):
-            learner.consume(np.full((6, 6, 3), -np.log(3)), np.ones(count, dtype=int),
-                            combination)
+        with pytest.raises(ValueError,
+                           match=f"1 x {count} hypotheses for a block of 1 x 6 rows"):
+            learner.consume(np.full((1, 6, 6, 3), -np.log(3)),
+                            np.ones((1, count), dtype=int), [combination])
         assert learner.iterations == 0 and not learner.deviations
 
     def test_known_mode_requires_the_state(self, small_setup):
         model, _ = small_setup
         learner = GraphLearner(model, 0.05, 0.3, "known")
         with pytest.raises(ValueError):
-            learner.consume(np.full((1, 6, 3), -np.log(3)))
+            learner.consume(np.full((1, 1, 6, 3), -np.log(3)))
 
-    @pytest.mark.parametrize("state", [-1, 3])
-    def test_known_mode_rejects_a_state_out_of_range(self, small_setup, state):
+    @pytest.mark.parametrize("states, match", [
+        ([-1], "true state"), ([3], "true state"),
+        (np.full((1, 2), -1), r"hypothesis -1 at row 0 of trajectory 0 is not a state "
+                              r"in 0\.\.2"),
+        (np.array([[0, 7]]), "hypothesis 7 at row 1 of trajectory 0"),
+        (np.array([[1.0, 2.5]]), r"hypothesis 1\.0 at row 0 of trajectory 0"),
+    ], ids=["-1", "3", "row-minus-1", "row-7", "row-float"])
+    def test_known_mode_rejects_a_state_out_of_range(self, small_setup, states, match):
         """The targets index a table of the 3 hypotheses by the true
         state, where -1 would silently pick hypothesis 2: a state outside
         0..2, like a missing one, is rejected before anything is
-        consumed."""
+        consumed, and so is a per-row hypothesis outside 0..2 or not an
+        integer, by its row."""
         model, combination = small_setup
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        with pytest.raises(ValueError, match="true state"):
-            learner.consume(np.full((2, 6, 3), -np.log(3)), state, combination)
+        with pytest.raises(ValueError, match=match):
+            learner.consume(np.full((1, 2, 6, 3), -np.log(3)), states, [combination])
         assert learner.iterations == 0 and not learner.deviations
 
     @pytest.mark.parametrize("reference", [-1, 3])
@@ -508,13 +516,13 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        learner.consume(np.full((1, 6, 3), -np.log(3)), 0)
-        estimate = learner.estimate
+        learner.consume(np.full((1, 1, 6, 3), -np.log(3)), [0])
+        estimate = learner.estimate[0]
         if diverges:
-            assert learner.diverged_at == 1
+            assert learner.diverged_at[0] == 1
             np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
         else:
-            assert learner.diverged_at is None
+            assert learner.diverged_at[0] is None
             assert estimate[2, 3] == bad
 
     @pytest.mark.parametrize("fill, diverges", [
@@ -531,9 +539,9 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        learner.consume(np.full((1, 30, 3), -np.log(3)), 0)
-        estimate = learner.estimate
-        assert (learner.diverged_at == 1) == diverges
+        learner.consume(np.full((1, 1, 30, 3), -np.log(3)), [0])
+        estimate = learner.estimate[0]
+        assert (learner.diverged_at[0] == 1) == diverges
         assert (estimate == (0.0 if diverges else fill)).all()
 
     @pytest.mark.parametrize("bad, diverges", [
@@ -559,13 +567,13 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(random_likelihoods(6, 3, 4, seed=32), 0.05, 0.3, "known")
-        learner.consume(np.full((1, 6, 3), -np.log(3)), 0, truth)
-        estimate = learner.estimate
+        learner.consume(np.full((1, 1, 6, 3), -np.log(3)), [0], [truth])
+        estimate = learner.estimate[0]
         if diverges:
-            assert learner.diverged_at == 1
+            assert learner.diverged_at[0] == 1
             np.testing.assert_array_equal(estimate, np.zeros((6, 6)))
         else:
-            assert learner.diverged_at is None
+            assert learner.diverged_at[0] is None
             assert estimate[2, 3] == bad
 
     @pytest.mark.parametrize("fill, diverges", [
@@ -584,9 +592,9 @@ class TestGraphLearner:
 
         monkeypatch.setattr(estimator, "gradient_step", update)
         learner = GraphLearner(model, 0.05, 0.3, "known")
-        learner.consume(np.full((1, 30, 3), -np.log(3)), 0, truth)
-        estimate = learner.estimate
-        assert (learner.diverged_at == 1) == diverges
+        learner.consume(np.full((1, 1, 30, 3), -np.log(3)), [0], [truth])
+        estimate = learner.estimate[0]
+        assert (learner.diverged_at[0] == 1) == diverges
         assert (estimate == (0.0 if diverges else fill)).all()
 
     @pytest.mark.parametrize("rows, bad", [
@@ -616,12 +624,12 @@ class TestGraphLearner:
         learner = GraphLearner(model, 0.05, 0.3, "known")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            learner.consume(block, 1, combination)
-        assert learner.diverged_at == bad + 1
+            learner.consume(block[None], [1], [combination])
+        assert learner.diverged_at[0] == bad + 1
         assert learner.iterations == rows
         kept = updates[bad - 1] if bad else np.zeros((6, 6))
-        assert learner.estimate.tobytes() == kept.tobytes()
-        deviations = learner.result().msd
+        assert learner.estimate[0].tobytes() == kept.tobytes()
+        deviations = learner.result()[0].msd
         assert deviations.tolist() == (
             [msd(combination.weights, u) for u in updates[:bad]] + [np.inf] * (rows - bad))
         # the rows of the block's later settle runs are counted, not stepped
@@ -635,11 +643,11 @@ class TestGraphLearner:
         learner = GraphLearner(model, 0.5, 0.3, mode)
         for step in run_simulation(model, combination, 1, 0.3, 150, seed=49):
             block = step.shared_log_beliefs[None]
-            states = 1 if mode == "known" else majority_vote(block)
-            learner.consume(block, states, combination)
-            assert learner.deviations[-1][0] == msd(combination.weights,
-                                                     learner.estimate)
-        assert learner.diverged_at is None
+            states = [1] if mode == "known" else majority_vote(block)[None]
+            learner.consume(block[None], states, [combination])
+            assert learner.deviations[-1][0, 0] == msd(combination.weights,
+                                                        learner.estimate[0])
+        assert learner.diverged_at[0] is None
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_a_rate_that_is_not_positive_and_finite(self, small_setup, mu):
@@ -869,11 +877,11 @@ class TestBlockwiseLearner:
             learner = GraphLearner(model, mu, 0.3, mode)
             oracle = []
             for block, true_state, combination in one_row:
-                states = true_state if mode == "known" else majority_vote(block)
-                learner.consume(block, states, combination)
-                oracle.append(msd(combination.weights, learner.estimate))
+                states = [true_state] if mode == "known" else majority_vote(block)[None]
+                learner.consume(block[None], states, [combination])
+                oracle.append(msd(combination.weights, learner.estimate[0]))
             assert learner.iterations == len(steps)
-            assert learner.diverged_at == base.diverged_at
+            assert learner.diverged_at[0] == base.diverged_at
             diverged = base.diverged_at - 1
             assert np.array_equal(base.msd[:diverged], oracle[:diverged])
             assert np.isinf(base.msd[diverged:]).all()
@@ -962,9 +970,9 @@ class TestBlockwiseLearner:
         cols = ratio_columns(model.num_states, reference)
         learner = GraphLearner(model, mu, delta, mode, reference)
         for block, true_state, combination in simulator_blocks(steps):
-            states = true_state if mode == "known" else majority_vote(block)
-            learner.consume(block, states, combination)
-        learned = learner.result()
+            states = [true_state] if mode == "known" else majority_vote(block)[None]
+            learner.consume(block[None], states, [combination])
+        learned = learner.result()[0]
         estimate = np.zeros((10, 10))
         previous = np.zeros((2, 10))
         deviations = []
@@ -1073,7 +1081,7 @@ class TestFollower:
         """Feed the learners of a ``both`` run online."""
         learners = ModeLearners(model, mu, cls.DELTA, "both")
         for block, true_state, combination in blocks:
-            learners.consume(block, true_state, combination)
+            learners.consume(block[None], [true_state], [combination])
         return learners
 
     @staticmethod
@@ -1094,7 +1102,7 @@ class TestFollower:
         """Compare both feeds with the oracle; return the online learners."""
         oracle = independent_learners(blocks, model, mu, self.DELTA)
         learners = self.follow(blocks, model, mu)
-        self.assert_matches_the_oracle(learners.results(), oracle)
+        self.assert_matches_the_oracle(learners.results()[0], oracle)
         self.assert_matches_the_oracle(
             learn_graph(blocks, model, mu, self.DELTA, "both"), oracle)
         return learners
@@ -1106,7 +1114,7 @@ class TestFollower:
         assert learners.estimated is None
         # the oracle's two learners, the online pair, then learn_graph's
         assert step_calls == {"known": 3 * self.T, "estimated": self.T}
-        assert learners.results()["estimated"].votes[0] != 1
+        assert learners.results()[0]["estimated"].votes[0] != 1
 
     @pytest.mark.parametrize("k, rows", [(0, None), (2, None), (4, None), (2, 1)],
                              ids=["first", "middle", "last", "middle-row-0"])
@@ -1131,7 +1139,7 @@ class TestFollower:
         learners = self.check(blocks, model, 5.0)
         assert learners.estimated is None
         assert step_calls["estimated"] == self.T
-        results = learners.results()
+        results = learners.results()[0]
         diverged = results["estimated"].diverged_at
         assert diverged is not None and diverged == results["known"].diverged_at
         for result in results.values():
@@ -1163,7 +1171,7 @@ class TestFollower:
         learners = ModeLearners(model, 0.01, self.DELTA, "both")
         assert len(calls) == model.num_states
         block, _, matrix = blocks[1]
-        learners.consume(block, 2, matrix)
+        learners.consume(block[None], [2], [matrix])
         assert learners.estimated._offsets is learners.known._offsets
         assert len(calls) == model.num_states
 
@@ -1265,6 +1273,19 @@ class TestStackedLearners:
             learner.consume(np.stack([block, block]), np.ones(3, dtype=int))
         with pytest.raises(ValueError, match=r"true state in 0\.\.2, got \[1 3\]"):
             learner.consume(np.stack([block, block]), np.array([1, 3]))
+        rows = np.ones((2, len(block)), dtype=int)
+        for k, row, bad in [(0, 0, -1), (1, 5, 7), (1, len(block) - 1, 3)]:
+            states = rows.copy()
+            states[k, row] = bad
+            with pytest.raises(ValueError, match=f"hypothesis {bad} at row {row} of "
+                                                 f"trajectory {k} is not a state"):
+                learner.consume(np.stack([block, block]), states)
+        with pytest.raises(ValueError, match=r"hypothesis 1\.0 at row 0 of trajectory 0"):
+            learner.consume(np.stack([block, block]), rows.astype(float))
+        with pytest.raises(ValueError,
+                           match=f"blocks must be 2 x steps x 10 x 3, not {len(block)} "
+                                 f"x 10 x 3"):
+            learner.consume(block, np.array([1, 1]))
         assert learner.iterations == 0 and not learner.deviations
 
     def test_rates_and_step_sizes_are_checked_per_trajectory(self, desk):
@@ -1275,3 +1296,11 @@ class TestStackedLearners:
             GraphLearner(model, 0.01, [0.3, 1.0], "known")
         with pytest.raises(ValueError, match="one per trajectory"):
             GraphLearner(model, [[0.01]], 0.3, "known")
+        with pytest.raises(ValueError,
+                           match="^mu and delta must each be one value or one per "
+                                 "trajectory$"):
+            GraphLearner(model, [], 0.3, "known")
+        with pytest.raises(ValueError,
+                           match="^mu and delta must each be one value or one per "
+                                 "trajectory$"):
+            GraphLearner(model, [0.01, 0.02], [0.1, 0.2, 0.3], "known")

@@ -399,16 +399,19 @@ class TestLearnerHooks:
     learners must reach both through those attributes, once per consumed
     step of each distinct learner trajectory. The estimated learner
     follows the known one and runs no kernel until a vote differs from
-    the true state."""
+    the true state. A single run's learners are a stack of one
+    trajectory, which hands the kernel 2-d rows (its ``ndarray.dot``
+    path), not ``(1, m, n)`` stacks."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
         kernel, step = estimator.gradient_step, GraphLearner.step
 
-        def counting_kernel(*args, **kwargs):
+        def counting_kernel(estimate, regressors, *args, **kwargs):
             counts["gradient_step"] += 1
-            return kernel(*args, **kwargs)
+            counts[f"{regressors.ndim}-d"] += 1
+            return kernel(estimate, regressors, *args, **kwargs)
 
         def counting_step(self, *args, **kwargs):
             counts[self.mode] += 1
@@ -418,15 +421,21 @@ class TestLearnerHooks:
         monkeypatch.setattr(GraphLearner, "step", counting_step)
         return counts
 
-    def test_kernel_and_step_run_once_per_step_and_mode(self, counts):
+    def test_kernel_and_step_run_once_per_step_and_mode(self, counts, tmp_path):
         """This config votes wrong at iterations 8-11, so the learners
-        fork in the first block and run two trajectories."""
+        fork in the first block and run two trajectories, in the run and
+        in the learn on its bundle."""
         T = 150
         result = run_experiment(desk_config(
             iterations=T, schedule=EventSchedule((Event(80, "set_true_state", 0),)),
+            out=str(tmp_path / "run"),
         ))
         assert not result.divergent
-        assert counts == {"gradient_step": 2 * T, "known": T, "estimated": T}
+        assert counts == {"gradient_step": 2 * T, "2-d": 2 * T, "known": T,
+                          "estimated": T}
+        run_learn({"out": str(tmp_path / "learned")}, tmp_path / "run")
+        assert counts == {"gradient_step": 4 * T, "2-d": 4 * T, "known": 2 * T,
+                          "estimated": 2 * T}
 
     def test_one_trajectory_while_the_modes_agree(self, counts):
         """The 10-agent desk config on signal seed 20 votes wrong at
@@ -439,7 +448,7 @@ class TestLearnerHooks:
             seed_signals=20, true_state=1,
         ))
         assert result.vote_match_rate == 1 - 1 / T
-        assert counts == {"gradient_step": T, "known": T}
+        assert counts == {"gradient_step": T, "2-d": T, "known": T}
         known, estimated = result.modes["known"], result.modes["estimated"]
         assert np.array_equal(known.msd, estimated.msd)
         kept = known.estimate.copy()
@@ -608,13 +617,16 @@ class TestSweep:
 
     def test_one_kernel_call_per_row_for_the_grid(self, monkeypatch):
         """Every grid point's trajectory advances in one stacked step per
-        row; no point's estimate is classified."""
+        row, whose regressors are 3-d, one row per point; no point's
+        estimate is classified."""
         counts = Counter()
         kernel, classify = estimator.gradient_step, harness.classify_edges
 
         def counting(name, function):
             def counted(*args, **kwargs):
                 counts[name] += 1
+                if name == "kernel":
+                    counts[f"{args[1].ndim}-d"] += 1
                 return function(*args, **kwargs)
             return counted
 
@@ -622,7 +634,7 @@ class TestSweep:
         monkeypatch.setattr(harness, "classify_edges", counting("classify", classify))
         sweep(desk_config(mode="known", iterations=200), mu_values=[0.05, 0.01],
               delta_values=[0.3, 0.2])
-        assert counts == {"kernel": 200}
+        assert counts == {"kernel": 200, "3-d": 200}
 
     def test_rows_sorted_and_written(self, tmp_path):
         out = tmp_path / "sweep"
