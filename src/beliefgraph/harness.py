@@ -334,9 +334,11 @@ def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = Non
     (a stack of K trajectories, one per run, as :class:`ModeLearners`
     takes it) as one ``(K, steps, n, S)`` block with the runs' true
     states and matrices, and, with ``out`` set, write the forward bundle
-    of the first run there. A chunk's truth is recorded and its block
-    appended to the stream once per chunk; only the private rows of test
-    mode are copied step by step.
+    of the first run there. Each run's stream is read a chunk at a time:
+    its row-0 step carries the chunk's blocks and truth, and its other
+    steps are drawn and dropped. A chunk's truth, its block in the
+    stream and test mode's public and private rows are recorded once
+    per chunk.
 
     The runs must share their length and schedule (a sweep's grid points
     differ only in mu and delta), so that their chunks end at the same
@@ -379,18 +381,14 @@ def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = Non
             )
             for point, initial, world in runs
         ]
-        first, others = streams[0], streams[1:]
-        for step in first:
-            if private is not None:
-                private[step.iteration - 1] = step.signal_log_ratios
-            if step.row:
-                continue
-            # The other runs' steps of this chunk: row 0 here, the rest
-            # drawn and dropped at once.
-            steps = [step, *(next(stream) for stream in others)]
-            for stream in others:
+        # Row 0 of each run's chunk stands for the chunk.
+        for steps in zip(*streams):
+            step = steps[0]
+            for stream in streams:
                 deque(islice(stream, len(step.block) - 1), maxlen=0)
             rows = slice(step.iteration - 1, step.iteration - 1 + len(step.block))
+            if private is not None:
+                private[rows] = step.private_block
             true_states[rows] = step.true_state
             graph_epochs[rows] = step.graph_epoch
             if step.event:
@@ -405,6 +403,10 @@ def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = Non
                 learners.consume(np.array([s.block for s in steps]),
                                  np.array([s.true_state for s in steps]),
                                  [s.combination for s in steps])
+            # zip refills its own tuple only when nothing else holds it;
+            # otherwise it keeps that tuple, and so a chunk two back (245 KB
+            # a run at the reference size), alive beside the next one.
+            del steps
 
     if out is not None:
         if private is not None:

@@ -101,30 +101,39 @@ class EventSchedule:
 class SimulationStep:
     """Public snapshot of one iteration plus its ground truth.
 
-    ``shared_log_beliefs`` (the public quantity) has shape
-    ``(num_agents, num_states)``; each row is a normalized
-    log-probability vector. ``combination`` is the matrix in force for
-    this iteration's combine stage, ``graph_epoch`` counts graph
-    regenerations, and ``signal_log_ratios`` is populated only when the
-    run records private data for validation.
+    A step is row ``row`` of its chunk: ``block`` is the read-only
+    ``(steps, num_agents, num_states)`` array of the chunk's consecutive
+    shared log-beliefs, and ``shared_log_beliefs`` (the public quantity)
+    is its read-only row view ``block[row]``, each row a normalized
+    log-probability vector. ``private_block`` is the chunk's read-only
+    ``(steps, num_agents, num_states - 1)`` private signal log-ratios,
+    set only when the run records private data for validation, and
+    ``signal_log_ratios`` its row view (else ``None``). Both views are
+    derived on access, so a step stores no array of its own.
 
-    ``block`` is the read-only ``(steps, num_agents, num_states)`` chunk
-    of consecutive snapshots this step is row ``row`` of: the shared
-    beliefs are ``block[row]``. All steps of a chunk share one true
-    state, matrix and graph epoch; only row 0 can carry an event.
-    :func:`run_simulation` passes the fields by position, in the order
-    below.
+    ``combination`` is the matrix in force for this iteration's combine
+    stage and ``graph_epoch`` counts graph regenerations. All steps of a
+    chunk share one true state, matrix and graph epoch; only row 0 can
+    carry an event. :func:`run_simulation` passes the fields by
+    position, in the order below.
     """
 
     iteration: int
-    shared_log_beliefs: np.ndarray
+    block: np.ndarray = field(repr=False)
+    row: int = 0
     true_state: int | None = None
     graph_epoch: int = 0
     combination: CombinationMatrix | None = None
     event: str | None = None
-    signal_log_ratios: np.ndarray | None = field(default=None, repr=False)
-    block: np.ndarray | None = field(default=None, repr=False)
-    row: int = 0
+    private_block: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def shared_log_beliefs(self) -> np.ndarray:
+        return self.block[self.row]
+
+    @property
+    def signal_log_ratios(self) -> np.ndarray | None:
+        return None if self.private_block is None else self.private_block[self.row]
 
 
 def _ratio_log_beliefs(ratios: np.ndarray) -> np.ndarray:
@@ -251,11 +260,12 @@ def run_simulation(
 
     The iterations are computed in chunks (see the module docstring)
     and yielded one by one; a chunk's steps share one read-only
-    log-belief block, each step's ``block`` with its own ``row``, so
-    copy a step's beliefs before changing them. A chunk ends before
-    every event, so its steps share one true state, combination matrix
-    and graph epoch: the row-0 steps' ``(block, true_state,
-    combination)`` describe the whole run.
+    log-belief block, and in test mode one read-only private block,
+    each step with its own ``row``, so copy a step's beliefs before
+    changing them. A chunk ends before every event, so its steps share
+    one true state, combination matrix and graph epoch: the row-0 steps'
+    ``(block, true_state, combination)`` describe the whole run, and
+    their ``private_block`` its private stream.
 
     A regenerated graph keeps the run's ``edge_prob`` and draws both
     the new adjacency and its weights from a generator seeded by the
@@ -324,16 +334,17 @@ def run_simulation(
             ratios *= keep
             row += ratios
             ratios = combine_step(row, combination)
+        # Every step of the chunk reads its rows of these two blocks.
         log_beliefs = _ratio_log_beliefs(lam)
-        # Every step of the chunk is a view into this one block.
         log_beliefs.flags.writeable = False
-        private = (
-            private_table.take(rows, axis=0) if record_private else repeat(None)
-        )
+        private = None
+        if record_private:
+            private = private_table.take(rows, axis=0)
+            private.flags.writeable = False
         # Only row 0 carries the event.
         yield from map(
-            SimulationStep, range(first, stop), log_beliefs, repeat(true_state),
-            repeat(epoch), repeat(combination), chain((event_name,), repeat(None)),
-            private, repeat(log_beliefs), range(stop - first),
+            SimulationStep, range(first, stop), repeat(log_beliefs),
+            range(stop - first), repeat(true_state), repeat(epoch),
+            repeat(combination), chain((event_name,), repeat(None)), repeat(private),
         )
         first = stop

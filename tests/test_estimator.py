@@ -301,6 +301,24 @@ class TestGradientStep:
             after = instantaneous_loss(stepped, prev, ratios, expected, delta)
             assert after <= before + 1e-12
 
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_a_full_rate_operand_gives_the_bits_of_a_column(self, K):
+        """A stack's mu as ``(K, 1, 1)`` or as the full ``(K, m, n)``
+        operand it broadcasts to (which the learner passes) gives the same
+        bits, and each trajectory those of its own 2-d call with a 0-d mu."""
+        rng = np.random.default_rng(8)
+        n, m = 10, 2
+        estimate = rng.standard_normal((K, n, n))
+        regressors, targets = rng.standard_normal((2, K, m, n))
+        column = np.array([0.02, 5.0, 1e-3][:K]).reshape(K, 1, 1)
+        full = np.ascontiguousarray(np.broadcast_to(column, (K, m, n)))
+        stepped = gradient_step(estimate, regressors, targets, full)
+        assert stepped.tobytes() == gradient_step(
+            estimate, regressors, targets, column).tobytes()
+        for k in range(K):
+            assert stepped[k].tobytes() == gradient_step(
+                estimate[k], regressors[k], targets[k], column[k].reshape(())).tobytes()
+
     def test_shape_mismatch(self):
         for estimate, regressors, targets in [
             ((3, 3), (2, 3), (1, 3)),
@@ -1175,6 +1193,42 @@ class TestFollower:
         assert learners.estimated._offsets is learners.known._offsets
         assert len(calls) == model.num_states
 
+    @pytest.mark.parametrize("mode, refused", [
+        ("both", lambda block, state: (block[None], [7])),
+        ("both", lambda block, state: (block[None], None)),
+        ("estimated", lambda block, state: (block[None, ..., :2], [state])),
+    ], ids=["both-state-out-of-range", "both-no-states", "estimated-block-shape"])
+    def test_a_refused_block_changes_no_record(self, desk, mode, refused):
+        """A block the learners refuse, whose votes differ from its true
+        states in ``both``, leaves the votes, the fork and the deviations
+        as they were, and the run then goes on as if it never came."""
+        model, blocks = desk
+
+        def assert_same_records(got, want):
+            assert list(got) == list(want)
+            for name, result in want.items():
+                assert got[name].estimate.tobytes() == result.estimate.tobytes()
+                assert got[name].msd.tobytes() == result.msd.tobytes()
+                assert (got[name].votes is None) == (result.votes is None)
+                if result.votes is not None:
+                    assert got[name].votes.tobytes() == result.votes.tobytes()
+                    assert len(result.votes) == len(result.msd)
+
+        learners = ModeLearners(model, 0.01, self.DELTA, mode)
+        clean = ModeLearners(model, 0.01, self.DELTA, mode)
+        for k, (block, state, matrix) in enumerate(blocks):
+            if k == 2:
+                estimated = learners.estimated
+                with pytest.raises(ValueError):
+                    learners.consume(*refused(block, state), [matrix])
+                assert learners.estimated is estimated
+                assert_same_records(learners.results()[0], clean.results()[0])
+            for fed in (learners, clean):
+                fed.consume(block[None], [state], [matrix])
+        if mode == "both":
+            assert learners.estimated is None
+        assert_same_records(learners.results()[0], clean.results()[0])
+
     def test_an_unknown_mode_is_rejected(self, desk):
         with pytest.raises(ValueError, match="unknown mode 'all'"):
             ModeLearners(desk[0], 0.01, self.DELTA, "all")
@@ -1263,6 +1317,33 @@ class TestStackedLearners:
         self.feed(stack, [streams[delta] for _, delta in points])
         assert count == {"gradient_step": calls}
         assert stack.known.iterations == self.T
+
+    @pytest.mark.parametrize("points, shape", [(POINTS, (3, 2, 10)), (POINTS[:1], ())],
+                             ids=["K=3", "K=1"])
+    def test_the_kernel_scales_by_a_full_rate_operand(self, desk, monkeypatch, points,
+                                                      shape):
+        """For K > 1 the learner passes mu as one contiguous ``(K, S-1,
+        n)`` operand, so the kernel's residual scales without a
+        broadcast; at K = 1 as a 0-d array."""
+        model, streams = desk
+        rates = []
+        kernel = estimator.gradient_step
+
+        def recording(estimate, regressors, targets, mu, out=None):
+            rates.append(mu)
+            return kernel(estimate, regressors, targets, mu, out=out)
+
+        monkeypatch.setattr(estimator, "gradient_step", recording)
+        stack = ModeLearners(model, [mu for mu, _ in points],
+                             [delta for _, delta in points], "known")
+        self.feed(stack, [streams[delta] for _, delta in points])
+        assert len(rates) == self.T
+        rate = rates[0]
+        assert all(mu is rate for mu in rates)
+        assert rate.shape == shape and rate.flags.c_contiguous
+        assert np.array_equal(rate.reshape(len(points), -1).max(axis=1),
+                              rate.reshape(len(points), -1).min(axis=1))
+        assert rate.reshape(len(points), -1)[:, 0].tolist() == [mu for mu, _ in points]
 
     def test_a_stack_rejects_hypotheses_of_another_shape(self, desk):
         model, streams = desk

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -365,6 +366,55 @@ class TestRunExperiment:
             assert np.array_equal(
                 getattr(result.diagnostics, f.name), getattr(oracle, f.name)
             ), f.name
+
+    @pytest.mark.parametrize("learning", [True, False], ids=["experiment", "forward"])
+    def test_private_stream_equals_the_steps_signal_ratios(self, tmp_path, learning):
+        """Test mode copies each chunk's private block at once: over chunks
+        cut short by events, one of them a single step, and with or
+        without learners, ``private_ratios.npy`` holds every step's
+        ``signal_log_ratios`` in order, bit for bit."""
+        C = simulate.CHUNK_STEPS
+        schedule = EventSchedule((
+            Event(70, "regenerate_graph", 7), Event(71, "set_true_state", 2),
+            Event(C + 100, "set_true_state", 0),
+        ))
+        out = tmp_path / "run"
+        config = desk_config(iterations=2 * C + 50, test_mode=True, schedule=schedule,
+                             reference=1, mode="both", out=str(out))
+        (run_experiment if learning else run_forward)(config)
+        written = io.read_belief_stream(out / "private_ratios.npy")
+        combination, model, _ = harness._generate(config)
+        steps = run_simulation(
+            model, combination, config.true_state, config.delta, config.iterations,
+            config.seed_signals, schedule=schedule, record_private=True,
+            edge_prob=config.edge_prob, reference=config.reference,
+        )
+        expected = np.stack([step.signal_log_ratios for step in steps])
+        assert written.shape == expected.shape == (2 * C + 50, 6, 2)
+        assert written.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_the_run_loop_keeps_no_older_chunk_alive(self, monkeypatch, points):
+        """While a run computes a chunk, only its previous chunk may still
+        be held: a block from two chunks back would raise the run's peak
+        memory by a chunk per run."""
+        chunks = []
+        simulate_run = harness.run_simulation
+
+        def recording(*args, **kwargs):
+            for step in simulate_run(*args, **kwargs):
+                if step.row == 0:
+                    chunks.append(weakref.ref(step.block))
+                    assert all(chunk() is None for chunk in chunks[:-2 * points])
+                yield step
+
+        monkeypatch.setattr(harness, "run_simulation", recording)
+        config = desk_config(iterations=6 * simulate.CHUNK_STEPS, mode="both")
+        if points == 1:
+            run_experiment(config)
+        else:
+            sweep(config, mu_values=[0.05, 0.02, 0.01])
+        assert len(chunks) == 6 * points
 
     def test_diagnostics_skipped_when_too_short(self):
         result = run_experiment(desk_config(iterations=100, test_mode=True))

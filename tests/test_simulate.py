@@ -720,14 +720,19 @@ class TestForwardPassAgainstOracle:
         assert np.array_equal(shared, _ratio_log_beliefs(lam))
 
     def test_log_belief_blocks_are_read_only(self, small_setup):
-        """Steps of one chunk share one block, so a write into a step's
-        beliefs raises instead of changing later steps."""
+        """Steps of one chunk share one block, and in test mode one
+        private block, so a write into a step's beliefs or signal ratios,
+        or into either block, raises instead of changing later steps."""
         model, combination = small_setup
-        steps = list(run_simulation(model, combination, 0, 0.3, CHUNK_STEPS + 3, seed=16))
+        steps = list(run_simulation(model, combination, 0, 0.3, CHUNK_STEPS + 3, seed=16,
+                                    record_private=True))
         assert steps[0].shared_log_beliefs.base is steps[1].shared_log_beliefs.base
+        assert steps[0].private_block is steps[1].private_block
         for step in (steps[0], steps[-1]):
-            with pytest.raises(ValueError):
-                step.shared_log_beliefs[0, 0] = 0.0
+            for view in (step.shared_log_beliefs, step.signal_log_ratios,
+                         step.block, step.private_block):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0, 0] = 0.0
 
     def test_chunk_steps_share_their_row_0_truth(self):
         """A chunk ends before every event: each step is row ``row`` of
