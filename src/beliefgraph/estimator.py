@@ -364,6 +364,9 @@ class GraphLearner:
         if block.shape[:1] + block.shape[2:] != (K, n, num_states):
             raise ValueError(f"blocks must be {K} x steps x {n} x {num_states}, not "
                              f"{' x '.join(map(str, block.shape))}")
+        if combinations is not None and len(combinations) != K:
+            raise ValueError(f"{len(combinations)} matrices for a stack of {K} "
+                             f"trajectories")
         hypotheses, size = np.asarray(states), block.shape[:2]
         if hypotheses.shape not in (size[:1], size):
             shape = " x ".join(map(str, hypotheses.shape)) or "no"
@@ -461,6 +464,51 @@ class GraphLearner:
                 for k, (estimate, at) in enumerate(zip(self.estimate, self.diverged_at))]
 
 
+def _block_votes(block: np.ndarray, candidates) -> np.ndarray:
+    """``majority_vote`` of a ``(K, steps, num_agents, num_states)``
+    block, counted only on the rows that ``candidates[k]`` does not win
+    by strict majority: in the others more than half the agents of
+    trajectory k believe it first, so it is their vote. Candidates that
+    are not one state per trajectory (or ``None``) count every row.
+
+    An agent believes state c first, as ``np.argmax`` picks it, when its
+    belief in c is above its belief in every lower state and at least
+    its belief in every higher one. A NaN fails its comparison. A state
+    that more than half the agents pick is the only most common one."""
+    if candidates is None or block.ndim != 4 or block.shape[-1] < 2:
+        return majority_vote(block)
+    candidates = np.asarray(candidates)
+    K, steps, n, num_states = block.shape
+    if candidates.shape != (K,) or candidates.dtype.kind not in "iu":
+        return majority_vote(block)
+    states = candidates.tolist()
+    if not all(0 <= state < num_states for state in states):
+        return majority_vote(block)
+    lost = None
+    for k, (rows, candidate) in enumerate(zip(block, states)):
+        kept, picked = rows[..., candidate], None
+        for other in range(num_states):
+            if other != candidate:
+                beats = (np.greater if other < candidate else np.greater_equal)(
+                    kept, rows[..., other])
+                picked = beats if picked is None else np.logical_and(picked, beats,
+                                                                     out=picked)
+        # A trajectory whose agents all pick the candidate, the usual case
+        # once a run has settled, needs no count. Otherwise one product
+        # counts each row: numpy sums a short last axis row by row, 3x
+        # slower at 30 agents.
+        if not picked.all():
+            won = picked.dot(np.ones(n)) > n / 2
+            if not won.all():
+                if lost is None:
+                    lost = np.zeros((K, steps), dtype=bool)
+                np.logical_not(won, out=lost[k])
+    votes = np.repeat(candidates[:, None], steps, axis=1).astype(np.intp, copy=False)
+    if lost is not None:
+        votes[lost] = majority_vote(block[lost])
+    return votes
+
+
 class ModeLearners:
     """The learners of one run, or of K runs in lockstep, in ``mode``:
     ``known``, ``estimated`` or ``both``, fed together by
@@ -468,6 +516,13 @@ class ModeLearners:
     estimated one on the block's votes, which are formed and recorded
     here. Each learner is a stack of K trajectories, one per run (see
     :class:`GraphLearner`); a single run is K = 1.
+
+    A block's votes are first checked against a candidate per
+    trajectory: its true state when the known learner runs, else its
+    last vote of the previous block (the first block has none). A row
+    the candidate wins by strict majority votes for it; ``majority_vote``
+    counts only the other rows, and is not called when there are none.
+    The votes are the same integers either way.
 
     In ``both`` the two learners share their trajectories until a vote
     differs: while every vote of a block equals the block's true state,
@@ -501,7 +556,11 @@ class ModeLearners:
         refused block leaves every record as it was."""
         votes, estimated = None, self.estimated
         if self._votes is not None:
-            votes = majority_vote(block)
+            # Each trajectory's candidate: its true state, or else its last
+            # vote; only the rows it does not win are counted.
+            candidates = true_states if self.known is not None else next(
+                (past[:, -1] for past in reversed(self._votes) if past.shape[1]), None)
+            votes = _block_votes(block, candidates)
             if estimated is None:
                 # The run's first update is a no-op (see the class docstring).
                 checked = votes[:, 1:] if self.known.iterations == 0 else votes

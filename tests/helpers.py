@@ -78,6 +78,16 @@ def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:
     return results
 
 
+def vote_oracle(snapshot):
+    """The majority vote by hand: each agent's first most believed
+    hypothesis, then the first most common of those."""
+    counts = [0] * len(snapshot[0])
+    for row in snapshot:
+        row = list(row)
+        counts[row.index(max(row))] += 1
+    return counts.index(max(counts))
+
+
 def log_normalize(rows: np.ndarray, axis: int = -1) -> np.ndarray:
     """Subtract from each row (along ``axis``) of an array its log-sum-exp.
 

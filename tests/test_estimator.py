@@ -3,6 +3,7 @@ and the steady-state diagnostics."""
 
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from beliefgraph.simulate import (
     run_simulation,
 )
 
-from helpers import independent_learners
+from helpers import independent_learners, vote_oracle
 
 LOG4 = 1.3862943611198906
 
@@ -191,16 +192,6 @@ class TestMajorityVote:
         assert np.mean(np.array(votes[-1000:]) == 2) >= 0.99
 
 
-def vote_oracle(snapshot):
-    """The majority vote by hand: each agent's first most believed
-    hypothesis, then the first most common of those."""
-    counts = [0] * len(snapshot[0])
-    for row in snapshot:
-        row = list(row)
-        counts[row.index(max(row))] += 1
-    return counts.index(max(counts))
-
-
 class TestStackedSnapshots:
     """Ratios and votes of a ``(steps, agents, states)`` stack, as the
     learners compute them once per block, equal those of each snapshot."""
@@ -236,6 +227,208 @@ class TestStackedSnapshots:
             ratios = belief_log_ratios(stack, reference)
             for t in range(len(stack)):
                 assert np.array_equal(ratios[t], belief_log_ratios(stack[t], reference))
+
+
+def agents_believing(*firsts, states=3):
+    """One row of agents' log-beliefs, agent k believing ``firsts[k]``
+    first: log 0.6 there and log 0.2 elsewhere."""
+    row = np.full((len(firsts), states), np.log(0.2))
+    row[np.arange(len(firsts)), firsts] = np.log(0.6)
+    return row
+
+
+class TestBlockVotes:
+    """``estimator._block_votes`` gives a block's votes as
+    ``majority_vote`` and :func:`vote_oracle` count them, and counts only
+    the rows of trajectory k that its candidate does not win by strict
+    majority; ``ModeLearners`` takes its votes from it."""
+
+    @staticmethod
+    def counted(block, candidates):
+        """The helper's votes as a list, checked against the counted
+        votes, and the number of rows it passed to ``majority_vote``."""
+        with mock.patch.object(estimator, "majority_vote", wraps=majority_vote) as count:
+            votes = estimator._block_votes(block, candidates)
+        assert votes.dtype == np.intp and votes.shape == block.shape[:2]
+        assert np.array_equal(votes, majority_vote(block))
+        if not np.isnan(block).any():  # Python's max orders no NaN
+            assert votes.tolist() == [[vote_oracle(x) for x in rows] for rows in block]
+        return votes.tolist(), sum(int(np.prod(np.shape(call.args[0])[:-2]))
+                                   for call in count.call_args_list)
+
+    @staticmethod
+    def rows_lost(block, candidates):
+        """The rows in which each candidate is not the first most believed
+        state of more than half the agents, by hand."""
+        return sum(
+            2 * sum(list(agent).index(max(agent)) == candidate for agent in row)
+            <= len(row)
+            for rows, candidate in zip(block, candidates) for row in rows
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=4, max_dims=4, min_side=1, max_side=5).filter(
+            lambda shape: shape[3] >= 2
+        ),
+        elements=st.sampled_from([-2.0, -1.0, -0.5]),
+    ), st.data())
+    def test_ties_at_and_around_the_candidate(self, block, data):
+        """Entries from three values make ties frequent, between the
+        candidate and the states below and above it and among the others."""
+        candidates = data.draw(st.lists(st.integers(0, block.shape[3] - 1),
+                                        min_size=len(block), max_size=len(block)))
+        _, counted = self.counted(block, np.array(candidates))
+        assert counted == self.rows_lost(block, candidates)
+
+    @pytest.mark.parametrize("candidate, counted", [(1, 0), (0, 1), (2, 1)])
+    def test_a_tie_goes_to_the_lower_state(self, candidate, counted):
+        """Agents 0 and 1 tie states 1 and 2 first, agent 2 states 0 and
+        1: argmax gives 1, 1, 0, so state 1 wins by two of three."""
+        row = np.log([[0.2, 0.4, 0.4], [0.2, 0.4, 0.4], [0.4, 0.4, 0.2]])
+        assert self.counted(row[None, None], np.array([candidate])) == ([[1]], counted)
+
+    @pytest.mark.parametrize("candidate", [0, 2])
+    def test_exactly_half_of_an_even_count_is_counted(self, candidate):
+        """Two of four agents for each of states 0 and 2: the count gives
+        state 0, but neither has a strict majority."""
+        row = agents_believing(0, 2, 0, 2)
+        assert self.counted(row[None, None], np.array([candidate])) == ([[0]], 1)
+        won = agents_believing(0, 2, candidate, candidate)
+        assert self.counted(won[None, None], np.array([candidate])) == (
+            [[candidate]], 0)
+
+    @pytest.mark.parametrize("candidate", [0, 3])
+    def test_the_lowest_and_highest_candidates(self, candidate):
+        """Candidate 0 has no lower state to beat, candidate S-1 no higher
+        one; each wins a row of four states by three of five agents, and
+        loses a row whose third agent ties it with the other end."""
+        other = 3 - candidate
+        row = agents_believing(candidate, candidate, candidate, 1, 2, states=4)
+        assert self.counted(row[None, None], np.array([candidate])) == (
+            [[candidate]], 0)
+        tied = row.copy()
+        tied[2, other] = tied[2, candidate]
+        _, counted = self.counted(tied[None, None], np.array([candidate]))
+        assert counted == (candidate == 3)
+
+    def test_a_nan_fails_its_comparison(self):
+        """A NaN anywhere in an agent's row keeps it from the check: the
+        row is then counted, even where ``majority_vote`` gives the
+        candidate (argmax picks a NaN as the maximum)."""
+        row = agents_believing(1, 1, 1, 0, 2)
+        row[0, 2] = np.nan
+        assert self.counted(row[None, None], np.array([1])) == ([[1]], 1)
+        row = agents_believing(1, 1, 1, 1, 0)
+        row[0, 2] = np.nan
+        assert self.counted(row[None, None], np.array([1])) == ([[1]], 0)
+        row[:, 1] = np.nan
+        assert self.counted(row[None, None], np.array([1])) == ([[1]], 1)
+
+    def test_infinities_compare_as_argmax_orders_them(self):
+        """``inf`` at the candidate ties ``inf`` above it and loses to
+        ``inf`` below it; a row all ``-inf`` is state 0's."""
+        row = np.array([[-np.inf, np.inf, np.inf], [0.0, np.inf, -np.inf],
+                        [np.inf, np.inf, 0.0]])
+        assert self.counted(row[None, None], np.array([1])) == ([[1]], 0)
+        row[1, 0] = np.inf
+        assert self.counted(row[None, None], np.array([1])) == ([[0]], 1)
+        floor = np.full((1, 1, 3, 3), -np.inf)
+        assert self.counted(floor, np.array([0])) == ([[0]], 0)
+        assert self.counted(floor, np.array([1])) == ([[0]], 1)
+
+    def test_only_the_lost_rows_are_counted(self):
+        """Three trajectories with candidates 0, 1 and 2 win a 6-row block;
+        a row of trajectory 1 won by state 2 is the one row counted, and
+        a wrong candidate has every row of its trajectory counted."""
+        block = np.stack([np.stack([agents_believing(k, k, 2 - k, k)] * 6)
+                          for k in range(3)])
+        votes, counted = self.counted(block, np.array([0, 1, 2]))
+        assert votes == [[0] * 6, [1] * 6, [2] * 6] and counted == 0
+        assert self.counted(block, np.array([0, 2, 2]))[1] == 6
+        block[1, 4] = agents_believing(2, 2, 2, 1)
+        votes, counted = self.counted(block, np.array([0, 1, 2]))
+        assert votes[1] == [1] * 4 + [2, 1] and counted == 1
+
+    @pytest.mark.parametrize("candidates", [
+        None, np.array([1, 1]), np.array([3]), np.array([-1]), np.array([1.0]),
+        np.array([True]),
+    ], ids=["none", "two-for-one", "3", "-1", "float", "bool"])
+    def test_candidates_not_one_state_per_trajectory_count_the_block(self,
+                                                                    candidates):
+        block = np.stack([agents_believing(1, 1, 1)] * 2)[None]
+        assert self.counted(block, candidates) == ([[1, 1]], 2)
+
+    @pytest.fixture
+    def vote_calls(self, monkeypatch):
+        """The number of rows of each call to ``majority_vote``."""
+        calls = []
+        vote = estimator.majority_vote
+
+        def counting(block):
+            calls.append(int(np.prod(block.shape[:-2])))
+            return vote(block)
+
+        monkeypatch.setattr(estimator, "majority_vote", counting)
+        return calls
+
+    def test_a_won_block_is_not_counted_and_a_lost_row_is(self, small_setup,
+                                                         vote_calls):
+        """In ``both`` mode the candidate is the block's true state: a
+        block it wins in every row is not counted, and of one with a
+        single row won by another state only that row is, which forks the
+        estimated learner."""
+        model, combination = small_setup
+        won = np.stack([agents_believing(2, 2, 2, 2, 0, 1)] * 5)
+        learners = ModeLearners(model, 0.05, 0.3, "both")
+        learners.consume(won[None], [2], [combination])
+        assert vote_calls == [] and learners.estimated is None
+        lost = won.copy()
+        lost[3] = agents_believing(0, 0, 0, 2, 2, 1)
+        learners.consume(lost[None], [2], [combination])
+        assert vote_calls == [1] and learners.estimated is not None
+        votes = learners.results()[0]["estimated"].votes
+        assert votes.tolist() == [2] * 8 + [0, 2]
+
+    def test_a_stack_checks_each_trajectory_on_its_own_state(self, small_setup,
+                                                             vote_calls):
+        """K = 3 trajectories in ``both`` mode, each with its own true
+        state, record what separate learners record without a count."""
+        model, combination = small_setup
+        streams = [np.stack([agents_believing(k, k, k, k, 2 - k, 1)] * 4)
+                   for k in range(3)]
+        stack = ModeLearners(model, [0.05, 0.1, 0.2], 0.3, "both")
+        stack.consume(np.stack(streams), np.array([0, 1, 2]), [combination] * 3)
+        assert vote_calls == [] and stack.estimated is None
+        for k, (mu, got) in enumerate(zip([0.05, 0.1, 0.2], stack.results())):
+            want = learn_graph([(streams[k], k, combination)], model, mu, 0.3, "both")
+            assert got["estimated"].votes.tolist() == [k] * 4
+            for mode in ("known", "estimated"):
+                assert got[mode].estimate.tobytes() == want[mode].estimate.tobytes()
+                assert got[mode].msd.tobytes() == want[mode].msd.tobytes()
+
+    def test_estimated_mode_carries_the_last_vote_over(self, small_setup,
+                                                       vote_calls):
+        """Estimated mode counts its first block, which has no candidate;
+        the next block's candidate is that block's last vote, carried over
+        an empty block, and the rows another state wins are counted."""
+        model, combination = small_setup
+        first = np.stack([agents_believing(0, 0, 0, 1, 1, 1),
+                          agents_believing(1, 1, 1, 1, 0, 0)])
+        then = np.stack([agents_believing(1, 1, 1, 1, 2, 2)] * 3)
+        other = np.stack([agents_believing(2, 2, 2, 2, 1, 1)] * 3)
+        learners = ModeLearners(model, 0.05, 0.3, "estimated")
+        for block in (first, then, then[:0], then, other, other):
+            learners.consume(block[None], None, [combination])
+        assert vote_calls == [2, 3]
+        votes = learners.results()[0]["estimated"].votes
+        assert votes.tolist() == [0, 1] + [1] * 6 + [2] * 6
+        want = learn_graph([(b, None, combination) for b in (first, then, then, other,
+                                                             other)],
+                           model, 0.05, 0.3, "estimated")["estimated"]
+        assert np.array_equal(votes, want.votes)
+        assert learners.results()[0]["estimated"].msd.tobytes() == want.msd.tobytes()
 
 
 class TestGradientStep:
@@ -473,6 +666,32 @@ class TestGraphLearner:
             learner.consume(np.full((1, 6, 6, 3), -np.log(3)),
                             np.ones((1, count), dtype=int), [combination])
         assert learner.iterations == 0 and not learner.deviations
+
+    @pytest.mark.parametrize("K, count", [(1, 2), (2, 1)])
+    def test_rejects_a_matrix_count_other_than_the_stack(self, small_setup, K, count):
+        """One matrix per trajectory: a block with another count is
+        refused, naming both counts, before any row is stepped, and the
+        learner then goes on as if it never came."""
+        model, combination = small_setup
+        block = np.stack([s.shared_log_beliefs for s in
+                          run_simulation(model, combination, 1, 0.3, 10, seed=43)])
+        stack = np.stack([block] * K)
+        learner = GraphLearner(model, [0.05] * K, 0.3, "known")
+        clean = GraphLearner(model, [0.05] * K, 0.3, "known")
+        for fed in (learner, clean):
+            fed.consume(stack, [1] * K, [combination] * K)
+        register, estimate = learner._register.copy(), learner.estimate.copy()
+        with pytest.raises(ValueError,
+                           match=f"^{count} matrices for a stack of {K} trajectories$"):
+            learner.consume(stack, [1] * K, [combination] * count)
+        assert learner.iterations == 10 and len(learner.deviations) == 1
+        assert np.array_equal(learner._register, register)
+        assert np.array_equal(learner.estimate, estimate)
+        for fed in (learner, clean):
+            fed.consume(stack, [1] * K, [combination] * K)
+        for got, want in zip(learner.result(), clean.result()):
+            assert got.estimate.tobytes() == want.estimate.tobytes()
+            assert got.msd.tobytes() == want.msd.tobytes()
 
     def test_known_mode_requires_the_state(self, small_setup):
         model, _ = small_setup
