@@ -101,19 +101,52 @@ def majority_vote(shared_log_beliefs: np.ndarray) -> int | np.ndarray:
     A ``(num_agents, num_states)`` snapshot gives an ``int``; a stack
     ``(..., num_agents, num_states)`` gives one vote per snapshot, of
     the stack's leading shape.
+
+    A stack's last snapshot is counted first; a learner's blocks end
+    before every event, so it is the most settled one. Its vote c is
+    then checked on the other snapshots: an agent believes c first, as
+    ``np.argmax`` picks it, when its belief in c is above its belief in
+    every lower state and at least its belief in every higher one; a
+    NaN fails its comparison. A state that more than half the agents
+    pick is the only most common one, so a snapshot in which more than
+    half of them believe c first votes for c, and only the other
+    snapshots are counted.
     """
-    shared_log_beliefs = np.asarray(shared_log_beliefs)
-    num_states = shared_log_beliefs.shape[-1]
-    per_agent = np.argmax(shared_log_beliefs, axis=-1)
-    if per_agent.ndim == 1:
-        return int(np.argmax(np.bincount(per_agent, minlength=num_states)))
-    # One bincount over the whole stack: snapshot t counts into bins
-    # t * num_states ... t * num_states + num_states - 1.
-    snapshots = per_agent.reshape(-1, per_agent.shape[-1])
-    steps = len(snapshots)
-    snapshots += num_states * np.arange(steps)[:, None]
-    counts = np.bincount(snapshots.ravel(), minlength=steps * num_states)
-    return np.argmax(counts.reshape(steps, num_states), axis=1).reshape(per_agent.shape[:-1])
+    beliefs = np.asarray(shared_log_beliefs)
+    stack = beliefs.reshape((-1,) + beliefs.shape[-2:])
+    votes = _counted_votes(stack[-1:])
+    if len(stack) > 1:
+        (_, n, num_states), candidate = stack.shape, int(votes[0])
+        others = stack[:-1]
+        kept, picked = others[..., candidate], None
+        for other in range(num_states):
+            if other != candidate:
+                beats = (np.greater if other < candidate else np.greater_equal)(
+                    kept, others[..., other])
+                picked = beats if picked is None else np.logical_and(picked, beats,
+                                                                     out=picked)
+        votes = np.full(len(stack), candidate, dtype=np.intp)
+        # A stack whose agents all pick the candidate, the usual case once
+        # a run has settled, needs no count. Otherwise one product counts
+        # each snapshot: numpy sums a short last axis row by row, 3x slower
+        # at 30 agents.
+        if picked is not None and not picked.all():
+            lost = picked.dot(np.ones(n)) <= n / 2
+            if lost.any():
+                votes[:-1][lost] = _counted_votes(others[lost])
+    return int(votes[0]) if beliefs.ndim == 2 else votes.reshape(beliefs.shape[:-2])
+
+
+def _counted_votes(stack: np.ndarray) -> np.ndarray:
+    """The most common per-agent argmax of each snapshot of a
+    ``(steps, num_agents, num_states)`` stack, by one bincount over the
+    whole stack: snapshot t counts into bins t * num_states ...
+    t * num_states + num_states - 1."""
+    steps, _, num_states = stack.shape
+    per_agent = np.argmax(stack, axis=-1)
+    per_agent += np.arange(0, steps * num_states, num_states)[:, None]
+    counts = np.bincount(per_agent.ravel(), minlength=steps * num_states)
+    return np.argmax(counts.reshape(steps, num_states), axis=1)
 
 
 def gradient_step(
@@ -360,13 +393,16 @@ class GraphLearner:
         buffer is filled and read within one call. A row after a
         diverging one in its run steps on a trajectory that is thrown
         away, so overflow and invalid operations are not reported."""
+        self._check_block(block)
         (K, n, _), num_states = self.estimate.shape, self.model.num_states
-        if block.shape[:1] + block.shape[2:] != (K, n, num_states):
-            raise ValueError(f"blocks must be {K} x steps x {n} x {num_states}, not "
-                             f"{' x '.join(map(str, block.shape))}")
-        if combinations is not None and len(combinations) != K:
-            raise ValueError(f"{len(combinations)} matrices for a stack of {K} "
-                             f"trajectories")
+        if combinations is not None:
+            if len(combinations) != K:
+                raise ValueError(f"{len(combinations)} matrices for a stack of {K} "
+                                 f"trajectories")
+            for matrix in combinations:
+                if matrix.weights.shape != (n, n):
+                    raise ValueError(f"a {' x '.join(map(str, matrix.weights.shape))} "
+                                     f"matrix for {n} agents")
         hypotheses, size = np.asarray(states), block.shape[:2]
         if hypotheses.shape not in (size[:1], size):
             shape = " x ".join(map(str, hypotheses.shape)) or "no"
@@ -413,6 +449,14 @@ class GraphLearner:
                 for regressor, target in zip(regressors[run], targets[run]):
                     step(regressor, target)
                 self._settle(start, deviations[run], weights)
+
+    def _check_block(self, block: np.ndarray) -> None:
+        """Refuse a block that is not ``(K, steps, num_agents,
+        num_states)``."""
+        (K, n, _), num_states = self.estimate.shape, self.model.num_states
+        if block.shape[:1] + block.shape[2:] != (K, n, num_states):
+            raise ValueError(f"blocks must be {K} x steps x {n} x {num_states}, not "
+                             f"{' x '.join(map(str, block.shape))}")
 
     def _settle(self, start: np.ndarray, deviations: np.ndarray,
                 weights: np.ndarray | None) -> None:
@@ -464,51 +508,6 @@ class GraphLearner:
                 for k, (estimate, at) in enumerate(zip(self.estimate, self.diverged_at))]
 
 
-def _block_votes(block: np.ndarray, candidates) -> np.ndarray:
-    """``majority_vote`` of a ``(K, steps, num_agents, num_states)``
-    block, counted only on the rows that ``candidates[k]`` does not win
-    by strict majority: in the others more than half the agents of
-    trajectory k believe it first, so it is their vote. Candidates that
-    are not one state per trajectory (or ``None``) count every row.
-
-    An agent believes state c first, as ``np.argmax`` picks it, when its
-    belief in c is above its belief in every lower state and at least
-    its belief in every higher one. A NaN fails its comparison. A state
-    that more than half the agents pick is the only most common one."""
-    if candidates is None or block.ndim != 4 or block.shape[-1] < 2:
-        return majority_vote(block)
-    candidates = np.asarray(candidates)
-    K, steps, n, num_states = block.shape
-    if candidates.shape != (K,) or candidates.dtype.kind not in "iu":
-        return majority_vote(block)
-    states = candidates.tolist()
-    if not all(0 <= state < num_states for state in states):
-        return majority_vote(block)
-    lost = None
-    for k, (rows, candidate) in enumerate(zip(block, states)):
-        kept, picked = rows[..., candidate], None
-        for other in range(num_states):
-            if other != candidate:
-                beats = (np.greater if other < candidate else np.greater_equal)(
-                    kept, rows[..., other])
-                picked = beats if picked is None else np.logical_and(picked, beats,
-                                                                     out=picked)
-        # A trajectory whose agents all pick the candidate, the usual case
-        # once a run has settled, needs no count. Otherwise one product
-        # counts each row: numpy sums a short last axis row by row, 3x
-        # slower at 30 agents.
-        if not picked.all():
-            won = picked.dot(np.ones(n)) > n / 2
-            if not won.all():
-                if lost is None:
-                    lost = np.zeros((K, steps), dtype=bool)
-                np.logical_not(won, out=lost[k])
-    votes = np.repeat(candidates[:, None], steps, axis=1).astype(np.intp, copy=False)
-    if lost is not None:
-        votes[lost] = majority_vote(block[lost])
-    return votes
-
-
 class ModeLearners:
     """The learners of one run, or of K runs in lockstep, in ``mode``:
     ``known``, ``estimated`` or ``both``, fed together by
@@ -516,13 +515,6 @@ class ModeLearners:
     estimated one on the block's votes, which are formed and recorded
     here. Each learner is a stack of K trajectories, one per run (see
     :class:`GraphLearner`); a single run is K = 1.
-
-    A block's votes are first checked against a candidate per
-    trajectory: its true state when the known learner runs, else its
-    last vote of the previous block (the first block has none). A row
-    the candidate wins by strict majority votes for it; ``majority_vote``
-    counts only the other rows, and is not called when there are none.
-    The votes are the same integers either way.
 
     In ``both`` the two learners share their trajectories until a vote
     differs: while every vote of a block equals the block's true state,
@@ -556,11 +548,9 @@ class ModeLearners:
         refused block leaves every record as it was."""
         votes, estimated = None, self.estimated
         if self._votes is not None:
-            # Each trajectory's candidate: its true state, or else its last
-            # vote; only the rows it does not win are counted.
-            candidates = true_states if self.known is not None else next(
-                (past[:, -1] for past in reversed(self._votes) if past.shape[1]), None)
-            votes = _block_votes(block, candidates)
+            # A block of another shape is refused before the vote reads it.
+            (self.known or estimated)._check_block(block)
+            votes = majority_vote(block)
             if estimated is None:
                 # The run's first update is a no-op (see the class docstring).
                 checked = votes[:, 1:] if self.known.iterations == 0 else votes

@@ -237,170 +237,186 @@ def agents_believing(*firsts, states=3):
     return row
 
 
-class TestBlockVotes:
-    """``estimator._block_votes`` gives a block's votes as
-    ``majority_vote`` and :func:`vote_oracle` count them, and counts only
-    the rows of trajectory k that its candidate does not win by strict
-    majority; ``ModeLearners`` takes its votes from it."""
+class TestCheckedVotes:
+    """``majority_vote`` counts a stack's last snapshot, checks that vote
+    on the other snapshots, and counts only those it does not win by
+    strict majority; its votes are those of a count of every snapshot
+    and of :func:`vote_oracle`. ``ModeLearners`` takes its votes from it."""
 
     @staticmethod
-    def counted(block, candidates):
-        """The helper's votes as a list, checked against the counted
-        votes, and the number of rows it passed to ``majority_vote``."""
-        with mock.patch.object(estimator, "majority_vote", wraps=majority_vote) as count:
-            votes = estimator._block_votes(block, candidates)
-        assert votes.dtype == np.intp and votes.shape == block.shape[:2]
-        assert np.array_equal(votes, majority_vote(block))
-        if not np.isnan(block).any():  # Python's max orders no NaN
-            assert votes.tolist() == [[vote_oracle(x) for x in rows] for rows in block]
-        return votes.tolist(), sum(int(np.prod(np.shape(call.args[0])[:-2]))
-                                   for call in count.call_args_list)
+    def counted(stack):
+        """The votes as a list, checked against a count of every snapshot,
+        and the number of snapshots counted besides the last."""
+        count, calls = estimator._counted_votes, []
+
+        def counting(snapshots):
+            calls.append(len(snapshots))
+            return count(snapshots)
+
+        with mock.patch.object(estimator, "_counted_votes", counting):
+            votes = majority_vote(stack)
+        flat = stack.reshape((-1,) + stack.shape[-2:])
+        assert calls[:1] == [min(1, len(flat))] and len(calls) <= 2
+        if stack.ndim == 2:
+            assert type(votes) is int
+        else:
+            assert votes.dtype == np.intp and votes.shape == stack.shape[:-2]
+        assert np.ravel(votes).tolist() == count(flat).tolist()
+        if not np.isnan(stack).any():  # Python's max orders no NaN
+            assert np.ravel(votes).tolist() == [vote_oracle(x) for x in flat]
+        return np.asarray(votes).tolist(), sum(calls[1:])
 
     @staticmethod
-    def rows_lost(block, candidates):
-        """The rows in which each candidate is not the first most believed
-        state of more than half the agents, by hand."""
-        return sum(
-            2 * sum(list(agent).index(max(agent)) == candidate for agent in row)
-            <= len(row)
-            for rows, candidate in zip(block, candidates) for row in rows
-        )
+    def snapshots_lost(stack):
+        """The snapshots but the last in which the last one's vote is not
+        the first most believed state of more than half the agents, by
+        hand."""
+        flat = stack.reshape((-1,) + stack.shape[-2:])
+        candidate = vote_oracle(flat[-1])
+        return sum(2 * sum(list(agent).index(max(agent)) == candidate for agent in row)
+                   <= len(row) for row in flat[:-1])
+
+    @staticmethod
+    def ending_on(candidate, *rows, states=3):
+        """A stack of the given snapshots, then one whose agents all
+        believe ``candidate`` first."""
+        last = agents_believing(*[candidate] * len(rows[0]), states=states)
+        return np.stack([*rows, last])
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(
         np.float64,
-        hnp.array_shapes(min_dims=4, max_dims=4, min_side=1, max_side=5).filter(
-            lambda shape: shape[3] >= 2
-        ),
+        hnp.array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=5),
         elements=st.sampled_from([-2.0, -1.0, -0.5]),
-    ), st.data())
-    def test_ties_at_and_around_the_candidate(self, block, data):
+    ))
+    def test_ties_at_and_around_the_candidate(self, stack):
         """Entries from three values make ties frequent, between the
-        candidate and the states below and above it and among the others."""
-        candidates = data.draw(st.lists(st.integers(0, block.shape[3] - 1),
-                                        min_size=len(block), max_size=len(block)))
-        _, counted = self.counted(block, np.array(candidates))
-        assert counted == self.rows_lost(block, candidates)
+        candidate and the states below and above it and among the others.
+        A stack of one state has nothing to compare and votes it."""
+        _, counted = self.counted(stack)
+        assert counted == self.snapshots_lost(stack)
 
     @pytest.mark.parametrize("candidate, counted", [(1, 0), (0, 1), (2, 1)])
     def test_a_tie_goes_to_the_lower_state(self, candidate, counted):
         """Agents 0 and 1 tie states 1 and 2 first, agent 2 states 0 and
         1: argmax gives 1, 1, 0, so state 1 wins by two of three."""
         row = np.log([[0.2, 0.4, 0.4], [0.2, 0.4, 0.4], [0.4, 0.4, 0.2]])
-        assert self.counted(row[None, None], np.array([candidate])) == ([[1]], counted)
+        assert self.counted(self.ending_on(candidate, row)) == ([1, candidate], counted)
 
     @pytest.mark.parametrize("candidate", [0, 2])
     def test_exactly_half_of_an_even_count_is_counted(self, candidate):
         """Two of four agents for each of states 0 and 2: the count gives
         state 0, but neither has a strict majority."""
         row = agents_believing(0, 2, 0, 2)
-        assert self.counted(row[None, None], np.array([candidate])) == ([[0]], 1)
+        assert self.counted(self.ending_on(candidate, row)) == ([0, candidate], 1)
         won = agents_believing(0, 2, candidate, candidate)
-        assert self.counted(won[None, None], np.array([candidate])) == (
-            [[candidate]], 0)
+        assert self.counted(self.ending_on(candidate, won)) == ([candidate] * 2, 0)
 
     @pytest.mark.parametrize("candidate", [0, 3])
     def test_the_lowest_and_highest_candidates(self, candidate):
         """Candidate 0 has no lower state to beat, candidate S-1 no higher
-        one; each wins a row of four states by three of five agents, and
-        loses a row whose third agent ties it with the other end."""
+        one; each wins a snapshot of four states by three of five agents,
+        and loses one whose third agent ties it with the other end."""
         other = 3 - candidate
         row = agents_believing(candidate, candidate, candidate, 1, 2, states=4)
-        assert self.counted(row[None, None], np.array([candidate])) == (
-            [[candidate]], 0)
+        assert self.counted(self.ending_on(candidate, row, states=4)) == (
+            [candidate] * 2, 0)
         tied = row.copy()
         tied[2, other] = tied[2, candidate]
-        _, counted = self.counted(tied[None, None], np.array([candidate]))
+        _, counted = self.counted(self.ending_on(candidate, tied, states=4))
         assert counted == (candidate == 3)
 
     def test_a_nan_fails_its_comparison(self):
         """A NaN anywhere in an agent's row keeps it from the check: the
-        row is then counted, even where ``majority_vote`` gives the
+        snapshot is then counted, even where the count gives the
         candidate (argmax picks a NaN as the maximum)."""
         row = agents_believing(1, 1, 1, 0, 2)
         row[0, 2] = np.nan
-        assert self.counted(row[None, None], np.array([1])) == ([[1]], 1)
+        assert self.counted(self.ending_on(1, row)) == ([1, 1], 1)
         row = agents_believing(1, 1, 1, 1, 0)
         row[0, 2] = np.nan
-        assert self.counted(row[None, None], np.array([1])) == ([[1]], 0)
+        assert self.counted(self.ending_on(1, row)) == ([1, 1], 0)
         row[:, 1] = np.nan
-        assert self.counted(row[None, None], np.array([1])) == ([[1]], 1)
+        assert self.counted(self.ending_on(1, row)) == ([1, 1], 1)
 
     def test_infinities_compare_as_argmax_orders_them(self):
         """``inf`` at the candidate ties ``inf`` above it and loses to
-        ``inf`` below it; a row all ``-inf`` is state 0's."""
+        ``inf`` below it; a snapshot all ``-inf`` is state 0's."""
         row = np.array([[-np.inf, np.inf, np.inf], [0.0, np.inf, -np.inf],
                         [np.inf, np.inf, 0.0]])
-        assert self.counted(row[None, None], np.array([1])) == ([[1]], 0)
+        assert self.counted(self.ending_on(1, row)) == ([1, 1], 0)
         row[1, 0] = np.inf
-        assert self.counted(row[None, None], np.array([1])) == ([[0]], 1)
-        floor = np.full((1, 1, 3, 3), -np.inf)
-        assert self.counted(floor, np.array([0])) == ([[0]], 0)
-        assert self.counted(floor, np.array([1])) == ([[0]], 1)
+        assert self.counted(self.ending_on(1, row)) == ([0, 1], 1)
+        floor = np.full((3, 3), -np.inf)
+        assert self.counted(self.ending_on(0, floor)) == ([0, 0], 0)
+        assert self.counted(self.ending_on(1, floor)) == ([0, 1], 1)
+        assert self.counted(np.stack([floor] * 3)) == ([0] * 3, 0)
 
-    def test_only_the_lost_rows_are_counted(self):
-        """Three trajectories with candidates 0, 1 and 2 win a 6-row block;
-        a row of trajectory 1 won by state 2 is the one row counted, and
-        a wrong candidate has every row of its trajectory counted."""
-        block = np.stack([np.stack([agents_believing(k, k, 2 - k, k)] * 6)
+    def test_only_the_lost_snapshots_are_counted(self):
+        """A K = 3 stack is checked on its last snapshot's vote: every
+        trajectory that votes for it is not counted, a snapshot another
+        state wins is counted alone, and a trajectory that votes
+        otherwise is counted whole."""
+        stack = np.stack([np.stack([agents_believing(2, 2, k, 2)] * 6)
                           for k in range(3)])
-        votes, counted = self.counted(block, np.array([0, 1, 2]))
-        assert votes == [[0] * 6, [1] * 6, [2] * 6] and counted == 0
-        assert self.counted(block, np.array([0, 2, 2]))[1] == 6
-        block[1, 4] = agents_believing(2, 2, 2, 1)
-        votes, counted = self.counted(block, np.array([0, 1, 2]))
-        assert votes[1] == [1] * 4 + [2, 1] and counted == 1
+        votes, counted = self.counted(stack)
+        assert votes == [[2] * 6] * 3 and counted == 0
+        stack[1, 4] = agents_believing(1, 1, 1, 2)
+        votes, counted = self.counted(stack)
+        assert votes[1] == [2] * 4 + [1, 2] and counted == 1
+        stack[0] = agents_believing(0, 0, 0, 2)
+        votes, counted = self.counted(stack)
+        assert votes[0] == [0] * 6 and counted == 7
 
-    @pytest.mark.parametrize("candidates", [
-        None, np.array([1, 1]), np.array([3]), np.array([-1]), np.array([1.0]),
-        np.array([True]),
-    ], ids=["none", "two-for-one", "3", "-1", "float", "bool"])
-    def test_candidates_not_one_state_per_trajectory_count_the_block(self,
-                                                                    candidates):
-        block = np.stack([agents_believing(1, 1, 1)] * 2)[None]
-        assert self.counted(block, candidates) == ([[1, 1]], 2)
+    def test_a_snapshot_is_one_count_and_an_empty_stack_none(self):
+        """A 2-d snapshot is a stack of one: counted once, its vote an
+        ``int``. A stack without snapshots counts nothing and votes
+        nothing, in its leading shape."""
+        assert self.counted(agents_believing(2, 1, 2)) == (2, 0)
+        assert self.counted(np.empty((2, 0, 4, 3))) == ([[], []], 0)
 
     @pytest.fixture
     def vote_calls(self, monkeypatch):
-        """The number of rows of each call to ``majority_vote``."""
+        """The number of snapshots of each count."""
         calls = []
-        vote = estimator.majority_vote
+        count = estimator._counted_votes
 
-        def counting(block):
-            calls.append(int(np.prod(block.shape[:-2])))
-            return vote(block)
+        def counting(stack):
+            calls.append(len(stack))
+            return count(stack)
 
-        monkeypatch.setattr(estimator, "majority_vote", counting)
+        monkeypatch.setattr(estimator, "_counted_votes", counting)
         return calls
 
     def test_a_won_block_is_not_counted_and_a_lost_row_is(self, small_setup,
                                                          vote_calls):
-        """In ``both`` mode the candidate is the block's true state: a
-        block it wins in every row is not counted, and of one with a
-        single row won by another state only that row is, which forks the
-        estimated learner."""
+        """In ``both`` mode a block that its last row's vote wins in every
+        row is counted only in that row, and of one with a single row won
+        by another state only that row is counted besides, which forks
+        the estimated learner."""
         model, combination = small_setup
         won = np.stack([agents_believing(2, 2, 2, 2, 0, 1)] * 5)
         learners = ModeLearners(model, 0.05, 0.3, "both")
         learners.consume(won[None], [2], [combination])
-        assert vote_calls == [] and learners.estimated is None
+        assert vote_calls == [1] and learners.estimated is None
         lost = won.copy()
         lost[3] = agents_believing(0, 0, 0, 2, 2, 1)
         learners.consume(lost[None], [2], [combination])
-        assert vote_calls == [1] and learners.estimated is not None
+        assert vote_calls == [1, 1, 1] and learners.estimated is not None
         votes = learners.results()[0]["estimated"].votes
         assert votes.tolist() == [2] * 8 + [0, 2]
 
-    def test_a_stack_checks_each_trajectory_on_its_own_state(self, small_setup,
+    def test_a_stack_checks_each_trajectory_on_the_last_vote(self, small_setup,
                                                              vote_calls):
         """K = 3 trajectories in ``both`` mode, each with its own true
-        state, record what separate learners record without a count."""
+        state, record what separate learners record; the rows of the two
+        trajectories that the last row's vote does not win are counted."""
         model, combination = small_setup
         streams = [np.stack([agents_believing(k, k, k, k, 2 - k, 1)] * 4)
                    for k in range(3)]
         stack = ModeLearners(model, [0.05, 0.1, 0.2], 0.3, "both")
         stack.consume(np.stack(streams), np.array([0, 1, 2]), [combination] * 3)
-        assert vote_calls == [] and stack.estimated is None
+        assert vote_calls == [1, 8] and stack.estimated is None
         for k, (mu, got) in enumerate(zip([0.05, 0.1, 0.2], stack.results())):
             want = learn_graph([(streams[k], k, combination)], model, mu, 0.3, "both")
             assert got["estimated"].votes.tolist() == [k] * 4
@@ -408,23 +424,23 @@ class TestBlockVotes:
                 assert got[mode].estimate.tobytes() == want[mode].estimate.tobytes()
                 assert got[mode].msd.tobytes() == want[mode].msd.tobytes()
 
-    def test_estimated_mode_carries_the_last_vote_over(self, small_setup,
-                                                       vote_calls):
-        """Estimated mode counts its first block, which has no candidate;
-        the next block's candidate is that block's last vote, carried over
-        an empty block, and the rows another state wins are counted."""
+    def test_estimated_mode_counts_each_block_on_its_own(self, small_setup,
+                                                         vote_calls):
+        """Estimated mode checks each block on that block's last vote, so
+        the rows another state wins are counted, and an empty block
+        records nothing; the records are those of the blocks fed whole."""
         model, combination = small_setup
         first = np.stack([agents_believing(0, 0, 0, 1, 1, 1),
                           agents_believing(1, 1, 1, 1, 0, 0)])
         then = np.stack([agents_believing(1, 1, 1, 1, 2, 2)] * 3)
         other = np.stack([agents_believing(2, 2, 2, 2, 1, 1)] * 3)
         learners = ModeLearners(model, 0.05, 0.3, "estimated")
-        for block in (first, then, then[:0], then, other, other):
+        for block in (first, then, then[:0], then, np.concatenate([then, other])):
             learners.consume(block[None], None, [combination])
-        assert vote_calls == [2, 3]
+        assert vote_calls == [1, 1, 1, 0, 1, 1, 3]
         votes = learners.results()[0]["estimated"].votes
-        assert votes.tolist() == [0, 1] + [1] * 6 + [2] * 6
-        want = learn_graph([(b, None, combination) for b in (first, then, then, other,
+        assert votes.tolist() == [0, 1] + [1] * 6 + [1] * 3 + [2] * 3
+        want = learn_graph([(b, None, combination) for b in (first, then, then, then,
                                                              other)],
                            model, 0.05, 0.3, "estimated")["estimated"]
         assert np.array_equal(votes, want.votes)
@@ -692,6 +708,24 @@ class TestGraphLearner:
         for got, want in zip(learner.result(), clean.result()):
             assert got.estimate.tobytes() == want.estimate.tobytes()
             assert got.msd.tobytes() == want.msd.tobytes()
+
+    @pytest.mark.parametrize("sizes", [[4], [6], [5, 4]],
+                             ids=["smaller", "larger", "second-of-two"])
+    def test_rejects_a_matrix_of_another_size(self, sizes):
+        """A matrix of other than n x n, smaller or larger, is refused,
+        naming its size and n, before any row of any trajectory is
+        stepped."""
+        matrices = [random_combination_matrix(erdos_renyi_adjacency(size, 0.5, seed=30)[0],
+                                              seed=31)
+                    for size in sizes]
+        K, size = len(sizes), sizes[-1]
+        learner = GraphLearner(random_likelihoods(5, 3, 4, seed=32), [0.05] * K, 0.3,
+                               "known")
+        estimate = learner.estimate.tobytes()
+        with pytest.raises(ValueError, match=f"^a {size} x {size} matrix for 5 agents$"):
+            learner.consume(np.full((K, 10, 5, 3), -np.log(3)), [1] * K, matrices)
+        assert learner.iterations == 0 and learner.deviations == []
+        assert learner.estimate.tobytes() == estimate
 
     def test_known_mode_requires_the_state(self, small_setup):
         model, _ = small_setup
@@ -1412,15 +1446,23 @@ class TestFollower:
         assert learners.estimated._offsets is learners.known._offsets
         assert len(calls) == model.num_states
 
-    @pytest.mark.parametrize("mode, refused", [
-        ("both", lambda block, state: (block[None], [7])),
-        ("both", lambda block, state: (block[None], None)),
-        ("estimated", lambda block, state: (block[None, ..., :2], [state])),
-    ], ids=["both-state-out-of-range", "both-no-states", "estimated-block-shape"])
-    def test_a_refused_block_changes_no_record(self, desk, mode, refused):
+    @pytest.mark.parametrize("mode, refused, match", [
+        ("both", lambda block, state: (block[None], [7]), r"true state in 0\.\.2"),
+        ("both", lambda block, state: (block[None], None), "^no hypotheses for a block"),
+        ("estimated", lambda block, state: (block[None, ..., :2], [state]),
+         r"^blocks must be 1 x steps x 10 x 3, not 1 x \d+ x 10 x 2$"),
+        *[(mode, lambda block, state: (block, [state]),
+           r"^blocks must be 1 x steps x 10 x 3, not \d+ x 10 x 3$")
+          for mode in ("known", "estimated", "both")],
+    ], ids=["both-state-out-of-range", "both-no-states", "estimated-block-shape",
+            "known-3d-block", "estimated-3d-block", "both-3d-block"])
+    def test_a_refused_block_changes_no_record(self, desk, mode, refused, match):
         """A block the learners refuse, whose votes differ from its true
         states in ``both``, leaves the votes, the fork and the deviations
-        as they were, and the run then goes on as if it never came."""
+        as they were, at the run's first block or later, and the run then
+        goes on as if it never came. A
+        block without its stack axis is refused by its shape in every
+        mode, before the vote reads it."""
         model, blocks = desk
 
         def assert_same_records(got, want):
@@ -1436,9 +1478,9 @@ class TestFollower:
         learners = ModeLearners(model, 0.01, self.DELTA, mode)
         clean = ModeLearners(model, 0.01, self.DELTA, mode)
         for k, (block, state, matrix) in enumerate(blocks):
-            if k == 2:
+            if k in (0, 2):
                 estimated = learners.estimated
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=match):
                     learners.consume(*refused(block, state), [matrix])
                 assert learners.estimated is estimated
                 assert_same_records(learners.results()[0], clean.results()[0])
