@@ -403,11 +403,7 @@ class GraphLearner:
                 if matrix.weights.shape != (n, n):
                     raise ValueError(f"a {' x '.join(map(str, matrix.weights.shape))} "
                                      f"matrix for {n} agents")
-        hypotheses, size = np.asarray(states), block.shape[:2]
-        if hypotheses.shape not in (size[:1], size):
-            shape = " x ".join(map(str, hypotheses.shape)) or "no"
-            raise ValueError(f"{shape} hypotheses for a block of "
-                             f"{' x '.join(map(str, size))} rows")
+        hypotheses = self._check_states(block, states)
         # Integers in 0..S-1 only: the targets index a table by them, where
         # -1 would silently pick the last hypothesis.
         wrong = ((hypotheses < 0) | (hypotheses >= num_states)
@@ -457,6 +453,16 @@ class GraphLearner:
         if block.shape[:1] + block.shape[2:] != (K, n, num_states):
             raise ValueError(f"blocks must be {K} x steps x {n} x {num_states}, not "
                              f"{' x '.join(map(str, block.shape))}")
+
+    def _check_states(self, block: np.ndarray, states) -> np.ndarray:
+        """``states`` as an array; refused unless it holds one hypothesis
+        per trajectory or one per trajectory and row of ``block``."""
+        hypotheses, size = np.asarray(states), block.shape[:2]
+        if hypotheses.shape not in (size[:1], size):
+            shape = " x ".join(map(str, hypotheses.shape)) or "no"
+            raise ValueError(f"{shape} hypotheses for a block of "
+                             f"{' x '.join(map(str, size))} rows")
+        return hypotheses
 
     def _settle(self, start: np.ndarray, deviations: np.ndarray,
                 weights: np.ndarray | None) -> None:
@@ -552,9 +558,13 @@ class ModeLearners:
             (self.known or estimated)._check_block(block)
             votes = majority_vote(block)
             if estimated is None:
+                # One state per trajectory stands for each of its rows.
+                states = self.known._check_states(block, true_states)
+                differs = votes != (states[:, None] if states.ndim == 1 else states)
                 # The run's first update is a no-op (see the class docstring).
-                checked = votes[:, 1:] if self.known.iterations == 0 else votes
-                if (checked.T != true_states).any():
+                if self.known.iterations == 0:
+                    differs = differs[:, 1:]
+                if differs.any():
                     estimated = self._fork()
         if self.known is not None:
             self.known.consume(block, true_states, combinations)
@@ -642,8 +652,10 @@ def two_means_split(values: np.ndarray) -> float:
         upper = np.abs(values - high) < np.abs(values - low)
         if not upper.any() or upper.all():
             raise NoSeparationError("a cluster emptied out")
-        new_low = float(values[~upper].mean())
-        new_high = float(values[upper].mean())
+        # sum / len: the bits of np.mean, without its Python wrapper.
+        lower, higher = values[~upper], values[upper]
+        new_low = float(lower.sum() / len(lower))
+        new_high = float(higher.sum() / len(higher))
         if new_low == low and new_high == high:
             break
         low, high = new_low, new_high

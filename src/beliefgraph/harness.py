@@ -12,7 +12,6 @@ back: its manifest as a config, and the whole bundle in :func:`run_learn`.
 from __future__ import annotations
 
 import numbers
-import shutil
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -453,14 +452,15 @@ def finish_run(
     comes back with its classification filled in.
 
     A mode whose estimate holds the known result's bytes (``-0.0`` and
-    ``0.0`` are written apart) takes over its classification and copies
-    its files, so a trajectory the modes share is classified and
-    formatted once.
+    ``0.0`` are written apart) takes over its classification and writes
+    the bytes of its files, so a trajectory the modes share is
+    classified and formatted once.
     """
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     final = matrices.get(int(graph_epochs[-1]))
     modes: dict[str, LearnResult] = {}
+    written: dict[tuple[str, str], bytes] = {}  # each file's bytes by mode and name
     for mode, result in learned.items():
         twin = modes.get(KNOWN)
         shared = twin is not None and twin.estimate.tobytes() == result.estimate.tobytes()
@@ -485,9 +485,9 @@ def finish_run(
             if out is None or matrix is None:
                 continue
             if shared:
-                shutil.copyfile(out / f"{name}_{KNOWN}.csv", out / f"{name}_{mode}.csv")
+                (out / f"{name}_{mode}.csv").write_bytes(written[KNOWN, name])
             else:
-                write(out / f"{name}_{mode}.csv", matrix)
+                written[mode, name] = write(out / f"{name}_{mode}.csv", matrix)
         modes[mode] = replace(result, classified=classified,
                               edge_accuracy=edge_accuracy, classify_error=classify_error)
     first = matrices.get(int(graph_epochs[0]))

@@ -1,10 +1,15 @@
 """Persistence for runs.
 
 Text files write every number with 17 significant digits, which
-round-trips IEEE doubles exactly, and format each table in one pass;
-the two streams are binary float64, written a stack of snapshots at a
-time, and hold the very values the run produced. Rerunning a
-configuration therefore reproduces every output file byte for byte.
+round-trips IEEE doubles exactly, and format each table in one pass.
+JSON files hold the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True)``, built from C-level pieces (one ``str.join`` per
+level, ``float.__repr__`` over a list of floats, ``json``'s own string
+escaper) rather than by ``json``'s indenting encoder, which is pure
+Python; their floats round-trip too. The two streams are binary
+float64, written a stack of snapshots at a time, and hold the very
+values the run produced. Rerunning a configuration therefore
+reproduces every output file byte for byte.
 
 File formats
 ------------
@@ -26,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +61,14 @@ _TRACE_ROW = np.dtype([("iteration", np.int64), ("true_state", np.int64),
 MSD_HEADER = "iteration,msd,mode,event"
 
 
-def write_matrix(path, matrix: np.ndarray) -> None:
+def write_matrix(path, matrix: np.ndarray) -> bytes:
+    """Write ``matrix``; returns the bytes written."""
     rows, columns = np.shape(matrix)
     line = ",".join(["%.17g"] * columns)
     cells = tuple(np.asarray(matrix, dtype=float).ravel().tolist())
-    Path(path).write_text(("\n".join([line] * rows) + "\n") % cells)
+    data = (("\n".join([line] * rows) + "\n") % cells).encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_matrix(path) -> np.ndarray:
@@ -71,7 +80,8 @@ def read_matrix(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def write_adjacency(path, adjacency: np.ndarray) -> None:
+def write_adjacency(path, adjacency: np.ndarray) -> bytes:
+    """Write ``adjacency``; returns the bytes written."""
     adjacency = np.asarray(adjacency, dtype=bool)
     # One byte per cell, "0" or "1", each followed by a comma, and the
     # last comma of a row replaced by a newline.
@@ -79,7 +89,9 @@ def write_adjacency(path, adjacency: np.ndarray) -> None:
     text[:, ::2] = adjacency
     text[:, ::2] += ord("0")
     text[:, -1] = ord("\n")
-    Path(path).write_bytes(text.tobytes())
+    data = text.tobytes()
+    Path(path).write_bytes(data)
+    return data
 
 
 class BeliefStreamWriter:
@@ -147,13 +159,20 @@ def read_belief_stream(path) -> np.ndarray:
 def write_trace(path, iterations, true_states, graph_epochs, events) -> None:
     """Write the ground-truth trace; ``events`` maps an iteration to the
     name of the event applied there."""
-    iterations = np.asarray(iterations).tolist()
-    markers = [events.get(i, "") for i in iterations]
-    rows = zip(iterations, np.asarray(true_states).tolist(),
-               np.asarray(graph_epochs).tolist(), markers)
-    cells = tuple(chain.from_iterable(rows))
-    lines = "%s,%s,%s,%s\n" * (len(cells) // 4)
-    Path(path).write_text((TRACE_HEADER + "\n" + lines) % cells)
+    iterations, states, epochs = map(np.asarray, (iterations, true_states, graph_epochs))
+    # Runs of rows of one true state and graph epoch without an event,
+    # each row with an event alone: every run is formatted by one join.
+    marked = np.isin(iterations, list(events))
+    starts = marked.copy()
+    starts[1:] |= (states[1:] != states[:-1]) | (epochs[1:] != epochs[:-1]) | marked[:-1]
+    starts[:1] = True
+    bounds = np.flatnonzero(starts).tolist() + [len(starts)]
+    iterations, states, epochs = iterations.tolist(), states.tolist(), epochs.tolist()
+    text = [TRACE_HEADER + "\n"]
+    for start, stop in zip(bounds, bounds[1:]):
+        tail = f",{states[start]},{epochs[start]},{events.get(iterations[start], '')}\n"
+        text += (tail.join(map(str, iterations[start:stop])), tail)
+    Path(path).write_text("".join(text))
 
 
 def read_trace(path) -> dict:
@@ -226,22 +245,55 @@ def load_model(path) -> LikelihoodModel:
 
 
 def save_json(path, payload) -> None:
-    """Write ``payload`` as strict JSON: NaN and infinities, which JSON
-    cannot represent, are written as ``null``."""
-    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Write ``payload`` as strict JSON, laid out as ``json.dumps(payload,
+    indent=2, sort_keys=True, allow_nan=False)`` lays it out, plus a
+    final newline: NaN and infinities, which JSON cannot represent, are
+    written as ``null``. A value of a type ``json`` refuses, such as
+    ``np.int64``, raises ``TypeError``."""
+    Path(path).write_text(_json(payload, "\n") + "\n")
 
 
-def _finite(value):
-    """``value`` with every non-finite float in its dicts, lists and
-    tuples replaced by ``None``, and tuples as lists, as JSON has them."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite(item) for key, item in value.items()}
+def _json(value, newline: str) -> str:
+    """The JSON text of ``value`` for :func:`save_json`, at the depth
+    whose line break and indentation is ``newline``: each level is one
+    join, and a list of floats alone one join of their reprs."""
+    inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        return [_finite(item) for item in value]
-    return value
+        if not value:
+            return "[]"
+        try:
+            items = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            items = "n"
+        # Of all float reprs only NaN's and the infinities hold an "n".
+        if "n" in items:
+            items = ("," + inner).join([_json(item, inner) for item in value])
+        return "[" + inner + items + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = json.dumps(key, allow_nan=False)
+            items.append(encode_basestring_ascii(key) + ": " + _json(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_json(path):

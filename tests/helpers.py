@@ -1,6 +1,9 @@
 """Helpers shared by several test modules: readers, lookups and oracles
 that no package code calls, kept beside the tests that use them."""
 
+import json
+import math
+
 import numpy as np
 
 from beliefgraph.estimator import GraphLearner, majority_vote
@@ -56,6 +59,25 @@ def per_row_adjacency(adjacency) -> str:
     lines = [",".join("1" if x else "0" for x in row)
              for row in np.asarray(adjacency, dtype=bool)]
     return "\n".join(lines) + "\n"
+
+
+def finite_json(value):
+    """``value`` with every non-finite float in its dicts, lists and
+    tuples replaced by ``None``, and tuples as lists, as JSON has them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_json(item) for item in value]
+    return value
+
+
+def indented_json(payload) -> str:
+    """The text of a JSON file, written by ``json``'s own indented
+    encoder: the oracle of :func:`beliefgraph.io.save_json`."""
+    text = json.dumps(finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def independent_learners(blocks, model, mu, delta, reference: int = 0) -> dict:

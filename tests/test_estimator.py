@@ -134,6 +134,24 @@ def best_two_partition(values):
     return 0.5 * (values[best_cut - 1] + values[best_cut])
 
 
+def mean_two_means_split(values):
+    """:func:`two_means_split` with each center from ``np.mean``: its
+    oracle, bit for bit. Returns the boundary, or the error's message."""
+    values = np.asarray(values, dtype=float).ravel()
+    low, high = float(values.min()), float(values.max())
+    if low == high:
+        return "all values are identical"
+    for _ in range(100):
+        upper = np.abs(values - high) < np.abs(values - low)
+        if not upper.any() or upper.all():
+            return "a cluster emptied out"
+        new_low, new_high = float(values[~upper].mean()), float(values[upper].mean())
+        if new_low == low and new_high == high:
+            break
+        low, high = new_low, new_high
+    return 0.5 * (low + high)
+
+
 class TestBeliefLogRatios:
     def test_uniform_beliefs_give_zeros(self):
         shared = np.full((3, 4), np.log(0.25))
@@ -1005,6 +1023,17 @@ class TestClassifyEdges:
             oracle = best_two_partition(values)
             np.testing.assert_array_equal(values > boundary, values > oracle)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 80), elements=st.floats(-1e6, 1e6)
+                      | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 0.3])))
+    def test_two_means_gives_the_bits_of_np_mean(self, values):
+        try:
+            boundary = two_means_split(values)
+        except NoSeparationError as err:
+            boundary = str(err)
+        # A float's repr tells every bit apart, the sign of a zero included.
+        assert repr(boundary) == repr(mean_two_means_split(values))
+
     def test_two_means_recovers_exact_reference_matrices(self):
         """On the exact weights of reference-scale worlds (30 agents,
         edge probability 0.2) two-means finds at least 95% of the
@@ -1489,6 +1518,61 @@ class TestFollower:
         if mode == "both":
             assert learners.estimated is None
         assert_same_records(learners.results()[0], clean.results()[0])
+
+    @pytest.mark.parametrize("states", [np.zeros((2, 5), int), np.zeros((5, 1), int)],
+                             ids=["2x5", "5x1"])
+    def test_states_of_another_shape_are_refused_before_the_vote(self, desk, states):
+        """In ``both`` as in ``known`` mode, the learner's own check names
+        the states' shape, and nothing is recorded."""
+        model, blocks = desk
+        block = blocks[1][0][None, :5]
+        shape = " x ".join(map(str, states.shape))
+        for mode in ("known", "both"):
+            learners = ModeLearners(model, 0.01, self.DELTA, mode)
+            with pytest.raises(ValueError, match=f"^{shape} hypotheses for a block of "
+                                                 f"1 x 5 rows$"):
+                learners.consume(block, states)
+            assert learners.estimated is None
+            assert learners.known.iterations == 0
+
+    @staticmethod
+    def voting_block(votes, agents, states):
+        """A ``(1, rows, agents, states)`` block of log-beliefs in which
+        every agent of row t believes ``votes[t]`` most."""
+        rows = len(votes)
+        block = np.log(np.random.default_rng(9).dirichlet(np.ones(states), (rows, agents)))
+        block[np.arange(rows), :, votes] += 10.0
+        return block[None]
+
+    @pytest.mark.parametrize("later, states, forks", [
+        (False, [2, 0, 2, 2, 1], False),
+        (False, [0, 0, 2, 2, 1], False),
+        (False, [2, 0, 2, 1, 1], True),
+        (True, [2, 0, 2, 2, 1], False),
+        (True, [0, 0, 2, 2, 1], True),
+    ], ids=["first-the-votes", "first-row-0-differs", "first-row-3-differs",
+            "later-the-votes", "later-row-0-differs"])
+    def test_per_row_states_are_compared_row_by_row(self, desk, later, states, forks):
+        """Each row's vote is compared with its own row's true state: fed
+        exactly its votes, a block forks nothing. A row whose vote differs
+        forks, but for the run's first row. The records are those of two
+        independent learners either way."""
+        model = desk[0]
+        votes = [2, 0, 2, 2, 1]
+        block = self.voting_block(votes, model.num_agents, model.num_states)
+        assert majority_vote(block).tolist() == [votes]
+        fed = [(votes, votes)] * later + [(states, votes)]
+        learners = ModeLearners(model, 0.01, self.DELTA, "both")
+        for known_states, _ in fed:
+            learners.consume(block, [known_states])
+        assert (learners.estimated is not None) == forks
+        results = learners.results()[0]
+        for k, mode in enumerate(("known", "estimated")):
+            alone = GraphLearner(model, 0.01, self.DELTA, mode)
+            for pair in fed:
+                alone.consume(block, [pair[k]])
+            assert results[mode].estimate.tobytes() == alone.result()[0].estimate.tobytes()
+        assert results["estimated"].votes.tolist() == votes * (1 + later)
 
     def test_an_unknown_mode_is_rejected(self, desk):
         with pytest.raises(ValueError, match="unknown mode 'all'"):

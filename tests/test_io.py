@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beliefgraph import io
+from beliefgraph.harness import ExperimentConfig, run_experiment
 from beliefgraph.model import (
     CombinationMatrix, random_combination_matrix, random_likelihoods,
 )
+from beliefgraph.simulate import Event, EventSchedule
 
-from helpers import per_row_adjacency, read_msd_table
+from helpers import indented_json, per_row_adjacency, read_msd_table
 
 # Awkward doubles: negatives, subnormals, extremes of the exponent range
 # and a signed zero.
@@ -274,6 +276,28 @@ def test_text_writers_match_the_per_value_writers(tmp_path_factory, data):
         iterations, deviations, events)
 
 
+# JSON payloads: nested dicts, lists and tuples, empty ones included,
+# over the leaves a bundle's files hold and the awkward ones: non-finite,
+# signed-zero, large and subnormal floats, numpy floats, ints beyond 64
+# bits and strings that need escapes.
+JSON_LEAVES = (
+    DOUBLES | st.sampled_from([1e16, -1e16, 1e-7, 123456789.125])
+    | st.floats().map(np.float64)
+    | st.integers(-10**40, 10**40) | st.booleans() | st.none()
+    | st.text(max_size=8)
+    | st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\t\n\x7f",
+                       "\u00e9\u2603\U0001f600"])
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.lists(DOUBLES, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=30,
+)
+
+
 class TestRatioStream:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -328,6 +352,24 @@ class TestTrace:
             assert read[key].dtype == expected[key].dtype
             np.testing.assert_array_equal(read[key], expected[key])
         assert read["events"] == expected["events"]
+
+    @pytest.mark.parametrize("states, epochs, events", [
+        ([1, 1, 2, 2, 2, 0], [0, 0, 0, 0, 1, 1], {1: "set_true_state", 6: "regenerate_graph"}),
+        ([0, 0, 1, 2, 2, 2], [0, 0, 0, 0, 1, 1],
+         {3: "set_true_state", 4: "set_true_state", 5: "regenerate_graph"}),
+        ([1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], {3: "set_true_state"}),
+        ([1, 1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1], {}),
+        ([2], [0], {1: "set_true_state"}),
+        ([], [], {}),
+    ], ids=["events-at-1-and-T", "consecutive-events", "switch-to-the-same-state",
+            "no-event", "one-row", "no-row"])
+    def test_matches_the_per_value_writer(self, tmp_path, states, epochs, events):
+        """Runs of rows are cut at every event and every change of state
+        or epoch: the text is that of one row at a time."""
+        iterations = np.arange(1, len(states) + 1)
+        io.write_trace(tmp_path / "trace.csv", iterations, states, epochs, events)
+        assert (tmp_path / "trace.csv").read_text() == per_value_trace(
+            iterations, states, epochs, events)
 
     @pytest.mark.parametrize("row", [
         "4,0,0", "4,0,0,set_true_state,x", "4,0.5,0,", "4,,0,", "x,0,0,",
@@ -391,6 +433,51 @@ class TestJsonFiles:
         })
         assert (tmp_path / "model.json").read_bytes() == \
             (tmp_path / "old.json").read_bytes()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=JSON_PAYLOADS)
+    def test_bytes_match_the_indented_encoder(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "x.json"
+        io.save_json(path, payload)
+        assert path.read_text() == indented_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        np.int64(3), {"a": [1.0, np.int64(3)]}, {1, 2}, {"a": {"b": {0.5}}},
+        [np.float32(1.0)], {("a", "b"): 1},
+    ])
+    def test_refuses_what_json_refuses(self, tmp_path, payload):
+        with pytest.raises(TypeError):
+            indented_json(payload)
+        with pytest.raises(TypeError):
+            io.save_json(tmp_path / "x.json", payload)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_every_file_of_a_run_matches_the_indented_encoder(self, tmp_path,
+                                                              monkeypatch):
+        """The manifest, the model and a summary with its diagnostics, of
+        a test-mode run in both modes through a state switch and a graph
+        regeneration."""
+        payloads = {}
+        save_json = io.save_json
+
+        def recorded(path, payload):
+            payloads[Path(path).name] = payload
+            save_json(path, payload)
+
+        monkeypatch.setattr(io, "save_json", recorded)
+        run_experiment(ExperimentConfig(
+            agents=6, states=3, signals=3, edge_prob=0.5, delta=0.3, mu=0.05,
+            iterations=1600, seed_graph=50, seed_weights=51, seed_likelihoods=52,
+            seed_signals=53, true_state=1, mode="both", test_mode=True,
+            schedule=EventSchedule((Event(200, "set_true_state", 2),
+                                    Event(300, "regenerate_graph", 7))),
+            out=str(tmp_path / "run"),
+        ))
+        assert sorted(payloads) == ["manifest.json", "model.json", "summary.json"]
+        assert payloads["summary.json"]["diagnostics"]["ratio_second_moment"]
+        for name, payload in payloads.items():
+            assert (tmp_path / "run" / name).read_text() == indented_json(payload), name
 
 
 class TestModelFile:
