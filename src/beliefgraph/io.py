@@ -2,13 +2,12 @@
 
 Text files write every number with 17 significant digits, which
 round-trips IEEE doubles exactly, and format each table in one pass.
-JSON files hold the bytes of ``json.dumps(payload, indent=2,
-sort_keys=True)``, built from C-level pieces (one ``str.join`` per
-level, ``float.__repr__`` over a list of floats, ``json``'s own string
-escaper) rather than by ``json``'s indenting encoder, which is pure
-Python; their floats round-trip too. The two streams are binary
-float64, written a stack of snapshots at a time, and hold the very
-values the run produced. Rerunning a configuration therefore
+JSON files are written by ``json`` itself, with sorted keys and
+floats that round-trip too: the model on one line, through ``json``'s
+C encoder, and the manifest and summary indented by two spaces. The
+model is read back from any layout of the same JSON. The two streams
+are binary float64, written a stack of snapshots at a time, and hold
+the very values the run produced. Rerunning a configuration therefore
 reproduces every output file byte for byte.
 
 File formats
@@ -23,7 +22,7 @@ ratio stream    ``.npy`` of the same kind, shape
                 log-ratios (validation runs only)
 trace           CSV ``iteration,true_state,graph_epoch,event``
 deviation table CSV ``iteration,msd,mode,event``
-model           JSON with the per-agent probability tables
+model           one-line JSON with the per-agent probability tables
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +70,8 @@ def write_matrix(path, matrix: np.ndarray) -> bytes:
 
 
 def read_matrix(path) -> np.ndarray:
-    rows = [
-        [float(x) for x in line.split(",")]
-        for line in Path(path).read_text().splitlines()
-        if line
-    ]
-    return np.array(rows, dtype=float)
+    lines = Path(path).read_text().splitlines()
+    return np.array([line.split(",") for line in lines if line], dtype=float)
 
 
 def write_adjacency(path, adjacency: np.ndarray) -> bytes:
@@ -198,33 +192,33 @@ def write_msd_table(path, iterations, deviations_by_mode: dict, events) -> None:
     """Write deviation trajectories, one row per (iteration, mode)."""
     iterations = np.asarray(iterations).tolist()
     markers = [events.get(i, "") for i in iterations]
-    modes = sorted(deviations_by_mode)
-    columns = [np.asarray(deviations_by_mode[mode], float) for mode in modes]
-    keys = [column.tobytes() for column in columns]
+    # Modes whose deviations hold the same bytes share one column of
+    # text, formatted once.
     texts: dict[bytes, list[str]] = {}
     fields, lines = [], ""
-    for mode, column, key in zip(modes, columns, keys):
-        cell, column = "%.17g", column.tolist()
-        if keys.count(key) > 1:
-            # Modes whose deviations hold the same bytes share one column
-            # of text, formatted once.
-            if key not in texts:
-                texts[key] = ("%.17g\n" * len(column) % tuple(column)).split("\n")
-            cell, column = "%s", texts[key]
+    for mode in sorted(deviations_by_mode):
+        column = np.asarray(deviations_by_mode[mode], float)
+        key = column.tobytes()
+        if key not in texts:
+            texts[key] = ("%.17g\n" * len(column) % tuple(column.tolist())).split("\n")
         # An iteration's lines take (iteration, deviation, marker) per mode.
-        fields += (iterations, column, markers)
-        lines += f"%s,{cell},{mode.replace('%', '%%')},%s\n"
+        fields += (iterations, texts[key], markers)
+        lines += f"%s,%s,{mode.replace('%', '%%')},%s\n"
     cells = tuple(chain.from_iterable(zip(*fields)))
     Path(path).write_text((MSD_HEADER + "\n" + lines * len(iterations)) % cells)
 
 
 def save_model(path, model: LikelihoodModel) -> None:
+    """Write ``model`` as one line of compact JSON. Its tables are finite
+    (:meth:`LikelihoodModel.validate`), so ``json``'s C encoder writes
+    them as they are."""
     payload = {
         "floor": model.floor,
         "signal_sizes": model.signal_sizes,
         "tables": [t.tolist() for t in model.tables],
     }
-    save_json(path, payload)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_model(path) -> LikelihoodModel:
@@ -245,55 +239,22 @@ def load_model(path) -> LikelihoodModel:
 
 
 def save_json(path, payload) -> None:
-    """Write ``payload`` as strict JSON, laid out as ``json.dumps(payload,
-    indent=2, sort_keys=True, allow_nan=False)`` lays it out, plus a
-    final newline: NaN and infinities, which JSON cannot represent, are
-    written as ``null``. A value of a type ``json`` refuses, such as
-    ``np.int64``, raises ``TypeError``."""
-    Path(path).write_text(_json(payload, "\n") + "\n")
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, plus a final newline: NaN and
+    infinities, which JSON cannot represent, are written as ``null``. A
+    value of a type ``json`` refuses, such as ``np.int64``, raises
+    ``TypeError``."""
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
-def _json(value, newline: str) -> str:
-    """The JSON text of ``value`` for :func:`save_json`, at the depth
-    whose line break and indentation is ``newline``: each level is one
-    join, and a list of floats alone one join of their reprs."""
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:
-            items = ("," + inner).join(map(float.__repr__, value))
-        except TypeError:  # an item that is not a float
-            items = "n"
-        # Of all float reprs only NaN's and the infinities hold an "n".
-        if "n" in items:
-            items = ("," + inner).join([_json(item, inner) for item in value])
-        return "[" + inner + items + newline + "]"
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, as ``None``."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {type(key).__name__}")
-                key = json.dumps(key, allow_nan=False)
-            items.append(encode_basestring_ascii(key) + ": " + _json(item, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def load_json(path):

@@ -833,6 +833,24 @@ class TestSimulateAndLearn:
         for name in names:
             assert (intact / name).read_bytes() == (corrupt / name).read_bytes(), name
 
+    def test_learn_reads_a_model_written_indented(self, forward_run, tmp_path):
+        """Older releases wrote model.json indented by two spaces; learn
+        on a bundle whose model.json is re-indented so writes the same
+        files as on the bundle as it was written."""
+        written = tmp_path / "written"
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", written) == 0
+        path = forward_run / "model.json"
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        indented = tmp_path / "indented"
+        assert run_cli("learn", "--run", forward_run, "--mode", "both",
+                       "--out", indented) == 0
+        names = sorted(p.name for p in written.iterdir())
+        assert names == sorted(p.name for p in indented.iterdir())
+        for name in names:
+            assert (written / name).read_bytes() == (indented / name).read_bytes(), name
+
     def test_learn_without_inputs_exits_one(self, tmp_path):
         assert run_cli("learn", "--out", tmp_path / "nope") == 1
 

@@ -64,6 +64,16 @@ def per_value_msd_table(iterations, deviations_by_mode, events) -> str:
     return "\n".join(lines) + "\n"
 
 
+def model_payload(model) -> dict:
+    return {"floor": model.floor, "signal_sizes": model.signal_sizes,
+            "tables": [t.tolist() for t in model.tables]}
+
+
+def compact_json(payload) -> str:
+    """The text of model.json: one line, by ``json``'s compact encoder."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # The readers and writers as they were: one JSON round trip to null the
 # non-finite floats, and a trace parsed line by line.
 def round_trip_json(path, payload) -> None:
@@ -425,15 +435,11 @@ class TestJsonFiles:
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     def test_model_bytes_match_the_round_trip(self, tmp_path):
+        """model.json is one line of compact JSON, as ``json``'s C
+        encoder writes it."""
         model = random_likelihoods(30, 4, 3, seed=5)
         io.save_model(tmp_path / "model.json", model)
-        round_trip_json(tmp_path / "old.json", {
-            "floor": model.floor, "signal_sizes": model.signal_sizes,
-            "tables": [t.tolist() for t in model.tables],
-        })
-        assert (tmp_path / "model.json").read_bytes() == \
-            (tmp_path / "old.json").read_bytes()
-
+        assert (tmp_path / "model.json").read_text() == compact_json(model_payload(model))
 
     @settings(max_examples=300, deadline=None)
     @given(payload=JSON_PAYLOADS)
@@ -455,17 +461,22 @@ class TestJsonFiles:
 
     def test_every_file_of_a_run_matches_the_indented_encoder(self, tmp_path,
                                                               monkeypatch):
-        """The manifest, the model and a summary with its diagnostics, of
-        a test-mode run in both modes through a state switch and a graph
-        regeneration."""
+        """The manifest and a summary with its diagnostics, of a test-mode
+        run in both modes through a state switch and a graph
+        regeneration, are indented JSON; its model is compact JSON."""
         payloads = {}
-        save_json = io.save_json
+        save_json, save_model = io.save_json, io.save_model
 
         def recorded(path, payload):
             payloads[Path(path).name] = payload
             save_json(path, payload)
 
+        def recorded_model(path, model):
+            payloads[Path(path).name] = model_payload(model)
+            save_model(path, model)
+
         monkeypatch.setattr(io, "save_json", recorded)
+        monkeypatch.setattr(io, "save_model", recorded_model)
         run_experiment(ExperimentConfig(
             agents=6, states=3, signals=3, edge_prob=0.5, delta=0.3, mu=0.05,
             iterations=1600, seed_graph=50, seed_weights=51, seed_likelihoods=52,
@@ -477,7 +488,8 @@ class TestJsonFiles:
         assert sorted(payloads) == ["manifest.json", "model.json", "summary.json"]
         assert payloads["summary.json"]["diagnostics"]["ratio_second_moment"]
         for name, payload in payloads.items():
-            assert (tmp_path / "run" / name).read_text() == indented_json(payload), name
+            encoder = compact_json if name == "model.json" else indented_json
+            assert (tmp_path / "run" / name).read_text() == encoder(payload), name
 
 
 class TestModelFile:
@@ -490,3 +502,15 @@ class TestModelFile:
         assert loaded.signal_sizes == model.signal_sizes
         for a, b in zip(loaded.tables, model.tables):
             np.testing.assert_array_equal(a, b)
+
+    def test_an_indented_model_loads_bit_for_bit(self, tmp_path):
+        """model.json as older releases wrote it, indented by two spaces,
+        loads to the same model as the one-line file."""
+        model = random_likelihoods(30, 4, [2, 3, 4] * 10, seed=6)
+        path = tmp_path / "model.json"
+        path.write_text(indented_json(model_payload(model)))
+        loaded = io.load_model(path)
+        assert loaded.floor == model.floor
+        assert loaded.signal_sizes == model.signal_sizes
+        for a, b in zip(loaded.tables, model.tables):
+            assert a.tobytes() == b.tobytes()
