@@ -609,12 +609,14 @@ def learn_graph(
     mode: str = ESTIMATED,
     reference: int = 0,
 ) -> dict[str, LearnResult]:
-    """Run the learners of ``mode`` over one recorded stream: its
-    ``(block, true_state, combination)`` triples, consecutive blocks of
-    ``(steps, num_agents, num_states)`` log-beliefs, each with the true
-    state and matrix of all its rows or ``None``. The learners are a
-    stack of one trajectory (see :class:`ModeLearners`); returns its
-    result of each mode by mode."""
+    """Run the learners of ``mode`` over one stream: its ``(block,
+    true_state, combination)`` triples, consecutive blocks of ``(steps,
+    num_agents, num_states)`` log-beliefs, each with the true state and
+    matrix of all its rows or ``None``. The one feed of a single run,
+    whether its blocks are drawn as the simulation runs or read from a
+    recorded stream. The learners are a stack of one trajectory (see
+    :class:`ModeLearners`), each block a view of it; returns its result
+    of each mode by mode."""
     learners = ModeLearners(model, mu, delta, mode, reference)
     for block, true_state, combination in blocks:
         learners.consume(block[None], None if true_state is None else [true_state],

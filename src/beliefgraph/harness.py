@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -327,27 +327,22 @@ def _generate(config: ExperimentConfig):
     return combination, model, graph_attempts
 
 
-def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = None):
-    """Run the forward protocol of each of the K ``(config, combination,
-    model)`` of ``runs`` in lockstep, feed every chunk to ``learners``
-    (a stack of K trajectories, one per run, as :class:`ModeLearners`
-    takes it) as one ``(K, steps, n, S)`` block with the runs' true
-    states and matrices, and, with ``out`` set, write the forward bundle
-    of the first run there. Each run's stream is read a chunk at a time:
-    its row-0 step carries the chunk's blocks and truth, and its other
-    steps are drawn and dropped. A chunk's truth, its block in the
-    stream and test mode's public and private rows are recorded once
-    per chunk.
-
-    The runs must share their length and schedule (a sweep's grid points
-    differ only in mu and delta), so that their chunks end at the same
-    iterations. Returns the first run's true state and graph epoch of
-    every iteration, its events by iteration, the combination matrix of
-    every graph epoch, and its public log-beliefs (given ``learners``)
-    and private signal ratios of every iteration, each ``None`` unless
-    its ``test_mode``.
+def _simulate(config: ExperimentConfig, combination: CombinationMatrix,
+              model: LikelihoodModel, out: Path | None = None,
+              record: dict | None = None):
+    """The forward protocol of one run, as the ``(block, true_state,
+    combination)`` triples :func:`learn_graph` takes: its chunks' row-0
+    steps (see :func:`run_simulation`), whose other steps are drawn and
+    dropped. With ``out`` set, each chunk's block (and, in test mode,
+    its private signal ratios) is appended to the forward bundle there
+    as it passes, and the rest of the bundle is written when the chunks
+    run out. Then ``record``, if given, is filled with the true state
+    and graph epoch of every iteration (``true_states``,
+    ``graph_epochs``), the events by iteration (``events``) and the
+    combination matrix of every graph epoch (``epochs``); in test mode
+    with the public log-beliefs and private signal ratios of every
+    iteration too (``public``, ``private``), which the diagnostics read.
     """
-    config, combination, model = runs[0]
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     T = config.iterations
@@ -358,36 +353,27 @@ def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = Non
     # event at iteration 1 means no step runs under it.
     epochs = [combination]
     n, S = model.num_agents, model.num_states
-    # The diagnostics of test mode read the public stream of a learning run.
-    public = np.empty((T, n, S)) if config.test_mode and learners is not None else None
-    private = np.empty((T, n, S - 1)) if config.test_mode else None
-    with (
-        io.BeliefStreamWriter(out / "beliefs.npy", (T, n, S)) if out else nullcontext()
-    ) as beliefs:
-        streams = [
-            run_simulation(
-                world,
-                initial,
-                point.true_state,
-                point.delta,
-                T,
-                point.seed_signals,
-                schedule=point.schedule,
-                record_private=point.test_mode,
-                edge_prob=point.edge_prob,
-                regen_max_attempts=point.max_attempts,
-                reference=point.reference,
-            )
-            for point, initial, world in runs
-        ]
-        # Row 0 of each run's chunk stands for the chunk.
-        for steps in zip(*streams):
-            step = steps[0]
-            for stream in streams:
-                deque(islice(stream, len(step.block) - 1), maxlen=0)
+    kept = config.test_mode and record is not None
+    public = np.empty((T, n, S)) if kept else None
+    private = np.empty((T, n, S - 1)) if kept else None
+    stream = run_simulation(
+        model, combination, config.true_state, config.delta, T, config.seed_signals,
+        schedule=config.schedule, record_private=config.test_mode,
+        edge_prob=config.edge_prob, regen_max_attempts=config.max_attempts,
+        reference=config.reference,
+    )
+    with ExitStack() as files:
+        beliefs = ratios = None
+        if out is not None:
+            beliefs = files.enter_context(
+                io.BeliefStreamWriter(out / "beliefs.npy", (T, n, S)))
+            if config.test_mode:
+                ratios = files.enter_context(
+                    io.BeliefStreamWriter(out / "private_ratios.npy", (T, n, S - 1)))
+        # Row 0 of each chunk stands for the chunk.
+        for step in stream:
+            deque(islice(stream, len(step.block) - 1), maxlen=0)
             rows = slice(step.iteration - 1, step.iteration - 1 + len(step.block))
-            if private is not None:
-                private[rows] = step.private_block
             true_states[rows] = step.true_state
             graph_epochs[rows] = step.graph_epoch
             if step.event:
@@ -396,21 +382,14 @@ def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = Non
                 epochs.append(step.combination)
             if beliefs is not None:
                 beliefs.append(step.block)
-            if public is not None:
+            if ratios is not None:
+                ratios.append(step.private_block)
+            if kept:
                 public[rows] = step.block
-            if learners is not None:
-                learners.consume(np.array([s.block for s in steps]),
-                                 np.array([s.true_state for s in steps]),
-                                 [s.combination for s in steps])
-            # zip refills its own tuple only when nothing else holds it;
-            # otherwise it keeps that tuple, and so a chunk two back (245 KB
-            # a run at the reference size), alive beside the next one.
-            del steps
+                private[rows] = step.private_block
+            yield step.block, step.true_state, step.combination
 
     if out is not None:
-        if private is not None:
-            with io.BeliefStreamWriter(out / "private_ratios.npy", private.shape) as w:
-                w.append(private)
         for epoch, truth in enumerate(epochs):
             io.write_matrix(out / f"true_matrix_{epoch:03d}.csv", truth.weights)
         io.save_model(out / "model.json", model)
@@ -421,7 +400,9 @@ def _simulate(runs, out: Path | None = None, learners: ModeLearners | None = Non
             "format": MANIFEST_FORMAT,
             "config": config.to_dict(),
         })
-    return true_states, graph_epochs, events, epochs, public, private
+    if record is not None:
+        record.update(true_states=true_states, graph_epochs=graph_epochs,
+                      events=events, epochs=epochs, public=public, private=private)
 
 
 def finish_run(
@@ -512,8 +493,10 @@ def finish_run(
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Generate, simulate, learn and persist one full experiment.
 
-    The observer variants see only the shared belief stream and the
-    likelihood model; private signals are recorded (to the ratio stream
+    The observer variants learn through :func:`learn_graph`, as
+    :func:`run_learn` does, on the run's chunks as they are drawn: they
+    see only the shared belief stream and the likelihood model; private
+    signals are recorded (to the ratio stream
     file and for the steady-state diagnostics) only when
     ``config.test_mode`` is set.
     """
@@ -521,11 +504,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = _out_dir(config.out)
     combination, model, graph_attempts = _generate(config)
 
-    learners = ModeLearners(model, config.mu, config.delta, config.mode,
-                            config.reference)
-    true_states, graph_epochs, events, epochs, public, private = _simulate(
-        [(config, combination, model)], out, learners
-    )
+    record: dict = {}
+    learned = learn_graph(_simulate(config, combination, model, out, record), model,
+                          config.mu, config.delta, config.mode, config.reference)
+    true_states, graph_epochs = record["true_states"], record["graph_epochs"]
+    epochs, public = record["epochs"], record["public"]
 
     diagnostics = None
     if public is not None:
@@ -537,7 +520,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         try:
             diagnostics = steady_state_diagnostics(
                 belief_log_ratios(public[first:], config.reference),
-                private[first:],
+                record["private"][first:],
                 expected,
                 config.mu,
                 config.delta,
@@ -546,8 +529,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             diagnostics = None  # run too short for moment estimates
 
     modes, run = finish_run(
-        learners.results()[0], dict(enumerate(epochs)), graph_epochs, true_states,
-        events, config, out, graph_attempts=graph_attempts,
+        learned, dict(enumerate(epochs)), graph_epochs, true_states,
+        record["events"], config, out, graph_attempts=graph_attempts,
         diagnostics=_diagnostics_payload(diagnostics),
     )
     return ExperimentResult(
@@ -578,7 +561,7 @@ def run_forward(config: ExperimentConfig) -> Path:
     if out is None:
         raise ConfigError("a forward run needs an output directory")
     combination, model, _ = _generate(config)
-    _simulate([(config, combination, model)], out)
+    deque(_simulate(config, combination, model, out), maxlen=0)
     return out
 
 
@@ -745,12 +728,15 @@ def sweep(
 
     Each grid point reruns the base configuration, in memory, with the
     substituted parameters and without test mode's private stream. The
-    K points run in lockstep (see ``_simulate``), each on its own world
-    and forward pass, into one :class:`ModeLearners` of K trajectories,
-    one per point, where :func:`run_experiment` feeds one of K = 1. They
-    go in chunks of at most ``CHUNK_STEPS`` rows per point; the learners'
-    scratch holds ``SETTLE_STEPS x K x n^2`` doubles (see
-    :class:`GraphLearner`). Each point's deviations equal those of
+    K points run in lockstep, each on its own world and forward pass
+    (see ``_simulate``), into one :class:`ModeLearners` of K
+    trajectories, one per point, where :func:`run_experiment` feeds one
+    of K = 1; each chunk's K blocks go in stacked, with their true
+    states and matrices. The points share their length and schedule
+    (they differ only in mu and delta), so their chunks end at the same
+    iterations. They go in chunks of at most ``CHUNK_STEPS`` rows per
+    point; the learners' scratch holds ``SETTLE_STEPS x K x n^2``
+    doubles (see :class:`GraphLearner`). Each point's deviations equal those of
     :func:`run_experiment` on it, bit for bit; no estimate is classified.
     The steady-state deviation is the mean over the final tenth of each
     trajectory. Rows come back sorted by (mu, delta, mode) and are
@@ -806,7 +792,13 @@ def sweep(
     learners = ModeLearners(model, [p.mu for p in points], [p.delta for p in points],
                             config.mode, config.reference)
     try:
-        _simulate(runs, learners=learners)
+        for chunks in zip(*(_simulate(*run) for run in runs)):
+            blocks, states, matrices = zip(*chunks)
+            learners.consume(np.array(blocks), np.array(states), matrices)
+            # zip refills its own tuple only when nothing else holds it;
+            # otherwise it keeps that tuple, and so a chunk two back (245 KB
+            # a point at the reference size), alive beside the next one.
+            del chunks
     except Exception as err:
         raise failure(points, err) from err
 

@@ -82,9 +82,12 @@ class EventSchedule:
 
     def __post_init__(self):
         events = tuple(self.events)
-        iterations = [e.iteration for e in events]
-        if any(b <= a for a, b in zip(iterations, iterations[1:])):
-            raise ValueError("event iterations must be strictly increasing")
+        for a, b in zip(events, events[1:]):
+            if b.iteration == a.iteration:
+                raise ValueError(f"two events at iteration {a.iteration}; at most one "
+                                 f"event per iteration")
+            if b.iteration < a.iteration:
+                raise ValueError("event iterations must be strictly increasing")
         object.__setattr__(self, "events", events)
 
     def __len__(self) -> int:

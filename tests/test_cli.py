@@ -198,6 +198,17 @@ class TestExperimentCommand:
         assert err.startswith("configuration error: --set-state-at expects")
         assert err.count("\n") == 1
 
+    def test_two_events_at_one_iteration_exit_one(self, tmp_path, capsys):
+        """The flags' events are sorted before the schedule checks them,
+        so two at one iteration are named by that iteration."""
+        out = tmp_path / "twice"
+        assert run_cli("experiment", *BASE, "--set-state-at", "1:1",
+                       "--regen-graph-at", "1", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: schedule: two events at iteration 1; at most one "
+            "event per iteration\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, values", [([], [1001, 1002]),
                                               (["--seed-graph", "7"], [1008, 1009])],
                              ids=["default-seed-graph", "seed-graph-7"])
@@ -944,12 +955,17 @@ class TestSimulateAndLearn:
 
 
 class TestForwardBundle:
-    def test_simulate_writes_a_byte_identical_subset_of_experiment(self, tmp_path):
-        """simulate and experiment run the same simulate-and-write loop:
-        every file the forward run writes, experiment writes with the
-        same bytes."""
-        config = [*BASE, "--test-mode", "--set-state-at", "50:2",
-                  "--regen-graph-at", "120:9"]
+    @pytest.mark.parametrize("events", [
+        ["--set-state-at", "50:2", "--regen-graph-at", "120:9"],
+        ["--iters", "700", "--set-state-at", "300:2", "--regen-graph-at", "600:9"],
+    ], ids=["one-chunk", "chunks-cut-short"])
+    def test_simulate_writes_a_byte_identical_subset_of_experiment(self, tmp_path,
+                                                                   events):
+        """simulate and experiment write the bundle from the same chunk
+        source: every file the forward run writes, experiment writes with
+        the same bytes, also when the streams are written chunk by chunk
+        (more than two of CHUNK_STEPS rows, events cutting two short)."""
+        config = [*BASE, "--test-mode", *events]
         forward, full = tmp_path / "fwd", tmp_path / "e2e"
         assert run_cli("simulate", *config, "--out", forward) == 0
         assert run_cli("experiment", *config, "--out", full) == 0

@@ -1,6 +1,7 @@
 """Configuration, end-to-end experiments, persistence and sweeps."""
 
 import json
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -616,6 +617,20 @@ class TestForwardAndLearn:
     def test_forward_run_needs_an_output_directory(self):
         with pytest.raises(ConfigError, match="^a forward run needs an output directory$"):
             run_forward(desk_config())
+
+    def test_a_test_mode_forward_run_holds_no_whole_stream(self, tmp_path):
+        """A forward run appends each chunk's private signal ratios to
+        its file as the chunk passes. At the reference size over 10k
+        iterations that stream (7.2 MB) outweighs all else the run
+        holds, so the run's allocation peak stays below its bytes."""
+        out = tmp_path / "fwd"
+        tracemalloc.start()
+        try:
+            run_forward(ExperimentConfig(iterations=10_000, test_mode=True, out=str(out)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (out / "private_ratios.npy").stat().st_size
 
     def test_forward_bundle_then_learn_matches_in_memory(self, tmp_path):
         out = tmp_path / "fwd"

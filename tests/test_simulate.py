@@ -502,8 +502,12 @@ class TestRunSimulation:
             Event(0, "set_true_state", 1)
         with pytest.raises(ValueError):
             Event(5, "unknown_action", 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^two events at iteration 5; at most one "
+                                             "event per iteration$"):
             EventSchedule((Event(5, "set_true_state", 1), Event(5, "set_true_state", 2)))
+        with pytest.raises(ValueError, match="^event iterations must be strictly "
+                                             "increasing$"):
+            EventSchedule((Event(5, "set_true_state", 1), Event(3, "set_true_state", 2)))
         with pytest.raises(ValueError):
             list(run_simulation(
                 model, combination, 0, 0.3, 10, seed=0,
